@@ -1,5 +1,5 @@
-"""Conceptual graphs, fingerprints and the candidate filter
-============================================================
+"""Fingerprints and the candidate filter
+=======================================
 
 Matching a query construction against every stored entry by subgraph
 isomorphism would be slow, so candidates are screened first: each closed
@@ -10,7 +10,6 @@ candidate only the exact matcher can reject.
 """
 
 from geokb import (
-    build_graph,
     closure,
     construction_gtd,
     default_rules,
@@ -34,13 +33,9 @@ line_through(b, A, C)
 line_through(c, A, B)
 """)
 
-# The conceptual graph has one node per object, one per closed fact.
+# The fingerprint counts the declared objects and the closed facts.
 closed = closure(TRIANGLE, rules)
-graph = build_graph(TRIANGLE, closed)
-print(
-    f"triangle graph: {len(graph.object_nodes)} object nodes, "
-    f"{len(graph.relation_nodes)} relation nodes, {len(graph.edges)} edges"
-)
+print(f"triangle: {len(TRIANGLE.objects)} objects, {len(closed)} closed facts")
 
 # Fingerprints at increasing depth: object kinds, then predicate counts,
 # then counts of fact pairs sharing an object of each kind.

@@ -2,7 +2,7 @@
 
 Constructions are sets of typed objects (points, lines, circles) plus
 predicate facts.  Search closes a query under inference rules, fingerprints
-the resulting conceptual graph, filters stored entries by fingerprint
+the closed construction, filters stored entries by fingerprint
 dominance and confirms candidates with an exact embedding search.  A small
 JSON-over-TCP protocol exposes text queries, geometric queries, filters and
 duplicate-guarded inserts.
@@ -24,10 +24,8 @@ from .errors import (
     TransportError,
 )
 from .fingerprint import (
-    ConceptualGraph,
     DEFAULT_DEPTH,
     Gtd,
-    build_graph,
     construction_gtd,
     gtd,
     gtd_subsumes,
@@ -75,7 +73,6 @@ from .textindex import IndexedEntry, SearchHit, TextIndex
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConceptualGraph",
     "Construction",
     "ConstructionError",
     "DEFAULT_BUDGET",
@@ -116,7 +113,6 @@ __all__ = [
     "TextIndex",
     "TransportError",
     "Violation",
-    "build_graph",
     "client_query",
     "closure",
     "construction_gtd",

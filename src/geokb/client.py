@@ -32,7 +32,9 @@ def client_query(
                     break
                 buffer.extend(chunk)
     except OSError as exc:
-        raise TransportError(f"cannot query {host}:{port}: {exc}") from exc
+        # a server that closes without reading the request resets the connection
+        if buffer or not isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            raise TransportError(f"cannot query {host}:{port}: {exc}") from exc
     if not buffer:
         raise TransportError("server closed the connection without a response")
     return decode_response(bytes(buffer).split(b"\n", 1)[0])

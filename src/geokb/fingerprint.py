@@ -1,9 +1,7 @@
-"""Conceptual graphs of closed constructions and their count fingerprints.
+"""Count fingerprints of closed constructions.
 
-A closed construction becomes a bipartite labeled graph: one node per
-object, one node per closed fact, and one edge per (fact, argument
-position).  The fingerprint, called GTD (global trail distribution), is a
-map from label keys to counts at a chosen depth:
+The fingerprint, called GTD (global trail distribution), counts labels of
+a construction's objects and closed facts at a chosen depth:
 
     depth 0   ``kind:<kind>``            objects of each kind
     depth 1   ``rel:<predicate>``        facts with each predicate
@@ -11,23 +9,27 @@ map from label keys to counts at a chosen depth:
                                          sharing an object of that kind
                                          (p1 <= p2 lexicographically)
 
-Each depth includes all keys of the lower depths.  Componentwise superset
-comparison of fingerprints is the candidate filter for structural search:
-whenever one closed construction embeds into another, the bigger one's
-fingerprint dominates the smaller one's, so filtering never loses a true
-match.  The converse fails, which is why matches are confirmed exactly
-afterwards.
+Each depth includes all keys of the lower depths.  Depth 2 compares no
+fact pairs: it counts, per predicate, the facts containing each set of
+same-kind objects that share a fact, and inclusion-exclusion over the sets
+gives the pairs sharing at least one object, in O(facts x 2^arity).
+
+Componentwise superset comparison of fingerprints is the candidate filter
+for structural search: whenever one closed construction embeds into
+another, the bigger one's fingerprint dominates the smaller one's, so
+filtering never loses a true match.  The converse fails, which is why
+matches are confirmed exactly afterwards.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
 from .errors import ConstructionError
-from .model import Construction, ObjectDecl
+from .model import Construction
 from .rules import FactSet, RuleSet, closure
 
 VALID_DEPTHS = (0, 1, 2)
@@ -35,69 +37,50 @@ DEFAULT_DEPTH = 2
 
 
 @dataclass(frozen=True)
-class ConceptualGraph:
-    """Bipartite graph of object nodes and relation (fact) nodes."""
-
-    object_nodes: tuple[ObjectDecl, ...]
-    relation_nodes: tuple[tuple[int, str], ...]
-    edges: tuple[tuple[int, int, str], ...]
-
-
-@dataclass(frozen=True)
 class Gtd:
-    """Label-count fingerprint of a conceptual graph at one depth."""
+    """Label-count fingerprint of a closed construction at one depth."""
 
     depth: int
     counts: Mapping[str, int]
 
 
-def build_graph(construction: Construction, closed: FactSet) -> ConceptualGraph:
-    """Graph a construction together with its closed fact set.
-
-    Object nodes are the declared objects; relation nodes are the closed
-    facts in text order; edges connect each relation node to its arguments
-    by position.
-    """
-    kinds = construction.kinds
-    for f in closed:
-        for arg in f.args:
-            if arg not in kinds:
-                raise ConstructionError(f"closed fact references undeclared object {arg!r}")
-    objects = tuple(sorted(construction.objects, key=lambda o: (o.kind, o.name)))
-    facts = sorted(closed, key=lambda f: f.text)
-    relation_nodes = tuple((i, f.predicate) for i, f in enumerate(facts))
-    edges = tuple(
-        (i, position, name)
-        for i, f in enumerate(facts)
-        for position, name in enumerate(f.args)
-    )
-    return ConceptualGraph(objects, relation_nodes, edges)
-
-
-def gtd(graph: ConceptualGraph, depth: int) -> Gtd:
-    """Count the graph's labels at the given depth (0, 1 or 2)."""
+def gtd(construction: Construction, closed: FactSet, depth: int) -> Gtd:
+    """Count the labels of a construction and its closed fact set at the
+    given depth (0, 1 or 2); a closed fact naming an undeclared object
+    raises :class:`ConstructionError`."""
     if depth not in VALID_DEPTHS:
         raise ValueError(f"depth must be one of {VALID_DEPTHS}, got {depth!r}")
-    counts: Counter[str] = Counter()
-    for obj in graph.object_nodes:
-        counts[f"kind:{obj.kind}"] += 1
+    kinds = construction.kinds
+    undeclared = {arg for f in closed for arg in f.args} - kinds.keys()
+    if undeclared:
+        raise ConstructionError(f"closed fact references undeclared object {min(undeclared)!r}")
+    counts: Counter[str] = Counter(f"kind:{o.kind}" for o in construction.objects)
     if depth >= 1:
-        for _, predicate in graph.relation_nodes:
-            counts[f"rel:{predicate}"] += 1
+        counts.update(f"rel:{f.predicate}" for f in closed)
     if depth >= 2:
-        kind_of = {o.name: o.kind for o in graph.object_nodes}
-        label = dict(graph.relation_nodes)
-        members: dict[int, set[str]] = defaultdict(set)
-        for relation, _position, name in graph.edges:
-            members[relation].add(name)
-        for i, j in combinations(sorted(label), 2):
-            shared = members[i] & members[j]
-            if not shared:
-                continue
-            p1, p2 = sorted((label[i], label[j]))
-            for kind in {kind_of[name] for name in shared}:
-                counts[f"path:{p1}-{kind}-{p2}"] += 1
-    return Gtd(depth, dict(counts))
+        # same-kind object set -> predicate -> facts containing the set
+        containing: dict[tuple[str, ...], dict[str, int]] = {}
+        for f in closed:
+            by_kind: dict[str, list[str]] = {}
+            for name in sorted(set(f.args)):
+                by_kind.setdefault(kinds[name], []).append(name)
+            for names in by_kind.values():
+                for size in range(1, len(names) + 1):
+                    for subset in combinations(names, size):
+                        per_predicate = containing.setdefault(subset, {})
+                        per_predicate[f.predicate] = per_predicate.get(f.predicate, 0) + 1
+        # inclusion-exclusion: pairs sharing a set of size s count with sign (-1)^(s+1)
+        paths: dict[tuple[str, str, str], int] = {}
+        for subset, per_predicate in containing.items():
+            sign, kind = (1 if len(subset) % 2 else -1), kinds[subset[0]]
+            ranked = sorted(per_predicate.items())
+            for i, (p1, n1) in enumerate(ranked):
+                for p2, n2 in ranked[i:]:
+                    pairs = n1 * (n1 - 1) // 2 if p1 == p2 else n1 * n2
+                    paths[p1, kind, p2] = paths.get((p1, kind, p2), 0) + sign * pairs
+        counts.update({f"path:{p1}-{k}-{p2}": n for (p1, k, p2), n in paths.items() if n})
+    # sorted keys put the selective path counts early for gtd_subsumes
+    return Gtd(depth, dict(sorted(counts.items())))
 
 
 def gtd_subsumes(candidate: Gtd, query: Gtd) -> bool:
@@ -139,5 +122,5 @@ def parse_gtd(text: str) -> Gtd:
 def construction_gtd(
     construction: Construction, ruleset: RuleSet, depth: int = DEFAULT_DEPTH
 ) -> Gtd:
-    """Close the construction and fingerprint the resulting graph."""
-    return gtd(build_graph(construction, closure(construction, ruleset)), depth)
+    """Close the construction and fingerprint the result."""
+    return gtd(construction, closure(construction, ruleset), depth)

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
+from typing import Callable
 
 from .errors import ConstructionError
 
@@ -82,47 +83,59 @@ def fact(predicate: str, *args: str) -> Fact:
     return normalize_fact(Fact(predicate, tuple(args)))
 
 
+#: predicate -> (fixed, size): its argument-permutation group keeps the first
+#: ``fixed`` positions and permutes the rest as interchangeable blocks of
+#: ``size`` positions, each permutable inside; wider blocks come in pairs
+#: (equidistant's two distances) and unlisted predicates are asymmetric
+SYMMETRY: dict[str, tuple[int, int]] = {
+    "parallel": (0, 1), "perpendicular": (0, 1), "collinear": (0, 1), "concurrent": (0, 1),
+    "line_through": (1, 1), "midpoint": (1, 1), "equidistant": (0, 2),
+}
+
+
+def _block_sorter(arity: int, fixed: int, size: int) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """The least order in a block group's orbit: sort within each block,
+    then sort the blocks as units."""
+    if size == 1 and fixed == 0:
+        return lambda a: tuple(sorted(a))
+    if size == 1:
+        return lambda a: a[:fixed] + tuple(sorted(a[fixed:]))
+    first, second = slice(fixed, fixed + size), slice(fixed + size, arity)
+
+    def sort_pair(a: tuple[str, ...]) -> tuple[str, ...]:
+        x, y = tuple(sorted(a[first])), tuple(sorted(a[second]))
+        return a[:fixed] + (x + y if x <= y else y + x)
+
+    return sort_pair
+
+
+#: predicate -> function putting its arguments in canonical order
+CANONICAL_ARGS = {p: _block_sorter(len(PREDICATES[p]), *block) for p, block in SYMMETRY.items()}
+
+
 def argument_variants(predicate: str, args: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """Every argument order that states the same thing as ``args``.
 
     This is the orbit of the predicate's symmetry group; the canonical
     order produced by :func:`normalize_fact` is its lexicographic minimum.
     """
-    if predicate in ("parallel", "perpendicular"):
-        variants = {args, (args[1], args[0])}
-    elif predicate in ("collinear", "concurrent"):
-        variants = set(permutations(args))
-    elif predicate in ("line_through", "midpoint"):
-        variants = {args, (args[0], args[2], args[1])}
-    elif predicate == "equidistant":
-        variants = set()
-        for first in ((args[0], args[1]), (args[1], args[0])):
-            for second in ((args[2], args[3]), (args[3], args[2])):
-                variants.add(first + second)
-                variants.add(second + first)
-    else:
-        variants = {args}
-    return tuple(sorted(variants))
+    fixed, size = SYMMETRY.get(predicate, (len(args), 1))
+    blocks = [args[i : i + size] for i in range(fixed, len(args), size)]
+    return tuple(sorted({
+        args[:fixed] + sum(inner, ())
+        for order in permutations(blocks)
+        for inner in product(*(permutations(block) for block in order))
+    }))
 
 
 def normalize_fact(f: Fact) -> Fact:
-    """Sort arguments within each symmetric position group.  Idempotent.
+    """The least argument order in the fact's symmetry orbit.  Idempotent.
 
-    ``parallel``/``perpendicular``/``collinear``/``concurrent`` sort all
-    arguments; ``line_through`` and ``midpoint`` sort the trailing point
-    pair; ``equidistant`` sorts within each distance pair and then sorts
-    the two pairs as units; the remaining predicates are asymmetric.
+    ``line_through(a, B, A)`` becomes ``line_through(a, A, B)``: the
+    trailing point pair is sorted, as :data:`SYMMETRY` says.
     """
-    a = f.args
-    p = f.predicate
-    if p in ("parallel", "perpendicular", "collinear", "concurrent"):
-        return Fact(p, tuple(sorted(a)))
-    if p in ("line_through", "midpoint"):
-        return Fact(p, (a[0],) + tuple(sorted(a[1:3])))
-    if p == "equidistant":
-        pairs = sorted((tuple(sorted(a[0:2])), tuple(sorted(a[2:4]))))
-        return Fact(p, pairs[0] + pairs[1])
-    return f
+    canonical = CANONICAL_ARGS.get(f.predicate)
+    return f if canonical is None else Fact(f.predicate, canonical(f.args))
 
 
 @dataclass(frozen=True)

@@ -300,10 +300,11 @@ def _decode_insert_result(obj: dict) -> InsertResult:
 def decode_response(data: bytes | str) -> QueryResponse:
     """Classify and parse one response line."""
     obj = _parse_object(data, "response")
-    if set(obj) == {"Error"}:
+    # a hit's value is always an object, which tells hits named Error or Status apart
+    if set(obj) == {"Error"} and not isinstance(obj["Error"], dict):
         _require(isinstance(obj["Error"], str), "Error must be a string")
         return ErrorResponse(obj["Error"])
-    if "Status" in obj:
+    if not isinstance(obj.get("Status", {}), dict):
         return _decode_insert_result(obj)
     entries = []
     for identifier, info in obj.items():

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
-    ConstructionError,
     EntryError,
     FilterError,
     IdentifierCollisionError,
@@ -38,9 +37,9 @@ from .errors import (
     SearchBudgetExceeded,
     StorageError,
 )
-from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, build_graph, gtd, gtd_subsumes, serialize_gtd
+from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, serialize_gtd
 from .matching import DEFAULT_BUDGET, Embedding, embed_closed
-from .model import Construction, parse_construction, validate
+from .model import Construction, parse_construction
 from .rules import FactSet, RuleSet, closure, default_rules
 from .textindex import IndexedEntry, TextIndex
 
@@ -276,11 +275,8 @@ class Repository:
 
     def _analyze(self, code: str) -> tuple[Construction, FactSet, Gtd]:
         construction = parse_construction(code)
-        problems = validate(construction)
-        if problems:
-            raise ConstructionError("; ".join(str(p) for p in problems))
         closed = closure(construction, self._rules)
-        fingerprint = gtd(build_graph(construction, closed), self._depth)
+        fingerprint = gtd(construction, closed, self._depth)
         return construction, closed, fingerprint
 
     def _register(
@@ -337,7 +333,7 @@ class Repository:
         """Compare a draft construction against every stored entry."""
         with self._lock:
             closed = closure(construction, self._rules)
-            fingerprint = gtd(build_graph(construction, closed), self._depth)
+            fingerprint = gtd(construction, closed, self._depth)
             return self._find_duplicates(construction, closed, fingerprint)
 
     def _find_duplicates(
@@ -469,7 +465,7 @@ class Repository:
         """
         with self._lock:
             closed = closure(query, self._rules)
-            fingerprint = gtd(build_graph(query, closed), self._depth)
+            fingerprint = gtd(query, closed, self._depth)
             results: list[tuple[str, Embedding | None]] = []
             for identifier in sorted(self._entries):
                 if not filters.matches(self._entries[identifier]):

@@ -15,6 +15,14 @@ names (distinct names denote distinct objects).
 Body atoms match stored facts modulo each predicate's argument symmetry,
 which is what makes canonical storage of symmetric predicates sound: the
 rule file needs no symmetry variants of its rules.
+
+:func:`closure` is indexed semi-naive evaluation.  The symmetry variants of
+each fact of a body predicate go once into an index keyed by (predicate,
+position, value).  A round joins each rule once per body atom: that atom
+takes the delta (the facts new in the previous round), and each other atom
+probes the index on an argument already bound, reading only facts older
+than the delta if it stands left of the delta atom.  So each derivation is
+found once.  The index lives for one call.
 """
 
 from __future__ import annotations
@@ -22,12 +30,12 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterator
+from operator import itemgetter
 
 from .errors import ConstructionError, RuleError
-from .model import PREDICATES, Construction, Fact, argument_variants, normalize_fact
+from .model import CANONICAL_ARGS, PREDICATES, Construction, Fact, argument_variants, normalize_fact
 
 FactSet = frozenset[Fact]
 
@@ -62,6 +70,11 @@ class RuleSet:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def _plans(self) -> tuple[tuple, ...]:
+        """Per rule and body atom: the atom's predicate and :func:`_plan`'s result."""
+        return tuple((a.predicate, *_plan(r, i)) for r in self.rules for i, a in enumerate(r.body))
 
 
 def _split_top_level(text: str, lineno: int) -> list[str]:
@@ -177,70 +190,85 @@ def default_rules() -> RuleSet:
     return load_rules(text)
 
 
-def _bindings(
-    atoms: tuple[Atom, ...],
-    idx: int,
-    binding: dict[str, str],
-    delta_pos: int,
-    by_pred: dict[str, list[Fact]],
-    delta_by_pred: dict[str, list[Fact]],
-) -> Iterator[dict[str, str]]:
-    if idx == len(atoms):
-        yield binding
-        return
-    atom = atoms[idx]
-    source = delta_by_pred if idx == delta_pos else by_pred
-    for f in source.get(atom.predicate, ()):
-        for variant in argument_variants(f.predicate, f.args):
-            extended = dict(binding)
-            ok = True
-            for var, name in zip(atom.args, variant):
-                bound = extended.get(var)
-                if bound is None:
-                    extended[var] = name
-                elif bound != name:
-                    ok = False
-                    break
-            if ok:
-                yield from _bindings(atoms, idx + 1, extended, delta_pos, by_pred, delta_by_pred)
+def _plan(rule: Rule, delta_pos: int) -> tuple:
+    """Join steps for ``rule``, body atom ``delta_pos`` first: (predicate,
+    probe position and slot or None to scan, (position, slot) pairs to
+    assign, pairs to check, older facts only).  Also the slot count and the
+    head: (predicate, slot getter, canonicaliser, slot pairs that differ)."""
+    slots: dict[str, int] = {}
+    steps = []
+    for i in [delta_pos] + [i for i in range(len(rule.body)) if i != delta_pos]:
+        args = rule.body[i].args
+        bound = set(slots)
+        probe = next((pos for pos, var in enumerate(args) if var in bound), None)
+        for var in args:
+            slots.setdefault(var, len(slots))
+        first = [var not in bound and args.index(var) == pos for pos, var in enumerate(args)]
+        steps.append((
+            rule.body[i].predicate,
+            probe,
+            None if probe is None else slots[args[probe]],
+            tuple((pos, slots[var]) for pos, var in enumerate(args) if first[pos]),
+            tuple((pos, slots[var]) for pos, var in enumerate(args) if not first[pos] and pos != probe),
+            i < delta_pos,
+        ))
+    head, getter = rule.head, itemgetter(*(slots[v] for v in rule.head.args))
+    distinct = tuple((slots[x], slots[y]) for x, y in rule.distinct)
+    return tuple(steps), len(slots), (head.predicate, getter, CANONICAL_ARGS.get(head.predicate), distinct)
 
 
 def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     """Least fact set containing the construction's facts and closed under
-    the rules.
-
-    Semi-naive evaluation: each round joins rule bodies with at least one
-    atom matched against the facts derived in the previous round.  The
-    result is independent of rule order and fact iteration order, and every
-    returned fact is canonical.
+    the rules, by indexed semi-naive evaluation (see the module docstring).
+    The result does not depend on rule order or fact iteration order, and
+    every returned fact is canonical.
     """
-    facts: set[Fact] = {normalize_fact(f) for f in construction.facts}
-    by_pred: dict[str, list[Fact]] = defaultdict(list)
-    for f in facts:
-        by_pred[f.predicate].append(f)
-    delta = set(facts)
-    while delta:
-        delta_by_pred: dict[str, list[Fact]] = defaultdict(list)
-        for f in delta:
-            delta_by_pred[f.predicate].append(f)
-        fresh: set[Fact] = set()
-        for rule in ruleset.rules:
-            for delta_pos in range(len(rule.body)):
-                if rule.body[delta_pos].predicate not in delta_by_pred:
-                    continue
-                for binding in _bindings(rule.body, 0, {}, delta_pos, by_pred, delta_by_pred):
-                    if any(binding[x] == binding[y] for x, y in rule.distinct):
-                        continue
-                    derived = normalize_fact(
-                        Fact(rule.head.predicate, tuple(binding[v] for v in rule.head.args))
-                    )
-                    if derived not in facts:
-                        fresh.add(derived)
-        for f in fresh:
-            facts.add(f)
-            by_pred[f.predicate].append(f)
-        delta = fresh
-    return frozenset(facts)
+    plans = ruleset._plans
+    body_predicates = {plan[0] for plan in plans}
+    index: dict[tuple, list[tuple[int, tuple[str, ...]]]] = defaultdict(list)
+    known: set[tuple[str, tuple[str, ...]]] = set()
+    fresh = {(f.predicate, f.args) for f in map(normalize_fact, construction.facts)}
+    current = 0
+
+    def join(steps, k, candidates, binding, head):
+        _, _, _, assign, check, older = steps[k]
+        nxt = steps[k + 1] if k + 1 < len(steps) else None
+        for born, args in candidates:
+            if older and born == current:
+                break  # index lists are in round order: the rest is the delta
+            for pos, slot in assign:
+                binding[slot] = args[pos]
+            if check and any(args[pos] != binding[slot] for pos, slot in check):
+                continue
+            if nxt is not None:
+                key = (nxt[0],) if nxt[1] is None else (nxt[0], nxt[1], binding[nxt[2]])
+                join(steps, k + 1, index.get(key, ()), binding, head)
+                continue
+            predicate, head_args, canonical, distinct = head
+            if distinct and any(binding[x] == binding[y] for x, y in distinct):
+                continue
+            derived = head_args(binding)
+            derived = (predicate, derived if canonical is None else canonical(derived))
+            if derived not in known:
+                fresh.add(derived)
+
+    while fresh:
+        current += 1
+        known |= fresh
+        delta: dict[str, list[tuple[int, tuple[str, ...]]]] = defaultdict(list)
+        for predicate, args in fresh:
+            if predicate in body_predicates:
+                for variant in argument_variants(predicate, args):
+                    entry = (current, variant)
+                    delta[predicate].append(entry)
+                    index[(predicate,)].append(entry)
+                    for pos, name in enumerate(variant):
+                        index[(predicate, pos, name)].append(entry)
+        fresh = set()
+        for predicate, steps, slots, head in plans:
+            if predicate in delta:
+                join(steps, 0, delta[predicate], [""] * slots, head)
+    return frozenset(Fact(predicate, args) for predicate, args in known)
 
 
 def entails(construction: Construction, ruleset: RuleSet, f: Fact) -> bool:

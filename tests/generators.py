@@ -57,6 +57,25 @@ def concurrent_lines() -> Construction:
     return parse_construction(CONCURRENT_LINES_TEXT)
 
 
+def parallel_chain(n: int) -> Construction:
+    """Lines l0..l{n-1}, each stated parallel to the next; the closure makes
+    every pair parallel."""
+    names = [f"l{i}" for i in range(n)]
+    return Construction(
+        frozenset(ObjectDecl(name, "line") for name in names),
+        frozenset(normalize_fact(Fact("parallel", pair)) for pair in zip(names, names[1:])),
+    )
+
+
+def collinear_points(n: int) -> Construction:
+    """Points P0..P{n-1} on one line; the closure states every triple collinear."""
+    names = [f"P{i}" for i in range(n)]
+    return Construction(
+        frozenset([ObjectDecl("m", "line"), *(ObjectDecl(name, "point") for name in names)]),
+        frozenset(Fact("incident", (name, "m")) for name in names),
+    )
+
+
 def _feasible(predicate: str, pool: dict[str, list[str]]) -> bool:
     kinds = PREDICATES[predicate]
     if predicate in DISTINCT_ARG_PREDICATES:

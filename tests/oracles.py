@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 
 from geokb.model import Construction, Fact, KINDS, PREDICATES, normalize_fact
 from geokb.rules import RuleSet, closure
@@ -72,6 +73,22 @@ def naive_closure(construction: Construction, ruleset: RuleSet) -> frozenset[Fac
                         facts.add(head)
                         changed = True
     return frozenset(facts)
+
+
+def pairwise_gtd(construction: Construction, closed: frozenset[Fact], depth: int) -> dict[str, int]:
+    """GTD counts straight from the definition: objects by kind, facts by
+    predicate and, at depth 2, every unordered pair of distinct closed
+    facts once per kind of the objects they share."""
+    kind_of = {o.name: o.kind for o in construction.objects}
+    counts = Counter(f"kind:{o.kind}" for o in construction.objects)
+    if depth >= 1:
+        counts.update(f"rel:{f.predicate}" for f in closed)
+    if depth >= 2:
+        for f, g in combinations(sorted(closed), 2):
+            p1, p2 = sorted((f.predicate, g.predicate))
+            for kind in {kind_of[name] for name in set(f.args) & set(g.args)}:
+                counts[f"path:{p1}-{kind}-{p2}"] += 1
+    return dict(counts)
 
 
 def brute_force_mappings(

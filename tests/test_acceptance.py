@@ -15,7 +15,7 @@ import pytest
 
 from geokb.client import client_query
 from geokb.corpus import ENTRIES, seed_repository
-from geokb.fingerprint import build_graph, gtd, gtd_subsumes
+from geokb.fingerprint import gtd, gtd_subsumes
 from geokb.matching import is_subconstruction
 from geokb.model import (
     Construction,
@@ -137,10 +137,12 @@ def test_criterion_4_filter_soundness_property(rules):
         for _ in range(FILTER_SOUNDNESS_PAIRS):
             target = random_construction(rng, max_points=5, max_lines=4, max_circles=2, max_facts=10)
             query = induced_subconstruction(rng, target)
-            target_graph = build_graph(target, closure(target, rules))
-            query_graph = build_graph(query, closure(query, rules))
+            target_closed = closure(target, rules)
+            query_closed = closure(query, rules)
             for depth in (0, 1, 2):
-                if not gtd_subsumes(gtd(target_graph, depth), gtd(query_graph, depth)):
+                if not gtd_subsumes(
+                    gtd(target, target_closed, depth), gtd(query, query_closed, depth)
+                ):
                     failures += 1
         assert failures == 0
 

@@ -5,70 +5,96 @@ from itertools import combinations
 
 import pytest
 
+from geokb.errors import ConstructionError
 from geokb.fingerprint import (
     Gtd,
-    build_graph,
     construction_gtd,
     gtd,
     gtd_subsumes,
     parse_gtd,
     serialize_gtd,
 )
-from geokb.model import EMPTY_CONSTRUCTION, parse_construction
+from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
 from geokb.rules import closure
 
 from generators import (
     bare_triangle,
+    collinear_points,
     induced_subconstruction,
+    parallel_chain,
     random_construction,
     triangle_with_circle,
 )
-
-
-# -- graph building ------------------------------------------------------------
-
-
-def test_build_graph_counts_for_single_line_through(rules):
-    c = parse_construction("point A\npoint B\nline a\nline_through(a, A, B)")
-    graph = build_graph(c, closure(c, rules))
-    assert len(graph.object_nodes) == 3
-    assert len(graph.relation_nodes) == 3  # line_through + two incidents
-    assert len(graph.edges) == 3 + 2 + 2
-
-
-def test_build_graph_empty(rules):
-    graph = build_graph(EMPTY_CONSTRUCTION, frozenset())
-    assert graph.object_nodes == ()
-    assert graph.relation_nodes == ()
-    assert graph.edges == ()
-
-
-def test_build_graph_structural_identity_on_random_sample(rules):
-    rng = random.Random(42)
-    for _ in range(60):
-        c = random_construction(rng)
-        closed = closure(c, rules)
-        graph = build_graph(c, closed)
-        assert len(graph.object_nodes) == len(c.objects)
-        assert len(graph.relation_nodes) == len(closed)
-        assert len(graph.edges) == sum(len(f.args) for f in closed)
-
-
-def test_build_graph_rejects_foreign_facts(rules):
-    from geokb.errors import ConstructionError
-    from geokb.model import fact
-
-    with pytest.raises(ConstructionError):
-        build_graph(EMPTY_CONSTRUCTION, frozenset({fact("incident", "A", "a")}))
+from oracles import pairwise_gtd
 
 
 # -- gtd counts ------------------------------------------------------------------
 
 
+def test_gtd_counts_for_single_line_through(rules):
+    c = parse_construction("point A\npoint B\nline a\nline_through(a, A, B)")
+    # objects: A, B, a; facts: line_through plus two incidents, each incident
+    # sharing a point and the line with line_through and the line with the other
+    assert gtd(c, closure(c, rules), 2).counts == {
+        "kind:point": 2,
+        "kind:line": 1,
+        "rel:line_through": 1,
+        "rel:incident": 2,
+        "path:incident-point-line_through": 2,
+        "path:incident-line-line_through": 2,
+        "path:incident-line-incident": 1,
+    }
+
+
+def test_build_graph_empty(rules):
+    # the empty construction's graph has no object nodes (kind: keys), no
+    # relation nodes (rel: keys) and no edges (path: keys)
+    assert EMPTY_CONSTRUCTION.objects == frozenset()
+    assert closure(EMPTY_CONSTRUCTION, rules) == frozenset()
+    assert construction_gtd(EMPTY_CONSTRUCTION, rules).counts == {}
+
+
 def test_gtd_empty_graph_any_depth(rules):
-    graph = build_graph(EMPTY_CONSTRUCTION, frozenset())
     for depth in (0, 1, 2):
-        assert gtd(graph, depth).counts == {}
+        assert gtd(EMPTY_CONSTRUCTION, frozenset(), depth).counts == {}
+
+
+def test_gtd_totals_on_random_sample(rules):
+    rng = random.Random(42)
+    for _ in range(60):
+        c = random_construction(rng)
+        closed = closure(c, rules)
+        counts = gtd(c, closed, 2).counts
+        assert sum(n for k, n in counts.items() if k.startswith("kind:")) == len(c.objects)
+        assert sum(n for k, n in counts.items() if k.startswith("rel:")) == len(closed)
+        assert all(n > 0 for n in counts.values())
+        assert counts == pairwise_gtd(c, closed, 2)
+
+
+def test_gtd_rejects_foreign_facts(rules):
+    for depth in (0, 1, 2):
+        with pytest.raises(ConstructionError):
+            gtd(EMPTY_CONSTRUCTION, frozenset({fact("incident", "A", "a")}), depth)
+
+
+def test_gtd_matches_pairwise_oracle_on_random_constructions(rules):
+    rng = random.Random(0x6D)
+    for _ in range(150):
+        c = random_construction(rng, max_points=6, max_lines=5, max_circles=3, max_facts=14)
+        closed = closure(c, rules)
+        for depth in (0, 1, 2):
+            assert gtd(c, closed, depth).counts == pairwise_gtd(c, closed, depth)
+
+
+@pytest.mark.parametrize(
+    "figure", [parallel_chain(2), parallel_chain(9), parallel_chain(30),
+               collinear_points(3), collinear_points(8), collinear_points(20)],
+    ids=["chain2", "chain9", "chain30", "points3", "points8", "points20"],
+)
+def test_gtd_matches_pairwise_oracle_on_adversarial_figures(rules, figure):
+    closed = closure(figure, rules)
+    for depth in (0, 1, 2):
+        assert gtd(figure, closed, depth).counts == pairwise_gtd(figure, closed, depth)
 
 
 def test_gtd_depth1_of_closed_bare_triangle(rules):
@@ -90,8 +116,7 @@ def test_gtd_depth0_counts_only_kinds(rules):
 def test_gtd_depth2_path_counts_match_pair_enumeration(rules):
     c = bare_triangle()
     closed = closure(c, rules)
-    graph = build_graph(c, closed)
-    fingerprint = gtd(graph, 2)
+    fingerprint = gtd(c, closed, 2)
 
     # independent enumeration over closed fact pairs
     facts = sorted(closed, key=lambda f: f.text)
@@ -109,9 +134,8 @@ def test_gtd_depth2_path_counts_match_pair_enumeration(rules):
 
 
 def test_gtd_invalid_depth(rules):
-    graph = build_graph(EMPTY_CONSTRUCTION, frozenset())
     with pytest.raises(ValueError):
-        gtd(graph, 3)
+        gtd(EMPTY_CONSTRUCTION, frozenset(), 3)
 
 
 def test_gtd_includes_lower_depth_keys(rules):

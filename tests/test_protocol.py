@@ -126,6 +126,12 @@ def test_response_preserves_server_ordering():
     assert [identifier for identifier, _ in decoded.entries] == ["Z", "A"]
 
 
+@pytest.mark.parametrize("identifier", ["Error", "Status"])
+def test_hit_named_like_a_response_member_decodes_as_query_result(identifier):
+    response = QueryResult(((identifier, EntryInfo("n", "d", "point A\n")),))
+    assert decode_response(encode_response(response)) == response
+
+
 def test_unicode_survives_the_wire():
     response = QueryResult((("GEO0015", EntryInfo("Simetria Axial", "Reflexão no eixo é", "")),))
     encoded = encode_response(response)

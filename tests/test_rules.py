@@ -8,7 +8,7 @@ from geokb.errors import ConstructionError, RuleError
 from geokb.model import Construction, Fact, fact, parse_construction
 from geokb.rules import RuleSet, closure, default_rules, entails, load_rules
 
-from generators import bare_triangle, random_construction
+from generators import bare_triangle, collinear_points, parallel_chain, random_construction
 from oracles import naive_closure
 
 
@@ -191,3 +191,35 @@ def test_closure_equals_naive_oracle_on_small_constructions(rules):
             assert closure(c, rules) == naive_closure(c, rules)
             checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize(
+    "figure",
+    [parallel_chain(n) for n in (2, 3, 7, 20)] + [collinear_points(n) for n in (3, 4, 9, 16)],
+    ids=["chain2", "chain3", "chain7", "chain20", "points3", "points4", "points9", "points16"],
+)
+def test_closure_equals_naive_oracle_on_adversarial_figures(rules, figure):
+    assert closure(figure, rules) == naive_closure(figure, rules)
+
+
+def test_closure_equals_naive_oracle_with_scans_and_repeated_variables():
+    # R1's atoms share no variable, so two of them scan their predicate;
+    # R2 repeats ?o inside one atom; R3 has the delta atom last in its body
+    custom = load_rules(
+        "R1: collinear(?p, ?q, ?r) :- incident(?p, ?l), incident(?q, ?m), incident(?r, ?n),"
+        " ?p != ?q, ?p != ?r, ?q != ?r.\n"
+        "R2: midpoint(?o, ?p, ?q) :- equidistant(?o, ?p, ?o, ?q), collinear(?o, ?p, ?q).\n"
+        "R3: incident(?p, ?l) :- incident(?q, ?l), collinear(?p, ?q, ?r), line_through(?l, ?q, ?r).\n"
+    )
+    seeded = parse_construction(
+        "point O\npoint P\npoint Q\nline l\nline m\n"
+        "incident(O, m)\nincident(P, l)\nincident(Q, l)\nline_through(l, P, Q)\n"
+        "equidistant(O, P, O, Q)\n"
+    )
+    closed = closure(seeded, custom)
+    assert {fact("midpoint", "O", "P", "Q"), fact("incident", "O", "l")} <= closed
+    assert closed == naive_closure(seeded, custom)
+    rng = random.Random(77)
+    for _ in range(40):
+        c = random_construction(rng, max_points=4, max_lines=2, max_circles=1, max_facts=8)
+        assert closure(c, custom) == naive_closure(c, custom)

@@ -137,6 +137,20 @@ def test_wire_insert_flow(server):
     assert [identifier for identifier, _ in follow_up.entries] == [response.identifier]
 
 
+@pytest.mark.parametrize("identifier", ["Error", "Status"])
+def test_hit_named_like_a_response_member_round_trips(server, fresh_seeded_repo, identifier):
+    draft = ProblemEntry(
+        identifier=identifier,
+        name=f"Lonely {identifier} figure",
+        code="point A\npoint B\npoint C\npoint D\ncircle k\ncircle_centered(k, A, B)\n",
+    )
+    assert fresh_seeded_repo.insert(draft, force=True) == identifier
+    response = client_query(server.host, server.port, QueryRequest(query=f"lonely {identifier}"))
+    assert isinstance(response, QueryResult)
+    assert [hit for hit, _ in response.entries] == [identifier]
+    assert response.entries[0][1].name == f"Lonely {identifier} figure"
+
+
 def test_malformed_request_gets_error_response_and_liveness(server):
     answer = raw_exchange(server, b"this is not json\n")
     response = decode_response(answer)
