@@ -23,6 +23,7 @@ matches are confirmed exactly afterwards.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -79,8 +80,9 @@ def gtd(construction: Construction, closed: FactSet, depth: int) -> Gtd:
                     pairs = n1 * (n1 - 1) // 2 if p1 == p2 else n1 * n2
                     paths[p1, kind, p2] = paths.get((p1, kind, p2), 0) + sign * pairs
         counts.update({f"path:{p1}-{k}-{p2}": n for (p1, k, p2), n in paths.items() if n})
-    # sorted keys put the selective path counts early for gtd_subsumes
-    return Gtd(depth, dict(sorted(counts.items())))
+    # sorted keys put the selective path counts early for gtd_subsumes; interned,
+    # a store's thousands of fingerprints share a few dozen key strings
+    return Gtd(depth, {sys.intern(key): n for key, n in sorted(counts.items())})
 
 
 def gtd_subsumes(candidate: Gtd, query: Gtd) -> bool:

@@ -1,27 +1,33 @@
 """Exact structural matching of one construction inside another.
 
 Both sides are closed first, so matching compares semantic descriptions
-and is invariant to logically equivalent inputs.  The search backtracks
-over the query's objects, most-constrained first (highest closed fact
-degree).  A candidate target object must have the query object's kind and
-at least its per-predicate fact degree; every query fact is checked by
-canonical membership in the target's closed fact set as soon as all of its
-arguments are mapped.  Relation nodes need no mapping of their own because
-a fact is determined by its arguments.
+and is invariant to logically equivalent inputs.  :func:`prepare` turns a
+closed side into a :class:`MatchSide` once: closed facts as plain
+``(predicate, args)`` tuples, per-object per-predicate fact degrees and
+sorted names per kind.  A query side builds its plan once, on first use:
+object order, most-constrained (highest degree) first, the degrees each
+object needs, and per step the facts whose last argument gets mapped
+there.  Per target only two things remain: keeping target objects of the
+right kind and enough degree, and backtracking over them, checking each
+scheduled fact by canonical membership in the target's closed facts.
+Relation nodes need no mapping: a fact is determined by its arguments.
 
-Worst-case cost is exponential, so the search carries a step budget and
-raises :class:`~geokb.errors.SearchBudgetExceeded` when it runs out;
-callers that cannot wait treat that as "no match" with a warning.
+Worst-case cost is exponential, so the search carries a step budget,
+counted once per tried assignment of a target object, and raises
+:class:`~geokb.errors.SearchBudgetExceeded` when it runs out; callers that
+cannot wait treat that as "no match" with a warning.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import SearchBudgetExceeded
-from .model import Construction, Fact, normalize_fact
+from .model import CANONICAL_ARGS, Construction, Fact
 from .rules import FactSet, RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
@@ -43,71 +49,87 @@ class Embedding:
         return dict(self.mapping)
 
 
-def _degrees(kinds: Mapping[str, str], facts: FactSet) -> dict[str, Counter[str]]:
-    degrees: dict[str, Counter[str]] = {name: Counter() for name in kinds}
-    for f in facts:
-        for name in set(f.args):
-            degrees[name][f.predicate] += 1
-    return degrees
+@dataclass(frozen=True, eq=False)
+class MatchSide:
+    """One closed construction made ready for matching (see :func:`prepare`).
+    A stored entry keeps its side for life; a query side builds its
+    :attr:`plan` once, on first use, and reuses it for every target."""
+
+    kinds: Mapping[str, str]
+    facts: frozenset[tuple[str, tuple[str, ...]]]
+    #: object name -> predicate -> closed facts naming the object
+    degrees: Mapping[str, Mapping[str, int]]
+    #: kind -> its object names, sorted
+    names: Mapping[str, tuple[str, ...]]
+
+    @cached_property
+    def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+        """The side as a query: object order, per step the facts to check as
+        (predicate, args getter, canonicaliser), and per step the kind and
+        needed degrees (look-alike objects share them, filtered once)."""
+        order = tuple(sorted(self.kinds, key=lambda n: (-sum(self.degrees[n].values()), n)))
+        position = {name: i for i, name in enumerate(order)}
+        schedule: list[list] = [[] for _ in order]
+        for predicate, args in self.facts:
+            # every predicate takes two or more arguments, so the getter gives a tuple
+            schedule[max(position[a] for a in args)].append(
+                (predicate, itemgetter(*args), CANONICAL_ARGS.get(predicate))
+            )
+        needs = tuple((self.kinds[name], tuple(sorted(self.degrees[name].items()))) for name in order)
+        return order, tuple(map(tuple, schedule)), needs
+
+
+def prepare(kinds: Mapping[str, str], closed: FactSet) -> MatchSide:
+    """The matching record of a construction's kinds and closed facts."""
+    facts = frozenset((sys.intern(f.predicate), f.args) for f in closed)
+    degrees: dict[str, dict[str, int]] = {name: {} for name in kinds}
+    for predicate, args in facts:
+        for name in set(args):
+            degrees[name][predicate] = degrees[name].get(predicate, 0) + 1
+    names: dict[str, tuple[str, ...]] = {}
+    for name in sorted(kinds):
+        names[kinds[name]] = names.get(kinds[name], ()) + (name,)
+    return MatchSide(dict(kinds), facts, degrees, names)
 
 
 def embed_closed(
-    query_kinds: Mapping[str, str],
-    query_facts: FactSet,
-    target_kinds: Mapping[str, str],
-    target_facts: FactSet,
-    limit: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
+    query: MatchSide, target: MatchSide, limit: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[Embedding]:
-    """Embeddings between already-closed sides; see :func:`find_embeddings`."""
+    """Embeddings between prepared sides; see :func:`find_embeddings`."""
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit!r}")
 
-    query_degree = _degrees(query_kinds, query_facts)
-    target_degree = _degrees(target_kinds, target_facts)
-    order = sorted(
-        query_kinds, key=lambda n: (-sum(query_degree[n].values()), n)
-    )
-
-    candidates: dict[str, list[str]] = {}
-    for qname in order:
-        needed = query_degree[qname]
-        options = [
-            tname
-            for tname in sorted(target_kinds)
-            if target_kinds[tname] == query_kinds[qname]
-            and all(target_degree[tname].get(p, 0) >= n for p, n in needed.items())
-        ]
-        if not options:
-            return []
-        candidates[qname] = options
-
-    # Check each query fact at the step where its last argument gets mapped.
-    position = {qname: i for i, qname in enumerate(order)}
-    schedule: list[list[Fact]] = [[] for _ in order]
-    for f in query_facts:
-        schedule[max(position[a] for a in f.args)].append(f)
+    order, schedule, needs = query.plan
+    target_degree, target_facts = target.degrees, target.facts
+    filtered: dict[tuple, list[str]] = {}
+    for kind, needed in needs:
+        if (kind, needed) not in filtered:
+            options = filtered[kind, needed] = [
+                tname
+                for tname in target.names.get(kind, ())
+                if all(target_degree[tname].get(p, 0) >= n for p, n in needed)
+            ]
+            if not options:
+                return []
+    candidates = [filtered[need] for need in needs]
 
     found: list[Embedding] = []
     mapping: dict[str, str] = {}
     used: set[str] = set()
+    matched: list[list[tuple]] = [[] for _ in order]  # per step, the facts it checked
     steps = budget
 
     def emit() -> bool:
-        matched = frozenset(
-            normalize_fact(Fact(f.predicate, tuple(mapping[a] for a in f.args)))
-            for f in query_facts
-        )
-        found.append(Embedding(tuple(sorted(mapping.items())), matched))
+        facts = frozenset(Fact(*key) for keys in matched for key in keys)
+        found.append(Embedding(tuple(sorted(mapping.items())), facts))
         return len(found) >= limit
 
     def extend(i: int) -> bool:
         nonlocal steps
         if i == len(order):
             return emit()
-        qname = order[i]
-        for tname in candidates[qname]:
+        qname, checks = order[i], schedule[i]
+        for tname in candidates[i]:
             if tname in used:
                 continue
             if steps <= 0:
@@ -117,13 +139,17 @@ def embed_closed(
             steps -= 1
             mapping[qname] = tname
             used.add(tname)
-            consistent = all(
-                normalize_fact(Fact(f.predicate, tuple(mapping[a] for a in f.args)))
-                in target_facts
-                for f in schedule[i]
-            )
-            if consistent and extend(i + 1):
-                return True
+            keys = []
+            for predicate, get_args, canonical in checks:
+                mapped = get_args(mapping)
+                key = (predicate, mapped if canonical is None else canonical(mapped))
+                if key not in target_facts:
+                    break
+                keys.append(key)
+            else:
+                matched[i] = keys
+                if extend(i + 1):
+                    return True
             del mapping[qname]
             used.discard(tname)
         return False
@@ -143,10 +169,8 @@ def find_embeddings(
     """Up to ``limit`` distinct embeddings of the closed query into the
     closed target, in lexicographic mapping order; empty iff none exist."""
     return embed_closed(
-        query.kinds,
-        closure(query, ruleset),
-        target.kinds,
-        closure(target, ruleset),
+        prepare(query.kinds, closure(query, ruleset)),
+        prepare(target.kinds, closure(target, ruleset)),
         limit,
         budget=budget,
     )

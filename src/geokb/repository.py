@@ -6,11 +6,16 @@ partial entry).  Every entry caches the fingerprint of its closed
 construction; the cache is verified against a recomputation at startup and
 refreshed if stale, for example after changing the configured depth.
 
+In memory each entry has one record, built the same way by loading,
+inserting and updating: the entry, its closed construction prepared for
+matching (:func:`~geokb.matching.prepare`) and its fingerprint.
+
 Queries come in two families.  Text queries delegate to the in-memory
 text index and then apply filters.  Geometric queries close and
 fingerprint the query construction, keep the entries whose cached
 fingerprint dominates it, and optionally confirm each candidate by exact
-embedding search, attaching the witness mapping.
+embedding search, attaching the witness mapping; the query is prepared
+for matching only once a candidate passes the filter.
 
 Inserts pass through a duplicate gate: unless forced, a draft that is
 structurally equal to a stored entry, or embeds into one, is rejected with
@@ -38,9 +43,9 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, embed_closed
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import Construction, parse_construction
-from .rules import FactSet, RuleSet, closure, default_rules
+from .rules import RuleSet, closure, default_rules
 from .textindex import IndexedEntry, TextIndex
 
 log = logging.getLogger(__name__)
@@ -70,6 +75,15 @@ class ProblemEntry:
     level: int = 3
     kind: str = "construction"
     gtd_cache: str = ""
+
+
+@dataclass(frozen=True)
+class _Record:
+    """What the store keeps of one entry in memory."""
+
+    entry: ProblemEntry
+    side: MatchSide
+    fingerprint: Gtd
 
 
 @dataclass(frozen=True)
@@ -203,7 +217,8 @@ def _check_draft(entry: ProblemEntry) -> None:
 
 
 class Repository:
-    """Persistent entry store bound to a data directory.
+    """Persistent entry store bound to a data directory, holding one
+    record per entry: the entry, its matching side and its fingerprint.
 
     Reads and writes are serialized by one lock, which satisfies the
     many-readers-or-one-writer contract regardless of how callers thread
@@ -226,10 +241,9 @@ class Repository:
         self._depth = gtd_depth
         self._budget = match_budget
         self._lock = threading.RLock()
-        self._entries: dict[str, ProblemEntry] = {}
-        self._constructions: dict[str, Construction] = {}
-        self._closed: dict[str, FactSet] = {}
-        self._gtds: dict[str, Gtd] = {}
+        self._records: dict[str, _Record] = {}
+        #: every GEO#### below it is taken; entries are never deleted
+        self._next_number = 1
         self._index = TextIndex()
         self._load()
 
@@ -248,7 +262,7 @@ class Repository:
         return self._rules
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._records)
 
     # -- loading and persistence -----------------------------------------
 
@@ -265,28 +279,21 @@ class Repository:
                 raise StorageError(
                     f"entry file {path.name} holds identifier {entry.identifier!r}"
                 )
-            construction, closed, fingerprint = self._analyze(entry.code)
+            side, fingerprint = self._analyze(parse_construction(entry.code))
             serialized = serialize_gtd(fingerprint)
             if entry.gtd_cache != serialized:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
                 entry = replace(entry, gtd_cache=serialized)
                 self._write(entry)
-            self._register(entry, construction, closed, fingerprint)
+            self._register(entry, side, fingerprint)
 
-    def _analyze(self, code: str) -> tuple[Construction, FactSet, Gtd]:
-        construction = parse_construction(code)
+    def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
-        fingerprint = gtd(construction, closed, self._depth)
-        return construction, closed, fingerprint
+        return prepare(construction.kinds, closed), gtd(construction, closed, self._depth)
 
-    def _register(
-        self, entry: ProblemEntry, construction: Construction, closed: FactSet, fingerprint: Gtd
-    ) -> None:
+    def _register(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
         identifier = entry.identifier
-        self._entries[identifier] = entry
-        self._constructions[identifier] = construction
-        self._closed[identifier] = closed
-        self._gtds[identifier] = fingerprint
+        self._records[identifier] = _Record(entry, side, fingerprint)
         self._index.index_entry(
             IndexedEntry(
                 identifier=identifier,
@@ -310,21 +317,18 @@ class Repository:
             raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
 
     def _next_identifier(self) -> str:
-        for n in range(1, 10_000):
-            candidate = f"GEO{n:04d}"
-            if candidate not in self._entries:
+        while self._next_number < 10_000:
+            candidate = f"GEO{self._next_number:04d}"
+            if candidate not in self._records:
                 return candidate
+            self._next_number += 1
         raise StorageError("identifier space GEO0001..GEO9999 is exhausted")
 
     # -- duplicate gate ----------------------------------------------------
 
-    def _embeds(
-        self, q: tuple[dict, FactSet], t: tuple[dict, FactSet], context: str
-    ) -> bool:
+    def _embeds(self, query: MatchSide, target: MatchSide, context: str) -> bool:
         try:
-            return bool(
-                embed_closed(q[0], q[1], t[0], t[1], 1, budget=self._budget)
-            )
+            return bool(embed_closed(query, target, 1, budget=self._budget))
         except SearchBudgetExceeded:
             log.warning("match budget exhausted while checking %s; treating as no match", context)
             return False
@@ -332,24 +336,18 @@ class Repository:
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against every stored entry."""
         with self._lock:
-            closed = closure(construction, self._rules)
-            fingerprint = gtd(construction, closed, self._depth)
-            return self._find_duplicates(construction, closed, fingerprint)
+            return self._find_duplicates(*self._analyze(construction))
 
-    def _find_duplicates(
-        self, construction: Construction, closed: FactSet, fingerprint: Gtd
-    ) -> DuplicateReport:
+    def _find_duplicates(self, side: MatchSide, fingerprint: Gtd) -> DuplicateReport:
         exact: list[str] = []
         containing: list[str] = []
         contained: list[str] = []
-        new_side = (construction.kinds, closed)
-        for identifier in sorted(self._entries):
-            other_side = (self._constructions[identifier].kinds, self._closed[identifier])
+        for identifier, record in sorted(self._records.items()):
             forward = backward = False
-            if gtd_subsumes(self._gtds[identifier], fingerprint):
-                forward = self._embeds(new_side, other_side, f"draft against {identifier}")
-            if gtd_subsumes(fingerprint, self._gtds[identifier]):
-                backward = self._embeds(other_side, new_side, f"{identifier} against draft")
+            if gtd_subsumes(record.fingerprint, fingerprint):
+                forward = self._embeds(side, record.side, f"draft against {identifier}")
+            if gtd_subsumes(fingerprint, record.fingerprint):
+                backward = self._embeds(record.side, side, f"{identifier} against draft")
             if forward and backward:
                 exact.append(identifier)
             elif forward:
@@ -369,9 +367,9 @@ class Repository:
         """
         with self._lock:
             _check_draft(draft)
-            construction, closed, fingerprint = self._analyze(draft.code)
+            side, fingerprint = self._analyze(parse_construction(draft.code))
             if draft.identifier:
-                if draft.identifier in self._entries:
+                if draft.identifier in self._records:
                     raise IdentifierCollisionError(
                         f"identifier {draft.identifier} is already taken"
                     )
@@ -379,7 +377,7 @@ class Repository:
             else:
                 identifier = self._next_identifier()
             if not force:
-                report = self._find_duplicates(construction, closed, fingerprint)
+                report = self._find_duplicates(side, fingerprint)
                 if report.blocks_insert():
                     return report
                 if report.contained_entries:
@@ -395,18 +393,18 @@ class Repository:
                 gtd_cache=serialize_gtd(fingerprint),
             )
             self._write(entry)
-            self._register(entry, construction, closed, fingerprint)
+            self._register(entry, side, fingerprint)
             return identifier
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
         """Replace an entry's fields; the identifier itself cannot change."""
         with self._lock:
-            if identifier not in self._entries:
+            if identifier not in self._records:
                 raise NotFoundError(f"no entry {identifier!r}")
             if draft.identifier and draft.identifier != identifier:
                 raise IdentifierCollisionError("an entry's identifier cannot change")
             _check_draft(draft)
-            construction, closed, fingerprint = self._analyze(draft.code)
+            side, fingerprint = self._analyze(parse_construction(draft.code))
             entry = replace(
                 draft,
                 identifier=identifier,
@@ -414,27 +412,24 @@ class Repository:
                 gtd_cache=serialize_gtd(fingerprint),
             )
             self._write(entry)
-            self._register(entry, construction, closed, fingerprint)
+            self._register(entry, side, fingerprint)
 
     # -- queries -----------------------------------------------------------
 
     def get(self, identifier: str) -> ProblemEntry:
         with self._lock:
             try:
-                return self._entries[identifier]
+                return self._records[identifier].entry
             except KeyError:
                 raise NotFoundError(f"no entry {identifier!r}") from None
 
     def list_all(self) -> list[str]:
         with self._lock:
-            return sorted(self._entries)
+            return sorted(self._records)
 
     def construction_of(self, identifier: str) -> Construction:
-        with self._lock:
-            try:
-                return self._constructions[identifier]
-            except KeyError:
-                raise NotFoundError(f"no entry {identifier!r}") from None
+        """The entry's construction, parsed again from its code."""
+        return parse_construction(self.get(identifier).code)
 
     def text_query(
         self, text: str, mode: str = "simple", filters: FilterSet = EMPTY_FILTERS
@@ -448,7 +443,7 @@ class Repository:
                 identifiers = [h.identifier for h in self._index.extended_search(text)]
             else:
                 raise ValueError(f"mode must be 'simple' or 'extended', got {mode!r}")
-            return [i for i in identifiers if filters.matches(self._entries[i])]
+            return [i for i in identifiers if filters.matches(self._records[i].entry)]
 
     def geometric_query(
         self,
@@ -466,24 +461,20 @@ class Repository:
         with self._lock:
             closed = closure(query, self._rules)
             fingerprint = gtd(query, closed, self._depth)
+            side = None
             results: list[tuple[str, Embedding | None]] = []
-            for identifier in sorted(self._entries):
-                if not filters.matches(self._entries[identifier]):
+            for identifier, record in sorted(self._records.items()):
+                if not filters.matches(record.entry):
                     continue
-                if not gtd_subsumes(self._gtds[identifier], fingerprint):
+                if not gtd_subsumes(record.fingerprint, fingerprint):
                     continue
                 if not confirm:
                     results.append((identifier, None))
                     continue
+                if side is None:
+                    side = prepare(query.kinds, closed)
                 try:
-                    found = embed_closed(
-                        query.kinds,
-                        closed,
-                        self._constructions[identifier].kinds,
-                        self._closed[identifier],
-                        1,
-                        budget=self._budget,
-                    )
+                    found = embed_closed(side, record.side, 1, budget=self._budget)
                 except SearchBudgetExceeded:
                     log.warning(
                         "match budget exhausted for %s; dropped from confirmed results",
@@ -500,8 +491,8 @@ class Repository:
         behind the repository's back."""
         with self._lock:
             stale = []
-            for identifier, entry in sorted(self._entries.items()):
-                _, _, fingerprint = self._analyze(entry.code)
-                if serialize_gtd(fingerprint) != entry.gtd_cache:
+            for identifier, record in sorted(self._records.items()):
+                _, fingerprint = self._analyze(parse_construction(record.entry.code))
+                if serialize_gtd(fingerprint) != record.entry.gtd_cache:
                     stale.append(identifier)
             return stale

@@ -36,6 +36,8 @@ DEFAULT_HOST = "0.0.0.0"
 DEFAULT_PORT = 7890
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 CONNECTION_TIMEOUT = 30.0
+#: pending connections queued by the kernel; socketserver's 5 made bursts wait out SYN retries
+LISTEN_BACKLOG = 128
 
 
 def _entry_map(repository: Repository, identifiers: list[str]) -> QueryResult:
@@ -95,6 +97,7 @@ class _Handler(socketserver.StreamRequestHandler):
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
 
 class GeoServer:

@@ -12,6 +12,7 @@ from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
 from generators import (
+    BARE_TRIANGLE_TEXT,
     bare_triangle,
     concurrent_lines,
     random_construction,
@@ -187,3 +188,40 @@ def test_zero_budget_still_answers_empty_query(rules):
 def test_budget_large_enough_is_untouched(rules):
     found = find_embeddings(bare_triangle(), bare_triangle(), rules, limit=1, budget=10_000)
     assert len(found) == 1
+
+
+# The least budgets that let the search finish.  They pin the search order:
+# a different object order or candidate order spends a different number of
+# steps before it finds the same embeddings.  In the relabelled triangle the
+# lines' names sort before the points', which have the higher degree.
+_CORPUS_CODE = {e.identifier: e.code for e in ENTRIES}
+_RELABELLED_TRIANGLE = """\
+point p
+point q
+point r
+line L
+line M
+line N
+line_through(L, q, r)
+line_through(M, p, r)
+line_through(N, p, q)
+"""
+
+
+@pytest.mark.parametrize(
+    "query, target, limit, minimal",
+    [
+        (BARE_TRIANGLE_TEXT, None, 1, 6),
+        (BARE_TRIANGLE_TEXT, None, 100, 51),
+        (BARE_TRIANGLE_TEXT, "GEO0003", 1, 9),
+        (BARE_TRIANGLE_TEXT, "GEO0002", 100, 69),
+        (BARE_TRIANGLE_TEXT, "GEO_CEVA", 100, 105),
+        (_RELABELLED_TRIANGLE, "GEO_CEVA", 100, 105),
+    ],
+)
+def test_minimal_budget_of_triangle_search(rules, query, target, limit, minimal):
+    q = parse_construction(query)
+    t = q if target is None else parse_construction(_CORPUS_CODE[target])
+    assert find_embeddings(q, t, rules, limit=limit, budget=minimal)
+    with pytest.raises(SearchBudgetExceeded):
+        find_embeddings(q, t, rules, limit=limit, budget=minimal - 1)

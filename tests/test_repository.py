@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,8 @@ from geokb.errors import (
     StorageError,
 )
 from geokb.fingerprint import construction_gtd, serialize_gtd
-from geokb.model import parse_construction
+from geokb.matching import find_embeddings
+from geokb.model import parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
 from geokb.repository import (
     DuplicateReport,
@@ -25,7 +27,13 @@ from geokb.repository import (
     parse_filters,
 )
 
-from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT, bare_triangle
+from generators import (
+    BARE_TRIANGLE_TEXT,
+    TRIANGLE_WITH_CIRCLE_TEXT,
+    bare_triangle,
+    concurrent_lines,
+    triangle_with_circle,
+)
 from oracles import brute_force_embeds
 
 TRIANGLE_DRAFT = ProblemEntry(
@@ -121,6 +129,30 @@ def test_insert_assigns_lowest_unused_identifier(tmp_path):
     assert second == "GEO0002"
 
 
+def test_insert_assigns_gap_left_before_an_explicit_identifier(tmp_path):
+    repo = Repository(tmp_path / "data")
+    circle = ProblemEntry(name="Circle", code="circle k\n", kind="construction", level=1)
+    assert repo.insert(TRIANGLE_DRAFT) == "GEO0001"
+    assert repo.insert(replace(circle, identifier="GEO0003"), force=True) == "GEO0003"
+    assert repo.insert(circle, force=True) == "GEO0002"
+    assert repo.insert(circle, force=True) == "GEO0004"
+    # a report stores nothing, so the number stays free
+    assert isinstance(repo.insert(TRIANGLE_DRAFT), DuplicateReport)
+    assert repo.insert(circle, force=True) == "GEO0005"
+    assert Repository(repo.data_dir).insert(circle, force=True) == "GEO0006"
+
+
+def test_identifier_space_ends_at_geo9999(tmp_path):
+    repo = Repository(tmp_path / "data")
+    repo._next_number = 9998  # as if GEO0001..GEO9997 were taken; filling them takes seconds
+    circle = ProblemEntry(name="Circle", code="circle k\n", kind="construction", level=1)
+    assert repo.insert(circle, force=True) == "GEO9998"
+    assert repo.insert(circle, force=True) == "GEO9999"
+    with pytest.raises(StorageError, match="GEO0001..GEO9999 is exhausted"):
+        repo.insert(circle, force=True)
+    assert len(repo) == 2
+
+
 def test_insert_into_seeded_corpus_skips_taken_numbers(fresh_seeded_repo):
     # corpus occupies GEO0001..GEO0022 plus GEO0281/GEO0328/GEO_CEVA
     identifier = fresh_seeded_repo.insert(
@@ -170,6 +202,43 @@ def test_update_revalidates_and_reindexes(fresh_seeded_repo):
         fresh_seeded_repo.update("GEO9999", entry)
     with pytest.raises(IdentifierCollisionError):
         fresh_seeded_repo.update("GEO0012", ProblemEntry(identifier="GEO0013", code=""))
+
+
+def test_update_replaces_what_queries_and_the_gate_see(fresh_seeded_repo):
+    repo = fresh_seeded_repo
+    hits = {i for i, _ in repo.geometric_query(bare_triangle())}
+    gained = next(i for i in repo.list_all() if i not in hits)
+    assert "GEO0281" in hits
+    for identifier, code in (("GEO0281", "circle k\n"), (gained, BARE_TRIANGLE_TEXT)):
+        entry = repo.get(identifier)
+        repo.update(identifier, replace(entry, identifier="", code=code))
+    after = dict(repo.geometric_query(bare_triangle()))
+    assert "GEO0281" not in after
+    assert after[gained].as_dict() == {n: n for n in bare_triangle().kinds}
+    report = repo.find_duplicates(bare_triangle())
+    assert gained in report.exact_duplicates
+    assert "GEO0281" not in report.exact_duplicates + report.containing_entries
+    assert "GEO0281" in repo.find_duplicates(parse_construction("circle k\n")).exact_duplicates
+
+
+def test_reloaded_witnesses_equal_direct_matching(fresh_seeded_repo):
+    reloaded = Repository(fresh_seeded_repo.data_dir)
+    for query in (bare_triangle(), triangle_with_circle(), concurrent_lines()):
+        confirmed = dict(reloaded.geometric_query(query, confirm=True))
+        for identifier, _ in reloaded.geometric_query(query, confirm=False):
+            direct = find_embeddings(
+                query, reloaded.construction_of(identifier), reloaded.ruleset, 1
+            )
+            assert confirmed.get(identifier) == (direct[0] if direct else None)
+
+
+def test_construction_of_round_trips(seeded_repo):
+    for e in ENTRIES:
+        construction = seeded_repo.construction_of(e.identifier)
+        assert construction == parse_construction(e.code)
+        assert parse_construction(serialize_construction(construction)) == construction
+    with pytest.raises(NotFoundError):
+        seeded_repo.construction_of("GEO9999")
 
 
 # -- duplicate gate ---------------------------------------------------------------

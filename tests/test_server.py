@@ -18,7 +18,7 @@ from geokb.protocol import (
     decode_response,
 )
 from geokb.repository import ProblemEntry
-from geokb.server import GeoServer, handle_request
+from geokb.server import LISTEN_BACKLOG, GeoServer, handle_request
 
 from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT
 
@@ -184,6 +184,37 @@ def test_concurrent_clients(server):
         t.join()
     assert errors == []
     assert len(results) == 8
+
+
+def test_listen_backlog_holds_a_burst_of_clients(server):
+    assert LISTEN_BACKLOG == 128
+    assert server._server.request_queue_size == LISTEN_BACKLOG
+
+
+def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seeded_repo):
+    triangle_hits = [i for i, _ in fresh_seeded_repo.geometric_query(parse_construction(BARE_TRIANGLE_TEXT))]
+    requests = [
+        (QueryRequest(query="ceva"), ["GEO_CEVA"]),
+        (QueryRequest(geometric=BARE_TRIANGLE_TEXT), triangle_hits),
+    ]
+    answers: dict[int, object] = {}
+
+    def worker(n: int):
+        try:
+            answers[n] = client_query(server.host, server.port, requests[n % 2][0], timeout=30)
+        except Exception as exc:  # pragma: no cover
+            answers[n] = exc
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(16)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert sorted(answers) == list(range(16))
+    for n, response in answers.items():
+        assert isinstance(response, QueryResult), response
+        assert [identifier for identifier, _ in response.entries] == requests[n % 2][1]
 
 
 def test_connection_refused_raises_transport_error():
