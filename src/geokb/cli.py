@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .client import DEFAULT_TIMEOUT, client_query, save_codes
-from .errors import ProtocolError, TransportError
+from .errors import GeoKbError, ProtocolError, TransportError
 from .protocol import (
     ErrorResponse,
     QueryRequest,
@@ -51,7 +51,7 @@ def server_main(argv: list[str] | None = None) -> int:
         serve(args.host, args.port, args.data, args.rules, args.gtd_depth)
     except KeyboardInterrupt:
         return 0
-    except OSError as exc:
+    except (OSError, GeoKbError) as exc:  # bind failures, bad rules, an unusable store
         print(f"geoserver: {exc}", file=sys.stderr)
         return 1
     return 0

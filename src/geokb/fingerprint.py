@@ -102,7 +102,8 @@ def serialize_gtd(fingerprint: Gtd) -> str:
 
 
 def parse_gtd(text: str) -> Gtd:
-    """Inverse of :func:`serialize_gtd`; raises ``ValueError`` on bad input."""
+    """Inverse of :func:`serialize_gtd`; raises ``ValueError`` on bad input.
+    Keys are interned, as :func:`gtd` interns them."""
     parts = text.split()
     if not parts or not parts[0].startswith("depth="):
         raise ValueError(f"fingerprint must start with 'depth=', got {text!r}")
@@ -117,7 +118,7 @@ def parse_gtd(text: str) -> Gtd:
         n = int(value)
         if n < 1:
             raise ValueError(f"fingerprint counts must be positive, got {part!r}")
-        counts[key] = n
+        counts[sys.intern(key)] = n
     return Gtd(depth, counts)
 
 

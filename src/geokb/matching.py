@@ -4,13 +4,15 @@ Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
 closed side into a :class:`MatchSide` once: closed facts as plain
 ``(predicate, args)`` tuples, per-object per-predicate fact degrees and
-sorted names per kind.  A query side builds its plan once, on first use:
-object order, most-constrained (highest degree) first, the degrees each
-object needs, and per step the facts whose last argument gets mapped
-there.  Per target only two things remain: keeping target objects of the
-right kind and enough degree, and backtracking over them, checking each
-scheduled fact by canonical membership in the target's closed facts.
-Relation nodes need no mapping: a fact is determined by its arguments.
+sorted names per kind.  It takes the facts as pairs, so a stored entry
+whose closure is read back from its file needs no :class:`Fact`.  A query
+side builds its plan once, on first use: object order, most-constrained
+(highest degree) first, the degrees each object needs, and per step the
+facts whose last argument gets mapped there.  Per target only two things
+remain: keeping target objects of the right kind and enough degree, and
+backtracking over them, checking each scheduled fact by canonical
+membership in the target's closed facts.  Relation nodes need no mapping:
+a fact is determined by its arguments.
 
 Worst-case cost is exponential, so the search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -24,11 +26,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
 from .model import CANONICAL_ARGS, Construction, Fact
-from .rules import FactSet, RuleSet, closure
+from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -79,9 +81,10 @@ class MatchSide:
         return order, tuple(map(tuple, schedule)), needs
 
 
-def prepare(kinds: Mapping[str, str], closed: FactSet) -> MatchSide:
-    """The matching record of a construction's kinds and closed facts."""
-    facts = frozenset((sys.intern(f.predicate), f.args) for f in closed)
+def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:
+    """The matching record of a construction's kinds and closed facts, the
+    facts given as ``(predicate, args)`` pairs."""
+    facts = frozenset((sys.intern(predicate), args) for predicate, args in closed)
     degrees: dict[str, dict[str, int]] = {name: {} for name in kinds}
     for predicate, args in facts:
         for name in set(args):
@@ -169,8 +172,8 @@ def find_embeddings(
     """Up to ``limit`` distinct embeddings of the closed query into the
     closed target, in lexicographic mapping order; empty iff none exist."""
     return embed_closed(
-        prepare(query.kinds, closure(query, ruleset)),
-        prepare(target.kinds, closure(target, ruleset)),
+        prepare(query.kinds, ((f.predicate, f.args) for f in closure(query, ruleset))),
+        prepare(target.kinds, ((f.predicate, f.args) for f in closure(target, ruleset))),
         limit,
         budget=budget,
     )

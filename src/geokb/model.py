@@ -72,10 +72,15 @@ class Fact:
 
     @property
     def text(self) -> str:
-        return f"{self.predicate}({', '.join(self.args)})"
+        return fact_text(self.predicate, self.args)
 
     def __str__(self) -> str:
         return self.text
+
+
+def fact_text(predicate: str, args: tuple[str, ...]) -> str:
+    """The text form of a fact, ``predicate(a, b, ...)``."""
+    return f"{predicate}({', '.join(args)})"
 
 
 def fact(predicate: str, *args: str) -> Fact:

@@ -2,9 +2,20 @@
 
 Each entry is one JSON document at ``<data>/entries/<identifier>.json``
 (written to a temp file and renamed, so an interrupted write leaves no
-partial entry).  Every entry caches the fingerprint of its closed
-construction; the cache is verified against a recomputation at startup and
-refreshed if stale, for example after changing the configured depth.
+partial entry).  Beside the entry's own members, a version-2 document
+caches the entry's whole analysis: ``Objects`` (name -> kind), ``Closure``
+(the closed facts in :attr:`~geokb.model.Fact.text` form, sorted) and
+``GTD`` (the fingerprint), under a ``Digest`` that also covers ``Code``,
+the format version, the rule set and the fingerprint depth.
+
+At startup a document whose digest matches is trusted: its record is built
+from those members, with no parsing, closure or fingerprinting.  Any other
+document (an older version, a changed rule set or depth, an edited or
+malformed member) is analysed again from its code, logged as a stale
+cache and rewritten.  A file that cannot be loaded as an entry at all is
+skipped with an error log and left on disk, and its identifier stays
+taken.  :meth:`Repository.check_cache_coherence` is the full check: it
+compares every record with an analysis of its code.
 
 In memory each entry has one record, built the same way by loading,
 inserting and updating: the entry, its closed construction prepared for
@@ -35,6 +46,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
+    ConstructionError,
     EntryError,
     FilterError,
     IdentifierCollisionError,
@@ -42,17 +54,19 @@ from .errors import (
     SearchBudgetExceeded,
     StorageError,
 )
-from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, serialize_gtd
+from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, parse_gtd, serialize_gtd
 from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
-from .model import Construction, parse_construction
-from .rules import RuleSet, closure, default_rules
+from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
+from .rules import RuleSet, closure, default_rules, sha256
 from .textindex import IndexedEntry, TextIndex
 
 log = logging.getLogger(__name__)
 
 #: all stored construction code uses the textual predicate format
 CODE_FORMAT = "predicate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: versions that load; older ones are analysed again and rewritten
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 FILTER_KEYS = ("format", "kind", "language", "level", "keyword")
 ENTRY_KINDS = ("construction", "conjecture")
 
@@ -163,8 +177,21 @@ def parse_filters(text: str) -> FilterSet:
     return FilterSet(tuple(clauses))
 
 
-def entry_to_document(entry: ProblemEntry) -> dict:
-    return {
+_TEXT_MEMBERS = ("Identifier", "Name", "Description", "ShortDescription", "Code", "Language", "Kind", "GTD")
+
+
+def cache_digest(doc: dict, ruleset: RuleSet, depth: int) -> str:
+    """SHA-256 over the members a trusted load takes from an entry document
+    and what they were computed under: format version, rules and depth."""
+    members = [FORMAT_VERSION, ruleset.digest, depth, *(doc.get(m) for m in ("Code", "Objects", "Closure", "GTD"))]
+    return sha256(json.dumps(members, separators=(",", ":")).encode("ascii")).hexdigest()
+
+
+def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
+    """The entry document of a record: its entry, its cached analysis and
+    the digest over them."""
+    entry = record.entry
+    doc = {
         "Identifier": entry.identifier,
         "Name": entry.name,
         "Description": entry.description,
@@ -175,16 +202,24 @@ def entry_to_document(entry: ProblemEntry) -> dict:
         "Level": entry.level,
         "Kind": entry.kind,
         "GTD": entry.gtd_cache,
+        "Objects": dict(sorted(record.side.kinds.items())),
+        "Closure": sorted(fact_text(predicate, args) for predicate, args in record.side.facts),
+        "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
     }
+    doc["Digest"] = cache_digest(doc, ruleset, depth)
+    return doc
 
 
 def document_to_entry(doc: dict) -> ProblemEntry:
     if not isinstance(doc, dict):
         raise StorageError("entry document must be a JSON object")
     version = doc.get("Version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise StorageError(f"unsupported entry format version {version!r}")
+    for member in _TEXT_MEMBERS:
+        if not isinstance(doc.get(member, ""), str):
+            raise StorageError(f"{member} must be a string")
     try:
         keywords = doc.get("Keywords", [])
         if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
@@ -203,6 +238,25 @@ def document_to_entry(doc: dict) -> ProblemEntry:
         )
     except KeyError as exc:
         raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
+
+
+def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple[str, ...]]] | None:
+    """A ``Closure`` member as ``(predicate, args)`` pairs, each argument the
+    string object of ``names`` (name -> itself); None unless it is a list of
+    facts in text form with known predicates and declared arguments."""
+    if not isinstance(texts, list):
+        return None
+    facts = []
+    try:
+        for text in texts:
+            predicate, _, rest = text.partition("(")
+            args = tuple([names[name] for name in rest[:-1].split(", ")])
+            if rest[-1:] != ")" or len(args) != len(PREDICATES.get(predicate, ())):
+                return None
+            facts.append((predicate, args))
+    except (AttributeError, KeyError):  # not a string, or an undeclared name
+        return None
+    return facts
 
 
 def _check_draft(entry: ProblemEntry) -> None:
@@ -242,6 +296,8 @@ class Repository:
         self._budget = match_budget
         self._lock = threading.RLock()
         self._records: dict[str, _Record] = {}
+        #: stems of entry files that failed to load; never reused
+        self._quarantined: set[str] = set()
         #: every GEO#### below it is taken; entries are never deleted
         self._next_number = 1
         self._index = TextIndex()
@@ -267,33 +323,71 @@ class Repository:
     # -- loading and persistence -----------------------------------------
 
     def _load(self) -> None:
-        for path in sorted(self._entries_dir.glob("*.json")):
+        for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
                 continue  # leftover temp files from interrupted writes
             try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise StorageError(f"unreadable entry file {path.name}: {exc}") from exc
-            entry = document_to_entry(doc)
-            if entry.identifier != path.stem:
-                raise StorageError(
-                    f"entry file {path.name} holds identifier {entry.identifier!r}"
-                )
-            side, fingerprint = self._analyze(parse_construction(entry.code))
-            serialized = serialize_gtd(fingerprint)
-            if entry.gtd_cache != serialized:
+                entry, doc = self._read(path)
+                record = self._cached_record(entry, doc)
+                if record is None:
+                    side, fingerprint = self._analyze(parse_construction(entry.code))
+            except (StorageError, ConstructionError) as exc:
+                log.error("skipping entry file %s, left as it is: %s", path.name, exc)
+                self._quarantined.add(path.stem)
+                continue
+            if record is None:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
-                entry = replace(entry, gtd_cache=serialized)
-                self._write(entry)
-            self._register(entry, side, fingerprint)
+                self._store(entry, side, fingerprint)
+            else:
+                self._register(record)
+
+    def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise StorageError(f"unreadable: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # also undecodable UTF-8, or nested too deep
+            raise StorageError(f"not JSON: {exc}") from exc
+        entry = document_to_entry(doc)
+        if entry.identifier != path.stem:
+            raise StorageError(f"holds identifier {entry.identifier!r}")
+        return entry, doc
+
+    def _cached_record(self, entry: ProblemEntry, doc: dict) -> _Record | None:
+        """The record a current-version document's cache describes, or None
+        unless its digest matches and its members are well formed."""
+        if doc.get("Version") != FORMAT_VERSION or doc.get("Digest") != cache_digest(
+            doc, self._rules, self._depth
+        ):
+            return None
+        objects = doc.get("Objects")
+        if not isinstance(objects, dict) or not all(kind in KINDS for kind in objects.values()):
+            return None
+        closed = _read_closure(doc.get("Closure"), {name: name for name in objects})
+        try:
+            fingerprint = parse_gtd(entry.gtd_cache)
+        except ValueError:
+            return None
+        if closed is None or fingerprint.depth != self._depth:
+            return None
+        return _Record(entry, prepare(objects, closed), fingerprint)
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
-        return prepare(construction.kinds, closed), gtd(construction, closed, self._depth)
+        side = prepare(construction.kinds, ((f.predicate, f.args) for f in closed))
+        return side, gtd(construction, closed, self._depth)
 
-    def _register(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
+    def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
+        """Make an analysed entry its identifier's record, on disk and in memory."""
+        entry = replace(entry, keywords=tuple(entry.keywords), gtd_cache=serialize_gtd(fingerprint))
+        record = _Record(entry, side, fingerprint)
+        self._write(record)
+        self._register(record)
+
+    def _register(self, record: _Record) -> None:
+        entry = record.entry
         identifier = entry.identifier
-        self._records[identifier] = _Record(entry, side, fingerprint)
+        self._records[identifier] = record
         self._index.index_entry(
             IndexedEntry(
                 identifier=identifier,
@@ -304,22 +398,21 @@ class Repository:
             )
         )
 
-    def _write(self, entry: ProblemEntry) -> None:
-        final = self._entries_dir / f"{entry.identifier}.json"
-        temp = self._entries_dir / f".{entry.identifier}.json.tmp"
+    def _write(self, record: _Record) -> None:
+        identifier = record.entry.identifier
+        final = self._entries_dir / f"{identifier}.json"
+        temp = self._entries_dir / f".{identifier}.json.tmp"
+        doc = record_to_document(record, self._rules, self._depth)
         try:
-            temp.write_text(
-                json.dumps(entry_to_document(entry), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            temp.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
             os.replace(temp, final)
         except OSError as exc:
-            raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
+            raise StorageError(f"cannot persist {identifier}: {exc}") from exc
 
     def _next_identifier(self) -> str:
         while self._next_number < 10_000:
             candidate = f"GEO{self._next_number:04d}"
-            if candidate not in self._records:
+            if candidate not in self._records and candidate not in self._quarantined:
                 return candidate
             self._next_number += 1
         raise StorageError("identifier space GEO0001..GEO9999 is exhausted")
@@ -369,7 +462,7 @@ class Repository:
             _check_draft(draft)
             side, fingerprint = self._analyze(parse_construction(draft.code))
             if draft.identifier:
-                if draft.identifier in self._records:
+                if draft.identifier in self._records or draft.identifier in self._quarantined:
                     raise IdentifierCollisionError(
                         f"identifier {draft.identifier} is already taken"
                     )
@@ -386,14 +479,7 @@ class Repository:
                         identifier,
                         ", ".join(report.contained_entries),
                     )
-            entry = replace(
-                draft,
-                identifier=identifier,
-                keywords=tuple(draft.keywords),
-                gtd_cache=serialize_gtd(fingerprint),
-            )
-            self._write(entry)
-            self._register(entry, side, fingerprint)
+            self._store(replace(draft, identifier=identifier), side, fingerprint)
             return identifier
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
@@ -405,14 +491,7 @@ class Repository:
                 raise IdentifierCollisionError("an entry's identifier cannot change")
             _check_draft(draft)
             side, fingerprint = self._analyze(parse_construction(draft.code))
-            entry = replace(
-                draft,
-                identifier=identifier,
-                keywords=tuple(draft.keywords),
-                gtd_cache=serialize_gtd(fingerprint),
-            )
-            self._write(entry)
-            self._register(entry, side, fingerprint)
+            self._store(replace(draft, identifier=identifier), side, fingerprint)
 
     # -- queries -----------------------------------------------------------
 
@@ -472,7 +551,7 @@ class Repository:
                     results.append((identifier, None))
                     continue
                 if side is None:
-                    side = prepare(query.kinds, closed)
+                    side = prepare(query.kinds, ((f.predicate, f.args) for f in closed))
                 try:
                     found = embed_closed(side, record.side, 1, budget=self._budget)
                 except SearchBudgetExceeded:
@@ -486,13 +565,20 @@ class Repository:
             return results
 
     def check_cache_coherence(self) -> list[str]:
-        """Identifiers whose stored fingerprint disagrees with a fresh
-        recomputation from code; always empty unless files were edited
-        behind the repository's back."""
+        """Identifiers whose record (kinds, closed facts, fingerprint and its
+        cached text) disagrees with a fresh analysis of the entry's code, or
+        whose code no longer parses; always empty unless entry files were
+        edited behind the repository's back."""
         with self._lock:
             stale = []
             for identifier, record in sorted(self._records.items()):
-                _, fingerprint = self._analyze(parse_construction(record.entry.code))
-                if serialize_gtd(fingerprint) != record.entry.gtd_cache:
+                try:
+                    side, fingerprint = self._analyze(parse_construction(record.entry.code))
+                except ConstructionError:
+                    stale.append(identifier)
+                    continue
+                if (side.kinds, side.facts, fingerprint, serialize_gtd(fingerprint)) != (
+                    record.side.kinds, record.side.facts, record.fingerprint, record.entry.gtd_cache
+                ):
                     stale.append(identifier)
             return stale

@@ -37,6 +37,11 @@ from operator import itemgetter
 from .errors import ConstructionError, RuleError
 from .model import CANONICAL_ARGS, PREDICATES, Construction, Fact, argument_variants, normalize_fact
 
+try:  # the interpreter's own SHA-256; importing hashlib loads OpenSSL, 3-4 MB resident
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in CPython 3.12
+    from hashlib import sha256
+
 FactSet = frozenset[Fact]
 
 _VAR_RE = re.compile(r"\?([A-Za-z][A-Za-z0-9_]*)\Z")
@@ -70,6 +75,16 @@ class RuleSet:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the rules' heads, body atoms and distinctness pairs.
+        Rule names and rule order change no closure, so they are left out."""
+        rendered = sorted(
+            " ".join([r.head.text, ":-", *(a.text for a in r.body), *(f"?{x} != ?{y}" for x, y in r.distinct)])
+            for r in self.rules
+        )
+        return sha256("\n".join(rendered).encode("utf-8")).hexdigest()
 
     @cached_property
     def _plans(self) -> tuple[tuple, ...]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import sys
 import threading
 from dataclasses import replace
 
@@ -14,7 +17,7 @@ from geokb.errors import (
     NotFoundError,
     StorageError,
 )
-from geokb.fingerprint import construction_gtd, serialize_gtd
+from geokb.fingerprint import construction_gtd, gtd, serialize_gtd
 from geokb.matching import find_embeddings
 from geokb.model import parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
@@ -24,8 +27,10 @@ from geokb.repository import (
     FilterSet,
     ProblemEntry,
     Repository,
+    cache_digest,
     parse_filters,
 )
+from geokb.rules import RuleSet, closure, default_rules
 
 from generators import (
     BARE_TRIANGLE_TEXT,
@@ -444,20 +449,74 @@ def test_stale_cache_is_repaired_on_startup(fresh_seeded_repo, caplog):
     assert reloaded.get("GEO0281").gtd_cache == fresh_seeded_repo.get("GEO0281").gtd_cache
 
 
-def test_corrupt_entry_file_fails_loudly(fresh_seeded_repo):
+def test_corrupt_entry_file_is_quarantined(fresh_seeded_repo, caplog):
     path = fresh_seeded_repo.data_dir / "entries" / "GEO0281.json"
     path.write_text("{", encoding="utf-8")
-    with pytest.raises(StorageError):
-        Repository(fresh_seeded_repo.data_dir)
+    with caplog.at_level("ERROR"):
+        reloaded = Repository(fresh_seeded_repo.data_dir)
+    assert reloaded.list_all() == [i for i in fresh_seeded_repo.list_all() if i != "GEO0281"]
+    [error] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "GEO0281.json" in error.getMessage() and "not JSON" in error.getMessage()
+    with pytest.raises(IdentifierCollisionError):
+        reloaded.insert(replace(TRIANGLE_DRAFT, identifier="GEO0281"), force=True)
+    assert path.read_text(encoding="utf-8") == "{"
 
 
-def test_mismatched_filename_fails_loudly(fresh_seeded_repo):
+def test_mismatched_filename_is_quarantined(fresh_seeded_repo, caplog):
     entries = fresh_seeded_repo.data_dir / "entries"
-    (entries / "GEO0999.json").write_text(
-        (entries / "GEO0281.json").read_text(encoding="utf-8"), encoding="utf-8"
-    )
-    with pytest.raises(StorageError, match="holds identifier"):
-        Repository(fresh_seeded_repo.data_dir)
+    text = (entries / "GEO0281.json").read_text(encoding="utf-8")
+    (entries / "GEO0999.json").write_text(text, encoding="utf-8")
+    with caplog.at_level("ERROR"):
+        reloaded = Repository(fresh_seeded_repo.data_dir)
+    assert reloaded.list_all() == fresh_seeded_repo.list_all()
+    assert "GEO0999.json" in caplog.text and "holds identifier 'GEO0281'" in caplog.text
+    with pytest.raises(IdentifierCollisionError):
+        reloaded.insert(replace(TRIANGLE_DRAFT, identifier="GEO0999"), force=True)
+    assert (entries / "GEO0999.json").read_text(encoding="utf-8") == text
+
+
+def _v1_document(doc: dict) -> dict:
+    """The document as a store of format version 1 wrote it."""
+    keep = ("Identifier", "Name", "Description", "ShortDescription", "Keywords", "Code",
+            "Language", "Level", "Kind", "GTD")
+    return {**{key: doc[key] for key in keep}, "Version": 1}
+
+
+BAD_ENTRY_FILES = {
+    "not-json": lambda doc: "{",
+    "not-an-object": lambda doc: "[]",
+    "not-utf8": lambda doc: b"\xff\xfe{}",
+    "missing-code": lambda doc: {k: v for k, v in doc.items() if k != "Code"},
+    "code-not-a-string": lambda doc: {**doc, "Code": 5},
+    "unknown-version": lambda doc: {**doc, "Version": 7},
+    "other-identifier": lambda doc: {**doc, "Identifier": "GEO0002"},
+    "bad-code-version-1": lambda doc: {**_v1_document(doc), "Code": "line a\nparallel(a, a)\n"},
+    "bad-code-stale-digest": lambda doc: {**doc, "Code": "line a\nparallel(a, a)\n"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRY_FILES))
+def test_bad_entry_file_is_skipped_and_its_identifier_kept(tmp_path, caplog, case):
+    repo = Repository(tmp_path / "data")
+    circle = ProblemEntry(name="Circle", code="circle k\n", kind="construction", level=1)
+    assert repo.insert(TRIANGLE_DRAFT) == "GEO0001"
+    assert repo.insert(circle) == "GEO0002"
+    path = repo.data_dir / "entries" / "GEO0001.json"
+    bad = BAD_ENTRY_FILES[case](json.loads(path.read_text(encoding="utf-8")))
+    if isinstance(bad, dict):
+        bad = json.dumps(bad)
+    if isinstance(bad, str):
+        bad = bad.encode("utf-8")
+    path.write_bytes(bad)
+    with caplog.at_level("ERROR"):
+        reloaded = Repository(repo.data_dir)
+    assert reloaded.list_all() == ["GEO0002"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "GEO0001.json" in errors[0]
+    assert reloaded.insert(circle, force=True) == "GEO0003"
+    with pytest.raises(IdentifierCollisionError):
+        reloaded.insert(replace(circle, identifier="GEO0001"), force=True)
+    assert path.read_bytes() == bad
 
 
 def test_entry_files_have_documented_shape(fresh_seeded_repo):
@@ -474,10 +533,234 @@ def test_entry_files_have_documented_shape(fresh_seeded_repo):
         "Level",
         "Kind",
         "GTD",
+        "Objects",
+        "Closure",
+        "Digest",
         "Version",
     ]
-    assert doc["Version"] == 1
-    assert parse_construction(doc["Code"])  # code member parses
+    assert doc["Version"] == 2
+    construction = parse_construction(doc["Code"])  # code member parses
+    assert doc["Objects"] == construction.kinds
+    closed = closure(construction, fresh_seeded_repo.ruleset)
+    assert doc["Closure"] == sorted(f.text for f in closed)
+    assert doc["GTD"] == serialize_gtd(gtd(construction, closed, 2))
+    members = [2, fresh_seeded_repo.ruleset.digest, 2, doc["Code"], doc["Objects"], doc["Closure"], doc["GTD"]]
+    rendered = json.dumps(members, separators=(",", ":")).encode("ascii")
+    assert doc["Digest"] == hashlib.sha256(rendered).hexdigest()
+
+
+# -- the entry-file cache -------------------------------------------------------------
+
+
+def _edit_entry(data_dir, identifier, edit):
+    path = data_dir / "entries" / f"{identifier}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(doc), ensure_ascii=False, indent=2), encoding="utf-8")
+    return doc
+
+
+def _refreshed(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "refreshing stale" in r.getMessage()]
+
+
+def _assert_same_records(loaded: Repository, computed: Repository) -> None:
+    assert loaded.list_all() == computed.list_all()
+    for identifier in loaded.list_all():
+        a, b = loaded._records[identifier], computed._records[identifier]
+        assert a.entry == b.entry
+        assert (a.side.kinds, a.side.facts, a.side.degrees, a.side.names) == (
+            b.side.kinds, b.side.facts, b.side.degrees, b.side.names
+        )
+        assert a.fingerprint.depth == b.fingerprint.depth
+        assert list(a.fingerprint.counts.items()) == list(b.fingerprint.counts.items())
+
+
+def _answers(repo: Repository) -> list:
+    out = []
+    for query in (bare_triangle(), triangle_with_circle(), concurrent_lines()):
+        for confirm in (False, True):
+            out.append(repo.geometric_query(query, confirm=confirm))
+    out.append([repo.find_duplicates(parse_construction(code)) for code in (BARE_TRIANGLE_TEXT, "circle k\n")])
+    return out
+
+
+def test_warm_load_equals_recomputation_on_seeded_corpus(fresh_seeded_repo, caplog):
+    with caplog.at_level("WARNING"):
+        warm = Repository(fresh_seeded_repo.data_dir)
+    assert not caplog.records
+    _assert_same_records(warm, fresh_seeded_repo)
+    assert _answers(warm) == _answers(fresh_seeded_repo)
+    assert warm.check_cache_coherence() == []
+
+
+def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
+    from test_acceptance import synthetic_corpus_entry
+
+    rng = random.Random(0x5EED)
+    computed = Repository(tmp_path / "data")
+    for i in range(300):
+        computed.insert(synthetic_corpus_entry(i, rng), force=True)
+    with caplog.at_level("WARNING"):
+        warm = Repository(computed.data_dir)
+    assert not caplog.records
+    _assert_same_records(warm, computed)
+    for record in warm._records.values():  # shared strings keep a warm store's memory down
+        names = {name: name for name in record.side.kinds}
+        assert all(arg is names[arg] for _, args in record.side.facts for arg in args)
+        assert all(key is sys.intern(key) for key in record.fingerprint.counts)
+    hits = warm.geometric_query(bare_triangle())
+    assert len(hits) >= 150  # every even entry holds a planted triangle
+    assert hits == computed.geometric_query(bare_triangle())
+
+
+CACHE_EDITS = {
+    "Code": lambda doc: {**doc, "Code": doc["Code"] + "point Zz\n"},
+    "Objects": lambda doc: {**doc, "Objects": {**doc["Objects"], "A": "circle"}},
+    "Closure": lambda doc: {**doc, "Closure": doc["Closure"][:-1]},
+    "GTD": lambda doc: {**doc, "GTD": "depth=2 kind:point=99"},
+    "Digest": lambda doc: {**doc, "Digest": "0" * 64},
+}
+
+
+@pytest.mark.parametrize("member", sorted(CACHE_EDITS))
+def test_edited_cache_member_is_repaired_once(fresh_seeded_repo, caplog, member):
+    entries = fresh_seeded_repo.data_dir / "entries"
+    original = _edit_entry(fresh_seeded_repo.data_dir, "GEO0281", CACHE_EDITS[member])
+    with caplog.at_level("WARNING"):
+        repaired = Repository(fresh_seeded_repo.data_dir)
+    assert _refreshed(caplog) == ["refreshing stale fingerprint cache of GEO0281"]
+    assert repaired.check_cache_coherence() == []
+    doc = json.loads((entries / "GEO0281.json").read_text(encoding="utf-8"))
+    if member == "Code":
+        assert repaired.get("GEO0281").code == original["Code"] + "point Zz\n"
+        assert doc["Objects"] == {**original["Objects"], "Zz": "point"}
+    else:
+        assert doc == original
+        _assert_same_records(repaired, fresh_seeded_repo)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        Repository(fresh_seeded_repo.data_dir)
+    assert not caplog.records
+
+
+MALFORMED_UNDER_A_MATCHING_DIGEST = {
+    "undeclared-object": lambda doc: {**doc, "Closure": doc["Closure"] + ["incident(Nobody, a)"]},
+    "unknown-predicate": lambda doc: {**doc, "Closure": doc["Closure"] + ["touches(A, a)"]},
+    "wrong-arity": lambda doc: {**doc, "Closure": doc["Closure"] + ["incident(A, B, a)"]},
+    "unclosed-fact": lambda doc: {**doc, "Closure": doc["Closure"] + ["incident(A, a]"]},
+    "closure-not-a-list": lambda doc: {**doc, "Closure": "incident(A, a)"},
+    "fact-not-a-string": lambda doc: {**doc, "Closure": doc["Closure"] + [["incident", "A", "a"]]},
+    "missing-objects": lambda doc: {k: v for k, v in doc.items() if k != "Objects"},
+    "unknown-kind": lambda doc: {**doc, "Objects": {**doc["Objects"], "A": "plane"}},
+    "unparsable-gtd": lambda doc: {**doc, "GTD": "depth=two"},
+    "gtd-of-another-depth": lambda doc: {**doc, "GTD": "depth=1 kind:point=3"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_UNDER_A_MATCHING_DIGEST))
+def test_malformed_cache_under_a_matching_digest_is_recomputed(fresh_seeded_repo, caplog, case):
+    repo = fresh_seeded_repo
+
+    def forge(doc):
+        doc = MALFORMED_UNDER_A_MATCHING_DIGEST[case](doc)
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+
+    _edit_entry(repo.data_dir, "GEO0281", forge)
+    with caplog.at_level("WARNING"):
+        repaired = Repository(repo.data_dir)
+    assert _refreshed(caplog) == ["refreshing stale fingerprint cache of GEO0281"]
+    _assert_same_records(repaired, repo)
+
+
+def test_coherence_check_finds_a_wrong_closure_under_a_forged_digest(fresh_seeded_repo, caplog):
+    repo = fresh_seeded_repo
+    dropped = []
+
+    def forge(doc):
+        dropped.append(doc["Closure"][0])
+        doc = {**doc, "Closure": doc["Closure"][1:]}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+
+    _edit_entry(repo.data_dir, "GEO0281", forge)
+    with caplog.at_level("WARNING"):
+        trusting = Repository(repo.data_dir)
+    assert not caplog.records  # the digest matches, so the load trusts the file
+    assert len(trusting._records["GEO0281"].side.facts) == len(repo._records["GEO0281"].side.facts) - 1
+    assert trusting.check_cache_coherence() == ["GEO0281"]
+
+
+def test_coherence_check_finds_unparsable_code_under_a_forged_digest(fresh_seeded_repo):
+    repo = fresh_seeded_repo
+
+    def forge(doc):
+        doc = {**doc, "Code": doc["Code"] + "parallel(\n"}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+
+    _edit_entry(repo.data_dir, "GEO0281", forge)
+    assert Repository(repo.data_dir).check_cache_coherence() == ["GEO0281"]
+
+
+@pytest.mark.parametrize("change", ["depth", "rules"])
+def test_new_depth_or_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog, change):
+    if change == "depth":
+        options = {"gtd_depth": 1}
+    else:
+        options = {"ruleset": RuleSet(tuple(r for r in default_rules().rules if r.name != "R3"))}
+    with caplog.at_level("WARNING"):
+        reopened = Repository(fresh_seeded_repo.data_dir, **options)
+    assert len(_refreshed(caplog)) == len(ENTRIES)
+    fresh = Repository(tmp_path / "fresh", **options)
+    seed_repository(fresh)
+    _assert_same_records(reopened, fresh)
+    assert _answers(reopened) == _answers(fresh)
+    before, after = fresh_seeded_repo._records, reopened._records
+    assert any(  # the new options change what is stored
+        (after[i].side.facts, after[i].fingerprint) != (before[i].side.facts, before[i].fingerprint)
+        for i in after
+    )
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        Repository(fresh_seeded_repo.data_dir, **options)
+    assert not caplog.records
+
+
+def test_version_1_store_is_rewritten_once(fresh_seeded_repo, caplog):
+    entries = fresh_seeded_repo.data_dir / "entries"
+    current = {}
+    for path in sorted(entries.glob("*.json")):
+        current[path.name] = path.read_text(encoding="utf-8")
+        v1 = _v1_document(json.loads(current[path.name]))
+        path.write_text(json.dumps(v1, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        migrated = Repository(fresh_seeded_repo.data_dir)
+    assert len(_refreshed(caplog)) == len(ENTRIES)
+    assert {p.name: p.read_text(encoding="utf-8") for p in entries.glob("*.json")} == current
+    _assert_same_records(migrated, fresh_seeded_repo)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        Repository(fresh_seeded_repo.data_dir)
+    assert not caplog.records
+
+
+def test_warm_load_skips_parsing_and_closure(fresh_seeded_repo, monkeypatch):
+    import geokb.repository as repository_module
+
+    calls = {"closure": 0, "parse_construction": 0}
+    for name in calls:
+        original = getattr(repository_module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(repository_module, name, counted)
+    Repository(fresh_seeded_repo.data_dir)
+    assert calls == {"closure": 0, "parse_construction": 0}
+    for path in (fresh_seeded_repo.data_dir / "entries").glob("*.json"):
+        v1 = _v1_document(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(json.dumps(v1), encoding="utf-8")
+    Repository(fresh_seeded_repo.data_dir)
+    assert calls == {"closure": len(ENTRIES), "parse_construction": len(ENTRIES)}
 
 
 # -- concurrency smoke --------------------------------------------------------------

@@ -40,6 +40,25 @@ def test_side_conditions_parse():
     assert rs.rules[0].distinct == (("a", "c"),)
 
 
+def test_digest_covers_heads_bodies_and_distinctness_only():
+    text = (
+        "R1: incident(?p, ?l) :- line_through(?l, ?p, ?q).\n"
+        "R4: parallel(?a, ?c) :- parallel(?a, ?b), parallel(?b, ?c), ?a != ?c.\n"
+    )
+    digest = load_rules(text).digest
+    assert len(digest) == 64
+    renamed_and_reordered = "\n".join(reversed(text.replace("R", "Rule").splitlines()))
+    assert load_rules(renamed_and_reordered).digest == digest
+    for changed in (
+        text.replace("incident(?p, ?l)", "incident(?q, ?l)"),  # head
+        text.replace("parallel(?b, ?c), ?a", "perpendicular(?b, ?c), ?a"),  # body
+        text.replace(", ?a != ?c", ""),  # distinctness
+        text.splitlines()[0],  # one rule fewer
+    ):
+        assert load_rules(changed).digest != digest
+    assert default_rules().digest != digest
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

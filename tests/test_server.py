@@ -342,6 +342,16 @@ def test_geoserver_bind_failure_exit_1(tmp_path, capsys):
     assert "geoserver:" in capsys.readouterr().err
 
 
+def test_geoserver_bad_rules_file_exit_1(tmp_path, capsys):
+    rules = tmp_path / "bad.rules"
+    rules.write_text("R1: incident(?p, ?l) :- line_through(?l, ?p, ?q)\n", encoding="utf-8")
+    code = server_main(
+        ["--port", "0", "--data", str(tmp_path / "d"), "--rules", str(rules)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "geoserver: line 1: rule must end with '.'\n"
+
+
 def test_save_codes_writes_every_entry(tmp_path, fresh_seeded_repo, server):
     response = client_query(server.host, server.port, QueryRequest(query=".*"))
     assert isinstance(response, QueryResult)
