@@ -5,7 +5,8 @@ geoclient HOST PORT QUERY [--filters S] [--mode simple|extended]
 geoclient HOST PORT --geometric FILE [--no-confirm] [--filters S]
 geoclient HOST PORT --insert FILE.json [--force]
 
-Client exit codes: 0 success, 1 transport error, 2 server-reported error.
+Client exit codes: 0 success, 1 transport error or malformed response,
+2 server-reported error.
 """
 
 from __future__ import annotations
@@ -124,8 +125,12 @@ def client_main(argv: list[str] | None = None) -> int:
     if isinstance(response, ErrorResponse):
         print(f"geoclient: server error: {response.error}", file=sys.stderr)
         return 2
-    print(json.dumps(response_to_document(response), indent=2, ensure_ascii=False))
     if args.out and isinstance(response, QueryResult):
-        written = save_codes(response, args.out)
+        try:
+            written = save_codes(response, args.out)
+        except ProtocolError as exc:
+            print(f"geoclient: malformed response: {exc}", file=sys.stderr)
+            return 1
         print(f"saved {len(written)} construction(s) to {args.out}", file=sys.stderr)
+    print(json.dumps(response_to_document(response), indent=2, ensure_ascii=False))
     return 0

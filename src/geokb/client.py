@@ -5,8 +5,9 @@ from __future__ import annotations
 import socket
 from pathlib import Path
 
-from .errors import TransportError
+from .errors import ProtocolError, TransportError
 from .protocol import QueryRequest, QueryResponse, QueryResult, decode_response, encode_request
+from .repository import IDENTIFIER_RE
 
 DEFAULT_TIMEOUT = 10.0
 _CHUNK = 65536
@@ -41,7 +42,15 @@ def client_query(
 
 
 def save_codes(result: QueryResult, directory: str | Path) -> list[Path]:
-    """Write each returned construction to ``<directory>/<identifier>.cons``."""
+    """Write each returned construction to ``<directory>/<identifier>.cons``.
+
+    Raises :class:`ProtocolError`, and writes nothing, when a hit's
+    identifier is not a legal entry identifier: a name such as
+    ``../escaped`` would put a file outside ``directory``.
+    """
+    for identifier, _ in result.entries:
+        if not IDENTIFIER_RE.match(identifier):
+            raise ProtocolError(f"hit identifier {identifier!r} is not a legal entry identifier")
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     written = []

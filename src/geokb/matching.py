@@ -12,7 +12,10 @@ facts whose last argument gets mapped there.  Per target only two things
 remain: keeping target objects of the right kind and enough degree, and
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  Relation nodes need no mapping:
-a fact is determined by its arguments.
+a fact is determined by its arguments.  An :class:`Embedding` keeps as its
+witness the canonical keys those checks computed, so confirming a match
+builds no :class:`Fact`; :attr:`Embedding.matched_facts` builds them on
+demand.
 
 Worst-case cost is exponential, so the search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -25,6 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -40,12 +44,20 @@ class Embedding:
     """An injective, kind-preserving map taking the query into a target.
 
     ``mapping`` pairs query object names with target object names, sorted
-    by query name; ``matched_facts`` are the target's closed facts covered
-    by the mapped query facts (the part of the target to highlight).
+    by query name.  ``facts`` is the witness: the target's closed facts
+    covered by the mapped query facts (the part of the target to
+    highlight), kept as the canonical ``(predicate, args)`` keys the search
+    checked, in the shape of :attr:`MatchSide.facts`.
+    :attr:`matched_facts` gives them as :class:`Fact` objects.
     """
 
     mapping: tuple[tuple[str, str], ...]
-    matched_facts: frozenset[Fact]
+    facts: frozenset[tuple[str, tuple[str, ...]]]
+
+    @property
+    def matched_facts(self) -> frozenset[Fact]:
+        """The witness as facts, built on each access."""
+        return frozenset(Fact(predicate, args) for predicate, args in self.facts)
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
@@ -123,8 +135,8 @@ def embed_closed(
     steps = budget
 
     def emit() -> bool:
-        facts = frozenset(Fact(*key) for keys in matched for key in keys)
-        found.append(Embedding(tuple(sorted(mapping.items())), facts))
+        witness = frozenset(chain.from_iterable(matched))
+        found.append(Embedding(tuple(sorted(mapping.items())), witness))
         return len(found) >= limit
 
     def extend(i: int) -> bool:
@@ -157,7 +169,12 @@ def embed_closed(
             used.discard(tname)
         return False
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        # extend refers to itself through its closure; unbinding it breaks that
+        # cycle, so the call's state is freed at once, not by the cyclic collector
+        del extend
     return sorted(found, key=lambda e: e.mapping)
 
 

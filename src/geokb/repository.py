@@ -70,7 +70,8 @@ READABLE_VERSIONS = (1, FORMAT_VERSION)
 FILTER_KEYS = ("format", "kind", "language", "level", "keyword")
 ENTRY_KINDS = ("construction", "conjecture")
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
+#: a legal entry identifier, also the stem of its file name
+IDENTIFIER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,15 @@ def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
     return doc
 
 
+def _metadata_error(level: object, kind: object) -> str | None:
+    """Why an entry's level or kind is not legal, or None if both are."""
+    if isinstance(level, bool) or not isinstance(level, int) or not 1 <= level <= 5:
+        return f"level must be an integer between 1 and 5, got {level!r}"
+    if kind not in ENTRY_KINDS:
+        return f"kind must be one of {ENTRY_KINDS}, got {kind!r}"
+    return None
+
+
 def document_to_entry(doc: dict) -> ProblemEntry:
     if not isinstance(doc, dict):
         raise StorageError("entry document must be a JSON object")
@@ -224,6 +234,9 @@ def document_to_entry(doc: dict) -> ProblemEntry:
         keywords = doc.get("Keywords", [])
         if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
             raise StorageError("Keywords must be an array of strings")
+        error = _metadata_error(doc.get("Level", 3), doc.get("Kind", "construction"))
+        if error:
+            raise StorageError(error)
         return ProblemEntry(
             identifier=doc["Identifier"],
             name=doc["Name"],
@@ -260,13 +273,12 @@ def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple
 
 
 def _check_draft(entry: ProblemEntry) -> None:
-    if not isinstance(entry.level, int) or not 1 <= entry.level <= 5:
-        raise EntryError(f"level must be an integer between 1 and 5, got {entry.level!r}")
-    if entry.kind not in ENTRY_KINDS:
-        raise EntryError(f"kind must be one of {ENTRY_KINDS}, got {entry.kind!r}")
+    error = _metadata_error(entry.level, entry.kind)
+    if error:
+        raise EntryError(error)
     if not entry.language:
         raise EntryError("language must not be empty")
-    if entry.identifier and not _IDENTIFIER_RE.match(entry.identifier):
+    if entry.identifier and not IDENTIFIER_RE.match(entry.identifier):
         raise EntryError(f"invalid identifier {entry.identifier!r}")
 
 

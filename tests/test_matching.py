@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
+from geokb import matching
 from geokb.errors import SearchBudgetExceeded
 from geokb.fingerprint import construction_gtd, gtd_subsumes
-from geokb.matching import Embedding, find_embeddings, is_subconstruction
+from geokb.matching import Embedding, embed_closed, find_embeddings, is_subconstruction, prepare
 from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
+from geokb.repository import DuplicateReport, ProblemEntry
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -70,6 +73,7 @@ def test_matched_facts_cover_the_mapped_closure(rules):
         fact(f.predicate, *(mapping[a] for a in f.args)) for f in closure(q, rules)
     }
     assert embedding.matched_facts == expected
+    assert embedding.facts == {(f.predicate, f.args) for f in expected}
 
 
 def test_matching_sees_closed_facts_not_raw_ones(rules):
@@ -93,6 +97,53 @@ def test_embeddings_are_returned_in_mapping_order_and_limited(rules):
 def test_limit_must_be_positive(rules):
     with pytest.raises(ValueError):
         find_embeddings(EMPTY_CONSTRUCTION, EMPTY_CONSTRUCTION, rules, limit=0)
+
+
+def _side(construction, rules):
+    return prepare(construction.kinds, ((f.predicate, f.args) for f in closure(construction, rules)))
+
+
+def test_embedding_search_leaves_no_cyclic_garbage(rules):
+    """Reference counting alone frees what a search allocates, whether it
+    finds embeddings, finds none, stops early or runs out of budget."""
+    triangle = _side(bare_triangle(), rules)
+    ceva = _side(parse_construction(_CORPUS_CODE["GEO_CEVA"]), rules)
+    searches = [
+        (triangle, ceva, 1),
+        (triangle, ceva, 100),
+        (triangle, _side(concurrent_lines(), rules), 1),
+        (_side(parse_construction("circle k"), rules), triangle, 1),
+    ]
+    for query, target, limit in searches:
+        embed_closed(query, target, limit)  # builds each query plan before counting
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for query, target, limit in searches:
+                embed_closed(query, target, limit)
+            try:
+                embed_closed(triangle, ceva, 100, budget=5)
+            except SearchBudgetExceeded:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, monkeypatch):
+    def no_fact(*args):
+        raise AssertionError("the matcher built a Fact")
+
+    monkeypatch.setattr(matching, "Fact", no_fact)
+    hits = fresh_seeded_repo.geometric_query(bare_triangle(), confirm=True)
+    assert len(hits) > 1 and all(embedding.facts for _, embedding in hits)
+    copy = ProblemEntry(name="Ceva again", code=_CORPUS_CODE["GEO_CEVA"])
+    report = fresh_seeded_repo.insert(copy)
+    assert isinstance(report, DuplicateReport) and "GEO_CEVA" in report.exact_duplicates
+    extension = _CORPUS_CODE["GEO_CEVA"] + "point Z9\npoint Z8\ncircle z7\ncircle_centered(z7, Z9, Z8)\n"
+    identifier = fresh_seeded_repo.insert(ProblemEntry(name="Ceva extended", code=extension))
+    assert isinstance(identifier, str) and fresh_seeded_repo.get(identifier).name == "Ceva extended"
 
 
 # -- oracle agreement --------------------------------------------------------------

@@ -186,6 +186,8 @@ def test_insert_validates_draft_and_code(tmp_path):
         repo.insert(ProblemEntry(name="Bad level", code="", level=6))
     with pytest.raises(EntryError):
         repo.insert(ProblemEntry(name="Bad kind", code="", kind="sonnet"))
+    with pytest.raises(EntryError, match="level must be an integer"):
+        repo.insert(ProblemEntry(name="Boolean level", code="", level=True))  # bool is an int
     assert len(repo) == 0
 
 
@@ -492,6 +494,11 @@ BAD_ENTRY_FILES = {
     "other-identifier": lambda doc: {**doc, "Identifier": "GEO0002"},
     "bad-code-version-1": lambda doc: {**_v1_document(doc), "Code": "line a\nparallel(a, a)\n"},
     "bad-code-stale-digest": lambda doc: {**doc, "Code": "line a\nparallel(a, a)\n"},
+    # Level and Kind lie outside the digest, so these would load as trusted
+    "level-a-string": lambda doc: {**doc, "Level": "3"},
+    "level-a-boolean": lambda doc: {**doc, "Level": True},
+    "level-out-of-range": lambda doc: {**doc, "Level": 6},
+    "unknown-kind": lambda doc: {**doc, "Kind": "theorem"},
 }
 
 

@@ -8,9 +8,10 @@ import pytest
 
 from geokb.client import client_query, save_codes
 from geokb.cli import client_main, server_main
-from geokb.errors import TransportError
+from geokb.errors import ProtocolError, TransportError
 from geokb.model import parse_construction
 from geokb.protocol import (
+    EntryInfo,
     ErrorResponse,
     InsertResult,
     QueryRequest,
@@ -359,3 +360,26 @@ def test_save_codes_writes_every_entry(tmp_path, fresh_seeded_repo, server):
     assert len(written) == len(fresh_seeded_repo.list_all())
     for path in written:
         assert parse_construction(path.read_text(encoding="utf-8")) is not None
+
+
+@pytest.mark.parametrize("identifier", ["../escaped", "sub/GEO0001", ".hidden", ""])
+def test_save_codes_refuses_an_illegal_identifier(tmp_path, identifier):
+    info = EntryInfo(name="X", description="", code="point A\n")
+    result = QueryResult((("GEO0001", info), (identifier, info)))
+    out = tmp_path / "out" / "codes"
+    with pytest.raises(ProtocolError, match="not a legal entry identifier"):
+        save_codes(result, out)
+    assert not out.exists()
+    assert [p.name for p in tmp_path.rglob("*")] == []
+
+
+def test_geoclient_illegal_hit_identifier_exit_1(tmp_path, capsys, monkeypatch):
+    info = EntryInfo(name="X", description="", code="point A\n")
+    monkeypatch.setattr(
+        "geokb.cli.client_query", lambda *args, **kwargs: QueryResult((("../escaped", info),))
+    )
+    out = tmp_path / "out"
+    code = client_main(["127.0.0.1", "1", "x", "--out", str(out)])
+    assert code == 1
+    assert "malformed response" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.cons").exists() and not out.exists()
