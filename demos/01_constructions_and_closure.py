@@ -47,7 +47,8 @@ for raw in (Fact("parallel", ("b", "a")), Fact("equidistant", ("M", "B", "A", "M
 # consequences, and so on.
 rules = default_rules()
 closed = closure(construction, rules)
-inferred = sorted(closed - construction.facts, key=lambda f: f.text)
+# The closure holds (predicate, args) pairs; Fact(*pair) gives one its text form.
+inferred = sorted((Fact(*pair) for pair in closed - construction.facts), key=lambda f: f.text)
 print(f"\nclosure holds {len(closed)} facts; the {len(inferred)} inferred ones:")
 for f in inferred:
     print(f"  {f}")

@@ -113,4 +113,4 @@ on_circle(C, k)
 embedding = is_subconstruction(TRIANGLE, CIRCUMCIRCLE, rules)
 print("\ntriangle inside the circumcircle figure:")
 print(f"  mapping: {embedding.as_dict()}")
-print(f"  covers {len(embedding.matched_facts)} target facts")
+print(f"  covers {len(embedding.facts)} target facts")

@@ -30,8 +30,8 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import ConstructionError
-from .model import Construction
-from .rules import FactSet, RuleSet, closure
+from .model import Construction, FactSet
+from .rules import RuleSet, closure
 
 VALID_DEPTHS = (0, 1, 2)
 DEFAULT_DEPTH = 2
@@ -46,30 +46,30 @@ class Gtd:
 
 
 def gtd(construction: Construction, closed: FactSet, depth: int) -> Gtd:
-    """Count the labels of a construction and its closed fact set at the
-    given depth (0, 1 or 2); a closed fact naming an undeclared object
-    raises :class:`ConstructionError`."""
+    """Count the labels of a construction and its closed ``(predicate,
+    args)`` pairs at the given depth (0, 1 or 2); a closed fact naming an
+    undeclared object raises :class:`ConstructionError`."""
     if depth not in VALID_DEPTHS:
         raise ValueError(f"depth must be one of {VALID_DEPTHS}, got {depth!r}")
     kinds = construction.kinds
-    undeclared = {arg for f in closed for arg in f.args} - kinds.keys()
+    undeclared = {arg for _, args in closed for arg in args} - kinds.keys()
     if undeclared:
         raise ConstructionError(f"closed fact references undeclared object {min(undeclared)!r}")
     counts: Counter[str] = Counter(f"kind:{o.kind}" for o in construction.objects)
     if depth >= 1:
-        counts.update(f"rel:{f.predicate}" for f in closed)
+        counts.update(f"rel:{predicate}" for predicate, _ in closed)
     if depth >= 2:
         # same-kind object set -> predicate -> facts containing the set
         containing: dict[tuple[str, ...], dict[str, int]] = {}
-        for f in closed:
+        for predicate, args in closed:
             by_kind: dict[str, list[str]] = {}
-            for name in sorted(set(f.args)):
+            for name in sorted(set(args)):
                 by_kind.setdefault(kinds[name], []).append(name)
             for names in by_kind.values():
                 for size in range(1, len(names) + 1):
                     for subset in combinations(names, size):
                         per_predicate = containing.setdefault(subset, {})
-                        per_predicate[f.predicate] = per_predicate.get(f.predicate, 0) + 1
+                        per_predicate[predicate] = per_predicate.get(predicate, 0) + 1
         # inclusion-exclusion: pairs sharing a set of size s count with sign (-1)^(s+1)
         paths: dict[tuple[str, str, str], int] = {}
         for subset, per_predicate in containing.items():

@@ -2,20 +2,20 @@
 
 Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
-closed side into a :class:`MatchSide` once: closed facts as plain
-``(predicate, args)`` tuples, per-object per-predicate fact degrees and
-sorted names per kind.  It takes the facts as pairs, so a stored entry
-whose closure is read back from its file needs no :class:`Fact`.  A query
-side builds its plan once, on first use: object order, most-constrained
+closed side into a :class:`MatchSide` once: closed facts as the
+``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns,
+per-object per-predicate fact degrees and sorted names per kind.  A
+closure and a stored entry's closure read back from its file both arrive
+as pairs, so no side needs a :class:`~geokb.model.Fact`.  A query side
+builds its plan once, on first use: object order, most-constrained
 (highest degree) first, the degrees each object needs, and per step the
 facts whose last argument gets mapped there.  Per target only two things
 remain: keeping target objects of the right kind and enough degree, and
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  Relation nodes need no mapping:
 a fact is determined by its arguments.  An :class:`Embedding` keeps as its
-witness the canonical keys those checks computed, so confirming a match
-builds no :class:`Fact`; :attr:`Embedding.matched_facts` builds them on
-demand.
+witness the canonical pairs those checks computed, so confirming a match
+builds no fact object.
 
 Worst-case cost is exponential, so the search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
-from .model import CANONICAL_ARGS, Construction, Fact
+from .model import CANONICAL_ARGS, Construction, FactSet
 from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
@@ -46,18 +46,13 @@ class Embedding:
     ``mapping`` pairs query object names with target object names, sorted
     by query name.  ``facts`` is the witness: the target's closed facts
     covered by the mapped query facts (the part of the target to
-    highlight), kept as the canonical ``(predicate, args)`` keys the search
-    checked, in the shape of :attr:`MatchSide.facts`.
-    :attr:`matched_facts` gives them as :class:`Fact` objects.
+    highlight), kept as the canonical ``(predicate, args)`` pairs the search
+    checked, in the shape of :attr:`MatchSide.facts`; being pairs, they
+    compare equal to the same set of :class:`~geokb.model.Fact` objects.
     """
 
     mapping: tuple[tuple[str, str], ...]
-    facts: frozenset[tuple[str, tuple[str, ...]]]
-
-    @property
-    def matched_facts(self) -> frozenset[Fact]:
-        """The witness as facts, built on each access."""
-        return frozenset(Fact(predicate, args) for predicate, args in self.facts)
+    facts: FactSet
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
@@ -70,7 +65,7 @@ class MatchSide:
     :attr:`plan` once, on first use, and reuses it for every target."""
 
     kinds: Mapping[str, str]
-    facts: frozenset[tuple[str, tuple[str, ...]]]
+    facts: FactSet
     #: object name -> predicate -> closed facts naming the object
     degrees: Mapping[str, Mapping[str, int]]
     #: kind -> its object names, sorted
@@ -189,8 +184,8 @@ def find_embeddings(
     """Up to ``limit`` distinct embeddings of the closed query into the
     closed target, in lexicographic mapping order; empty iff none exist."""
     return embed_closed(
-        prepare(query.kinds, ((f.predicate, f.args) for f in closure(query, ruleset))),
-        prepare(target.kinds, ((f.predicate, f.args) for f in closure(target, ruleset))),
+        prepare(query.kinds, closure(query, ruleset)),
+        prepare(target.kinds, closure(target, ruleset)),
         limit,
         budget=budget,
     )

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ConstructionError
 
@@ -53,6 +53,8 @@ DISTINCT_ARG_PREDICATES = frozenset(
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\Z")
+#: facts as ``(predicate, args)`` pairs, the shape a closure returns
+FactSet = frozenset[tuple[str, tuple[str, ...]]]
 
 
 @dataclass(frozen=True, order=True)
@@ -63,9 +65,9 @@ class ObjectDecl:
     kind: str
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
-    """One predicate applied to object names, e.g. ``parallel(a, b)``."""
+class Fact(NamedTuple):
+    """One predicate applied to object names, e.g. ``parallel(a, b)``; it
+    equals its ``(predicate, args)`` pair and hashes the same."""
 
     predicate: str
     args: tuple[str, ...]
@@ -252,7 +254,7 @@ def serialize_construction(construction: Construction) -> str:
         f"{o.kind} {o.name}"
         for o in sorted(construction.objects, key=lambda o: (o.kind, o.name))
     ]
-    lines.extend(sorted(f.text for f in construction.facts))
+    lines.extend(sorted(fact_text(*f) for f in construction.facts))
     return "".join(line + "\n" for line in lines)
 
 
@@ -272,7 +274,7 @@ def validate(construction: Construction) -> list[Violation]:
         if decl.name in kinds:
             out.append(Violation(decl.name, "duplicate object name"))
         kinds[decl.name] = decl.kind
-    for f in sorted(construction.facts):
+    for f in sorted(map(Fact._make, construction.facts)):  # also takes a closure's plain pairs
         spec = PREDICATES.get(f.predicate)
         if spec is None:
             out.append(Violation(f.text, "unknown predicate"))

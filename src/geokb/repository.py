@@ -4,7 +4,7 @@ Each entry is one JSON document at ``<data>/entries/<identifier>.json``
 (written to a temp file and renamed, so an interrupted write leaves no
 partial entry).  Beside the entry's own members, a version-2 document
 caches the entry's whole analysis: ``Objects`` (name -> kind), ``Closure``
-(the closed facts in :attr:`~geokb.model.Fact.text` form, sorted) and
+(the closed facts in text form, ``predicate(a, b)``, sorted) and
 ``GTD`` (the fingerprint), under a ``Digest`` that also covers ``Code``,
 the format version, the rule set and the fingerprint depth.
 
@@ -288,7 +288,8 @@ class Repository:
 
     Reads and writes are serialized by one lock, which satisfies the
     many-readers-or-one-writer contract regardless of how callers thread
-    their connections.
+    their connections.  A request's analysis (parsing, closure and
+    fingerprint) reads no stored state, so it runs before the lock is taken.
     """
 
     def __init__(
@@ -386,7 +387,7 @@ class Repository:
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
-        side = prepare(construction.kinds, ((f.predicate, f.args) for f in closed))
+        side = prepare(construction.kinds, closed)
         return side, gtd(construction, closed, self._depth)
 
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
@@ -422,12 +423,11 @@ class Repository:
             raise StorageError(f"cannot persist {identifier}: {exc}") from exc
 
     def _next_identifier(self) -> str:
-        while self._next_number < 10_000:
+        while True:
             candidate = f"GEO{self._next_number:04d}"
             if candidate not in self._records and candidate not in self._quarantined:
                 return candidate
             self._next_number += 1
-        raise StorageError("identifier space GEO0001..GEO9999 is exhausted")
 
     # -- duplicate gate ----------------------------------------------------
 
@@ -470,9 +470,9 @@ class Repository:
         :class:`DuplicateReport` (and stores nothing) when an unforced
         insert collides with an equal or containing entry.
         """
+        _check_draft(draft)
+        side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
-            _check_draft(draft)
-            side, fingerprint = self._analyze(parse_construction(draft.code))
             if draft.identifier:
                 if draft.identifier in self._records or draft.identifier in self._quarantined:
                     raise IdentifierCollisionError(
@@ -496,13 +496,13 @@ class Repository:
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
         """Replace an entry's fields; the identifier itself cannot change."""
+        _check_draft(draft)
+        side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if identifier not in self._records:
                 raise NotFoundError(f"no entry {identifier!r}")
             if draft.identifier and draft.identifier != identifier:
                 raise IdentifierCollisionError("an entry's identifier cannot change")
-            _check_draft(draft)
-            side, fingerprint = self._analyze(parse_construction(draft.code))
             self._store(replace(draft, identifier=identifier), side, fingerprint)
 
     # -- queries -----------------------------------------------------------
@@ -515,6 +515,7 @@ class Repository:
                 raise NotFoundError(f"no entry {identifier!r}") from None
 
     def list_all(self) -> list[str]:
+        """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""
         with self._lock:
             return sorted(self._records)
 
@@ -543,15 +544,16 @@ class Repository:
         confirm: bool = True,
     ) -> list[tuple[str, Embedding | None]]:
         """Entries whose cached fingerprint dominates the query's, in
-        ascending identifier order.
+        ascending string order of identifiers (``GEO10000`` sorts between
+        ``GEO1000`` and ``GEO1001``).
 
         With ``confirm`` the candidates are checked by exact embedding and
         non-matches dropped; candidates whose check exhausts the match
         budget are dropped with a logged warning.
         """
+        closed = closure(query, self._rules)
+        fingerprint = gtd(query, closed, self._depth)
         with self._lock:
-            closed = closure(query, self._rules)
-            fingerprint = gtd(query, closed, self._depth)
             side = None
             results: list[tuple[str, Embedding | None]] = []
             for identifier, record in sorted(self._records.items()):
@@ -563,7 +565,7 @@ class Repository:
                     results.append((identifier, None))
                     continue
                 if side is None:
-                    side = prepare(query.kinds, ((f.predicate, f.args) for f in closed))
+                    side = prepare(query.kinds, closed)
                 try:
                     found = embed_closed(side, record.side, 1, budget=self._budget)
                 except SearchBudgetExceeded:

@@ -35,14 +35,12 @@ from importlib import resources
 from operator import itemgetter
 
 from .errors import ConstructionError, RuleError
-from .model import CANONICAL_ARGS, PREDICATES, Construction, Fact, argument_variants, normalize_fact
+from .model import CANONICAL_ARGS, PREDICATES, Construction, Fact, FactSet, argument_variants, normalize_fact
 
 try:  # the interpreter's own SHA-256; importing hashlib loads OpenSSL, 3-4 MB resident
     from _sha256 import sha256
 except ImportError:  # renamed _sha2 in CPython 3.12
     from hashlib import sha256
-
-FactSet = frozenset[Fact]
 
 _VAR_RE = re.compile(r"\?([A-Za-z][A-Za-z0-9_]*)\Z")
 _ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\Z")
@@ -236,13 +234,14 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     """Least fact set containing the construction's facts and closed under
     the rules, by indexed semi-naive evaluation (see the module docstring).
     The result does not depend on rule order or fact iteration order, and
-    every returned fact is canonical.
+    every returned fact is a canonical ``(predicate, args)`` pair, not a :class:`Fact`.
     """
     plans = ruleset._plans
     body_predicates = {plan[0] for plan in plans}
     index: dict[tuple, list[tuple[int, tuple[str, ...]]]] = defaultdict(list)
     known: set[tuple[str, tuple[str, ...]]] = set()
-    fresh = {(f.predicate, f.args) for f in map(normalize_fact, construction.facts)}
+    fresh = {(predicate, CANONICAL_ARGS[predicate](args) if predicate in CANONICAL_ARGS else args)
+             for predicate, args in construction.facts}
     current = 0
 
     def join(steps, k, candidates, binding, head):
@@ -283,7 +282,8 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
         for predicate, steps, slots, head in plans:
             if predicate in delta:
                 join(steps, 0, delta[predicate], [""] * slots, head)
-    return frozenset(Fact(predicate, args) for predicate, args in known)
+    del join  # it refers to itself; unbound, the index is freed without the cyclic collector
+    return frozenset(known)
 
 
 def entails(construction: Construction, ruleset: RuleSet, f: Fact) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations, product
 
-from geokb.model import Construction, Fact, KINDS, PREDICATES, normalize_fact
+from geokb.model import Construction, Fact, FactSet, KINDS, PREDICATES, normalize_fact
 from geokb.rules import RuleSet, closure
 
 
@@ -75,18 +75,18 @@ def naive_closure(construction: Construction, ruleset: RuleSet) -> frozenset[Fac
     return frozenset(facts)
 
 
-def pairwise_gtd(construction: Construction, closed: frozenset[Fact], depth: int) -> dict[str, int]:
+def pairwise_gtd(construction: Construction, closed: FactSet, depth: int) -> dict[str, int]:
     """GTD counts straight from the definition: objects by kind, facts by
     predicate and, at depth 2, every unordered pair of distinct closed
-    facts once per kind of the objects they share."""
+    ``(predicate, args)`` facts once per kind of the objects they share."""
     kind_of = {o.name: o.kind for o in construction.objects}
     counts = Counter(f"kind:{o.kind}" for o in construction.objects)
     if depth >= 1:
-        counts.update(f"rel:{f.predicate}" for f in closed)
+        counts.update(f"rel:{predicate}" for predicate, _ in closed)
     if depth >= 2:
-        for f, g in combinations(sorted(closed), 2):
-            p1, p2 = sorted((f.predicate, g.predicate))
-            for kind in {kind_of[name] for name in set(f.args) & set(g.args)}:
+        for (pf, af), (pg, ag) in combinations(sorted(closed), 2):
+            p1, p2 = sorted((pf, pg))
+            for kind in {kind_of[name] for name in set(af) & set(ag)}:
                 counts[f"path:{p1}-{kind}-{p2}"] += 1
     return dict(counts)
 
@@ -114,8 +114,8 @@ def brute_force_mappings(
         for (q_names, _), chosen in zip(per_kind, choice):
             mapping.update(zip(q_names, chosen))
         ok = all(
-            normalize_fact(Fact(f.predicate, tuple(mapping[a] for a in f.args))) in closed_t
-            for f in closed_q
+            normalize_fact(Fact(predicate, tuple(mapping[a] for a in args))) in closed_t
+            for predicate, args in closed_q
         )
         if ok:
             found.append(mapping)

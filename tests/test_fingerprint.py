@@ -119,13 +119,12 @@ def test_gtd_depth2_path_counts_match_pair_enumeration(rules):
     fingerprint = gtd(c, closed, 2)
 
     # independent enumeration over closed fact pairs
-    facts = sorted(closed, key=lambda f: f.text)
     kind_of = c.kinds
     expected: dict[str, int] = {}
-    for f, g in combinations(facts, 2):
-        shared = set(f.args) & set(g.args)
+    for (pf, af), (pg, ag) in combinations(sorted(closed), 2):
+        shared = set(af) & set(ag)
         for kind in {kind_of[n] for n in shared}:
-            p1, p2 = sorted((f.predicate, g.predicate))
+            p1, p2 = sorted((pf, pg))
             key = f"path:{p1}-{kind}-{p2}"
             expected[key] = expected.get(key, 0) + 1
     paths = {k: v for k, v in fingerprint.counts.items() if k.startswith("path:")}

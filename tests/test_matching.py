@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from geokb import matching
+import geokb.rules as rules_module
+from geokb import fingerprint, matching, model, repository
 from geokb.errors import SearchBudgetExceeded
-from geokb.fingerprint import construction_gtd, gtd_subsumes
+from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes
 from geokb.matching import Embedding, embed_closed, find_embeddings, is_subconstruction, prepare
 from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
-from geokb.repository import DuplicateReport, ProblemEntry
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -67,13 +67,12 @@ def test_matched_facts_cover_the_mapped_closure(rules):
     embedding = is_subconstruction(q, t, rules)
     assert embedding is not None
     closed_t = closure(t, rules)
-    assert embedding.matched_facts <= closed_t
+    assert embedding.facts <= closed_t
     mapping = embedding.as_dict()
     expected = {
-        fact(f.predicate, *(mapping[a] for a in f.args)) for f in closure(q, rules)
+        fact(predicate, *(mapping[a] for a in args)) for predicate, args in closure(q, rules)
     }
-    assert embedding.matched_facts == expected
-    assert embedding.facts == {(f.predicate, f.args) for f in expected}
+    assert embedding.facts == expected
 
 
 def test_matching_sees_closed_facts_not_raw_ones(rules):
@@ -100,7 +99,7 @@ def test_limit_must_be_positive(rules):
 
 
 def _side(construction, rules):
-    return prepare(construction.kinds, ((f.predicate, f.args) for f in closure(construction, rules)))
+    return prepare(construction.kinds, closure(construction, rules))
 
 
 def test_embedding_search_leaves_no_cyclic_garbage(rules):
@@ -131,19 +130,25 @@ def test_embedding_search_leaves_no_cyclic_garbage(rules):
         gc.enable()
 
 
-def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, monkeypatch):
+def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules, monkeypatch):
+    """Closed facts stay pairs from closure to confirmation: only parsing
+    and ``entails`` build a Fact, and both happen outside this test's path."""
     def no_fact(*args):
-        raise AssertionError("the matcher built a Fact")
+        raise AssertionError("the analysis core built a Fact")
 
-    monkeypatch.setattr(matching, "Fact", no_fact)
-    hits = fresh_seeded_repo.geometric_query(bare_triangle(), confirm=True)
-    assert len(hits) > 1 and all(embedding.facts for _, embedding in hits)
-    copy = ProblemEntry(name="Ceva again", code=_CORPUS_CODE["GEO_CEVA"])
-    report = fresh_seeded_repo.insert(copy)
-    assert isinstance(report, DuplicateReport) and "GEO_CEVA" in report.exact_duplicates
-    extension = _CORPUS_CODE["GEO_CEVA"] + "point Z9\npoint Z8\ncircle z7\ncircle_centered(z7, Z9, Z8)\n"
-    identifier = fresh_seeded_repo.insert(ProblemEntry(name="Ceva extended", code=extension))
-    assert isinstance(identifier, str) and fresh_seeded_repo.get(identifier).name == "Ceva extended"
+    for module in (fingerprint, matching, repository):
+        assert not hasattr(module, "Fact")
+    ceva, triangle = parse_construction(_CORPUS_CODE["GEO_CEVA"]), bare_triangle()
+    monkeypatch.setattr(model, "Fact", no_fact)
+    monkeypatch.setattr(rules_module, "Fact", no_fact)  # bound there for entails only
+    closed = closure(ceva, rules)
+    assert closed and all(type(f) is tuple for f in closed)
+    assert gtd(ceva, closed, 2) == construction_gtd(ceva, rules)
+    assert prepare(ceva.kinds, closed).facts == closed
+    hits = fresh_seeded_repo.geometric_query(triangle, confirm=True)
+    assert len(hits) > 1 and all(type(f) is tuple for _, embedding in hits for f in embedding.facts)
+    report = fresh_seeded_repo.find_duplicates(ceva)
+    assert "GEO_CEVA" in report.exact_duplicates
 
 
 # -- oracle agreement --------------------------------------------------------------

@@ -15,11 +15,10 @@ from geokb.errors import (
     FilterError,
     IdentifierCollisionError,
     NotFoundError,
-    StorageError,
 )
 from geokb.fingerprint import construction_gtd, gtd, serialize_gtd
 from geokb.matching import find_embeddings
-from geokb.model import parse_construction, serialize_construction
+from geokb.model import fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
 from geokb.repository import (
     DuplicateReport,
@@ -147,15 +146,21 @@ def test_insert_assigns_gap_left_before_an_explicit_identifier(tmp_path):
     assert Repository(repo.data_dir).insert(circle, force=True) == "GEO0006"
 
 
-def test_identifier_space_ends_at_geo9999(tmp_path):
+def test_identifiers_continue_past_geo9999_across_a_reload(tmp_path):
     repo = Repository(tmp_path / "data")
     repo._next_number = 9998  # as if GEO0001..GEO9997 were taken; filling them takes seconds
     circle = ProblemEntry(name="Circle", code="circle k\n", kind="construction", level=1)
-    assert repo.insert(circle, force=True) == "GEO9998"
-    assert repo.insert(circle, force=True) == "GEO9999"
-    with pytest.raises(StorageError, match="GEO0001..GEO9999 is exhausted"):
-        repo.insert(circle, force=True)
-    assert len(repo) == 2
+    assert [repo.insert(circle, force=True) for _ in range(3)] == ["GEO9998", "GEO9999", "GEO10000"]
+    assert repo.insert(replace(circle, identifier="GEO10002"), force=True) == "GEO10002"
+    assert repo.insert(circle, force=True) == "GEO10001"
+    reloaded = Repository(repo.data_dir)
+    in_string_order = ["GEO10000", "GEO10001", "GEO10002", "GEO9998", "GEO9999"]
+    assert reloaded.list_all() == in_string_order
+    assert [i for i, _ in reloaded.geometric_query(parse_construction("circle k"))] == in_string_order
+    assert reloaded.get("GEO10001") == repo.get("GEO10001")
+    reloaded._next_number = 9998  # the lowest unused number at or above it
+    assert reloaded.insert(circle, force=True) == "GEO10003"
+    assert Repository(repo.data_dir).list_all() == sorted(in_string_order + ["GEO10003"])
 
 
 def test_insert_into_seeded_corpus_skips_taken_numbers(fresh_seeded_repo):
@@ -549,7 +554,7 @@ def test_entry_files_have_documented_shape(fresh_seeded_repo):
     construction = parse_construction(doc["Code"])  # code member parses
     assert doc["Objects"] == construction.kinds
     closed = closure(construction, fresh_seeded_repo.ruleset)
-    assert doc["Closure"] == sorted(f.text for f in closed)
+    assert doc["Closure"] == sorted(fact_text(predicate, args) for predicate, args in closed)
     assert doc["GTD"] == serialize_gtd(gtd(construction, closed, 2))
     members = [2, fresh_seeded_repo.ruleset.digest, 2, doc["Code"], doc["Objects"], doc["Closure"], doc["GTD"]]
     rendered = json.dumps(members, separators=(",", ":")).encode("ascii")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
+from geokb.corpus import ENTRIES
 from geokb.errors import ConstructionError, RuleError
-from geokb.model import Construction, Fact, fact, parse_construction
+from geokb.model import Construction, Fact, fact, parse_construction, serialize_construction, validate
 from geokb.rules import RuleSet, closure, default_rules, entails, load_rules
 
 from generators import bare_triangle, collinear_points, parallel_chain, random_construction
@@ -242,3 +244,28 @@ def test_closure_equals_naive_oracle_with_scans_and_repeated_variables():
     for _ in range(40):
         c = random_construction(rng, max_points=4, max_lines=2, max_circles=1, max_facts=8)
         assert closure(c, custom) == naive_closure(c, custom)
+
+
+def test_a_closed_construction_validates_and_round_trips_through_text(rules):
+    c = parse_construction("point A\npoint B\npoint M\nline a\nline_through(a, A, B)\nmidpoint(M, A, B)")
+    closed = Construction(c.objects, closure(c, rules))  # (predicate, args) pairs, not Facts
+    assert len(closed.facts) > len(c.facts)
+    assert validate(closed) == []
+    assert parse_construction(serialize_construction(closed)) == closed
+
+
+def test_closure_leaves_no_cyclic_garbage(rules):
+    """Reference counting alone frees what a closure allocates, its join
+    index included."""
+    figures = [parallel_chain(5), collinear_points(8), *(parse_construction(e.code) for e in ENTRIES)]
+    for figure in figures:
+        closure(figure, rules)  # builds the rule set's join plans before counting
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for figure in figures:
+                assert closure(figure, rules)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -185,6 +186,27 @@ def test_concurrent_clients(server):
         t.join()
     assert errors == []
     assert len(results) == 8
+
+
+def test_text_query_does_not_wait_for_a_long_geometric_query(server):
+    # the closure of a 120-line parallel chain takes seconds; it runs before
+    # the repository lock is taken, so a text query meanwhile is answered at once
+    chain = "".join(f"line l{i}\n" for i in range(120))
+    chain += "".join(f"parallel(l{i}, l{i + 1})\n" for i in range(119))
+    slow: list[object] = []
+    thread = threading.Thread(target=lambda: slow.append(client_query(
+        server.host, server.port, QueryRequest(geometric=chain, confirm=False), timeout=120)))
+    thread.start()
+    time.sleep(0.3)
+    start = time.perf_counter()
+    response = client_query(server.host, server.port, QueryRequest(query="ceva"))
+    elapsed = time.perf_counter() - start
+    assert thread.is_alive()  # the geometric query was still running
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert [identifier for identifier, _ in response.entries] == ["GEO_CEVA"]
+    assert isinstance(slow[0], QueryResult) and slow[0].entries == ()
+    assert elapsed < 0.1, f"text query took {elapsed * 1000:.0f} ms"
 
 
 def test_listen_backlog_holds_a_burst_of_clients(server):
