@@ -68,7 +68,7 @@ from .repository import (
 )
 from .rules import FactSet, Rule, RuleSet, closure, default_rules, entails, load_rules
 from .server import GeoServer, serve
-from .textindex import IndexedEntry, SearchHit, TextIndex
+from .textindex import SearchHit
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "GeoServer",
     "Gtd",
     "IdentifierCollisionError",
-    "IndexedEntry",
     "InsertResult",
     "KINDS",
     "NotFoundError",
@@ -110,7 +109,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "SearchHit",
     "StorageError",
-    "TextIndex",
     "TransportError",
     "Violation",
     "client_query",

@@ -17,15 +17,18 @@ skipped with an error log and left on disk, and its identifier stays
 taken.  :meth:`Repository.check_cache_coherence` is the full check: it
 compares every record with an analysis of its code.
 
-In memory each entry has one record, built the same way by loading,
-inserting and updating: the entry, its closed construction prepared for
-matching (:func:`~geokb.matching.prepare`) and its fingerprint.
+In memory each entry has one immutable record, built the same way by
+loading, inserting and updating: the entry, its closed construction
+prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint
+and its text terms (:func:`~geokb.textindex.terms`).  The records sit in
+one dict that is replaced whole on every write and never mutated once
+published, so a reader takes it with one attribute read and no lock.
 
-Queries come in two families.  Text queries delegate to the in-memory
-text index and then apply filters.  Geometric queries close and
-fingerprint the query construction, keep the entries whose cached
-fingerprint dominates it, and optionally confirm each candidate by exact
-embedding search, attaching the witness mapping; the query is prepared
+Queries come in two families.  Text queries search the records' names or
+terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
+close and fingerprint the query construction, keep the entries whose
+cached fingerprint dominates it, and optionally confirm each candidate by
+exact embedding search, attaching the witness mapping; the query is prepared
 for matching only once a candidate passes the filter.
 
 Inserts pass through a duplicate gate: unless forced, a draft that is
@@ -42,6 +45,7 @@ import logging
 import os
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,7 +62,7 @@ from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, pa
 from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
-from .textindex import IndexedEntry, TextIndex
+from . import textindex
 
 log = logging.getLogger(__name__)
 
@@ -74,11 +78,14 @@ ENTRY_KINDS = ("construction", "conjecture")
 IDENTIFIER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*\Z")
 
 
-@dataclass(frozen=True)
+# slots: text search reads a field of every record and its entry per
+# query, and an instance with a __dict__ keeps its fields in a separate block
+@dataclass(frozen=True, slots=True)
 class ProblemEntry:
-    """One repository record.  ``identifier`` may be left empty in drafts
-    passed to :meth:`Repository.insert`, which then assigns the lowest
-    unused ``GEO####``; ``gtd_cache`` is always computed by the store."""
+    """One problem as a client sees it.  ``identifier`` may be left empty
+    in drafts passed to :meth:`Repository.insert`, which then assigns the
+    lowest unused ``GEO####``.  The store derives everything else it keeps
+    of an entry (closure, fingerprint, text terms) from these fields."""
 
     identifier: str = ""
     name: str = ""
@@ -89,16 +96,17 @@ class ProblemEntry:
     language: str = "en"
     level: int = 3
     kind: str = "construction"
-    gtd_cache: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Record:
-    """What the store keeps of one entry in memory."""
+    """What the store keeps of one entry in memory; never changed once built."""
 
     entry: ProblemEntry
     side: MatchSide
     fingerprint: Gtd
+    #: token counts per text field, for :mod:`~geokb.textindex`
+    terms: dict[str, Counter[str]]
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
         "Language": entry.language,
         "Level": entry.level,
         "Kind": entry.kind,
-        "GTD": entry.gtd_cache,
+        "GTD": serialize_gtd(record.fingerprint),
         "Objects": dict(sorted(record.side.kinds.items())),
         "Closure": sorted(fact_text(predicate, args) for predicate, args in record.side.facts),
         "Digest": "",  # set below; the placeholder keeps the member order
@@ -247,7 +255,6 @@ def document_to_entry(doc: dict) -> ProblemEntry:
             language=doc.get("Language", "en"),
             level=doc.get("Level", 3),
             kind=doc.get("Kind", "construction"),
-            gtd_cache=doc.get("GTD", ""),
         )
     except KeyError as exc:
         raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
@@ -284,12 +291,16 @@ def _check_draft(entry: ProblemEntry) -> None:
 
 class Repository:
     """Persistent entry store bound to a data directory, holding one
-    record per entry: the entry, its matching side and its fingerprint.
+    immutable record per entry: the entry, its matching side, its
+    fingerprint and its text terms.
 
-    Reads and writes are serialized by one lock, which satisfies the
-    many-readers-or-one-writer contract regardless of how callers thread
-    their connections.  A request's analysis (parsing, closure and
-    fingerprint) reads no stored state, so it runs before the lock is taken.
+    Readers take no lock: each query reads ``_records`` once and works on
+    that snapshot, which no one mutates.  Writers (:meth:`insert` and
+    :meth:`update`) hold one lock from the identifier and duplicate checks
+    to publishing a new dict with their record, so two writers never pass
+    the gate on the same state, and a reader sees all of a write or none of
+    it.  A request's analysis (parsing, closure and fingerprint) reads no
+    stored state, so it runs before the lock is taken.
     """
 
     def __init__(
@@ -307,13 +318,14 @@ class Repository:
         self._rules = default_rules() if ruleset is None else ruleset
         self._depth = gtd_depth
         self._budget = match_budget
-        self._lock = threading.RLock()
+        #: held by writers only
+        self._lock = threading.Lock()
+        #: replaced whole by each write, never mutated once published
         self._records: dict[str, _Record] = {}
         #: stems of entry files that failed to load; never reused
         self._quarantined: set[str] = set()
         #: every GEO#### below it is taken; entries are never deleted
         self._next_number = 1
-        self._index = TextIndex()
         self._load()
 
     # -- properties ------------------------------------------------------
@@ -336,6 +348,7 @@ class Repository:
     # -- loading and persistence -----------------------------------------
 
     def _load(self) -> None:
+        records: dict[str, _Record] = {}
         for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
                 continue  # leftover temp files from interrupted writes
@@ -350,9 +363,9 @@ class Repository:
                 continue
             if record is None:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
-                self._store(entry, side, fingerprint)
-            else:
-                self._register(record)
+                record = self._store(entry, side, fingerprint)
+            records[entry.identifier] = record
+        self._records = records
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
         try:
@@ -378,38 +391,24 @@ class Repository:
             return None
         closed = _read_closure(doc.get("Closure"), {name: name for name in objects})
         try:
-            fingerprint = parse_gtd(entry.gtd_cache)
+            fingerprint = parse_gtd(doc.get("GTD", ""))
         except ValueError:
             return None
         if closed is None or fingerprint.depth != self._depth:
             return None
-        return _Record(entry, prepare(objects, closed), fingerprint)
+        return _Record(entry, prepare(objects, closed), fingerprint, textindex.terms(entry))
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
         side = prepare(construction.kinds, closed)
         return side, gtd(construction, closed, self._depth)
 
-    def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
-        """Make an analysed entry its identifier's record, on disk and in memory."""
-        entry = replace(entry, keywords=tuple(entry.keywords), gtd_cache=serialize_gtd(fingerprint))
-        record = _Record(entry, side, fingerprint)
+    def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
+        """The record of an analysed entry, written to its entry file."""
+        entry = replace(entry, keywords=tuple(entry.keywords))
+        record = _Record(entry, side, fingerprint, textindex.terms(entry))
         self._write(record)
-        self._register(record)
-
-    def _register(self, record: _Record) -> None:
-        entry = record.entry
-        identifier = entry.identifier
-        self._records[identifier] = record
-        self._index.index_entry(
-            IndexedEntry(
-                identifier=identifier,
-                name=entry.name,
-                description=entry.description,
-                short_description=entry.short_description,
-                keywords=entry.keywords,
-            )
-        )
+        return record
 
     def _write(self, record: _Record) -> None:
         identifier = record.entry.identifier
@@ -440,8 +439,7 @@ class Repository:
 
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against every stored entry."""
-        with self._lock:
-            return self._find_duplicates(*self._analyze(construction))
+        return self._find_duplicates(*self._analyze(construction))
 
     def _find_duplicates(self, side: MatchSide, fingerprint: Gtd) -> DuplicateReport:
         exact: list[str] = []
@@ -491,7 +489,8 @@ class Repository:
                         identifier,
                         ", ".join(report.contained_entries),
                     )
-            self._store(replace(draft, identifier=identifier), side, fingerprint)
+            record = self._store(replace(draft, identifier=identifier), side, fingerprint)
+            self._records = {**self._records, identifier: record}
             return identifier
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
@@ -503,21 +502,20 @@ class Repository:
                 raise NotFoundError(f"no entry {identifier!r}")
             if draft.identifier and draft.identifier != identifier:
                 raise IdentifierCollisionError("an entry's identifier cannot change")
-            self._store(replace(draft, identifier=identifier), side, fingerprint)
+            record = self._store(replace(draft, identifier=identifier), side, fingerprint)
+            self._records = {**self._records, identifier: record}
 
     # -- queries -----------------------------------------------------------
 
     def get(self, identifier: str) -> ProblemEntry:
-        with self._lock:
-            try:
-                return self._records[identifier].entry
-            except KeyError:
-                raise NotFoundError(f"no entry {identifier!r}") from None
+        try:
+            return self._records[identifier].entry
+        except KeyError:
+            raise NotFoundError(f"no entry {identifier!r}") from None
 
     def list_all(self) -> list[str]:
         """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""
-        with self._lock:
-            return sorted(self._records)
+        return sorted(self._records)
 
     def construction_of(self, identifier: str) -> Construction:
         """The entry's construction, parsed again from its code."""
@@ -528,14 +526,14 @@ class Repository:
     ) -> list[str]:
         """Identifiers matching a text query, filtered; simple mode is
         ordered by identifier, extended mode by score."""
-        with self._lock:
-            if mode == "simple":
-                identifiers = self._index.simple_search(text)
-            elif mode == "extended":
-                identifiers = [h.identifier for h in self._index.extended_search(text)]
-            else:
-                raise ValueError(f"mode must be 'simple' or 'extended', got {mode!r}")
-            return [i for i in identifiers if filters.matches(self._records[i].entry)]
+        records = self._records
+        if mode == "simple":
+            identifiers = textindex.simple_search(text, records)
+        elif mode == "extended":
+            identifiers = [h.identifier for h in textindex.extended_search(text, records)]
+        else:
+            raise ValueError(f"mode must be 'simple' or 'extended', got {mode!r}")
+        return [i for i in identifiers if filters.matches(records[i].entry)]
 
     def geometric_query(
         self,
@@ -553,46 +551,45 @@ class Repository:
         """
         closed = closure(query, self._rules)
         fingerprint = gtd(query, closed, self._depth)
-        with self._lock:
-            side = None
-            results: list[tuple[str, Embedding | None]] = []
-            for identifier, record in sorted(self._records.items()):
-                if not filters.matches(record.entry):
-                    continue
-                if not gtd_subsumes(record.fingerprint, fingerprint):
-                    continue
-                if not confirm:
-                    results.append((identifier, None))
-                    continue
-                if side is None:
-                    side = prepare(query.kinds, closed)
-                try:
-                    found = embed_closed(side, record.side, 1, budget=self._budget)
-                except SearchBudgetExceeded:
-                    log.warning(
-                        "match budget exhausted for %s; dropped from confirmed results",
-                        identifier,
-                    )
-                    continue
-                if found:
-                    results.append((identifier, found[0]))
-            return results
+        side = None
+        results: list[tuple[str, Embedding | None]] = []
+        for identifier, record in sorted(self._records.items()):
+            if not filters.matches(record.entry):
+                continue
+            if not gtd_subsumes(record.fingerprint, fingerprint):
+                continue
+            if not confirm:
+                results.append((identifier, None))
+                continue
+            if side is None:
+                side = prepare(query.kinds, closed)
+            try:
+                found = embed_closed(side, record.side, 1, budget=self._budget)
+            except SearchBudgetExceeded:
+                log.warning(
+                    "match budget exhausted for %s; dropped from confirmed results",
+                    identifier,
+                )
+                continue
+            if found:
+                results.append((identifier, found[0]))
+        return results
 
     def check_cache_coherence(self) -> list[str]:
-        """Identifiers whose record (kinds, closed facts, fingerprint and its
-        cached text) disagrees with a fresh analysis of the entry's code, or
-        whose code no longer parses; always empty unless entry files were
-        edited behind the repository's back."""
-        with self._lock:
-            stale = []
-            for identifier, record in sorted(self._records.items()):
-                try:
-                    side, fingerprint = self._analyze(parse_construction(record.entry.code))
-                except ConstructionError:
-                    stale.append(identifier)
-                    continue
-                if (side.kinds, side.facts, fingerprint, serialize_gtd(fingerprint)) != (
-                    record.side.kinds, record.side.facts, record.fingerprint, record.entry.gtd_cache
-                ):
-                    stale.append(identifier)
-            return stale
+        """Identifiers whose record (kinds, closed facts, fingerprint and the
+        order of its keys) disagrees with a fresh analysis of the entry's
+        code, or whose code no longer parses; always empty unless entry
+        files were edited behind the repository's back."""
+        stale = []
+        for identifier, record in sorted(self._records.items()):
+            try:
+                side, fingerprint = self._analyze(parse_construction(record.entry.code))
+            except ConstructionError:
+                stale.append(identifier)
+                continue
+            if (side.kinds, side.facts, fingerprint.depth, list(fingerprint.counts.items())) != (
+                record.side.kinds, record.side.facts, record.fingerprint.depth,
+                list(record.fingerprint.counts.items()),
+            ):
+                stale.append(identifier)
+        return stale

@@ -1,4 +1,4 @@
-"""In-memory text search over entry metadata.
+"""Text search over entry metadata.
 
 Two query styles: ``simple_search`` runs a case-insensitive regular
 expression over the name field only (substring match unless the pattern
@@ -6,9 +6,10 @@ uses ``^``/``$``), while ``extended_search`` tokenizes the query and scores
 entries across name, keywords, shortDescription and description with
 OR semantics and field-weighted term frequency.
 
-The index is volatile: repositories rebuild it from persisted entries at
-startup.  Many concurrent readers or one writer; callers serialize
-mutations.
+Both search a mapping of identifier -> record, where a record has the
+``entry`` itself and the ``terms`` that :func:`terms` counted for it once,
+when the record was built.  Searching only reads the records, so any
+number of threads may search the same mapping.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
-from .errors import NotFoundError, PatternError
+from .errors import PatternError
 
 #: score weight per field for extended search
 FIELD_WEIGHTS = {"name": 4, "keywords": 3, "shortDescription": 2, "description": 1}
@@ -30,13 +32,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class IndexedEntry:
-    identifier: str
-    name: str
-    description: str = ""
-    short_description: str = ""
-    keywords: tuple[str, ...] = ()
+def terms(entry) -> dict[str, Counter[str]]:
+    """Token counts of an entry's name, keywords and descriptions, per
+    :data:`FIELD_WEIGHTS` field."""
+    return {
+        "name": Counter(tokenize(entry.name)),
+        "keywords": Counter(t for k in entry.keywords for t in tokenize(k)),
+        "shortDescription": Counter(tokenize(entry.short_description)),
+        "description": Counter(tokenize(entry.description)),
+    }
 
 
 @dataclass(frozen=True)
@@ -46,60 +50,30 @@ class SearchHit:
     matched_fields: frozenset[str]
 
 
-class TextIndex:
-    def __init__(self, field_weights: dict[str, int] | None = None):
-        self._weights = dict(FIELD_WEIGHTS if field_weights is None else field_weights)
-        self._entries: dict[str, IndexedEntry] = {}
-        self._tokens: dict[str, dict[str, Counter[str]]] = {}
+def simple_search(pattern: str, records: Mapping) -> list[str]:
+    """Identifiers whose name matches the pattern, sorted."""
+    try:
+        rx = re.compile(pattern, re.IGNORECASE)
+    except re.error as exc:
+        raise PatternError(f"invalid pattern {pattern!r}: {exc}") from exc
+    return sorted(i for i, record in records.items() if rx.search(record.entry.name))
 
-    def __len__(self) -> int:
-        return len(self._entries)
 
-    def __contains__(self, identifier: str) -> bool:
-        return identifier in self._entries
-
-    def identifiers(self) -> list[str]:
-        return sorted(self._entries)
-
-    def index_entry(self, entry: IndexedEntry) -> None:
-        """Add or replace; re-indexing an identifier overwrites it."""
-        self._entries[entry.identifier] = entry
-        self._tokens[entry.identifier] = {
-            "name": Counter(tokenize(entry.name)),
-            "keywords": Counter(t for k in entry.keywords for t in tokenize(k)),
-            "shortDescription": Counter(tokenize(entry.short_description)),
-            "description": Counter(tokenize(entry.description)),
-        }
-
-    def remove_entry(self, identifier: str) -> None:
-        if identifier not in self._entries:
-            raise NotFoundError(f"no indexed entry {identifier!r}")
-        del self._entries[identifier]
-        del self._tokens[identifier]
-
-    def simple_search(self, pattern: str) -> list[str]:
-        """Identifiers whose name matches the pattern, sorted."""
-        try:
-            rx = re.compile(pattern, re.IGNORECASE)
-        except re.error as exc:
-            raise PatternError(f"invalid pattern {pattern!r}: {exc}") from exc
-        return sorted(i for i, e in self._entries.items() if rx.search(e.name))
-
-    def extended_search(self, query: str) -> list[SearchHit]:
-        """Hits with positive field-weighted term-frequency score, best first."""
-        tokens = tokenize(query)
-        if not tokens:
-            return []
-        hits: list[SearchHit] = []
-        for identifier, fields in self._tokens.items():
-            score = 0
-            matched: set[str] = set()
-            for field, counter in fields.items():
-                raw = sum(counter[t] for t in tokens)
-                if raw:
-                    score += raw * self._weights[field]
-                    matched.add(field)
-            if score:
-                hits.append(SearchHit(identifier, score, frozenset(matched)))
-        hits.sort(key=lambda h: (-h.score, h.identifier))
-        return hits
+def extended_search(query: str, records: Mapping) -> list[SearchHit]:
+    """Hits with positive field-weighted term-frequency score, best first."""
+    tokens = tokenize(query)
+    if not tokens:
+        return []
+    hits: list[SearchHit] = []
+    for identifier, record in records.items():
+        score = 0
+        matched: set[str] = set()
+        for field, counter in record.terms.items():
+            raw = sum(counter[t] for t in tokens)
+            if raw:
+                score += raw * FIELD_WEIGHTS[field]
+                matched.add(field)
+        if score:
+            hits.append(SearchHit(identifier, score, frozenset(matched)))
+    hits.sort(key=lambda h: (-h.score, h.identifier))
+    return hits

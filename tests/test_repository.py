@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -105,10 +106,15 @@ def test_corpus_seeds_cleanly(seeded_repo):
     assert {"GEO_CEVA", "GEO0281", "GEO0328"} <= set(seeded_repo.list_all())
 
 
+def _entry_document(repo: Repository, identifier: str) -> dict:
+    path = repo.data_dir / "entries" / f"{identifier}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_get_returns_equal_entry(fresh_seeded_repo):
     entry = fresh_seeded_repo.get("GEO0281")
     assert entry.name == "Incircle of a Triangle"
-    assert entry.gtd_cache.startswith("depth=2 ")
+    assert _entry_document(fresh_seeded_repo, "GEO0281")["GTD"].startswith("depth=2 ")
     with pytest.raises(NotFoundError):
         fresh_seeded_repo.get("GEO9999")
 
@@ -120,7 +126,7 @@ def test_cache_coherence_on_seeded_corpus(seeded_repo):
         recomputed = construction_gtd(
             parse_construction(entry.code), seeded_repo.ruleset, seeded_repo.gtd_depth
         )
-        assert serialize_gtd(recomputed) == entry.gtd_cache
+        assert serialize_gtd(recomputed) == _entry_document(seeded_repo, identifier)["GTD"]
 
 
 def test_insert_assigns_lowest_unused_identifier(tmp_path):
@@ -447,13 +453,14 @@ def test_interrupted_insert_leaves_no_trace(fresh_seeded_repo):
 def test_stale_cache_is_repaired_on_startup(fresh_seeded_repo, caplog):
     path = fresh_seeded_repo.data_dir / "entries" / "GEO0281.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
+    stored = doc["GTD"]
     doc["GTD"] = "depth=2 kind:point=99"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with caplog.at_level("WARNING"):
         reloaded = Repository(fresh_seeded_repo.data_dir)
     assert "refreshing stale fingerprint cache" in caplog.text
     assert reloaded.check_cache_coherence() == []
-    assert reloaded.get("GEO0281").gtd_cache == fresh_seeded_repo.get("GEO0281").gtd_cache
+    assert _entry_document(reloaded, "GEO0281")["GTD"] == stored
 
 
 def test_corrupt_entry_file_is_quarantined(fresh_seeded_repo, caplog):
@@ -712,6 +719,20 @@ def test_coherence_check_finds_unparsable_code_under_a_forged_digest(fresh_seede
     assert Repository(repo.data_dir).check_cache_coherence() == ["GEO0281"]
 
 
+def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh_seeded_repo):
+    repo = fresh_seeded_repo
+
+    def forge(doc):
+        depth, *keys = doc["GTD"].split()
+        doc = {**doc, "GTD": " ".join([depth, *reversed(keys)])}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+
+    _edit_entry(repo.data_dir, "GEO0281", forge)
+    trusting = Repository(repo.data_dir)
+    assert trusting._records["GEO0281"].fingerprint == repo._records["GEO0281"].fingerprint
+    assert trusting.check_cache_coherence() == ["GEO0281"]
+
+
 @pytest.mark.parametrize("change", ["depth", "rules"])
 def test_new_depth_or_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog, change):
     if change == "depth":
@@ -808,3 +829,110 @@ def test_concurrent_readers_during_writes(fresh_seeded_repo):
         t.join()
     assert errors == []
     assert len(fresh_seeded_repo) == len(ENTRIES) + 10
+
+
+def test_writes_publish_a_new_records_dict_and_leave_the_old_one_alone(fresh_seeded_repo):
+    repo = fresh_seeded_repo
+    before = repo._records
+    snapshot = dict(before)
+    identifier = repo.insert(replace(TRIANGLE_DRAFT, name="Snapshot triangle"), force=True)
+    repo.update("GEO0281", replace(repo.get("GEO0281"), name="Renamed incircle"))
+    assert before == snapshot and identifier not in before
+    assert repo._records is not before
+    assert repo.get("GEO0281").name == "Renamed incircle"
+    assert repo.text_query("Snapshot") == [identifier]
+
+
+#: seconds a worker thread of a test may take
+THREAD_TIMEOUT = 5.0
+
+
+def _hold_first_embedding(monkeypatch) -> tuple[threading.Event, threading.Event]:
+    """Make the next ``embed_closed`` call of the repository wait for the
+    returned release event; the entered event is set once it waits.  Later
+    calls run at once."""
+    import geokb.repository as repository_module
+
+    entered, release = threading.Event(), threading.Event()
+    original = repository_module.embed_closed
+
+    def held(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(30)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repository_module, "embed_closed", held)
+    return entered, release
+
+
+def _in_thread(call) -> threading.Thread:
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    return worker
+
+
+def _returns_in_time(call):
+    out = []
+    worker = _in_thread(lambda: out.append(call()))
+    worker.join(THREAD_TIMEOUT)
+    assert not worker.is_alive(), "a reader waited for the held call"
+    return out[0]
+
+
+READERS = {
+    "text_query": lambda repo: repo.text_query("triangle", mode="extended"),
+    "get": lambda repo: repo.get("GEO0281"),
+    "list_all": lambda repo: repo.list_all(),
+    "find_duplicates": lambda repo: repo.find_duplicates(bare_triangle()),
+    "geometric_query": lambda repo: repo.geometric_query(triangle_with_circle()),
+}
+HELD_CALLS = {
+    "confirmed-geometric-query": lambda repo: repo.geometric_query(bare_triangle()),
+    "unforced-insert": lambda repo: repo.insert(TRIANGLE_DRAFT),
+}
+
+
+@pytest.mark.parametrize("held_call", sorted(HELD_CALLS))
+def test_readers_do_not_wait_for_a_held_call(fresh_seeded_repo, monkeypatch, held_call):
+    repo = fresh_seeded_repo
+    expected = {name: read(repo) for name, read in READERS.items()}
+    entered, release = _hold_first_embedding(monkeypatch)
+    held = _in_thread(lambda: HELD_CALLS[held_call](repo))
+    try:
+        assert entered.wait(THREAD_TIMEOUT)
+        for name, read in READERS.items():
+            assert _returns_in_time(lambda: read(repo)) == expected[name], name
+    finally:
+        release.set()
+        held.join(THREAD_TIMEOUT)
+    assert not held.is_alive()
+
+
+def test_identical_unforced_inserts_at_once_store_one_entry(tmp_path, monkeypatch):
+    import geokb.repository as repository_module
+
+    repo = Repository(tmp_path / "data")
+    repo.insert(ProblemEntry(name="Circle", code="circle k\n", level=1), force=True)
+    original = repository_module.embed_closed
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)  # widens the gap between a gate's check and its write
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repository_module, "embed_closed", slow)
+    draft = replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT)
+    start = threading.Barrier(3)
+    outcomes = []
+
+    def insert():
+        start.wait(THREAD_TIMEOUT)
+        outcomes.append(repo.insert(draft))
+
+    workers = [_in_thread(insert) for _ in range(3)]
+    for worker in workers:
+        worker.join(THREAD_TIMEOUT)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(outcomes) == 3
+    assert [o for o in outcomes if not isinstance(o, DuplicateReport)] == ["GEO0002"]
+    assert repo.list_all() == ["GEO0001", "GEO0002"]

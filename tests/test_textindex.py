@@ -1,48 +1,50 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from geokb.errors import NotFoundError, PatternError
-from geokb.textindex import IndexedEntry, TextIndex, tokenize
+from geokb.errors import PatternError
+from geokb.repository import ProblemEntry, Repository
+from geokb.textindex import extended_search, simple_search, terms, tokenize
 
 
 def entry(identifier, name, description="", short="", keywords=()):
-    return IndexedEntry(identifier, name, description, short, tuple(keywords))
+    return ProblemEntry(identifier, name, description, short, tuple(keywords))
+
+
+def records_of(*entries):
+    """A records mapping as the repository keeps one: identifier -> entry
+    and its terms."""
+    return {e.identifier: SimpleNamespace(entry=e, terms=terms(e)) for e in entries}
 
 
 @pytest.fixture()
-def index():
-    ix = TextIndex()
-    ix.index_entry(
+def records():
+    return records_of(
         entry(
             "GEO_CEVA",
             "Ceva's Theorem",
             description="Cevians of a triangle are concurrent.",
             short="Concurrent cevians.",
             keywords=("triangle", "cevian"),
-        )
-    )
-    ix.index_entry(
+        ),
         entry(
             "GEO0003",
             "Thales' Theorem",
             description="A theorem about the right angle in a semicircle.",
             short="Right angle in a semicircle.",
             keywords=("circle", "angle"),
-        )
-    )
-    ix.index_entry(
+        ),
         entry(
             "GEO0328",
             "Circumcircle of a Triangle",
             description="Circle through the vertices.",
             short="Circumscribed circle.",
             keywords=("triangle", "circumcircle"),
-        )
+        ),
     )
-    return ix
 
 
 def test_tokenize_lowercases_and_splits():
@@ -58,55 +60,55 @@ def test_tokenize_keeps_accented_words_whole():
 # -- simple search -----------------------------------------------------------
 
 
-def test_simple_search_is_case_insensitive_substring(index):
-    assert index.simple_search("ceva") == ["GEO_CEVA"]
-    assert index.simple_search("THEOREM") == ["GEO0003", "GEO_CEVA"]
+def test_simple_search_is_case_insensitive_substring(records):
+    assert simple_search("ceva", records) == ["GEO_CEVA"]
+    assert simple_search("THEOREM", records) == ["GEO0003", "GEO_CEVA"]
 
 
-def test_simple_search_universal_pattern(index):
-    assert index.simple_search(".*") == ["GEO0003", "GEO0328", "GEO_CEVA"]
+def test_simple_search_universal_pattern(records):
+    assert simple_search(".*", records) == ["GEO0003", "GEO0328", "GEO_CEVA"]
 
 
-def test_simple_search_anchors(index):
-    assert index.simple_search("^Thales") == ["GEO0003"]
-    assert index.simple_search("^heorem$") == []
-    assert index.simple_search("Triangle$") == ["GEO0328"]
+def test_simple_search_anchors(records):
+    assert simple_search("^Thales", records) == ["GEO0003"]
+    assert simple_search("^heorem$", records) == []
+    assert simple_search("Triangle$", records) == ["GEO0328"]
 
 
-def test_simple_search_character_classes_and_alternation(index):
-    assert index.simple_search("Ceva|Thales") == ["GEO0003", "GEO_CEVA"]
-    assert index.simple_search("C[ei]") == ["GEO0328", "GEO_CEVA"]
+def test_simple_search_character_classes_and_alternation(records):
+    assert simple_search("Ceva|Thales", records) == ["GEO0003", "GEO_CEVA"]
+    assert simple_search("C[ei]", records) == ["GEO0328", "GEO_CEVA"]
 
 
-def test_simple_search_no_match(index):
-    assert index.simple_search("^xyzzy$") == []
+def test_simple_search_no_match(records):
+    assert simple_search("^xyzzy$", records) == []
 
 
-def test_simple_search_rejects_invalid_pattern(index):
+def test_simple_search_rejects_invalid_pattern(records):
     with pytest.raises(PatternError):
-        index.simple_search("(unclosed")
+        simple_search("(unclosed", records)
 
 
 # -- extended search ------------------------------------------------------------
 
 
-def test_extended_search_empty_query(index):
-    assert index.extended_search("") == []
-    assert index.extended_search("--- !!!") == []
+def test_extended_search_empty_query(records):
+    assert extended_search("", records) == []
+    assert extended_search("--- !!!", records) == []
 
 
-def test_extended_search_scores_by_field_weight(index):
+def test_extended_search_scores_by_field_weight(records):
     # "ceva": name(1)*4 + description(1)*1 + short? "cevians" is a different
     # token, keywords "cevian" is a different token; so 4 + 0 + 0 + 0... the
     # description token is "cevians", not "ceva". Only the name matches.
-    hits = index.extended_search("ceva")
+    hits = extended_search("ceva", records)
     assert [h.identifier for h in hits] == ["GEO_CEVA"]
     assert hits[0].score == 4
     assert hits[0].matched_fields == frozenset({"name"})
 
 
-def test_extended_search_or_semantics_and_ranking(index):
-    hits = index.extended_search("ceva theorem")
+def test_extended_search_or_semantics_and_ranking(records):
+    hits = extended_search("ceva theorem", records)
     assert hits[0].identifier == "GEO_CEVA"  # name hits on both tokens
     assert {h.identifier for h in hits} == {"GEO_CEVA", "GEO0003"}
     ceva, thales = hits[0], hits[1]
@@ -115,15 +117,12 @@ def test_extended_search_or_semantics_and_ranking(index):
 
 
 def test_extended_search_weights_all_fields():
-    ix = TextIndex()
-    ix.index_entry(
-        entry("E1", "alpha", description="beta", short="gamma", keywords=("delta",))
-    )
-    assert ix.extended_search("alpha")[0].score == 4
-    assert ix.extended_search("delta")[0].score == 3
-    assert ix.extended_search("gamma")[0].score == 2
-    assert ix.extended_search("beta")[0].score == 1
-    hit = ix.extended_search("alpha beta gamma delta")[0]
+    ix = records_of(entry("E1", "alpha", description="beta", short="gamma", keywords=("delta",)))
+    assert extended_search("alpha", ix)[0].score == 4
+    assert extended_search("delta", ix)[0].score == 3
+    assert extended_search("gamma", ix)[0].score == 2
+    assert extended_search("beta", ix)[0].score == 1
+    hit = extended_search("alpha beta gamma delta", ix)[0]
     assert hit.score == 10
     assert hit.matched_fields == frozenset(
         {"name", "description", "shortDescription", "keywords"}
@@ -131,73 +130,65 @@ def test_extended_search_weights_all_fields():
 
 
 def test_extended_search_term_frequency_counts():
-    ix = TextIndex()
-    ix.index_entry(entry("E1", "echo", description="echo echo echo"))
-    ix.index_entry(entry("E2", "echo echo", description=""))
-    hits = ix.extended_search("echo")
+    ix = records_of(
+        entry("E1", "echo", description="echo echo echo"), entry("E2", "echo echo", description="")
+    )
+    hits = extended_search("echo", ix)
     assert [(h.identifier, h.score) for h in hits] == [("E2", 8), ("E1", 7)]
 
 
-def test_extended_search_score_is_token_order_invariant(index):
-    a = index.extended_search("triangle circle")
-    b = index.extended_search("circle triangle")
+def test_extended_search_score_is_token_order_invariant(records):
+    a = extended_search("triangle circle", records)
+    b = extended_search("circle triangle", records)
     assert a == b
 
 
 def test_extended_search_ties_break_by_identifier():
-    ix = TextIndex()
-    ix.index_entry(entry("B", "same name"))
-    ix.index_entry(entry("A", "same name"))
-    assert [h.identifier for h in ix.extended_search("same")] == ["A", "B"]
+    ix = records_of(entry("B", "same name"), entry("A", "same name"))
+    assert [h.identifier for h in extended_search("same", ix)] == ["A", "B"]
 
 
-def test_extended_search_omits_zero_scores(index):
-    assert all(h.score > 0 for h in index.extended_search("triangle"))
-    assert "GEO0003" not in {h.identifier for h in index.extended_search("triangle")}
+def test_extended_search_omits_zero_scores(records):
+    assert all(h.score > 0 for h in extended_search("triangle", records))
+    assert "GEO0003" not in {h.identifier for h in extended_search("triangle", records)}
 
 
-# -- mutation semantics ------------------------------------------------------------
+# -- the records as the repository keeps them ---------------------------------------
 
 
-def test_reindex_replaces_previous_entry(index):
-    index.index_entry(entry("GEO_CEVA", "Renamed Entry"))
-    assert index.simple_search("ceva") == []
-    assert index.simple_search("renamed") == ["GEO_CEVA"]
+def test_reindex_replaces_previous_entry(tmp_path):
+    repo = Repository(tmp_path / "data")
+    identifier = repo.insert(ProblemEntry(name="Ceva's Theorem", code="point A\n"), force=True)
+    before = repo._records
+    repo.update(identifier, ProblemEntry(name="Renamed Entry", code="point A\n"))
+    for mode in ("simple", "extended"):
+        assert repo.text_query("ceva", mode=mode) == []
+        assert repo.text_query("renamed", mode=mode) == [identifier]
+    assert simple_search("ceva", before) == [identifier]
 
 
-def test_remove_then_search(index):
-    index.remove_entry("GEO_CEVA")
-    assert index.simple_search("ceva") == []
-    assert "GEO_CEVA" not in index
-
-
-def test_remove_unknown_identifier(index):
-    with pytest.raises(NotFoundError):
-        index.remove_entry("NOPE")
-
-
-def test_index_state_equals_rebuild_from_scratch():
+def test_index_state_equals_rebuild_from_scratch(tmp_path):
+    """Search after a seeded sequence of inserts and updates equals search
+    over a repository loaded again from the same directory."""
     rng = random.Random(55)
-    live = TextIndex()
-    current: dict[str, IndexedEntry] = {}
-    for step in range(300):
-        identifier = f"E{rng.randint(0, 20)}"
-        if identifier in current and rng.random() < 0.3:
-            live.remove_entry(identifier)
-            del current[identifier]
+    repo = Repository(tmp_path / "data")
+
+    def draft():
+        return ProblemEntry(
+            name=f"name {rng.randint(0, 5)}",
+            description=f"words {rng.randint(0, 5)} again",
+            keywords=(f"kw{rng.randint(0, 3)}",),
+            code="point A\n",
+        )
+
+    identifiers = []
+    for _ in range(60):
+        if identifiers and rng.random() < 0.5:
+            repo.update(rng.choice(identifiers), draft())
         else:
-            e = entry(
-                identifier,
-                name=f"name {rng.randint(0, 5)}",
-                description=f"words {rng.randint(0, 5)} again",
-                keywords=(f"kw{rng.randint(0, 3)}",),
-            )
-            live.index_entry(e)
-            current[identifier] = e
-    rebuilt = TextIndex()
-    for e in current.values():
-        rebuilt.index_entry(e)
-    assert live.identifiers() == rebuilt.identifiers()
-    for query in ("name", "words 3", "kw1 name", "again"):
-        assert live.extended_search(query) == rebuilt.extended_search(query)
-        assert live.simple_search(query.split()[0]) == rebuilt.simple_search(query.split()[0])
+            identifiers.append(repo.insert(draft(), force=True))
+    reloaded = Repository(repo.data_dir)
+    for query in ("name", "words 3", "kw1 name", "again", "^name [0-2]$"):
+        for mode in ("simple", "extended"):
+            assert repo.text_query(query, mode=mode) == reloaded.text_query(query, mode=mode)
+        assert extended_search(query, repo._records) == extended_search(query, reloaded._records)
