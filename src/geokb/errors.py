@@ -32,11 +32,12 @@ class FilterError(GeoKbError):
 
 
 class EntryError(GeoKbError):
-    """A problem-entry draft that fails validation (level, kind, identifier)."""
+    """A problem-entry draft that fails validation (level, kind, identifier),
+    or an entry document whose members have the wrong shape."""
 
 
 class NotFoundError(GeoKbError):
-    """Lookup of an identifier that is not in the repository or index."""
+    """Lookup of an identifier that is not in the repository."""
 
 
 class IdentifierCollisionError(GeoKbError):
@@ -44,7 +45,7 @@ class IdentifierCollisionError(GeoKbError):
 
 
 class StorageError(GeoKbError):
-    """Corrupt or unreadable entry files, or an exhausted identifier space."""
+    """Corrupt, unreadable or unwritable entry files."""
 
 
 class SearchBudgetExceeded(GeoKbError):

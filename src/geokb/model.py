@@ -53,6 +53,7 @@ DISTINCT_ARG_PREDICATES = frozenset(
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\Z")
+_NOT_CANONICAL = "arguments not in canonical order"
 #: facts as ``(predicate, args)`` pairs, the shape a closure returns
 FactSet = frozenset[tuple[str, tuple[str, ...]]]
 
@@ -175,12 +176,33 @@ class Violation:
         return f"{self.subject}: {self.problem}"
 
 
-def _degeneracy(predicate: str, args: tuple[str, ...]) -> str | None:
+def _fact_problems(predicate: str, args: tuple[str, ...], kinds: dict[str, str]) -> list[str]:
+    """What is wrong with one fact over objects of the given ``kinds``, most
+    basic first; empty if nothing is.  An unknown predicate or a wrong
+    argument count is the only problem reported, and a fact with an
+    undeclared or ill-typed argument is checked no further."""
+    spec = PREDICATES.get(predicate)
+    if spec is None:
+        return ["unknown predicate"]
+    if len(args) != len(spec):
+        return [f"expects {len(spec)} arguments, got {len(args)}"]
+    problems = []
+    for i, (arg, kind) in enumerate(zip(args, spec)):
+        declared = kinds.get(arg)
+        if declared is None:
+            problems.append(f"undeclared object {arg!r}")
+        elif declared != kind:
+            problems.append(f"argument {i + 1} must be a {kind}, got {declared} {arg!r}")
+    if problems:
+        return problems
     if predicate in DISTINCT_ARG_PREDICATES and len(set(args)) != len(args):
-        return "repeated argument"
+        problems.append("repeated argument")
     if predicate == "equidistant" and (args[0] == args[1] or args[2] == args[3]):
-        return "repeated point within a distance pair"
-    return None
+        problems.append("repeated point within a distance pair")
+    canonical = CANONICAL_ARGS.get(predicate)
+    if canonical is not None and canonical(args) != args:
+        problems.append(_NOT_CANONICAL)
+    return problems
 
 
 def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> Fact:
@@ -188,30 +210,15 @@ def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> Fact:
     if m is None:
         raise ConstructionError(f"expected 'predicate(name, ...)', got {line!r}", line=lineno)
     predicate, argtext = m.group(1), m.group(2)
-    spec = PREDICATES.get(predicate)
-    if spec is None:
-        raise ConstructionError(f"unknown predicate {predicate!r}", line=lineno)
     args = tuple(t.strip() for t in argtext.split(",")) if argtext.strip() else ()
     for arg in args:
         if not _NAME_RE.match(arg):
             raise ConstructionError(f"bad object name {arg!r}", line=lineno)
-    if len(args) != len(spec):
-        raise ConstructionError(
-            f"{predicate} expects {len(spec)} arguments, got {len(args)}", line=lineno
-        )
-    for i, (arg, kind) in enumerate(zip(args, spec)):
-        declared = kinds.get(arg)
-        if declared is None:
-            raise ConstructionError(f"undeclared object {arg!r}", line=lineno)
-        if declared != kind:
-            raise ConstructionError(
-                f"argument {i + 1} of {predicate} must be a {kind}, "
-                f"got {declared} {arg!r}",
-                line=lineno,
-            )
-    problem = _degeneracy(predicate, args)
-    if problem is not None:
-        raise ConstructionError(f"{predicate}({', '.join(args)}): {problem}", line=lineno)
+    problems = _fact_problems(predicate, args, kinds)
+    # parsing puts any argument order right; that problem comes last, so it
+    # is the first only when it is the only one
+    if problems and problems[0] != _NOT_CANONICAL:
+        raise ConstructionError(f"{fact_text(predicate, args)}: {problems[0]}", line=lineno)
     return normalize_fact(Fact(predicate, args))
 
 
@@ -275,29 +282,6 @@ def validate(construction: Construction) -> list[Violation]:
             out.append(Violation(decl.name, "duplicate object name"))
         kinds[decl.name] = decl.kind
     for f in sorted(map(Fact._make, construction.facts)):  # also takes a closure's plain pairs
-        spec = PREDICATES.get(f.predicate)
-        if spec is None:
-            out.append(Violation(f.text, "unknown predicate"))
-            continue
-        if len(f.args) != len(spec):
-            out.append(Violation(f.text, f"expects {len(spec)} arguments, got {len(f.args)}"))
-            continue
-        well_typed = True
-        for i, (arg, kind) in enumerate(zip(f.args, spec)):
-            declared = kinds.get(arg)
-            if declared is None:
-                out.append(Violation(f.text, f"undeclared object {arg!r}"))
-                well_typed = False
-            elif declared != kind:
-                out.append(
-                    Violation(f.text, f"argument {i + 1} must be a {kind}, got {declared} {arg!r}")
-                )
-                well_typed = False
-        if not well_typed:
-            continue
-        problem = _degeneracy(f.predicate, f.args)
-        if problem is not None:
+        for problem in _fact_problems(f.predicate, f.args, kinds):
             out.append(Violation(f.text, problem))
-        if normalize_fact(f) != f:
-            out.append(Violation(f.text, "arguments not in canonical order"))
     return out

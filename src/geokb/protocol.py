@@ -10,8 +10,11 @@ request carries exactly one primary member:
 ``Filters`` is optional on both query forms.  ``Mode`` ("simple", the
 default, or "extended") applies to text queries only, ``Confirm`` (default
 true) to geometric queries only and ``Force`` (default false) to inserts
-only.  Unknown members are rejected, as are filter strings that do not
-parse.
+only.  Unknown members are rejected.  A filter string is parsed only by the
+server when it answers the request, so one that does not parse gets an
+``Error`` response, not a decoding error.  ``Insert`` carries the entry's own
+members as an entry file does (:data:`~geokb.repository.ENTRY_MEMBERS`), with
+``Identifier`` left out of a draft that has none.
 
 Responses are one of three shapes: a mapping from entry identifiers to
 ``{"Name", "Description", "Code"}`` objects for queries (``{}`` when
@@ -24,21 +27,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import FilterError, ProtocolError
-from .repository import DuplicateReport, ProblemEntry, parse_filters
+from .errors import EntryError, ProtocolError
+from .repository import ENTRY_MEMBERS, DuplicateReport, ProblemEntry, document_to_entry, entry_to_document
 
-_REQUEST_PRIMARIES = ("Query", "GeometricQuery", "Insert")
-_DRAFT_MEMBERS = (
-    "Identifier",
-    "Name",
-    "Description",
-    "ShortDescription",
-    "Keywords",
-    "Code",
-    "Language",
-    "Level",
-    "Kind",
-)
+#: primary member -> the members a request with it may carry, in wire order
+_REQUEST_MEMBERS = {
+    "Query": ("Query", "Filters", "Mode"),
+    "GeometricQuery": ("GeometricQuery", "Filters", "Confirm"),
+    "Insert": ("Insert", "Force"),
+}
 
 
 @dataclass(frozen=True)
@@ -88,99 +85,45 @@ def _require(condition: bool, message: str) -> None:
         raise ProtocolError(message)
 
 
-def draft_to_document(draft: ProblemEntry) -> dict:
-    """Wire form of an insert draft (no fingerprint, no format version)."""
-    doc: dict = {}
-    if draft.identifier:
-        doc["Identifier"] = draft.identifier
-    doc.update(
-        {
-            "Name": draft.name,
-            "Description": draft.description,
-            "ShortDescription": draft.short_description,
-            "Keywords": list(draft.keywords),
-            "Code": draft.code,
-            "Language": draft.language,
-            "Level": draft.level,
-            "Kind": draft.kind,
-        }
-    )
-    return doc
-
-
 def document_to_draft(doc: object) -> ProblemEntry:
+    """The draft an ``Insert`` member describes."""
     _require(isinstance(doc, dict), "Insert must be a JSON object")
     assert isinstance(doc, dict)
     for member in doc:
-        _require(member in _DRAFT_MEMBERS, f"unknown Insert member {member!r}")
-    for member in ("Name", "Code"):
-        _require(member in doc, f"Insert requires member {member!r}")
-    keywords = doc.get("Keywords", [])
-    _require(
-        isinstance(keywords, list) and all(isinstance(k, str) for k in keywords),
-        "Keywords must be an array of strings",
-    )
-    for member in ("Identifier", "Name", "Description", "ShortDescription", "Code", "Language", "Kind"):
-        if member in doc:
-            _require(isinstance(doc[member], str), f"{member} must be a string")
-    if "Level" in doc:
-        _require(
-            isinstance(doc["Level"], int) and not isinstance(doc["Level"], bool),
-            "Level must be an integer",
-        )
-    return ProblemEntry(
-        identifier=doc.get("Identifier", ""),
-        name=doc["Name"],
-        description=doc.get("Description", ""),
-        short_description=doc.get("ShortDescription", ""),
-        keywords=tuple(keywords),
-        code=doc["Code"],
-        language=doc.get("Language", "en"),
-        level=doc.get("Level", 3),
-        kind=doc.get("Kind", "construction"),
-    )
-
-
-def _validate_filters(text: str) -> None:
+        _require(member in ENTRY_MEMBERS, f"unknown Insert member {member!r}")
     try:
-        parse_filters(text)
-    except FilterError as exc:
+        return document_to_entry(doc)
+    except KeyError as exc:
+        raise ProtocolError(f"Insert requires member {exc.args[0]!r}") from None
+    except EntryError as exc:
         raise ProtocolError(str(exc)) from exc
 
 
+def _primary(members: dict) -> str:
+    """The request's primary member, once its members are checked against
+    :data:`_REQUEST_MEMBERS`."""
+    present = [member for member in _REQUEST_MEMBERS if member in members]
+    _require(len(present) == 1, "exactly one of Query, GeometricQuery, Insert is required")
+    for member in members:
+        _require(member in _REQUEST_MEMBERS[present[0]], f"unknown request member {member!r}")
+    return present[0]
+
+
 def encode_request(request: QueryRequest) -> bytes:
-    """One newline-terminated JSON line; inverse of :func:`decode_request`."""
-    primaries = [
-        value is not None for value in (request.query, request.geometric, request.insert)
-    ]
-    _require(sum(primaries) == 1, "exactly one of Query, GeometricQuery, Insert is required")
+    """One newline-terminated JSON line; inverse of :func:`decode_request`.
+    Members left at their defaults are not sent."""
     _require(request.mode in ("simple", "extended"), f"unknown mode {request.mode!r}")
-    members: dict = {}
-    if request.query is not None:
-        members["Query"] = request.query
-        if request.filters is not None:
-            members["Filters"] = request.filters
-        if request.mode != "simple":
-            members["Mode"] = request.mode
-        _require(request.confirm, "Confirm applies to geometric queries only")
-        _require(not request.force, "Force applies to inserts only")
-    elif request.geometric is not None:
-        members["GeometricQuery"] = request.geometric
-        if request.filters is not None:
-            members["Filters"] = request.filters
-        if not request.confirm:
-            members["Confirm"] = False
-        _require(request.mode == "simple", "Mode applies to text queries only")
-        _require(not request.force, "Force applies to inserts only")
-    else:
-        members["Insert"] = draft_to_document(request.insert)
-        if request.force:
-            members["Force"] = True
-        _require(request.filters is None, "Filters do not apply to inserts")
-        _require(request.mode == "simple", "Mode applies to text queries only")
-        _require(request.confirm, "Confirm applies to geometric queries only")
-    # Filter strings are validated on decode, so a client with a bad filter
-    # still reaches the server and gets the Error response.
+    members = {
+        "Query": request.query,
+        "GeometricQuery": request.geometric,
+        "Insert": None if request.insert is None else entry_to_document(request.insert),
+        "Filters": request.filters,
+        "Mode": None if request.mode == "simple" else request.mode,
+        "Confirm": None if request.confirm else False,
+        "Force": True if request.force else None,
+    }
+    members = {member: value for member, value in members.items() if value is not None}
+    _primary(members)
     return (json.dumps(members, ensure_ascii=False) + "\n").encode("utf-8")
 
 
@@ -209,25 +152,9 @@ def _parse_object(data: bytes | str, what: str) -> dict:
 def decode_request(data: bytes | str) -> QueryRequest:
     """Parse and validate one request line."""
     obj = _parse_object(data, "request")
-    present = [m for m in _REQUEST_PRIMARIES if m in obj]
-    _require(
-        len(present) == 1,
-        "exactly one of Query, GeometricQuery, Insert is required",
-    )
-    primary = present[0]
-    allowed = {
-        "Query": ("Query", "Filters", "Mode"),
-        "GeometricQuery": ("GeometricQuery", "Filters", "Confirm"),
-        "Insert": ("Insert", "Force"),
-    }[primary]
-    for member in obj:
-        _require(member in allowed, f"unknown request member {member!r}")
-
+    primary = _primary(obj)
     filters = obj.get("Filters")
-    if filters is not None:
-        _require(isinstance(filters, str), "Filters must be a string")
-        _validate_filters(filters)
-
+    _require(filters is None or isinstance(filters, str), "Filters must be a string")
     if primary == "Query":
         _require(isinstance(obj["Query"], str), "Query must be a string")
         mode = obj.get("Mode", "simple")

@@ -2,7 +2,9 @@
 
 Each entry is one JSON document at ``<data>/entries/<identifier>.json``
 (written to a temp file and renamed, so an interrupted write leaves no
-partial entry).  Beside the entry's own members, a version-2 document
+partial entry).  The entry's own members are written and read by
+:func:`entry_to_document` and :func:`document_to_entry`, which the wire
+protocol's ``Insert`` member shares.  Beside them, a version-2 document
 caches the entry's whole analysis: ``Objects`` (name -> kind), ``Closure``
 (the closed facts in text form, ``predicate(a, b)``, sorted) and
 ``GTD`` (the fingerprint), under a ``Digest`` that also covers ``Code``,
@@ -186,7 +188,60 @@ def parse_filters(text: str) -> FilterSet:
     return FilterSet(tuple(clauses))
 
 
-_TEXT_MEMBERS = ("Identifier", "Name", "Description", "ShortDescription", "Code", "Language", "Kind", "GTD")
+#: an entry's own members, in the order the wire and the entry file carry them
+ENTRY_MEMBERS = (
+    "Identifier", "Name", "Description", "ShortDescription", "Keywords",
+    "Code", "Language", "Level", "Kind",
+)
+
+
+def entry_to_document(entry: ProblemEntry) -> dict:
+    """An entry's own members; a draft with no identifier has no
+    ``Identifier`` member."""
+    doc = {
+        "Identifier": entry.identifier,
+        "Name": entry.name,
+        "Description": entry.description,
+        "ShortDescription": entry.short_description,
+        "Keywords": list(entry.keywords),
+        "Code": entry.code,
+        "Language": entry.language,
+        "Level": entry.level,
+        "Kind": entry.kind,
+    }
+    if not entry.identifier:
+        del doc["Identifier"]
+    return doc
+
+
+def document_to_entry(doc: dict) -> ProblemEntry:
+    """The entry a document's own members describe, with the defaults of
+    :class:`ProblemEntry` for the optional ones.  Only their shape is
+    checked: a missing ``Name`` or ``Code`` raises KeyError, which each
+    caller words for its boundary, and :class:`EntryError` names the member
+    unless ``Keywords`` is an array of strings, ``Level`` an integer and
+    each other one a string.  Other members are ignored."""
+    name, code = doc["Name"], doc["Code"]
+    keywords = doc.get("Keywords", [])
+    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+        raise EntryError("Keywords must be an array of strings")
+    for member in ("Identifier", "Name", "Description", "ShortDescription", "Code", "Language", "Kind"):
+        if not isinstance(doc.get(member, ""), str):
+            raise EntryError(f"{member} must be a string")
+    level = doc.get("Level", 3)
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise EntryError("Level must be an integer")
+    return ProblemEntry(
+        identifier=doc.get("Identifier", ""),
+        name=name,
+        description=doc.get("Description", ""),
+        short_description=doc.get("ShortDescription", ""),
+        keywords=tuple(keywords),
+        code=code,
+        language=doc.get("Language", "en"),
+        level=level,
+        kind=doc.get("Kind", "construction"),
+    )
 
 
 def cache_digest(doc: dict, ruleset: RuleSet, depth: int) -> str:
@@ -199,17 +254,8 @@ def cache_digest(doc: dict, ruleset: RuleSet, depth: int) -> str:
 def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
     """The entry document of a record: its entry, its cached analysis and
     the digest over them."""
-    entry = record.entry
     doc = {
-        "Identifier": entry.identifier,
-        "Name": entry.name,
-        "Description": entry.description,
-        "ShortDescription": entry.short_description,
-        "Keywords": list(entry.keywords),
-        "Code": entry.code,
-        "Language": entry.language,
-        "Level": entry.level,
-        "Kind": entry.kind,
+        **entry_to_document(record.entry),
         "GTD": serialize_gtd(record.fingerprint),
         "Objects": dict(sorted(record.side.kinds.items())),
         "Closure": sorted(fact_text(predicate, args) for predicate, args in record.side.facts),
@@ -227,37 +273,6 @@ def _metadata_error(level: object, kind: object) -> str | None:
     if kind not in ENTRY_KINDS:
         return f"kind must be one of {ENTRY_KINDS}, got {kind!r}"
     return None
-
-
-def document_to_entry(doc: dict) -> ProblemEntry:
-    if not isinstance(doc, dict):
-        raise StorageError("entry document must be a JSON object")
-    version = doc.get("Version")
-    if version not in READABLE_VERSIONS:
-        raise StorageError(f"unsupported entry format version {version!r}")
-    for member in _TEXT_MEMBERS:
-        if not isinstance(doc.get(member, ""), str):
-            raise StorageError(f"{member} must be a string")
-    try:
-        keywords = doc.get("Keywords", [])
-        if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-            raise StorageError("Keywords must be an array of strings")
-        error = _metadata_error(doc.get("Level", 3), doc.get("Kind", "construction"))
-        if error:
-            raise StorageError(error)
-        return ProblemEntry(
-            identifier=doc["Identifier"],
-            name=doc["Name"],
-            description=doc.get("Description", ""),
-            short_description=doc.get("ShortDescription", ""),
-            keywords=tuple(keywords),
-            code=doc["Code"],
-            language=doc.get("Language", "en"),
-            level=doc.get("Level", 3),
-            kind=doc.get("Kind", "construction"),
-        )
-    except KeyError as exc:
-        raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
 
 
 def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple[str, ...]]] | None:
@@ -357,7 +372,7 @@ class Repository:
                 record = self._cached_record(entry, doc)
                 if record is None:
                     side, fingerprint = self._analyze(parse_construction(entry.code))
-            except (StorageError, ConstructionError) as exc:
+            except (StorageError, EntryError, ConstructionError) as exc:
                 log.error("skipping entry file %s, left as it is: %s", path.name, exc)
                 self._quarantined.add(path.stem)
                 continue
@@ -368,13 +383,28 @@ class Repository:
         self._records = records
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
+        """An entry file's entry and document; raises StorageError or
+        EntryError when the file cannot be loaded as that entry."""
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise StorageError(f"unreadable: {exc}") from exc
         except (ValueError, RecursionError) as exc:  # also undecodable UTF-8, or nested too deep
             raise StorageError(f"not JSON: {exc}") from exc
-        entry = document_to_entry(doc)
+        if not isinstance(doc, dict):
+            raise StorageError("entry document must be a JSON object")
+        version = doc.get("Version")
+        if version not in READABLE_VERSIONS:
+            raise StorageError(f"unsupported entry format version {version!r}")
+        if not isinstance(doc.get("GTD", ""), str):
+            raise StorageError("GTD must be a string")
+        error = _metadata_error(doc.get("Level", 3), doc.get("Kind", "construction"))
+        if error:
+            raise StorageError(error)
+        try:
+            entry = document_to_entry(doc)
+        except KeyError as exc:
+            raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
         if entry.identifier != path.stem:
             raise StorageError(f"holds identifier {entry.identifier!r}")
         return entry, doc
@@ -430,12 +460,15 @@ class Repository:
 
     # -- duplicate gate ----------------------------------------------------
 
-    def _embeds(self, query: MatchSide, target: MatchSide, context: str) -> bool:
+    def _confirm(self, query: MatchSide, target: MatchSide, context: str) -> Embedding | None:
+        """One embedding of ``query`` into ``target``, or None if there is
+        none or the match budget runs out, which is logged with ``context``."""
         try:
-            return bool(embed_closed(query, target, 1, budget=self._budget))
+            found = embed_closed(query, target, 1, budget=self._budget)
         except SearchBudgetExceeded:
             log.warning("match budget exhausted while checking %s; treating as no match", context)
-            return False
+            return None
+        return found[0] if found else None
 
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against every stored entry."""
@@ -448,9 +481,9 @@ class Repository:
         for identifier, record in sorted(self._records.items()):
             forward = backward = False
             if gtd_subsumes(record.fingerprint, fingerprint):
-                forward = self._embeds(side, record.side, f"draft against {identifier}")
+                forward = self._confirm(side, record.side, f"draft against {identifier}") is not None
             if gtd_subsumes(fingerprint, record.fingerprint):
-                backward = self._embeds(record.side, side, f"{identifier} against draft")
+                backward = self._confirm(record.side, side, f"{identifier} against draft") is not None
             if forward and backward:
                 exact.append(identifier)
             elif forward:
@@ -563,16 +596,9 @@ class Repository:
                 continue
             if side is None:
                 side = prepare(query.kinds, closed)
-            try:
-                found = embed_closed(side, record.side, 1, budget=self._budget)
-            except SearchBudgetExceeded:
-                log.warning(
-                    "match budget exhausted for %s; dropped from confirmed results",
-                    identifier,
-                )
-                continue
-            if found:
-                results.append((identifier, found[0]))
+            found = self._confirm(side, record.side, f"query against {identifier}")
+            if found is not None:
+                results.append((identifier, found))
         return results
 
     def check_cache_coherence(self) -> list[str]:

@@ -82,6 +82,7 @@ def test_parse_collapses_equivalent_duplicates():
         ("point 1A", "bad object name"),
         ("frobnicate(A)", "unknown predicate"),
         ("point A\nline a\nincident(A)", "expects 2 arguments"),
+        ("point A\npoint B\npoint C\nequidistant(A, B, A, C, B)", "expects 4 arguments"),
         ("point A\nline a\nincident(a, A)", "must be a point"),
         ("point A\nline a\nincident(A, b)", "undeclared object"),
         ("line a\nparallel(a, a)", "repeated argument"),
@@ -267,7 +268,12 @@ def test_validator_oracle_on_malformed_fact_catalogue():
     ]
     for f in bad_facts:
         broken = Construction(c.objects, frozenset({f}))
-        assert validate(broken), f"expected a violation for {f}"
+        problems = validate(broken)
+        assert problems, f"expected a violation for {f}"
+        # written as text, the fact is rejected with the first problem validate reports
+        with pytest.raises(ConstructionError) as rejected:
+            parse_construction(serialize_construction(c) + f.text + "\n")
+        assert str(rejected.value).endswith(str(problems[0]))
 
 
 def test_equidistant_allows_shared_point_across_pairs():

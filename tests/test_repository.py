@@ -21,6 +21,7 @@ from geokb.fingerprint import construction_gtd, gtd, serialize_gtd
 from geokb.matching import find_embeddings
 from geokb.model import fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
+from geokb.protocol import QueryRequest, encode_request
 from geokb.repository import (
     DuplicateReport,
     EMPTY_FILTERS,
@@ -566,6 +567,9 @@ def test_entry_files_have_documented_shape(fresh_seeded_repo):
     members = [2, fresh_seeded_repo.ruleset.digest, 2, doc["Code"], doc["Objects"], doc["Closure"], doc["GTD"]]
     rendered = json.dumps(members, separators=(",", ":")).encode("ascii")
     assert doc["Digest"] == hashlib.sha256(rendered).hexdigest()
+    # the entry's own members are written as an insert request carries them
+    request = encode_request(QueryRequest(insert=fresh_seeded_repo.get("GEO_CEVA")))
+    assert list(doc.items())[:9] == list(json.loads(request)["Insert"].items())
 
 
 # -- the entry-file cache -------------------------------------------------------------

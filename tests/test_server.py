@@ -18,6 +18,8 @@ from geokb.protocol import (
     QueryRequest,
     QueryResult,
     decode_response,
+    encode_request,
+    encode_response,
 )
 from geokb.repository import ProblemEntry
 from geokb.server import LISTEN_BACKLOG, GeoServer, handle_request
@@ -61,9 +63,15 @@ def test_handle_request_text_query(fresh_seeded_repo):
 
 
 def test_handle_request_unknown_filter_key(fresh_seeded_repo):
-    response = handle_request(fresh_seeded_repo, b'{"Query": "x", "Filters": "colour=blue"}\n')
-    assert isinstance(response, ErrorResponse)
-    assert "unknown filter key: colour" in response.error
+    # the server, not the client, reports unknown filter keys
+    for payload in (
+        b'{"Query": "x", "Filters": "colour=blue"}\n',
+        b'{"GeometricQuery": "point A\\n", "Filters": "colour=blue"}\n',
+        encode_request(QueryRequest(query="a", filters="colour=blue")),
+    ):
+        response = handle_request(fresh_seeded_repo, payload)
+        assert isinstance(response, ErrorResponse)
+        assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
 
 
 def test_handle_request_bad_geometric_code(fresh_seeded_repo):
