@@ -17,6 +17,7 @@ from geokb.protocol import (
     InsertResult,
     QueryRequest,
     QueryResult,
+    decode_request,
     decode_response,
     encode_request,
     encode_response,
@@ -67,11 +68,26 @@ def test_handle_request_unknown_filter_key(fresh_seeded_repo):
     for payload in (
         b'{"Query": "x", "Filters": "colour=blue"}\n',
         b'{"GeometricQuery": "point A\\n", "Filters": "colour=blue"}\n',
-        encode_request(QueryRequest(query="a", filters="colour=blue")),
     ):
         response = handle_request(fresh_seeded_repo, payload)
         assert isinstance(response, ErrorResponse)
         assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"Query": "a", "Filters": "colour=blue"}\n',
+        encode_request(QueryRequest(query="a", filters="colour=blue")),
+    ],
+    ids=["raw-line", "encoded-request"],
+)
+def test_bad_filter_decodes_and_fails_at_the_server(fresh_seeded_repo, payload):
+    # decode_request checks only that Filters is a string; parse_filters in
+    # handle_request is the one parse of its keys
+    assert decode_request(payload) == QueryRequest(query="a", filters="colour=blue")
+    response = handle_request(fresh_seeded_repo, payload)
+    assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
 
 
 def test_handle_request_bad_geometric_code(fresh_seeded_repo):
