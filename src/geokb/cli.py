@@ -1,6 +1,6 @@
 """Command line entry points: ``geoserver`` and ``geoclient``.
 
-geoserver --port P --data DIR [--rules FILE] [--gtd-depth {0,1,2}]
+geoserver --port P --data DIR [--rules FILE]
 geoclient HOST PORT QUERY [--filters S] [--mode simple|extended]
 geoclient HOST PORT --geometric FILE [--no-confirm] [--filters S]
 geoclient HOST PORT --insert FILE.json [--force]
@@ -24,9 +24,11 @@ from .protocol import (
     QueryRequest,
     QueryResult,
     document_to_draft,
+    encode_request,
     response_to_document,
 )
 from .server import DEFAULT_HOST, DEFAULT_PORT, serve
+from .textindex import MODES
 
 
 def server_main(argv: list[str] | None = None) -> int:
@@ -39,17 +41,10 @@ def server_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--data", required=True, help="repository data directory")
     parser.add_argument("--rules", help="rule file overriding the built-in rules")
-    parser.add_argument(
-        "--gtd-depth",
-        type=int,
-        choices=(0, 1, 2),
-        default=2,
-        help="fingerprint depth used for candidate filtering (default %(default)s)",
-    )
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s")
     try:
-        serve(args.host, args.port, args.data, args.rules, args.gtd_depth)
+        serve(args.host, args.port, args.data, args.rules)
     except KeyboardInterrupt:
         return 0
     except (OSError, GeoKbError) as exc:  # bind failures, bad rules, an unusable store
@@ -59,24 +54,21 @@ def server_main(argv: list[str] | None = None) -> int:
 
 
 def _build_request(args: argparse.Namespace, parser: argparse.ArgumentParser) -> QueryRequest:
-    chosen = [args.query is not None, args.geometric is not None, args.insert is not None]
-    if sum(chosen) != 1:
-        parser.error("provide exactly one of QUERY, --geometric or --insert")
-    if args.insert is not None and args.filters is not None:
-        parser.error("--filters does not apply to --insert")
-    if args.query is None and args.mode != "simple":
-        parser.error("--mode applies to text queries only")
-    if args.geometric is None and args.no_confirm:
-        parser.error("--no-confirm applies to --geometric only")
-    if args.insert is None and args.force:
-        parser.error("--force applies to --insert only")
-    if args.query is not None:
-        return QueryRequest(query=args.query, filters=args.filters, mode=args.mode)
+    """The request the arguments ask for; one the protocol cannot carry is a usage error."""
+    code = draft = None
     if args.geometric is not None:
         code = Path(args.geometric).read_text(encoding="utf-8")
-        return QueryRequest(geometric=code, filters=args.filters, confirm=not args.no_confirm)
-    document = json.loads(Path(args.insert).read_text(encoding="utf-8"))
-    return QueryRequest(insert=document_to_draft(document), force=args.force)
+    if args.insert is not None:
+        draft = document_to_draft(json.loads(Path(args.insert).read_text(encoding="utf-8")))
+    request = QueryRequest(
+        query=args.query, geometric=code, insert=draft, filters=args.filters,
+        mode=args.mode, confirm=not args.no_confirm, force=args.force,
+    )
+    try:
+        encode_request(request)
+    except ProtocolError as exc:
+        parser.error(str(exc))
+    return request
 
 
 def client_main(argv: list[str] | None = None) -> int:
@@ -89,9 +81,7 @@ def client_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--geometric", metavar="FILE", help="construction file to search for")
     parser.add_argument("--insert", metavar="FILE.json", help="entry draft to insert")
     parser.add_argument("--filters", help='filter string, e.g. "kind=conjecture AND level=3"')
-    parser.add_argument(
-        "--mode", choices=("simple", "extended"), default="simple", help="text search mode"
-    )
+    parser.add_argument("--mode", choices=MODES, default="simple", help="text search mode")
     parser.add_argument(
         "--no-confirm",
         action="store_true",

@@ -32,8 +32,8 @@ class FilterError(GeoKbError):
 
 
 class EntryError(GeoKbError):
-    """A problem-entry draft that fails validation (level, kind, identifier),
-    or an entry document whose members have the wrong shape."""
+    """An entry with an illegal level, kind, language or identifier, or an
+    entry document with an unknown member or one of the wrong shape."""
 
 
 class NotFoundError(GeoKbError):

@@ -176,16 +176,18 @@ class Violation:
         return f"{self.subject}: {self.problem}"
 
 
-def _fact_problems(predicate: str, args: tuple[str, ...], kinds: dict[str, str]) -> list[str]:
+def _fact_problems(
+    predicate: str, args: tuple[str, ...], kinds: dict[str, str]
+) -> tuple[list[str], tuple[str, ...]]:
     """What is wrong with one fact over objects of the given ``kinds``, most
-    basic first; empty if nothing is.  An unknown predicate or a wrong
-    argument count is the only problem reported, and a fact with an
-    undeclared or ill-typed argument is checked no further."""
+    basic first (empty if nothing is), and its arguments in canonical order.
+    An unknown predicate or a wrong argument count is reported alone, and a
+    fact with an undeclared or ill-typed argument is checked no further."""
     spec = PREDICATES.get(predicate)
     if spec is None:
-        return ["unknown predicate"]
+        return ["unknown predicate"], args
     if len(args) != len(spec):
-        return [f"expects {len(spec)} arguments, got {len(args)}"]
+        return [f"expects {len(spec)} arguments, got {len(args)}"], args
     problems = []
     for i, (arg, kind) in enumerate(zip(args, spec)):
         declared = kinds.get(arg)
@@ -194,15 +196,16 @@ def _fact_problems(predicate: str, args: tuple[str, ...], kinds: dict[str, str])
         elif declared != kind:
             problems.append(f"argument {i + 1} must be a {kind}, got {declared} {arg!r}")
     if problems:
-        return problems
+        return problems, args
     if predicate in DISTINCT_ARG_PREDICATES and len(set(args)) != len(args):
         problems.append("repeated argument")
     if predicate == "equidistant" and (args[0] == args[1] or args[2] == args[3]):
         problems.append("repeated point within a distance pair")
     canonical = CANONICAL_ARGS.get(predicate)
-    if canonical is not None and canonical(args) != args:
+    ordered = args if canonical is None else canonical(args)
+    if ordered != args:
         problems.append(_NOT_CANONICAL)
-    return problems
+    return problems, ordered
 
 
 def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> Fact:
@@ -214,12 +217,12 @@ def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> Fact:
     for arg in args:
         if not _NAME_RE.match(arg):
             raise ConstructionError(f"bad object name {arg!r}", line=lineno)
-    problems = _fact_problems(predicate, args, kinds)
+    problems, ordered = _fact_problems(predicate, args, kinds)
     # parsing puts any argument order right; that problem comes last, so it
     # is the first only when it is the only one
     if problems and problems[0] != _NOT_CANONICAL:
         raise ConstructionError(f"{fact_text(predicate, args)}: {problems[0]}", line=lineno)
-    return normalize_fact(Fact(predicate, args))
+    return Fact(predicate, ordered)
 
 
 def parse_construction(text: str) -> Construction:
@@ -282,6 +285,6 @@ def validate(construction: Construction) -> list[Violation]:
             out.append(Violation(decl.name, "duplicate object name"))
         kinds[decl.name] = decl.kind
     for f in sorted(map(Fact._make, construction.facts)):  # also takes a closure's plain pairs
-        for problem in _fact_problems(f.predicate, f.args, kinds):
+        for problem in _fact_problems(f.predicate, f.args, kinds)[0]:
             out.append(Violation(f.text, problem))
     return out

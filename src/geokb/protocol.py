@@ -13,8 +13,8 @@ true) to geometric queries only and ``Force`` (default false) to inserts
 only.  Unknown members are rejected.  A filter string is parsed only by the
 server when it answers the request, so one that does not parse gets an
 ``Error`` response, not a decoding error.  ``Insert`` carries the entry's own
-members as an entry file does (:data:`~geokb.repository.ENTRY_MEMBERS`), with
-``Identifier`` left out of a draft that has none.
+members as an entry file does (:func:`~geokb.repository.document_to_entry`
+reads both), with ``Identifier`` left out of a draft that has none.
 
 Responses are one of three shapes: a mapping from entry identifiers to
 ``{"Name", "Description", "Code"}`` objects for queries (``{}`` when
@@ -28,7 +28,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import EntryError, ProtocolError
-from .repository import ENTRY_MEMBERS, DuplicateReport, ProblemEntry, document_to_entry, entry_to_document
+from .repository import DuplicateReport, ProblemEntry, document_to_entry, entry_to_document
+from .textindex import MODES
 
 #: primary member -> the members a request with it may carry, in wire order
 _REQUEST_MEMBERS = {
@@ -88,9 +89,6 @@ def _require(condition: bool, message: str) -> None:
 def document_to_draft(doc: object) -> ProblemEntry:
     """The draft an ``Insert`` member describes."""
     _require(isinstance(doc, dict), "Insert must be a JSON object")
-    assert isinstance(doc, dict)
-    for member in doc:
-        _require(member in ENTRY_MEMBERS, f"unknown Insert member {member!r}")
     try:
         return document_to_entry(doc)
     except KeyError as exc:
@@ -112,7 +110,7 @@ def _primary(members: dict) -> str:
 def encode_request(request: QueryRequest) -> bytes:
     """One newline-terminated JSON line; inverse of :func:`decode_request`.
     Members left at their defaults are not sent."""
-    _require(request.mode in ("simple", "extended"), f"unknown mode {request.mode!r}")
+    _require(request.mode in MODES, f"unknown mode {request.mode!r}")
     members = {
         "Query": request.query,
         "GeometricQuery": request.geometric,
@@ -158,7 +156,7 @@ def decode_request(data: bytes | str) -> QueryRequest:
     if primary == "Query":
         _require(isinstance(obj["Query"], str), "Query must be a string")
         mode = obj.get("Mode", "simple")
-        _require(mode in ("simple", "extended"), f"unknown mode {mode!r}")
+        _require(mode in MODES, f"unknown mode {mode!r}")
         return QueryRequest(query=obj["Query"], filters=filters, mode=mode)
     if primary == "GeometricQuery":
         _require(isinstance(obj["GeometricQuery"], str), "GeometricQuery must be a string")

@@ -12,11 +12,11 @@ the format version, the rule set and the fingerprint depth.
 
 At startup a document whose digest matches is trusted: its record is built
 from those members, with no parsing, closure or fingerprinting.  Any other
-document (an older version, a changed rule set or depth, an edited or
-malformed member) is analysed again from its code, logged as a stale
-cache and rewritten.  A file that cannot be loaded as an entry at all is
-skipped with an error log and left on disk, and its identifier stays
-taken.  :meth:`Repository.check_cache_coherence` is the full check: it
+document (an older version, a changed rule set, an edited or malformed
+cache member) is analysed again from its code, logged as a stale cache and
+rewritten.  A file that is not an entry document, or holds an unknown
+member or an entry :meth:`Repository.insert` would refuse, is skipped with
+an error log and left on disk, and its identifier stays taken.  :meth:`Repository.check_cache_coherence` is the full check: it
 compares every record with an analysis of its code.
 
 In memory each entry has one immutable record, built the same way by
@@ -60,7 +60,7 @@ from .errors import (
     SearchBudgetExceeded,
     StorageError,
 )
-from .fingerprint import DEFAULT_DEPTH, Gtd, VALID_DEPTHS, gtd, gtd_subsumes, parse_gtd, serialize_gtd
+from .fingerprint import DEFAULT_DEPTH, Gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
 from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
@@ -159,8 +159,8 @@ class FilterSet:
 EMPTY_FILTERS = FilterSet()
 
 
-def parse_filters(text: str) -> FilterSet:
-    """Parse ``key=value AND key=value ...``; empty text matches everything."""
+def parse_filters(text: str | None) -> FilterSet:
+    """Parse ``key=value AND key=value ...``; no or empty text matches everything."""
     if not text or not text.strip():
         return EMPTY_FILTERS
     clauses: list[tuple[str, object]] = []
@@ -188,70 +188,77 @@ def parse_filters(text: str) -> FilterSet:
     return FilterSet(tuple(clauses))
 
 
-#: an entry's own members, in the order the wire and the entry file carry them
-ENTRY_MEMBERS = (
-    "Identifier", "Name", "Description", "ShortDescription", "Keywords",
-    "Code", "Language", "Level", "Kind",
-)
+#: an entry's own members, in the order the wire and the entry file carry
+#: them, each with the :class:`ProblemEntry` field it holds
+ENTRY_MEMBERS = {
+    "Identifier": "identifier", "Name": "name", "Description": "description",
+    "ShortDescription": "short_description", "Keywords": "keywords", "Code": "code",
+    "Language": "language", "Level": "level", "Kind": "kind",
+}
 
 
 def entry_to_document(entry: ProblemEntry) -> dict:
     """An entry's own members; a draft with no identifier has no
     ``Identifier`` member."""
-    doc = {
-        "Identifier": entry.identifier,
-        "Name": entry.name,
-        "Description": entry.description,
-        "ShortDescription": entry.short_description,
-        "Keywords": list(entry.keywords),
-        "Code": entry.code,
-        "Language": entry.language,
-        "Level": entry.level,
-        "Kind": entry.kind,
-    }
+    doc = {member: getattr(entry, field) for member, field in ENTRY_MEMBERS.items()}
+    doc["Keywords"] = list(entry.keywords)
     if not entry.identifier:
         del doc["Identifier"]
     return doc
 
 
-def document_to_entry(doc: dict) -> ProblemEntry:
+def document_to_entry(doc: dict, extra: tuple[str, ...] = ()) -> ProblemEntry:
     """The entry a document's own members describe, with the defaults of
     :class:`ProblemEntry` for the optional ones.  Only their shape is
-    checked: a missing ``Name`` or ``Code`` raises KeyError, which each
-    caller words for its boundary, and :class:`EntryError` names the member
-    unless ``Keywords`` is an array of strings, ``Level`` an integer and
-    each other one a string.  Other members are ignored."""
-    name, code = doc["Name"], doc["Code"]
-    keywords = doc.get("Keywords", [])
-    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-        raise EntryError("Keywords must be an array of strings")
-    for member in ("Identifier", "Name", "Description", "ShortDescription", "Code", "Language", "Kind"):
-        if not isinstance(doc.get(member, ""), str):
+    checked: :class:`EntryError` names a member that is in neither
+    :data:`ENTRY_MEMBERS` nor ``extra``, or one of the wrong type
+    (``Keywords`` not an array of strings, ``Level`` not an integer, any
+    other not a string).  A missing ``Name`` or ``Code`` raises KeyError,
+    which each caller words for its boundary."""
+    for member in doc:
+        if member not in ENTRY_MEMBERS and member not in extra:
+            raise EntryError(f"unknown entry member {member!r}")
+    fields = {
+        field: doc[member]  # a missing Name or Code raises KeyError here
+        for member, field in ENTRY_MEMBERS.items()
+        if member in doc or member in ("Name", "Code")
+    }
+    if "keywords" in fields:
+        keywords = fields["keywords"]
+        if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+            raise EntryError("Keywords must be an array of strings")
+        fields["keywords"] = tuple(keywords)
+    for member, field in ENTRY_MEMBERS.items():
+        if member not in ("Keywords", "Level") and not isinstance(fields.get(field, ""), str):
             raise EntryError(f"{member} must be a string")
-    level = doc.get("Level", 3)
-    if isinstance(level, bool) or not isinstance(level, int):
+    level = fields.get("level")
+    if "level" in fields and (isinstance(level, bool) or not isinstance(level, int)):
         raise EntryError("Level must be an integer")
-    return ProblemEntry(
-        identifier=doc.get("Identifier", ""),
-        name=name,
-        description=doc.get("Description", ""),
-        short_description=doc.get("ShortDescription", ""),
-        keywords=tuple(keywords),
-        code=code,
-        language=doc.get("Language", "en"),
-        level=level,
-        kind=doc.get("Kind", "construction"),
-    )
+    return ProblemEntry(**fields)
 
 
-def cache_digest(doc: dict, ruleset: RuleSet, depth: int) -> str:
+def _check_entry(entry: ProblemEntry) -> None:
+    """Raise :class:`EntryError` unless the entry's level, kind, language
+    and identifier (if it has one) are legal."""
+    level = entry.level
+    if isinstance(level, bool) or not isinstance(level, int) or not 1 <= level <= 5:
+        raise EntryError(f"level must be an integer between 1 and 5, got {level!r}")
+    if entry.kind not in ENTRY_KINDS:
+        raise EntryError(f"kind must be one of {ENTRY_KINDS}, got {entry.kind!r}")
+    if not entry.language:
+        raise EntryError("language must not be empty")
+    if entry.identifier and not IDENTIFIER_RE.match(entry.identifier):
+        raise EntryError(f"invalid identifier {entry.identifier!r}")
+
+
+def cache_digest(doc: dict, ruleset: RuleSet) -> str:
     """SHA-256 over the members a trusted load takes from an entry document
     and what they were computed under: format version, rules and depth."""
-    members = [FORMAT_VERSION, ruleset.digest, depth, *(doc.get(m) for m in ("Code", "Objects", "Closure", "GTD"))]
+    members = [FORMAT_VERSION, ruleset.digest, DEFAULT_DEPTH, *(doc.get(m) for m in ("Code", "Objects", "Closure", "GTD"))]
     return sha256(json.dumps(members, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
-def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
+def record_to_document(record: _Record, ruleset: RuleSet) -> dict:
     """The entry document of a record: its entry, its cached analysis and
     the digest over them."""
     doc = {
@@ -262,17 +269,8 @@ def record_to_document(record: _Record, ruleset: RuleSet, depth: int) -> dict:
         "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
     }
-    doc["Digest"] = cache_digest(doc, ruleset, depth)
+    doc["Digest"] = cache_digest(doc, ruleset)
     return doc
-
-
-def _metadata_error(level: object, kind: object) -> str | None:
-    """Why an entry's level or kind is not legal, or None if both are."""
-    if isinstance(level, bool) or not isinstance(level, int) or not 1 <= level <= 5:
-        return f"level must be an integer between 1 and 5, got {level!r}"
-    if kind not in ENTRY_KINDS:
-        return f"kind must be one of {ENTRY_KINDS}, got {kind!r}"
-    return None
 
 
 def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple[str, ...]]] | None:
@@ -294,16 +292,6 @@ def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple
     return facts
 
 
-def _check_draft(entry: ProblemEntry) -> None:
-    error = _metadata_error(entry.level, entry.kind)
-    if error:
-        raise EntryError(error)
-    if not entry.language:
-        raise EntryError("language must not be empty")
-    if entry.identifier and not IDENTIFIER_RE.match(entry.identifier):
-        raise EntryError(f"invalid identifier {entry.identifier!r}")
-
-
 class Repository:
     """Persistent entry store bound to a data directory, holding one
     immutable record per entry: the entry, its matching side, its
@@ -322,16 +310,12 @@ class Repository:
         self,
         data_dir: str | os.PathLike[str],
         ruleset: RuleSet | None = None,
-        gtd_depth: int = DEFAULT_DEPTH,
         match_budget: int = DEFAULT_BUDGET,
     ):
-        if gtd_depth not in VALID_DEPTHS:
-            raise ValueError(f"gtd_depth must be one of {VALID_DEPTHS}, got {gtd_depth!r}")
         self._dir = Path(data_dir)
         self._entries_dir = self._dir / "entries"
         self._entries_dir.mkdir(parents=True, exist_ok=True)
         self._rules = default_rules() if ruleset is None else ruleset
-        self._depth = gtd_depth
         self._budget = match_budget
         #: held by writers only
         self._lock = threading.Lock()
@@ -348,10 +332,6 @@ class Repository:
     @property
     def data_dir(self) -> Path:
         return self._dir
-
-    @property
-    def gtd_depth(self) -> int:
-        return self._depth
 
     @property
     def ruleset(self) -> RuleSet:
@@ -398,13 +378,11 @@ class Repository:
             raise StorageError(f"unsupported entry format version {version!r}")
         if not isinstance(doc.get("GTD", ""), str):
             raise StorageError("GTD must be a string")
-        error = _metadata_error(doc.get("Level", 3), doc.get("Kind", "construction"))
-        if error:
-            raise StorageError(error)
         try:
-            entry = document_to_entry(doc)
+            entry = document_to_entry(doc, extra=("GTD", "Objects", "Closure", "Digest", "Version"))
         except KeyError as exc:
             raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
+        _check_entry(entry)
         if entry.identifier != path.stem:
             raise StorageError(f"holds identifier {entry.identifier!r}")
         return entry, doc
@@ -412,9 +390,7 @@ class Repository:
     def _cached_record(self, entry: ProblemEntry, doc: dict) -> _Record | None:
         """The record a current-version document's cache describes, or None
         unless its digest matches and its members are well formed."""
-        if doc.get("Version") != FORMAT_VERSION or doc.get("Digest") != cache_digest(
-            doc, self._rules, self._depth
-        ):
+        if doc.get("Version") != FORMAT_VERSION or doc.get("Digest") != cache_digest(doc, self._rules):
             return None
         objects = doc.get("Objects")
         if not isinstance(objects, dict) or not all(kind in KINDS for kind in objects.values()):
@@ -424,14 +400,14 @@ class Repository:
             fingerprint = parse_gtd(doc.get("GTD", ""))
         except ValueError:
             return None
-        if closed is None or fingerprint.depth != self._depth:
+        if closed is None or fingerprint.depth != DEFAULT_DEPTH:
             return None
         return _Record(entry, prepare(objects, closed), fingerprint, textindex.terms(entry))
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
         side = prepare(construction.kinds, closed)
-        return side, gtd(construction, closed, self._depth)
+        return side, gtd(construction, closed, DEFAULT_DEPTH)
 
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
         """The record of an analysed entry, written to its entry file."""
@@ -444,7 +420,7 @@ class Repository:
         identifier = record.entry.identifier
         final = self._entries_dir / f"{identifier}.json"
         temp = self._entries_dir / f".{identifier}.json.tmp"
-        doc = record_to_document(record, self._rules, self._depth)
+        doc = record_to_document(record, self._rules)
         try:
             temp.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
             os.replace(temp, final)
@@ -501,7 +477,7 @@ class Repository:
         :class:`DuplicateReport` (and stores nothing) when an unforced
         insert collides with an equal or containing entry.
         """
-        _check_draft(draft)
+        _check_entry(draft)
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if draft.identifier:
@@ -528,7 +504,7 @@ class Repository:
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
         """Replace an entry's fields; the identifier itself cannot change."""
-        _check_draft(draft)
+        _check_entry(draft)
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if identifier not in self._records:
@@ -565,7 +541,7 @@ class Repository:
         elif mode == "extended":
             identifiers = [h.identifier for h in textindex.extended_search(text, records)]
         else:
-            raise ValueError(f"mode must be 'simple' or 'extended', got {mode!r}")
+            raise ValueError(f"mode must be one of {textindex.MODES}, got {mode!r}")
         return [i for i in identifiers if filters.matches(records[i].entry)]
 
     def geometric_query(
@@ -583,7 +559,7 @@ class Repository:
         budget are dropped with a logged warning.
         """
         closed = closure(query, self._rules)
-        fingerprint = gtd(query, closed, self._depth)
+        fingerprint = gtd(query, closed, DEFAULT_DEPTH)
         side = None
         results: list[tuple[str, Embedding | None]] = []
         for identifier, record in sorted(self._records.items()):
@@ -613,9 +589,8 @@ class Repository:
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            if (side.kinds, side.facts, fingerprint.depth, list(fingerprint.counts.items())) != (
-                record.side.kinds, record.side.facts, record.fingerprint.depth,
-                list(record.fingerprint.counts.items()),
+            if (side.kinds, side.facts, list(fingerprint.counts.items())) != (
+                record.side.kinds, record.side.facts, list(record.fingerprint.counts.items())
             ):
                 stale.append(identifier)
         return stale

@@ -27,7 +27,7 @@ from .protocol import (
     decode_request,
     encode_response,
 )
-from .repository import DuplicateReport, EMPTY_FILTERS, Repository, parse_filters
+from .repository import DuplicateReport, Repository, parse_filters
 from .rules import load_rules
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ def handle_request(repository: Repository, data: bytes) -> QueryResponse:
     """Decode, dispatch and answer one request; never raises."""
     try:
         request = decode_request(data)
-        filters = parse_filters(request.filters) if request.filters else EMPTY_FILTERS
+        filters = parse_filters(request.filters)
         if request.query is not None:
             identifiers = repository.text_query(request.query, mode=request.mode, filters=filters)
             return _entry_map(repository, identifiers)
@@ -138,12 +138,11 @@ def serve(
     port: int,
     data_dir: str,
     rules_path: str | None = None,
-    gtd_depth: int = 2,
 ) -> NoReturn:
     """Build the repository and answer requests until the process is
     signalled.  Binding failures propagate as ``OSError``."""
     ruleset = load_rules(Path(rules_path).read_text(encoding="utf-8")) if rules_path else None
-    repository = Repository(data_dir, ruleset=ruleset, gtd_depth=gtd_depth)
+    repository = Repository(data_dir, ruleset=ruleset)
     log.info("serving %d entries from %s", len(repository), repository.data_dir)
     server = GeoServer(repository, host, port)
     server.serve_forever()

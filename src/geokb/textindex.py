@@ -21,6 +21,8 @@ from typing import Mapping
 
 from .errors import PatternError
 
+#: the text query modes: a name regex, or scored tokens over every field
+MODES = ("simple", "extended")
 #: score weight per field for extended search
 FIELD_WEIGHTS = {"name": 4, "keywords": 3, "shortDescription": 2, "description": 1}
 

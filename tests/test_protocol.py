@@ -160,7 +160,7 @@ def test_unicode_survives_the_wire():
         (b'{"Insert": {"Name": "x"}}\n', "Insert requires member 'Code'"),
         (b'{"Insert": {"Code": "x"}}\n', "Insert requires member 'Name'"),
         (b'{"Insert": "text"}\n', "Insert must be a JSON object"),
-        (b'{"Insert": {"Name": "x", "Code": "", "Surprise": 1}}\n', "unknown Insert member"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Surprise": 1}}\n', "unknown entry member 'Surprise'"),
         (b'{"Insert": {"Name": "x", "Code": "", "Level": "high"}}\n', "Level must be an integer"),
         (b'{"Insert": {"Name": "x", "Code": "", "Level": true}}\n', "Level must be an integer"),
         (b'{"Insert": {"Name": "x", "Code": "", "Keywords": "a"}}\n', "Keywords must be an array"),

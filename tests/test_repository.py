@@ -124,9 +124,7 @@ def test_cache_coherence_on_seeded_corpus(seeded_repo):
     assert seeded_repo.check_cache_coherence() == []
     for identifier in seeded_repo.list_all():
         entry = seeded_repo.get(identifier)
-        recomputed = construction_gtd(
-            parse_construction(entry.code), seeded_repo.ruleset, seeded_repo.gtd_depth
-        )
+        recomputed = construction_gtd(parse_construction(entry.code), seeded_repo.ruleset, 2)
         assert serialize_gtd(recomputed) == _entry_document(seeded_repo, identifier)["GTD"]
 
 
@@ -490,6 +488,21 @@ def test_mismatched_filename_is_quarantined(fresh_seeded_repo, caplog):
     assert (entries / "GEO0999.json").read_text(encoding="utf-8") == text
 
 
+def test_illegal_identifier_file_is_quarantined(fresh_seeded_repo, caplog):
+    # served, this identifier would make geoclient --out refuse the whole response
+    entries = fresh_seeded_repo.data_dir / "entries"
+    doc = json.loads((entries / "GEO0281.json").read_text(encoding="utf-8"))
+    text = json.dumps({**doc, "Identifier": "bad name"})
+    (entries / "bad name.json").write_text(text, encoding="utf-8")
+    with caplog.at_level("ERROR"):
+        reloaded = Repository(fresh_seeded_repo.data_dir)
+    assert reloaded.list_all() == fresh_seeded_repo.list_all()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "bad name.json" in errors[0] and "invalid identifier" in errors[0]
+    assert reloaded._quarantined == {"bad name"}
+    assert (entries / "bad name.json").read_text(encoding="utf-8") == text
+
+
 def _v1_document(doc: dict) -> dict:
     """The document as a store of format version 1 wrote it."""
     keep = ("Identifier", "Name", "Description", "ShortDescription", "Keywords", "Code",
@@ -512,6 +525,9 @@ BAD_ENTRY_FILES = {
     "level-a-boolean": lambda doc: {**doc, "Level": True},
     "level-out-of-range": lambda doc: {**doc, "Level": 6},
     "unknown-kind": lambda doc: {**doc, "Kind": "theorem"},
+    "empty-language": lambda doc: {**doc, "Language": ""},
+    # refused on the wire too; loaded, the entry would silently take the default keywords
+    "misspelt-member": lambda doc: {("Keyword" if k == "Keywords" else k): v for k, v in doc.items()},
 }
 
 
@@ -686,7 +702,7 @@ def test_malformed_cache_under_a_matching_digest_is_recomputed(fresh_seeded_repo
 
     def forge(doc):
         doc = MALFORMED_UNDER_A_MATCHING_DIGEST[case](doc)
-        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     with caplog.at_level("WARNING"):
@@ -702,7 +718,7 @@ def test_coherence_check_finds_a_wrong_closure_under_a_forged_digest(fresh_seede
     def forge(doc):
         dropped.append(doc["Closure"][0])
         doc = {**doc, "Closure": doc["Closure"][1:]}
-        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     with caplog.at_level("WARNING"):
@@ -717,7 +733,7 @@ def test_coherence_check_finds_unparsable_code_under_a_forged_digest(fresh_seede
 
     def forge(doc):
         doc = {**doc, "Code": doc["Code"] + "parallel(\n"}
-        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     assert Repository(repo.data_dir).check_cache_coherence() == ["GEO0281"]
@@ -729,7 +745,7 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
     def forge(doc):
         depth, *keys = doc["GTD"].split()
         doc = {**doc, "GTD": " ".join([depth, *reversed(keys)])}
-        return {**doc, "Digest": cache_digest(doc, repo.ruleset, repo.gtd_depth)}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     trusting = Repository(repo.data_dir)
@@ -737,12 +753,11 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
-@pytest.mark.parametrize("change", ["depth", "rules"])
+# the store has one fingerprint depth; a stored GTD of another depth is
+# MALFORMED_UNDER_A_MATCHING_DIGEST's "gtd-of-another-depth"
+@pytest.mark.parametrize("change", ["rules"])
 def test_new_depth_or_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog, change):
-    if change == "depth":
-        options = {"gtd_depth": 1}
-    else:
-        options = {"ruleset": RuleSet(tuple(r for r in default_rules().rules if r.name != "R3"))}
+    options = {"ruleset": RuleSet(tuple(r for r in default_rules().rules if r.name != "R3"))}
     with caplog.at_level("WARNING"):
         reopened = Repository(fresh_seeded_repo.data_dir, **options)
     assert len(_refreshed(caplog)) == len(ENTRIES)

@@ -368,11 +368,27 @@ def test_geoclient_transport_error_exit_1(capsys):
     assert "geoclient:" in capsys.readouterr().err
 
 
-def test_geoclient_usage_errors(server):
-    with pytest.raises(SystemExit):
-        client_main([server.host, str(server.port)])  # no query at all
-    with pytest.raises(SystemExit):
-        client_main([server.host, str(server.port), "q", "--force"])
+def test_geoclient_usage_errors(tmp_path):
+    figure = tmp_path / "figure.cons"
+    figure.write_text(BARE_TRIANGLE_TEXT, encoding="utf-8")
+    draft = tmp_path / "draft.json"
+    draft.write_text(json.dumps({"Name": "Bare triangle", "Code": BARE_TRIANGLE_TEXT}), encoding="utf-8")
+    misuses = [
+        [],  # no primary
+        ["q", "--geometric", str(figure)],
+        ["--insert", str(draft), "--filters", "level=3"],
+        ["--geometric", str(figure), "--mode", "extended"],
+        ["q", "--no-confirm"],
+        ["q", "--force"],
+    ]
+    # no listener: a request that reached the network would exit 1
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        free_port = probe.getsockname()[1]
+    for misuse in misuses:
+        with pytest.raises(SystemExit) as exited:
+            client_main(["127.0.0.1", str(free_port), *misuse, "--timeout", "2"])
+        assert exited.value.code == 2, misuse
 
 
 def test_geoserver_bind_failure_exit_1(tmp_path, capsys):
