@@ -76,6 +76,6 @@ response = client_query(
 print("\nbad query answered with:", json.dumps(response_to_document(response)))
 
 server.shutdown()
-server.close()
+server.server_close()
 workdir.cleanup()
 print("\ndone")

@@ -5,8 +5,8 @@ geoclient HOST PORT QUERY [--filters S] [--mode simple|extended]
 geoclient HOST PORT --geometric FILE [--no-confirm] [--filters S]
 geoclient HOST PORT --insert FILE.json [--force]
 
-Client exit codes: 0 success, 1 transport error or malformed response,
-2 server-reported error.
+Client exit codes: 0 success, 1 unreadable or illegal insert file,
+transport error or malformed response, 2 server-reported error.
 """
 
 from __future__ import annotations

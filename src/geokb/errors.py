@@ -32,8 +32,8 @@ class FilterError(GeoKbError):
 
 
 class EntryError(GeoKbError):
-    """An entry with an illegal level, kind, language or identifier, or an
-    entry document with an unknown member or one of the wrong shape."""
+    """An entry with a field of the wrong type or an illegal level, kind,
+    language or identifier, or an entry document with an unknown member."""
 
 
 class NotFoundError(GeoKbError):

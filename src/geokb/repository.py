@@ -4,20 +4,22 @@ Each entry is one JSON document at ``<data>/entries/<identifier>.json``
 (written to a temp file and renamed, so an interrupted write leaves no
 partial entry).  The entry's own members are written and read by
 :func:`entry_to_document` and :func:`document_to_entry`, which the wire
-protocol's ``Insert`` member shares.  Beside them, a version-2 document
-caches the entry's whole analysis: ``Objects`` (name -> kind), ``Closure``
-(the closed facts in text form, ``predicate(a, b)``, sorted) and
-``GTD`` (the fingerprint), under a ``Digest`` that also covers ``Code``,
-the format version, the rule set and the fingerprint depth.
+protocol's ``Insert`` member shares; a :class:`ProblemEntry` checks its
+fields when it is built, so no illegal entry exists.  Beside them, a
+version-2 document caches the entry's whole analysis: ``Objects`` (name
+-> kind), ``Closure`` (the closed facts in text form, ``predicate(a, b)``,
+sorted) and ``GTD`` (the fingerprint), under a ``Digest`` that also covers
+``Code``, the format version, the rule set and the fingerprint depth.
 
 At startup a document whose digest matches is trusted: its record is built
 from those members, with no parsing, closure or fingerprinting.  Any other
 document (an older version, a changed rule set, an edited or malformed
 cache member) is analysed again from its code, logged as a stale cache and
 rewritten.  A file that is not an entry document, or holds an unknown
-member or an entry :meth:`Repository.insert` would refuse, is skipped with
-an error log and left on disk, and its identifier stays taken.  :meth:`Repository.check_cache_coherence` is the full check: it
-compares every record with an analysis of its code.
+member or an entry :class:`ProblemEntry` refuses, is skipped with an error
+log and left on disk, and its identifier stays taken.
+:meth:`Repository.check_cache_coherence` is the full check: it compares
+every record with an analysis of its code.
 
 In memory each entry has one immutable record, built the same way by
 loading, inserting and updating: the entry, its closed construction
@@ -73,7 +75,6 @@ CODE_FORMAT = "predicate"
 FORMAT_VERSION = 2
 #: versions that load; older ones are analysed again and rewritten
 READABLE_VERSIONS = (1, FORMAT_VERSION)
-FILTER_KEYS = ("format", "kind", "language", "level", "keyword")
 ENTRY_KINDS = ("construction", "conjecture")
 
 #: a legal entry identifier, also the stem of its file name
@@ -87,7 +88,10 @@ class ProblemEntry:
     """One problem as a client sees it.  ``identifier`` may be left empty
     in drafts passed to :meth:`Repository.insert`, which then assigns the
     lowest unused ``GEO####``.  The store derives everything else it keeps
-    of an entry (closure, fingerprint, text terms) from these fields."""
+    of an entry (closure, fingerprint, text terms) from these fields.
+    Building one raises :class:`EntryError` for a field of the wrong type
+    or an illegal level, kind, language or identifier; a list of keywords
+    is kept as a tuple."""
 
     identifier: str = ""
     name: str = ""
@@ -98,6 +102,24 @@ class ProblemEntry:
     language: str = "en"
     level: int = 3
     kind: str = "construction"
+
+    def __post_init__(self) -> None:
+        keywords = self.keywords
+        if not isinstance(keywords, (list, tuple)) or not all(isinstance(k, str) for k in keywords):
+            raise EntryError("Keywords must be an array of strings")
+        object.__setattr__(self, "keywords", tuple(keywords))
+        for member, field in ENTRY_MEMBERS.items():
+            if member not in ("Keywords", "Level") and not isinstance(getattr(self, field), str):
+                raise EntryError(f"{member} must be a string")
+        level = self.level
+        if isinstance(level, bool) or not isinstance(level, int) or not 1 <= level <= 5:
+            raise EntryError(f"level must be an integer between 1 and 5, got {level!r}")
+        if self.kind not in ENTRY_KINDS:
+            raise EntryError(f"kind must be one of {ENTRY_KINDS}, got {self.kind!r}")
+        if not self.language:
+            raise EntryError("language must not be empty")
+        if self.identifier and not IDENTIFIER_RE.match(self.identifier):
+            raise EntryError(f"invalid identifier {self.identifier!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +147,16 @@ class DuplicateReport:
         return bool(self.exact_duplicates or self.containing_entries)
 
 
+#: filter key -> whether an entry passes a clause with that key and its parsed value
+FILTER_TESTS = {
+    "format": lambda entry, value: value == CODE_FORMAT,
+    "kind": lambda entry, value: entry.kind == value,
+    "language": lambda entry, value: entry.language.lower() == str(value).lower(),
+    "level": lambda entry, value: entry.level == value,
+    "keyword": lambda entry, value: str(value).lower() in (k.lower() for k in entry.keywords),
+}
+
+
 @dataclass(frozen=True)
 class FilterSet:
     """Conjunction of ``key=value`` predicates over entry metadata."""
@@ -136,23 +168,8 @@ class FilterSet:
 
     def matches(self, entry: ProblemEntry) -> bool:
         for key, value in self.clauses:
-            if key == "format":
-                if value != CODE_FORMAT:
-                    return False
-            elif key == "kind":
-                if entry.kind != value:
-                    return False
-            elif key == "language":
-                if entry.language.lower() != str(value).lower():
-                    return False
-            elif key == "level":
-                if entry.level != value:
-                    return False
-            elif key == "keyword":
-                if str(value).lower() not in (k.lower() for k in entry.keywords):
-                    return False
-            else:  # pragma: no cover - parse_filters rejects unknown keys
-                raise FilterError(f"unknown filter key: {key}")
+            if not FILTER_TESTS[key](entry, value):
+                return False
         return True
 
 
@@ -169,7 +186,7 @@ def parse_filters(text: str | None) -> FilterSet:
         key, sep, value = part.partition("=")
         if not sep or not key or not value:
             raise FilterError(f"malformed filter {part!r} (expected key=value)")
-        if key not in FILTER_KEYS:
+        if key not in FILTER_TESTS:
             raise FilterError(f"unknown filter key: {key}")
         if key == "level":
             try:
@@ -209,46 +226,18 @@ def entry_to_document(entry: ProblemEntry) -> dict:
 
 def document_to_entry(doc: dict, extra: tuple[str, ...] = ()) -> ProblemEntry:
     """The entry a document's own members describe, with the defaults of
-    :class:`ProblemEntry` for the optional ones.  Only their shape is
-    checked: :class:`EntryError` names a member that is in neither
-    :data:`ENTRY_MEMBERS` nor ``extra``, or one of the wrong type
-    (``Keywords`` not an array of strings, ``Level`` not an integer, any
-    other not a string).  A missing ``Name`` or ``Code`` raises KeyError,
-    which each caller words for its boundary."""
+    :class:`ProblemEntry` for the optional ones.  :class:`EntryError` names
+    a member that is in neither :data:`ENTRY_MEMBERS` nor ``extra``, or is
+    raised by :class:`ProblemEntry` for an illegal one.  A missing ``Name``
+    or ``Code`` raises KeyError, which each caller words for its boundary."""
     for member in doc:
         if member not in ENTRY_MEMBERS and member not in extra:
             raise EntryError(f"unknown entry member {member!r}")
-    fields = {
+    return ProblemEntry(**{
         field: doc[member]  # a missing Name or Code raises KeyError here
         for member, field in ENTRY_MEMBERS.items()
         if member in doc or member in ("Name", "Code")
-    }
-    if "keywords" in fields:
-        keywords = fields["keywords"]
-        if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-            raise EntryError("Keywords must be an array of strings")
-        fields["keywords"] = tuple(keywords)
-    for member, field in ENTRY_MEMBERS.items():
-        if member not in ("Keywords", "Level") and not isinstance(fields.get(field, ""), str):
-            raise EntryError(f"{member} must be a string")
-    level = fields.get("level")
-    if "level" in fields and (isinstance(level, bool) or not isinstance(level, int)):
-        raise EntryError("Level must be an integer")
-    return ProblemEntry(**fields)
-
-
-def _check_entry(entry: ProblemEntry) -> None:
-    """Raise :class:`EntryError` unless the entry's level, kind, language
-    and identifier (if it has one) are legal."""
-    level = entry.level
-    if isinstance(level, bool) or not isinstance(level, int) or not 1 <= level <= 5:
-        raise EntryError(f"level must be an integer between 1 and 5, got {level!r}")
-    if entry.kind not in ENTRY_KINDS:
-        raise EntryError(f"kind must be one of {ENTRY_KINDS}, got {entry.kind!r}")
-    if not entry.language:
-        raise EntryError("language must not be empty")
-    if entry.identifier and not IDENTIFIER_RE.match(entry.identifier):
-        raise EntryError(f"invalid identifier {entry.identifier!r}")
+    })
 
 
 def cache_digest(doc: dict, ruleset: RuleSet) -> str:
@@ -306,17 +295,11 @@ class Repository:
     stored state, so it runs before the lock is taken.
     """
 
-    def __init__(
-        self,
-        data_dir: str | os.PathLike[str],
-        ruleset: RuleSet | None = None,
-        match_budget: int = DEFAULT_BUDGET,
-    ):
+    def __init__(self, data_dir: str | os.PathLike[str], ruleset: RuleSet | None = None):
         self._dir = Path(data_dir)
         self._entries_dir = self._dir / "entries"
         self._entries_dir.mkdir(parents=True, exist_ok=True)
         self._rules = default_rules() if ruleset is None else ruleset
-        self._budget = match_budget
         #: held by writers only
         self._lock = threading.Lock()
         #: replaced whole by each write, never mutated once published
@@ -382,7 +365,6 @@ class Repository:
             entry = document_to_entry(doc, extra=("GTD", "Objects", "Closure", "Digest", "Version"))
         except KeyError as exc:
             raise StorageError(f"entry document missing member {exc.args[0]!r}") from None
-        _check_entry(entry)
         if entry.identifier != path.stem:
             raise StorageError(f"holds identifier {entry.identifier!r}")
         return entry, doc
@@ -411,7 +393,6 @@ class Repository:
 
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
         """The record of an analysed entry, written to its entry file."""
-        entry = replace(entry, keywords=tuple(entry.keywords))
         record = _Record(entry, side, fingerprint, textindex.terms(entry))
         self._write(record)
         return record
@@ -440,7 +421,7 @@ class Repository:
         """One embedding of ``query`` into ``target``, or None if there is
         none or the match budget runs out, which is logged with ``context``."""
         try:
-            found = embed_closed(query, target, 1, budget=self._budget)
+            found = embed_closed(query, target, 1, budget=DEFAULT_BUDGET)
         except SearchBudgetExceeded:
             log.warning("match budget exhausted while checking %s; treating as no match", context)
             return None
@@ -477,7 +458,6 @@ class Repository:
         :class:`DuplicateReport` (and stores nothing) when an unforced
         insert collides with an equal or containing entry.
         """
-        _check_entry(draft)
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if draft.identifier:
@@ -504,7 +484,6 @@ class Repository:
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
         """Replace an entry's fields; the identifier itself cannot change."""
-        _check_entry(draft)
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if identifier not in self._records:

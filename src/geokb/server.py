@@ -76,6 +76,8 @@ def handle_request(repository: Repository, data: bytes) -> QueryResponse:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    server: GeoServer
+
     def handle(self) -> None:
         self.connection.settimeout(CONNECTION_TIMEOUT)
         try:
@@ -87,50 +89,37 @@ class _Handler(socketserver.StreamRequestHandler):
         if len(data) > MAX_REQUEST_BYTES:
             response: QueryResponse = ErrorResponse("request too large")
         else:
-            response = handle_request(self.server.repository, data)  # type: ignore[attr-defined]
+            response = handle_request(self.server.repository, data)
         try:
             self.wfile.write(encode_response(response))
         except OSError:
             log.warning("client went away before the response was written")
 
 
-class _TcpServer(socketserver.ThreadingTCPServer):
+class GeoServer(socketserver.ThreadingTCPServer):
+    """A repository's TCP server, listening once built, with a thread per
+    connection.  Leaving a ``with`` block calls :meth:`shutdown` and
+    :meth:`server_close`, so use one only around a running :meth:`serve_forever`."""
+
     allow_reuse_address = True
     daemon_threads = True
     request_queue_size = LISTEN_BACKLOG
 
-
-class GeoServer:
-    """A bound server; call :meth:`serve_forever` to start answering."""
-
     def __init__(self, repository: Repository, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
-        self._server = _TcpServer((host, port), _Handler)
-        self._server.repository = repository  # type: ignore[attr-defined]
+        self.repository = repository
+        super().__init__((host, port), _Handler)
 
     @property
     def host(self) -> str:
-        return self._server.server_address[0]
+        return self.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._server.server_address[1]
-
-    def serve_forever(self) -> None:
-        log.info("listening on %s:%d", self.host, self.port)
-        self._server.serve_forever()
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-
-    def close(self) -> None:
-        self._server.server_close()
-
-    def __enter__(self) -> "GeoServer":
-        return self
+        return self.server_address[1]
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
-        self.close()
+        self.server_close()
 
 
 def serve(
@@ -145,5 +134,6 @@ def serve(
     repository = Repository(data_dir, ruleset=ruleset)
     log.info("serving %d entries from %s", len(repository), repository.data_dir)
     server = GeoServer(repository, host, port)
+    log.info("listening on %s:%d", server.host, server.port)
     server.serve_forever()
     raise AssertionError("serve_forever returned")  # pragma: no cover

@@ -236,7 +236,7 @@ def test_criterion_7_protocol_conformance(fresh_seeded_repo):
             assert isinstance(again, QueryResult)
         finally:
             server.shutdown()
-            server.close()
+            server.server_close()
             thread.join(timeout=5)
 
 

@@ -161,8 +161,12 @@ def test_unicode_survives_the_wire():
         (b'{"Insert": {"Code": "x"}}\n', "Insert requires member 'Name'"),
         (b'{"Insert": "text"}\n', "Insert must be a JSON object"),
         (b'{"Insert": {"Name": "x", "Code": "", "Surprise": 1}}\n', "unknown entry member 'Surprise'"),
-        (b'{"Insert": {"Name": "x", "Code": "", "Level": "high"}}\n', "Level must be an integer"),
-        (b'{"Insert": {"Name": "x", "Code": "", "Level": true}}\n', "Level must be an integer"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Level": "high"}}\n', "level must be an integer between 1 and 5, got 'high'"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Level": true}}\n', "level must be an integer between 1 and 5, got True"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Level": 9}}\n', "level must be an integer between 1 and 5, got 9"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Kind": "sonnet"}}\n', "kind must be one of"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Language": ""}}\n', "language must not be empty"),
+        (b'{"Insert": {"Name": "x", "Code": "", "Identifier": "../evil"}}\n', "invalid identifier"),
         (b'{"Insert": {"Name": "x", "Code": "", "Keywords": "a"}}\n', "Keywords must be an array"),
         (b'{"Insert": {"Name": "x", "Code": ""}, "Force": 1}\n', "Force must be a boolean"),
         (b'{"Query": "a"}\n{"Query": "b"}\n', "single line"),

@@ -198,7 +198,19 @@ def test_insert_validates_draft_and_code(tmp_path):
         repo.insert(ProblemEntry(name="Bad kind", code="", kind="sonnet"))
     with pytest.raises(EntryError, match="level must be an integer"):
         repo.insert(ProblemEntry(name="Boolean level", code="", level=True))  # bool is an int
+    for field, value, message in (
+        ("name", 5, "Name must be a string"),
+        ("description", None, "Description must be a string"),
+        ("keywords", ("a", 7), "Keywords must be an array of strings"),
+        ("keywords", "abc", "Keywords must be an array of strings"),  # not ('a', 'b', 'c')
+    ):
+        with pytest.raises(EntryError, match=message):
+            repo.insert(ProblemEntry(**{"name": "Ill-typed", "code": "", field: value}))
     assert len(repo) == 0
+    assert list(repo.data_dir.glob("entries/*")) == []
+    identifier = repo.insert(ProblemEntry(name="Listed keywords", code="", keywords=["a"]))
+    assert repo.get(identifier).keywords == ("a",)
+    assert Repository(repo.data_dir).get(identifier).keywords == ("a",)
 
 
 def test_update_revalidates_and_reindexes(fresh_seeded_repo):
@@ -419,8 +431,9 @@ def test_no_false_negatives_end_to_end(seeded_repo):
             assert identifier in confirmed
 
 
-def test_budget_exhaustion_drops_confirmed_matches_with_warning(tmp_path, caplog):
-    repo = Repository(tmp_path / "data", match_budget=0)
+def test_budget_exhaustion_drops_confirmed_matches_with_warning(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr("geokb.repository.DEFAULT_BUDGET", 0)
+    repo = Repository(tmp_path / "data")
     seed_repository(repo)
     with caplog.at_level("WARNING"):
         hits = repo.geometric_query(bare_triangle(), confirm=True)

@@ -35,7 +35,7 @@ def server(fresh_seeded_repo):
     thread.start()
     yield srv
     srv.shutdown()
-    srv.close()
+    srv.server_close()
     thread.join(timeout=5)
 
 
@@ -88,6 +88,24 @@ def test_bad_filter_decodes_and_fails_at_the_server(fresh_seeded_repo, payload):
     assert decode_request(payload) == QueryRequest(query="a", filters="colour=blue")
     response = handle_request(fresh_seeded_repo, payload)
     assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
+
+
+@pytest.mark.parametrize(
+    "member, error",
+    [
+        (b'"Level": 9', b'{"Error": "level must be an integer between 1 and 5, got 9"}\n'),
+        (b'"Kind": "sonnet"', b'{"Error": "kind must be one of (\'construction\', \'conjecture\'), got \'sonnet\'"}\n'),
+        (b'"Language": ""', b'{"Error": "language must not be empty"}\n'),
+        (b'"Identifier": "../evil"', b'{"Error": "invalid identifier \'../evil\'"}\n'),
+    ],
+)
+def test_illegal_insert_value_gets_the_entry_error(fresh_seeded_repo, member, error):
+    # ProblemEntry refuses the draft as decode_request builds it; the Error carries its words
+    payload = b'{"Insert": {"Name": "x", "Code": "", ' + member + b"}}\n"
+    with pytest.raises(ProtocolError):
+        decode_request(payload)
+    assert encode_response(handle_request(fresh_seeded_repo, payload)) == error
+    assert len(fresh_seeded_repo) == 25
 
 
 def test_handle_request_bad_geometric_code(fresh_seeded_repo):
@@ -225,7 +243,7 @@ def test_text_query_does_not_wait_for_a_long_geometric_query(server):
     start = time.perf_counter()
     response = client_query(server.host, server.port, QueryRequest(query="ceva"))
     elapsed = time.perf_counter() - start
-    assert thread.is_alive()  # the geometric query was still running
+    assert thread.is_alive(), "the geometric query had already ended when the text query was answered"
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert [identifier for identifier, _ in response.entries] == ["GEO_CEVA"]
@@ -235,7 +253,7 @@ def test_text_query_does_not_wait_for_a_long_geometric_query(server):
 
 def test_listen_backlog_holds_a_burst_of_clients(server):
     assert LISTEN_BACKLOG == 128
-    assert server._server.request_queue_size == LISTEN_BACKLOG
+    assert server.request_queue_size == LISTEN_BACKLOG
 
 
 def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seeded_repo):
