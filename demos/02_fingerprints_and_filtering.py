@@ -37,14 +37,33 @@ line_through(c, A, B)
 closed = closure(TRIANGLE, rules)
 print(f"triangle: {len(TRIANGLE.objects)} objects, {len(closed)} closed facts")
 
-# Fingerprints at increasing depth: object kinds, then predicate counts,
-# then counts of fact pairs sharing an object of each kind.
-for depth in (0, 1, 2):
-    print(f"\ndepth {depth}: {serialize_gtd(construction_gtd(TRIANGLE, rules, depth))}")
+
+def family(fingerprint, *prefixes):
+    """The counts of a fingerprint's keys in the given key families."""
+    return {key: n for key, n in fingerprint.items() if key.startswith(prefixes)}
+
+
+# The fingerprint has three key families: object kinds, predicate counts,
+# and counts of fact pairs sharing an object of each kind.
+triangle = construction_gtd(TRIANGLE, rules)
+print(f"\nfingerprint: {serialize_gtd(triangle)}")
+for prefix in ("kind:", "rel:", "path:"):
+    print(f"  {prefix:<6} {family(triangle, prefix)}")
+
+
+def compare(fingerprint):
+    """Whether a figure passes parts of the triangle query, then all of it."""
+    head, paths = family(triangle, "kind:", "rel:"), family(triangle, "path:")
+    print(f"  passes on kind:/rel: keys alone? {gtd_subsumes(fingerprint, head)}")
+    print(f"  passes on path: keys? {gtd_subsumes(fingerprint, paths)}")
+    print(f"  passes the filter? {gtd_subsumes(fingerprint, triangle)}")
+
 
 # A strip of two parallels with a transversal has enough points, lines and
-# incidences to fool the depth-1 filter, but its depth-2 pair counts give
-# it away: its three line_through facts share only two points.
+# incidences to pass on the kind: and rel: keys alone, but its path: pair
+# counts give it away: its three line_through facts share only two points.
+# Checking the strip against parts of the triangle's fingerprint shows
+# which keys reject it.
 STRIP = parse_construction("""\
 point A
 point B
@@ -60,15 +79,11 @@ line_through(t, A, C)
 """)
 
 print("\nparallel strip vs triangle query:")
-for depth in (0, 1, 2):
-    survives = gtd_subsumes(
-        construction_gtd(STRIP, rules, depth), construction_gtd(TRIANGLE, rules, depth)
-    )
-    print(f"  passes depth-{depth} filter? {survives}")
+compare(construction_gtd(STRIP, rules))
 
-# Three concurrent lines survive even depth 2: every pair of line_through
-# facts shares a point, just as in a triangle.  Only the exact matcher
-# notices that all three pairs share the SAME point.
+# Three concurrent lines survive even the path: keys: every pair of
+# line_through facts shares a point, just as in a triangle.  Only the exact
+# matcher notices that all three pairs share the SAME point.
 CONCURRENT = parse_construction("""\
 point P
 point X
@@ -83,11 +98,7 @@ line_through(c, P, Z)
 """)
 
 print("\nthree concurrent lines vs triangle query:")
-for depth in (0, 1, 2):
-    survives = gtd_subsumes(
-        construction_gtd(CONCURRENT, rules, depth), construction_gtd(TRIANGLE, rules, depth)
-    )
-    print(f"  passes depth-{depth} filter? {survives}")
+compare(construction_gtd(CONCURRENT, rules))
 embedding = is_subconstruction(TRIANGLE, CONCURRENT, rules)
 print(f"  exact matcher finds a triangle? {embedding is not None}")
 

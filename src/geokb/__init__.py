@@ -24,7 +24,6 @@ from .errors import (
     TransportError,
 )
 from .fingerprint import (
-    DEFAULT_DEPTH,
     Gtd,
     construction_gtd,
     gtd,
@@ -76,7 +75,6 @@ __all__ = [
     "Construction",
     "ConstructionError",
     "DEFAULT_BUDGET",
-    "DEFAULT_DEPTH",
     "DuplicateReport",
     "EMPTY_CONSTRUCTION",
     "EMPTY_FILTERS",

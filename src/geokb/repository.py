@@ -9,7 +9,8 @@ fields when it is built, so no illegal entry exists.  Beside them, a
 version-2 document caches the entry's whole analysis: ``Objects`` (name
 -> kind), ``Closure`` (the closed facts in text form, ``predicate(a, b)``,
 sorted) and ``GTD`` (the fingerprint), under a ``Digest`` that also covers
-``Code``, the format version, the rule set and the fingerprint depth.
+``Code``, the format version, the rule set and the fixed ``depth=2`` header
+of ``GTD``.
 
 At startup a document whose digest matches is trusted: its record is built
 from those members, with no parsing, closure or fingerprinting.  Any other
@@ -62,7 +63,7 @@ from .errors import (
     SearchBudgetExceeded,
     StorageError,
 )
-from .fingerprint import DEFAULT_DEPTH, Gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
+from .fingerprint import Gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
 from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
@@ -242,8 +243,9 @@ def document_to_entry(doc: dict, extra: tuple[str, ...] = ()) -> ProblemEntry:
 
 def cache_digest(doc: dict, ruleset: RuleSet) -> str:
     """SHA-256 over the members a trusted load takes from an entry document
-    and what they were computed under: format version, rules and depth."""
-    members = [FORMAT_VERSION, ruleset.digest, DEFAULT_DEPTH, *(doc.get(m) for m in ("Code", "Objects", "Closure", "GTD"))]
+    and what they were computed under: format version, rules and the fixed
+    ``depth=2`` header of ``GTD``, hashed as the integer 2."""
+    members = [FORMAT_VERSION, ruleset.digest, 2, *(doc.get(m) for m in ("Code", "Objects", "Closure", "GTD"))]
     return sha256(json.dumps(members, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
@@ -359,8 +361,6 @@ class Repository:
         version = doc.get("Version")
         if version not in READABLE_VERSIONS:
             raise StorageError(f"unsupported entry format version {version!r}")
-        if not isinstance(doc.get("GTD", ""), str):
-            raise StorageError("GTD must be a string")
         try:
             entry = document_to_entry(doc, extra=("GTD", "Objects", "Closure", "Digest", "Version"))
         except KeyError as exc:
@@ -378,18 +378,18 @@ class Repository:
         if not isinstance(objects, dict) or not all(kind in KINDS for kind in objects.values()):
             return None
         closed = _read_closure(doc.get("Closure"), {name: name for name in objects})
-        try:
-            fingerprint = parse_gtd(doc.get("GTD", ""))
-        except ValueError:
+        if closed is None or not isinstance(doc.get("GTD"), str):
             return None
-        if closed is None or fingerprint.depth != DEFAULT_DEPTH:
+        try:
+            fingerprint = parse_gtd(doc["GTD"])
+        except ValueError:
             return None
         return _Record(entry, prepare(objects, closed), fingerprint, textindex.terms(entry))
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
         side = prepare(construction.kinds, closed)
-        return side, gtd(construction, closed, DEFAULT_DEPTH)
+        return side, gtd(construction, closed)
 
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
         """The record of an analysed entry, written to its entry file."""
@@ -538,7 +538,7 @@ class Repository:
         budget are dropped with a logged warning.
         """
         closed = closure(query, self._rules)
-        fingerprint = gtd(query, closed, DEFAULT_DEPTH)
+        fingerprint = gtd(query, closed)
         side = None
         results: list[tuple[str, Embedding | None]] = []
         for identifier, record in sorted(self._records.items()):
@@ -568,8 +568,8 @@ class Repository:
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            if (side.kinds, side.facts, list(fingerprint.counts.items())) != (
-                record.side.kinds, record.side.facts, list(record.fingerprint.counts.items())
+            if (side.kinds, side.facts, list(fingerprint.items())) != (
+                record.side.kinds, record.side.facts, list(record.fingerprint.items())
             ):
                 stale.append(identifier)
         return stale

@@ -93,21 +93,21 @@ class RuleSet:
 def _split_top_level(text: str, lineno: int) -> list[str]:
     """Split on commas that are not inside parentheses."""
     parts: list[str] = []
-    depth = 0
+    nesting = 0
     current: list[str] = []
     for ch in text:
         if ch == "(":
-            depth += 1
+            nesting += 1
         elif ch == ")":
-            depth -= 1
-            if depth < 0:
+            nesting -= 1
+            if nesting < 0:
                 raise RuleError("unbalanced parentheses", line=lineno)
-        if ch == "," and depth == 0:
+        if ch == "," and nesting == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
-    if depth != 0:
+    if nesting != 0:
         raise RuleError("unbalanced parentheses", line=lineno)
     parts.append("".join(current))
     return [p.strip() for p in parts]

@@ -98,8 +98,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class GeoServer(socketserver.ThreadingTCPServer):
     """A repository's TCP server, listening once built, with a thread per
-    connection.  Leaving a ``with`` block calls :meth:`shutdown` and
-    :meth:`server_close`, so use one only around a running :meth:`serve_forever`."""
+    connection.  Leaving a ``with`` block calls :meth:`server_close` only;
+    a caller running :meth:`serve_forever` in another thread calls
+    :meth:`shutdown` first, which waits for that loop to stop."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -116,10 +117,6 @@ class GeoServer(socketserver.ThreadingTCPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-        self.server_close()
 
 
 def serve(

@@ -49,7 +49,6 @@ def terms(entry) -> dict[str, Counter[str]]:
 class SearchHit:
     identifier: str
     score: int
-    matched_fields: frozenset[str]
 
 
 def simple_search(pattern: str, records: Mapping) -> list[str]:
@@ -69,13 +68,11 @@ def extended_search(query: str, records: Mapping) -> list[SearchHit]:
     hits: list[SearchHit] = []
     for identifier, record in records.items():
         score = 0
-        matched: set[str] = set()
         for field, counter in record.terms.items():
             raw = sum(counter[t] for t in tokens)
             if raw:
                 score += raw * FIELD_WEIGHTS[field]
-                matched.add(field)
         if score:
-            hits.append(SearchHit(identifier, score, frozenset(matched)))
+            hits.append(SearchHit(identifier, score))
     hits.sort(key=lambda h: (-h.score, h.identifier))
     return hits

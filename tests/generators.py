@@ -29,7 +29,7 @@ line_through(c, A, B)
 
 TRIANGLE_WITH_CIRCLE_TEXT = BARE_TRIANGLE_TEXT + "circle k\n"
 
-# Three lines through one shared point: its depth-2 fingerprint dominates
+# Three lines through one shared point: its fingerprint, path counts too, dominates
 # the bare triangle's, but no triangle embeds into it.
 CONCURRENT_LINES_TEXT = """\
 point P

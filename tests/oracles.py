@@ -75,19 +75,17 @@ def naive_closure(construction: Construction, ruleset: RuleSet) -> frozenset[Fac
     return frozenset(facts)
 
 
-def pairwise_gtd(construction: Construction, closed: FactSet, depth: int) -> dict[str, int]:
+def pairwise_gtd(construction: Construction, closed: FactSet) -> dict[str, int]:
     """GTD counts straight from the definition: objects by kind, facts by
-    predicate and, at depth 2, every unordered pair of distinct closed
-    ``(predicate, args)`` facts once per kind of the objects they share."""
+    predicate and every unordered pair of distinct closed ``(predicate,
+    args)`` facts once per kind of the objects they share."""
     kind_of = {o.name: o.kind for o in construction.objects}
     counts = Counter(f"kind:{o.kind}" for o in construction.objects)
-    if depth >= 1:
-        counts.update(f"rel:{predicate}" for predicate, _ in closed)
-    if depth >= 2:
-        for (pf, af), (pg, ag) in combinations(sorted(closed), 2):
-            p1, p2 = sorted((pf, pg))
-            for kind in {kind_of[name] for name in set(af) & set(ag)}:
-                counts[f"path:{p1}-{kind}-{p2}"] += 1
+    counts.update(f"rel:{predicate}" for predicate, _ in closed)
+    for (pf, af), (pg, ag) in combinations(sorted(closed), 2):
+        p1, p2 = sorted((pf, pg))
+        for kind in {kind_of[name] for name in set(af) & set(ag)}:
+            counts[f"path:{p1}-{kind}-{p2}"] += 1
     return dict(counts)
 
 

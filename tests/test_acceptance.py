@@ -139,11 +139,8 @@ def test_criterion_4_filter_soundness_property(rules):
             query = induced_subconstruction(rng, target)
             target_closed = closure(target, rules)
             query_closed = closure(query, rules)
-            for depth in (0, 1, 2):
-                if not gtd_subsumes(
-                    gtd(target, target_closed, depth), gtd(query, query_closed, depth)
-                ):
-                    failures += 1
+            if not gtd_subsumes(gtd(target, target_closed), gtd(query, query_closed)):
+                failures += 1
         assert failures == 0
 
 

@@ -6,14 +6,7 @@ from itertools import combinations
 import pytest
 
 from geokb.errors import ConstructionError
-from geokb.fingerprint import (
-    Gtd,
-    construction_gtd,
-    gtd,
-    gtd_subsumes,
-    parse_gtd,
-    serialize_gtd,
-)
+from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
 from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
 from geokb.rules import closure
 
@@ -35,7 +28,7 @@ def test_gtd_counts_for_single_line_through(rules):
     c = parse_construction("point A\npoint B\nline a\nline_through(a, A, B)")
     # objects: A, B, a; facts: line_through plus two incidents, each incident
     # sharing a point and the line with line_through and the line with the other
-    assert gtd(c, closure(c, rules), 2).counts == {
+    assert gtd(c, closure(c, rules)) == {
         "kind:point": 2,
         "kind:line": 1,
         "rel:line_through": 1,
@@ -51,12 +44,7 @@ def test_build_graph_empty(rules):
     # relation nodes (rel: keys) and no edges (path: keys)
     assert EMPTY_CONSTRUCTION.objects == frozenset()
     assert closure(EMPTY_CONSTRUCTION, rules) == frozenset()
-    assert construction_gtd(EMPTY_CONSTRUCTION, rules).counts == {}
-
-
-def test_gtd_empty_graph_any_depth(rules):
-    for depth in (0, 1, 2):
-        assert gtd(EMPTY_CONSTRUCTION, frozenset(), depth).counts == {}
+    assert construction_gtd(EMPTY_CONSTRUCTION, rules) == {}
 
 
 def test_gtd_totals_on_random_sample(rules):
@@ -64,17 +52,16 @@ def test_gtd_totals_on_random_sample(rules):
     for _ in range(60):
         c = random_construction(rng)
         closed = closure(c, rules)
-        counts = gtd(c, closed, 2).counts
+        counts = gtd(c, closed)
         assert sum(n for k, n in counts.items() if k.startswith("kind:")) == len(c.objects)
         assert sum(n for k, n in counts.items() if k.startswith("rel:")) == len(closed)
         assert all(n > 0 for n in counts.values())
-        assert counts == pairwise_gtd(c, closed, 2)
+        assert counts == pairwise_gtd(c, closed)
 
 
 def test_gtd_rejects_foreign_facts(rules):
-    for depth in (0, 1, 2):
-        with pytest.raises(ConstructionError):
-            gtd(EMPTY_CONSTRUCTION, frozenset({fact("incident", "A", "a")}), depth)
+    with pytest.raises(ConstructionError):
+        gtd(EMPTY_CONSTRUCTION, frozenset({fact("incident", "A", "a")}))
 
 
 def test_gtd_matches_pairwise_oracle_on_random_constructions(rules):
@@ -82,8 +69,7 @@ def test_gtd_matches_pairwise_oracle_on_random_constructions(rules):
     for _ in range(150):
         c = random_construction(rng, max_points=6, max_lines=5, max_circles=3, max_facts=14)
         closed = closure(c, rules)
-        for depth in (0, 1, 2):
-            assert gtd(c, closed, depth).counts == pairwise_gtd(c, closed, depth)
+        assert gtd(c, closed) == pairwise_gtd(c, closed)
 
 
 @pytest.mark.parametrize(
@@ -93,30 +79,19 @@ def test_gtd_matches_pairwise_oracle_on_random_constructions(rules):
 )
 def test_gtd_matches_pairwise_oracle_on_adversarial_figures(rules, figure):
     closed = closure(figure, rules)
-    for depth in (0, 1, 2):
-        assert gtd(figure, closed, depth).counts == pairwise_gtd(figure, closed, depth)
-
-
-def test_gtd_depth1_of_closed_bare_triangle(rules):
-    c = bare_triangle()
-    fingerprint = construction_gtd(c, rules, depth=1)
-    assert fingerprint.counts["kind:point"] == 3
-    assert fingerprint.counts["kind:line"] == 3
-    assert fingerprint.counts["rel:line_through"] == 3
-    assert fingerprint.counts["rel:incident"] == 6
-    assert "rel:collinear" not in fingerprint.counts
-    assert not any(key.startswith("path:") for key in fingerprint.counts)
-
-
-def test_gtd_depth0_counts_only_kinds(rules):
-    fingerprint = construction_gtd(bare_triangle(), rules, depth=0)
-    assert fingerprint.counts == {"kind:point": 3, "kind:line": 3}
+    assert gtd(figure, closed) == pairwise_gtd(figure, closed)
 
 
 def test_gtd_depth2_path_counts_match_pair_enumeration(rules):
     c = bare_triangle()
     closed = closure(c, rules)
-    fingerprint = gtd(c, closed, 2)
+    fingerprint = gtd(c, closed)
+    assert {k: n for k, n in fingerprint.items() if not k.startswith("path:")} == {
+        "kind:line": 3,
+        "kind:point": 3,
+        "rel:incident": 6,
+        "rel:line_through": 3,
+    }
 
     # independent enumeration over closed fact pairs
     kind_of = c.kinds
@@ -127,63 +102,40 @@ def test_gtd_depth2_path_counts_match_pair_enumeration(rules):
             p1, p2 = sorted((pf, pg))
             key = f"path:{p1}-{kind}-{p2}"
             expected[key] = expected.get(key, 0) + 1
-    paths = {k: v for k, v in fingerprint.counts.items() if k.startswith("path:")}
+    paths = {k: v for k, v in fingerprint.items() if k.startswith("path:")}
     assert paths == expected
-    assert fingerprint.counts["path:incident-point-incident"] == 3
-
-
-def test_gtd_invalid_depth(rules):
-    with pytest.raises(ValueError):
-        gtd(EMPTY_CONSTRUCTION, frozenset(), 3)
-
-
-def test_gtd_includes_lower_depth_keys(rules):
-    c = triangle_with_circle()
-    d0 = construction_gtd(c, rules, 0)
-    d1 = construction_gtd(c, rules, 1)
-    d2 = construction_gtd(c, rules, 2)
-    assert set(d0.counts) <= set(d1.counts) <= set(d2.counts)
-    for key, count in d0.counts.items():
-        assert d1.counts[key] == count
-        assert d2.counts[key] == count
+    assert fingerprint["path:incident-point-incident"] == 3
 
 
 # -- subsumption -------------------------------------------------------------------
 
 
 def test_empty_query_is_subsumed_by_anything(rules):
-    empty = construction_gtd(EMPTY_CONSTRUCTION, rules, 2)
-    full = construction_gtd(bare_triangle(), rules, 2)
+    empty = construction_gtd(EMPTY_CONSTRUCTION, rules)
+    full = construction_gtd(bare_triangle(), rules)
     assert gtd_subsumes(full, empty)
     assert not gtd_subsumes(empty, full)
 
 
 def test_triangle_and_circle_subsumption_is_directional(rules):
-    triangle = construction_gtd(bare_triangle(), rules, 2)
-    with_circle = construction_gtd(triangle_with_circle(), rules, 2)
+    triangle = construction_gtd(bare_triangle(), rules)
+    with_circle = construction_gtd(triangle_with_circle(), rules)
     assert gtd_subsumes(with_circle, triangle)
     assert not gtd_subsumes(triangle, with_circle)
 
 
 def test_subsumption_is_reflexive(rules):
-    fingerprint = construction_gtd(bare_triangle(), rules, 2)
+    fingerprint = construction_gtd(bare_triangle(), rules)
     assert gtd_subsumes(fingerprint, fingerprint)
-
-
-def test_subsumption_depth_mismatch_raises(rules):
-    with pytest.raises(ValueError):
-        gtd_subsumes(Gtd(2, {}), Gtd(1, {}))
 
 
 def test_subsumption_is_transitive_and_antisymmetric(rules):
     rng = random.Random(17)
-    fingerprints = [
-        construction_gtd(random_construction(rng), rules, 2) for _ in range(25)
-    ]
+    fingerprints = [construction_gtd(random_construction(rng), rules) for _ in range(25)]
     for a in fingerprints:
         for b in fingerprints:
             if gtd_subsumes(a, b) and gtd_subsumes(b, a):
-                assert a.counts == b.counts
+                assert a == b
             for c in fingerprints:
                 if gtd_subsumes(a, b) and gtd_subsumes(b, c):
                     assert gtd_subsumes(a, c)
@@ -194,34 +146,14 @@ def test_embedding_monotonicity_on_induced_subconstructions(rules):
     for _ in range(100):
         target = random_construction(rng)
         query = induced_subconstruction(rng, target)
-        for depth in (0, 1, 2):
-            assert gtd_subsumes(
-                construction_gtd(target, rules, depth),
-                construction_gtd(query, rules, depth),
-            )
-
-
-def test_depth2_subsumption_implies_lower_depths(rules):
-    rng = random.Random(31)
-    pairs = 0
-    for _ in range(200):
-        a = random_construction(rng, max_facts=8)
-        b = random_construction(rng, max_facts=8)
-        if gtd_subsumes(construction_gtd(a, rules, 2), construction_gtd(b, rules, 2)):
-            pairs += 1
-            for depth in (0, 1):
-                assert gtd_subsumes(
-                    construction_gtd(a, rules, depth),
-                    construction_gtd(b, rules, depth),
-                )
-    assert pairs > 0
+        assert gtd_subsumes(construction_gtd(target, rules), construction_gtd(query, rules))
 
 
 # -- serialization ------------------------------------------------------------------
 
 
 def test_serialize_gtd_is_sorted_single_line(rules):
-    fingerprint = construction_gtd(bare_triangle(), rules, 2)
+    fingerprint = construction_gtd(bare_triangle(), rules)
     text = serialize_gtd(fingerprint)
     assert "\n" not in text
     parts = text.split()
@@ -232,17 +164,19 @@ def test_serialize_gtd_is_sorted_single_line(rules):
 def test_serialize_gtd_round_trip(rules):
     rng = random.Random(8)
     for _ in range(40):
-        fingerprint = construction_gtd(random_construction(rng), rules, rng.choice((0, 1, 2)))
-        assert parse_gtd(serialize_gtd(fingerprint)) == fingerprint
+        fingerprint = construction_gtd(random_construction(rng), rules)
+        assert list(parse_gtd(serialize_gtd(fingerprint)).items()) == list(fingerprint.items())
 
 
 def test_serialize_empty_gtd():
-    assert serialize_gtd(Gtd(2, {})) == "depth=2"
-    assert parse_gtd("depth=2") == Gtd(2, {})
+    assert serialize_gtd({}) == "depth=2"
+    assert parse_gtd("depth=2") == {}
 
 
 @pytest.mark.parametrize(
-    "text", ["", "kind:point=3", "depth=7", "depth=2 kind:point=0", "depth=2 =3", "depth=2 kind:point"]
+    "text",
+    ["", "kind:point=3", "depth=7", "depth=1 kind:point=3", "depth=02", "depth=2 kind:point=0",
+     "depth=2 =3", "depth=2 kind:point"],
 )
 def test_parse_gtd_rejects_garbage(text):
     with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules, monke
     monkeypatch.setattr(rules_module, "Fact", no_fact)  # bound there for entails only
     closed = closure(ceva, rules)
     assert closed and all(type(f) is tuple for f in closed)
-    assert gtd(ceva, closed, 2) == construction_gtd(ceva, rules)
+    assert gtd(ceva, closed) == construction_gtd(ceva, rules)
     assert prepare(ceva.kinds, closed).facts == closed
     hits = fresh_seeded_repo.geometric_query(triangle, confirm=True)
     assert len(hits) > 1 and all(type(f) is tuple for _, embedding in hits for f in embedding.facts)
@@ -185,22 +185,17 @@ def test_embedding_implies_fingerprint_subsumption(rules):
         t = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=9)
         if is_subconstruction(q, t, rules) is not None:
             hits += 1
-            for depth in (0, 1, 2):
-                assert gtd_subsumes(
-                    construction_gtd(t, rules, depth), construction_gtd(q, rules, depth)
-                )
+            assert gtd_subsumes(construction_gtd(t, rules), construction_gtd(q, rules))
     assert hits > 0
 
 
 def test_filter_is_complete_but_not_exact(rules):
-    """Three concurrent lines dominate the triangle fingerprint at every
-    depth, yet no triangle embeds: the filter needs the exact matcher."""
+    """Three concurrent lines dominate the triangle fingerprint, path
+    counts included, yet no triangle embeds: the filter needs the exact
+    matcher."""
     query = bare_triangle()
     target = concurrent_lines()
-    for depth in (0, 1, 2):
-        assert gtd_subsumes(
-            construction_gtd(target, rules, depth), construction_gtd(query, rules, depth)
-        )
+    assert gtd_subsumes(construction_gtd(target, rules), construction_gtd(query, rules))
     assert is_subconstruction(query, target, rules) is None
     assert not brute_force_embeds(query, target, rules)
 

@@ -124,7 +124,7 @@ def test_cache_coherence_on_seeded_corpus(seeded_repo):
     assert seeded_repo.check_cache_coherence() == []
     for identifier in seeded_repo.list_all():
         entry = seeded_repo.get(identifier)
-        recomputed = construction_gtd(parse_construction(entry.code), seeded_repo.ruleset, 2)
+        recomputed = construction_gtd(parse_construction(entry.code), seeded_repo.ruleset)
         assert serialize_gtd(recomputed) == _entry_document(seeded_repo, identifier)["GTD"]
 
 
@@ -592,7 +592,7 @@ def test_entry_files_have_documented_shape(fresh_seeded_repo):
     assert doc["Objects"] == construction.kinds
     closed = closure(construction, fresh_seeded_repo.ruleset)
     assert doc["Closure"] == sorted(fact_text(predicate, args) for predicate, args in closed)
-    assert doc["GTD"] == serialize_gtd(gtd(construction, closed, 2))
+    assert doc["GTD"] == serialize_gtd(gtd(construction, closed))
     members = [2, fresh_seeded_repo.ruleset.digest, 2, doc["Code"], doc["Objects"], doc["Closure"], doc["GTD"]]
     rendered = json.dumps(members, separators=(",", ":")).encode("ascii")
     assert doc["Digest"] == hashlib.sha256(rendered).hexdigest()
@@ -623,8 +623,7 @@ def _assert_same_records(loaded: Repository, computed: Repository) -> None:
         assert (a.side.kinds, a.side.facts, a.side.degrees, a.side.names) == (
             b.side.kinds, b.side.facts, b.side.degrees, b.side.names
         )
-        assert a.fingerprint.depth == b.fingerprint.depth
-        assert list(a.fingerprint.counts.items()) == list(b.fingerprint.counts.items())
+        assert list(a.fingerprint.items()) == list(b.fingerprint.items())
 
 
 def _answers(repo: Repository) -> list:
@@ -659,7 +658,7 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
     for record in warm._records.values():  # shared strings keep a warm store's memory down
         names = {name: name for name in record.side.kinds}
         assert all(arg is names[arg] for _, args in record.side.facts for arg in args)
-        assert all(key is sys.intern(key) for key in record.fingerprint.counts)
+        assert all(key is sys.intern(key) for key in record.fingerprint)
     hits = warm.geometric_query(bare_triangle())
     assert len(hits) >= 150  # every even entry holds a planted triangle
     assert hits == computed.geometric_query(bare_triangle())
@@ -706,6 +705,7 @@ MALFORMED_UNDER_A_MATCHING_DIGEST = {
     "unknown-kind": lambda doc: {**doc, "Objects": {**doc["Objects"], "A": "plane"}},
     "unparsable-gtd": lambda doc: {**doc, "GTD": "depth=two"},
     "gtd-of-another-depth": lambda doc: {**doc, "GTD": "depth=1 kind:point=3"},
+    "gtd-not-a-string": lambda doc: {**doc, "GTD": 5},
 }
 
 
@@ -756,8 +756,8 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
     repo = fresh_seeded_repo
 
     def forge(doc):
-        depth, *keys = doc["GTD"].split()
-        doc = {**doc, "GTD": " ".join([depth, *reversed(keys)])}
+        header, *keys = doc["GTD"].split()
+        doc = {**doc, "GTD": " ".join([header, *reversed(keys)])}
         return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
@@ -766,26 +766,23 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
-# the store has one fingerprint depth; a stored GTD of another depth is
-# MALFORMED_UNDER_A_MATCHING_DIGEST's "gtd-of-another-depth"
-@pytest.mark.parametrize("change", ["rules"])
-def test_new_depth_or_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog, change):
-    options = {"ruleset": RuleSet(tuple(r for r in default_rules().rules if r.name != "R3"))}
+def test_new_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog):
+    ruleset = RuleSet(tuple(r for r in default_rules().rules if r.name != "R3"))
     with caplog.at_level("WARNING"):
-        reopened = Repository(fresh_seeded_repo.data_dir, **options)
+        reopened = Repository(fresh_seeded_repo.data_dir, ruleset)
     assert len(_refreshed(caplog)) == len(ENTRIES)
-    fresh = Repository(tmp_path / "fresh", **options)
+    fresh = Repository(tmp_path / "fresh", ruleset)
     seed_repository(fresh)
     _assert_same_records(reopened, fresh)
     assert _answers(reopened) == _answers(fresh)
     before, after = fresh_seeded_repo._records, reopened._records
-    assert any(  # the new options change what is stored
+    assert any(  # the new rules change what is stored
         (after[i].side.facts, after[i].fingerprint) != (before[i].side.facts, before[i].fingerprint)
         for i in after
     )
     caplog.clear()
     with caplog.at_level("WARNING"):
-        Repository(fresh_seeded_repo.data_dir, **options)
+        Repository(fresh_seeded_repo.data_dir, ruleset)
     assert not caplog.records
 
 

@@ -256,6 +256,20 @@ def test_listen_backlog_holds_a_burst_of_clients(server):
     assert server.request_queue_size == LISTEN_BACKLOG
 
 
+def test_with_block_that_never_serves_closes_the_socket(fresh_seeded_repo):
+    servers = []
+
+    def open_and_leave():
+        with GeoServer(fresh_seeded_repo, "127.0.0.1", 0) as srv:
+            servers.append(srv)
+
+    thread = threading.Thread(target=open_and_leave, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), "leaving the with block waited for a serve_forever never started"
+    assert servers[0].socket.fileno() == -1
+
+
 def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seeded_repo):
     triangle_hits = [i for i, _ in fresh_seeded_repo.geometric_query(parse_construction(BARE_TRIANGLE_TEXT))]
     requests = [

@@ -104,7 +104,6 @@ def test_extended_search_scores_by_field_weight(records):
     hits = extended_search("ceva", records)
     assert [h.identifier for h in hits] == ["GEO_CEVA"]
     assert hits[0].score == 4
-    assert hits[0].matched_fields == frozenset({"name"})
 
 
 def test_extended_search_or_semantics_and_ranking(records):
@@ -124,9 +123,6 @@ def test_extended_search_weights_all_fields():
     assert extended_search("beta", ix)[0].score == 1
     hit = extended_search("alpha beta gamma delta", ix)[0]
     assert hit.score == 10
-    assert hit.matched_fields == frozenset(
-        {"name", "description", "shortDescription", "keywords"}
-    )
 
 
 def test_extended_search_term_frequency_counts():
