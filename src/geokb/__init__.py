@@ -67,7 +67,6 @@ from .repository import (
 )
 from .rules import FactSet, Rule, RuleSet, closure, default_rules, entails, load_rules
 from .server import GeoServer, serve
-from .textindex import SearchHit
 
 __version__ = "0.1.0"
 
@@ -105,7 +104,6 @@ __all__ = [
     "RuleError",
     "RuleSet",
     "SearchBudgetExceeded",
-    "SearchHit",
     "StorageError",
     "TransportError",
     "Violation",

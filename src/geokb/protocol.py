@@ -19,7 +19,8 @@ reads both), with ``Identifier`` left out of a draft that has none.
 Responses are one of three shapes: a mapping from entry identifiers to
 ``{"Name", "Description", "Code"}`` objects for queries (``{}`` when
 nothing matched), an object with ``Status``/``Identifier``/``Duplicates``
-for inserts, and ``{"Error": "..."}`` for failures.
+for inserts (``Identifier`` is null only for a duplicate), and
+``{"Error": "..."}`` for failures.
 """
 
 from __future__ import annotations
@@ -202,24 +203,26 @@ def _decode_insert_result(obj: dict) -> InsertResult:
             member in ("Status", "Identifier", "Duplicates"),
             f"unknown response member {member!r}",
         )
-    status = obj["Status"]
+    status, identifier = obj["Status"], obj.get("Identifier")
     _require(status in ("inserted", "duplicate"), f"unknown insert status {status!r}")
-    identifier = obj.get("Identifier")
     _require(
-        identifier is None or isinstance(identifier, str), "Identifier must be a string or null"
+        isinstance(identifier, str) if status == "inserted" else identifier is None,
+        "Identifier must be a string for an inserted entry and null for a duplicate",
     )
     duplicates = obj.get("Duplicates", {})
     _require(isinstance(duplicates, dict), "Duplicates must be an object")
-    lists = {}
-    for member in ("Exact", "Containing", "Contained"):
+    members = ("Exact", "Containing", "Contained")
+    for member in duplicates:
+        _require(member in members, f"unknown Duplicates member {member!r}")
+    lists = []
+    for member in members:
         value = duplicates.get(member, [])
         _require(
             isinstance(value, list) and all(isinstance(i, str) for i in value),
             f"Duplicates.{member} must be an array of identifiers",
         )
-        lists[member] = tuple(value)
-    report = DuplicateReport(lists["Exact"], lists["Containing"], lists["Contained"])
-    return InsertResult(status, identifier, report)
+        lists.append(tuple(value))
+    return InsertResult(status, identifier, DuplicateReport(*lists))
 
 
 def decode_response(data: bytes | str) -> QueryResponse:

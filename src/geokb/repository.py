@@ -25,9 +25,9 @@ every record with an analysis of its code.
 In memory each entry has one immutable record, built the same way by
 loading, inserting and updating: the entry, its closed construction
 prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint
-and its text terms (:func:`~geokb.textindex.terms`).  The records sit in
-one dict that is replaced whole on every write and never mutated once
-published, so a reader takes it with one attribute read and no lock.
+and its weighted text terms (:func:`~geokb.textindex.terms`).  The records
+sit in one dict that is replaced whole on every write and never mutated
+once published, so a reader takes it with one attribute read and no lock.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -50,7 +50,6 @@ import logging
 import os
 import re
 import threading
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -130,22 +129,19 @@ class _Record:
     entry: ProblemEntry
     side: MatchSide
     fingerprint: Gtd
-    #: token counts per text field, for :mod:`~geokb.textindex`
-    terms: dict[str, Counter[str]]
+    #: token -> field-weighted count over the text fields, for :mod:`~geokb.textindex`
+    terms: dict[str, int]
 
 
 @dataclass(frozen=True)
 class DuplicateReport:
     """Outcome of the duplicate gate.  The three lists are disjoint:
     mutual embeddings are exact duplicates, one-way embeddings fall in the
-    matching one-way list."""
+    matching one-way list.  Either of the first two blocks an unforced insert."""
 
     exact_duplicates: tuple[str, ...] = ()
     containing_entries: tuple[str, ...] = ()
     contained_entries: tuple[str, ...] = ()
-
-    def blocks_insert(self) -> bool:
-        return bool(self.exact_duplicates or self.containing_entries)
 
 
 #: filter key -> whether an entry passes a clause with that key and its parsed value
@@ -191,18 +187,14 @@ def parse_filters(text: str | None) -> FilterSet:
             raise FilterError(f"unknown filter key: {key}")
         if key == "level":
             try:
-                level = int(value)
+                value = int(value)
             except ValueError:
                 raise FilterError(f"level must be an integer, got {value!r}") from None
-            if not 1 <= level <= 5:
-                raise FilterError(f"level must be between 1 and 5, got {level}")
-            clauses.append((key, level))
-        elif key == "kind":
-            if value not in ENTRY_KINDS:
-                raise FilterError(f"kind must be one of {ENTRY_KINDS}, got {value!r}")
-            clauses.append((key, value))
-        else:
-            clauses.append((key, value))
+            if not 1 <= value <= 5:
+                raise FilterError(f"level must be between 1 and 5, got {value}")
+        elif key == "kind" and value not in ENTRY_KINDS:
+            raise FilterError(f"kind must be one of {ENTRY_KINDS}, got {value!r}")
+        clauses.append((key, value))
     return FilterSet(tuple(clauses))
 
 
@@ -394,19 +386,14 @@ class Repository:
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
         """The record of an analysed entry, written to its entry file."""
         record = _Record(entry, side, fingerprint, textindex.terms(entry))
-        self._write(record)
-        return record
-
-    def _write(self, record: _Record) -> None:
-        identifier = record.entry.identifier
-        final = self._entries_dir / f"{identifier}.json"
-        temp = self._entries_dir / f".{identifier}.json.tmp"
+        temp = self._entries_dir / f".{entry.identifier}.json.tmp"
         doc = record_to_document(record, self._rules)
         try:
             temp.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-            os.replace(temp, final)
+            os.replace(temp, self._entries_dir / f"{entry.identifier}.json")
         except OSError as exc:
-            raise StorageError(f"cannot persist {identifier}: {exc}") from exc
+            raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
+        return record
 
     def _next_identifier(self) -> str:
         while True:
@@ -470,7 +457,7 @@ class Repository:
                 identifier = self._next_identifier()
             if not force:
                 report = self._find_duplicates(side, fingerprint)
-                if report.blocks_insert():
+                if report.exact_duplicates or report.containing_entries:
                     return report
                 if report.contained_entries:
                     log.warning(
@@ -518,7 +505,7 @@ class Repository:
         if mode == "simple":
             identifiers = textindex.simple_search(text, records)
         elif mode == "extended":
-            identifiers = [h.identifier for h in textindex.extended_search(text, records)]
+            identifiers = [identifier for identifier, _ in textindex.extended_search(text, records)]
         else:
             raise ValueError(f"mode must be one of {textindex.MODES}, got {mode!r}")
         return [i for i in identifiers if filters.matches(records[i].entry)]

@@ -11,7 +11,9 @@ poisons the next one.
 from __future__ import annotations
 
 import logging
+import socket
 import socketserver
+import time
 from pathlib import Path
 from typing import NoReturn
 
@@ -41,13 +43,8 @@ LISTEN_BACKLOG = 128
 
 
 def _entry_map(repository: Repository, identifiers: list[str]) -> QueryResult:
-    entries = []
-    for identifier in identifiers:
-        entry = repository.get(identifier)
-        entries.append(
-            (identifier, EntryInfo(entry.name, entry.description, entry.code))
-        )
-    return QueryResult(tuple(entries))
+    entries = [repository.get(identifier) for identifier in identifiers]
+    return QueryResult(tuple((e.identifier, EntryInfo(e.name, e.description, e.code)) for e in entries))
 
 
 def handle_request(repository: Repository, data: bytes) -> QueryResponse:
@@ -94,6 +91,23 @@ class _Handler(socketserver.StreamRequestHandler):
             self.wfile.write(encode_response(response))
         except OSError:
             log.warning("client went away before the response was written")
+            return
+        if len(data) > MAX_REQUEST_BYTES:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Send EOF, then drop input up to the client's, for at most
+        :data:`CONNECTION_TIMEOUT` in all: closing with an oversized request's
+        rest unread resets the connection, and the client may lose the answer."""
+        deadline = time.monotonic() + CONNECTION_TIMEOUT
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.connection.recv(65536):
+                    return
+        except OSError:  # the client reset the connection, or the time ran out
+            pass
 
 
 class GeoServer(socketserver.ThreadingTCPServer):

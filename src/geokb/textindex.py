@@ -7,16 +7,15 @@ entries across name, keywords, shortDescription and description with
 OR semantics and field-weighted term frequency.
 
 Both search a mapping of identifier -> record, where a record has the
-``entry`` itself and the ``terms`` that :func:`terms` counted for it once,
-when the record was built.  Searching only reads the records, so any
-number of threads may search the same mapping.
+``entry`` itself and the field-weighted token counts that :func:`terms`
+made for it once, when the record was built.  Searching only reads the
+records, so any number of threads may search the same mapping.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+import sys
 from typing import Mapping
 
 from .errors import PatternError
@@ -34,21 +33,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def terms(entry) -> dict[str, Counter[str]]:
-    """Token counts of an entry's name, keywords and descriptions, per
-    :data:`FIELD_WEIGHTS` field."""
-    return {
-        "name": Counter(tokenize(entry.name)),
-        "keywords": Counter(t for k in entry.keywords for t in tokenize(k)),
-        "shortDescription": Counter(tokenize(entry.short_description)),
-        "description": Counter(tokenize(entry.description)),
-    }
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    identifier: str
-    score: int
+def terms(entry) -> dict[str, int]:
+    """Each token of an entry's name, keywords and descriptions with its
+    occurrences in each field times that field's :data:`FIELD_WEIGHTS`
+    value, summed over the fields."""
+    # in the order of FIELD_WEIGHTS; a space never joins two keywords' tokens
+    texts = (entry.name, " ".join(entry.keywords), entry.short_description, entry.description)
+    weighted: dict[str, int] = {}
+    for text, weight in zip(texts, FIELD_WEIGHTS.values()):
+        # interned, so all entries share one string per token: under half the
+        # memory, and a search compares its tokens with keys in cache
+        for token in map(sys.intern, tokenize(text)):
+            weighted[token] = weighted.get(token, 0) + weight
+    return weighted
 
 
 def simple_search(pattern: str, records: Mapping) -> list[str]:
@@ -60,19 +57,17 @@ def simple_search(pattern: str, records: Mapping) -> list[str]:
     return sorted(i for i, record in records.items() if rx.search(record.entry.name))
 
 
-def extended_search(query: str, records: Mapping) -> list[SearchHit]:
-    """Hits with positive field-weighted term-frequency score, best first."""
+def extended_search(query: str, records: Mapping) -> list[tuple[str, int]]:
+    """``(identifier, score)`` pairs with a positive score, best first and
+    ties by identifier; a token repeated in the query counts again."""
     tokens = tokenize(query)
-    if not tokens:
-        return []
-    hits: list[SearchHit] = []
+    hits: list[tuple[str, int]] = []
     for identifier, record in records.items():
+        weighted = record.terms
         score = 0
-        for field, counter in record.terms.items():
-            raw = sum(counter[t] for t in tokens)
-            if raw:
-                score += raw * FIELD_WEIGHTS[field]
+        for token in tokens:
+            score += weighted.get(token, 0)
         if score:
-            hits.append(SearchHit(identifier, score))
-    hits.sort(key=lambda h: (-h.score, h.identifier))
+            hits.append((identifier, score))
+    hits.sort(key=lambda hit: (-hit[1], hit[0]))
     return hits

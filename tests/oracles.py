@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -87,6 +88,30 @@ def pairwise_gtd(construction: Construction, closed: FactSet) -> dict[str, int]:
         for kind in {kind_of[name] for name in set(af) & set(ag)}:
             counts[f"path:{p1}-{kind}-{p2}"] += 1
     return dict(counts)
+
+
+def ranked_text_hits(query: str, entries) -> list[tuple[str, int]]:
+    """Extended text search by its definition: lowercased runs of letters
+    and digits; each query token, as often as the query repeats it, scores
+    4 per occurrence in the name, 3 in a keyword, 2 in the short
+    description and 1 in the description; positive scores only, best
+    first, ties by identifier."""
+
+    def words(text: str) -> list[str]:
+        return re.findall(r"[^\W_]+", text.lower())
+
+    hits = []
+    for entry in entries:
+        fields = [
+            (4, words(entry.name)),
+            (3, [word for keyword in entry.keywords for word in words(keyword)]),
+            (2, words(entry.short_description)),
+            (1, words(entry.description)),
+        ]
+        score = sum(weight * field.count(token) for token in words(query) for weight, field in fields)
+        if score:
+            hits.append((entry.identifier, score))
+    return sorted(hits, key=lambda hit: (-hit[1], hit[0]))
 
 
 def brute_force_mappings(

@@ -203,6 +203,12 @@ def test_encode_rejects_inconsistent_requests():
         (b'{"Status": "maybe"}\n', "unknown insert status"),
         (b'{"Status": "inserted", "Oops": 1}\n', "unknown response member"),
         (b'{"Error": 17}\n', "Error must be a string"),
+        (b'{"Status": "inserted", "Identifier": null, "Duplicates": {}}\n', "string for an inserted entry"),
+        (b'{"Status": "duplicate", "Identifier": "GEO0001", "Duplicates": {}}\n', "null for a duplicate"),
+        (
+            b'{"Status": "duplicate", "Identifier": null, "Duplicates": {"Exact": ["GEO0001"], "Bogus": 5}}\n',
+            "unknown Duplicates member",
+        ),
     ],
 )
 def test_decode_response_rejections(payload, message):

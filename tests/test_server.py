@@ -23,7 +23,7 @@ from geokb.protocol import (
     encode_response,
 )
 from geokb.repository import ProblemEntry
-from geokb.server import LISTEN_BACKLOG, GeoServer, handle_request
+from geokb.server import LISTEN_BACKLOG, MAX_REQUEST_BYTES, GeoServer, handle_request
 
 from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT
 
@@ -203,6 +203,18 @@ def test_malformed_request_gets_error_response_and_liveness(server):
     # the next, valid request on a new connection still works
     ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
     assert isinstance(ok, QueryResult)
+
+
+@pytest.mark.parametrize("size", [MAX_REQUEST_BYTES + 10, 2 * MAX_REQUEST_BYTES])
+def test_oversized_request_gets_its_error_and_the_server_goes_on(server, size):
+    # the server stops reading at the limit; it must still deliver its answer
+    # to a client that is sending the rest of the request
+    request = QueryRequest(query="a" * size)
+    assert len(encode_request(request)) > size
+    response = client_query(server.host, server.port, request, timeout=30)
+    assert response == ErrorResponse("request too large")
+    ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
+    assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
 
 
 def test_sequential_requests_each_get_a_response(server):

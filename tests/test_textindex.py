@@ -9,6 +9,8 @@ from geokb.errors import PatternError
 from geokb.repository import ProblemEntry, Repository
 from geokb.textindex import extended_search, simple_search, terms, tokenize
 
+from oracles import ranked_text_hits
+
 
 def entry(identifier, name, description="", short="", keywords=()):
     return ProblemEntry(identifier, name, description, short, tuple(keywords))
@@ -101,36 +103,30 @@ def test_extended_search_scores_by_field_weight(records):
     # "ceva": name(1)*4 + description(1)*1 + short? "cevians" is a different
     # token, keywords "cevian" is a different token; so 4 + 0 + 0 + 0... the
     # description token is "cevians", not "ceva". Only the name matches.
-    hits = extended_search("ceva", records)
-    assert [h.identifier for h in hits] == ["GEO_CEVA"]
-    assert hits[0].score == 4
+    assert extended_search("ceva", records) == [("GEO_CEVA", 4)]
 
 
 def test_extended_search_or_semantics_and_ranking(records):
-    hits = extended_search("ceva theorem", records)
-    assert hits[0].identifier == "GEO_CEVA"  # name hits on both tokens
-    assert {h.identifier for h in hits} == {"GEO_CEVA", "GEO0003"}
-    ceva, thales = hits[0], hits[1]
-    assert ceva.score == 4 + 4  # ceva + theorem in the name
-    assert thales.score == 4 + 1  # theorem in name and in description
+    assert extended_search("ceva theorem", records) == [
+        ("GEO_CEVA", 4 + 4),  # ceva + theorem in the name
+        ("GEO0003", 4 + 1),  # theorem in name and in description
+    ]
 
 
 def test_extended_search_weights_all_fields():
     ix = records_of(entry("E1", "alpha", description="beta", short="gamma", keywords=("delta",)))
-    assert extended_search("alpha", ix)[0].score == 4
-    assert extended_search("delta", ix)[0].score == 3
-    assert extended_search("gamma", ix)[0].score == 2
-    assert extended_search("beta", ix)[0].score == 1
-    hit = extended_search("alpha beta gamma delta", ix)[0]
-    assert hit.score == 10
+    assert extended_search("alpha", ix) == [("E1", 4)]
+    assert extended_search("delta", ix) == [("E1", 3)]
+    assert extended_search("gamma", ix) == [("E1", 2)]
+    assert extended_search("beta", ix) == [("E1", 1)]
+    assert extended_search("alpha beta gamma delta", ix) == [("E1", 10)]
 
 
 def test_extended_search_term_frequency_counts():
     ix = records_of(
         entry("E1", "echo", description="echo echo echo"), entry("E2", "echo echo", description="")
     )
-    hits = extended_search("echo", ix)
-    assert [(h.identifier, h.score) for h in hits] == [("E2", 8), ("E1", 7)]
+    assert extended_search("echo", ix) == [("E2", 8), ("E1", 7)]
 
 
 def test_extended_search_score_is_token_order_invariant(records):
@@ -141,12 +137,57 @@ def test_extended_search_score_is_token_order_invariant(records):
 
 def test_extended_search_ties_break_by_identifier():
     ix = records_of(entry("B", "same name"), entry("A", "same name"))
-    assert [h.identifier for h in extended_search("same", ix)] == ["A", "B"]
+    assert extended_search("same", ix) == [("A", 4), ("B", 4)]
 
 
 def test_extended_search_omits_zero_scores(records):
-    assert all(h.score > 0 for h in extended_search("triangle", records))
-    assert "GEO0003" not in {h.identifier for h in extended_search("triangle", records)}
+    assert all(score > 0 for _, score in extended_search("triangle", records))
+    assert "GEO0003" not in {identifier for identifier, _ in extended_search("triangle", records)}
+
+
+#: words for random entries: accented ones, digits, case variants and one
+#: ("Ünïcode") whose lowercase form is another word of the list
+ORACLE_WORDS = ("circle", "Circle", "CIRCLE", "reflexão", "eixo", "ünïcode", "Ünïcode", "042",
+                "7", "tri", "angle", "triangle", "çevá", "ß", "Straße", "x1")
+
+
+def random_text(rng: random.Random, words: int) -> str:
+    separators = (" ", "  ", "-", "_", ", ", "'", "!? ", "/", "")  # "" glues two words
+    return "".join(rng.choice(ORACLE_WORDS) + rng.choice(separators) for _ in range(words))
+
+
+def test_extended_search_matches_an_independent_oracle():
+    rng = random.Random(1313)
+    seen = {"repeated token": 0, "token in several fields": 0, "tied score": 0}
+    for _ in range(40):
+        entries = [
+            entry(
+                f"E{n:02d}",
+                random_text(rng, rng.randint(0, 3)),
+                description=random_text(rng, rng.randint(0, 6)),
+                short=random_text(rng, rng.randint(0, 3)),
+                keywords=[random_text(rng, rng.randint(1, 2)) for _ in range(rng.randint(0, 3))],
+            )
+            for n in rng.sample(range(100), 12)
+        ]
+        records = records_of(*entries)
+        queries = ["", "--- !!! __", random_text(rng, 1), random_text(rng, 3)]
+        word = rng.choice(ORACLE_WORDS)
+        queries.append(f"{word} {word.upper()}-{word}")
+        for query in queries:
+            expected = ranked_text_hits(query, entries)
+            assert extended_search(query, records) == expected, query
+            tokens = tokenize(query)
+            seen["repeated token"] += len(tokens) > len(set(tokens))
+            scores = [score for _, score in expected]
+            seen["tied score"] += len(scores) > len(set(scores))
+        for e in entries:
+            fields = (e.name, " ".join(e.keywords), e.short_description, e.description)
+            field_sets = [set(tokenize(text)) for text in fields]
+            seen["token in several fields"] += any(
+                sum(token in field for field in field_sets) > 1 for token in set().union(*field_sets)
+            )
+    assert all(count > 10 for count in seen.values()), seen
 
 
 # -- the records as the repository keeps them ---------------------------------------
