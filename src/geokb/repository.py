@@ -460,10 +460,12 @@ class Repository:
                 if report.exact_duplicates or report.containing_entries:
                     return report
                 if report.contained_entries:
+                    extended = report.contained_entries
                     log.warning(
-                        "insert %s extends stored entries: %s",
+                        "insert %s extends stored entries (%d): %s",
                         identifier,
-                        ", ".join(report.contained_entries),
+                        len(extended),
+                        ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
                     )
             record = self._store(replace(draft, identifier=identifier), side, fingerprint)
             self._records = {**self._records, identifier: record}

@@ -23,6 +23,17 @@ takes the delta (the facts new in the previous round), and each other atom
 probes the index on an argument already bound, reading only facts older
 than the delta if it stands left of the delta atom.  So each derivation is
 found once.  The index lives for one call.
+
+A rule of R4's shape, over a binary predicate whose two arguments are
+interchangeable, is not joined: it says that the predicate's facts between
+distinct names are every pair of a class of names (an equivalence relation
+without its diagonal).  Such a predicate is kept as classes instead, the
+``eqrel`` relation of the Soufflé Datalog engine (Nappa, Zhao, Subotić and
+Scholz, PACT 2019).  A new fact between two classes merges them and adds
+their cross pairs as new facts, so the work grows with the output, not
+with the triples of a class.  Other rules probe such a predicate through
+the class of the bound name, not through the index.  The closure still
+holds every pair.
 """
 
 from __future__ import annotations
@@ -35,7 +46,9 @@ from importlib import resources
 from operator import itemgetter
 
 from .errors import ConstructionError, RuleError
-from .model import CANONICAL_ARGS, PREDICATES, Construction, Fact, FactSet, argument_variants, normalize_fact
+from .model import (
+    CANONICAL_ARGS, PREDICATES, SYMMETRY, Construction, Fact, FactSet, argument_variants, normalize_fact,
+)
 
 try:  # the interpreter's own SHA-256; importing hashlib loads OpenSSL, 3-4 MB resident
     from _sha256 import sha256
@@ -85,9 +98,20 @@ class RuleSet:
         return sha256("\n".join(rendered).encode("utf-8")).hexdigest()
 
     @cached_property
+    def transitive(self) -> frozenset[str]:
+        """The predicates that one of the rules makes transitive (see
+        :func:`_transitive_predicate`); :func:`closure` keeps them as classes."""
+        return frozenset(filter(None, map(_transitive_predicate, self.rules)))
+
+    @cached_property
     def _plans(self) -> tuple[tuple, ...]:
-        """Per rule and body atom: the atom's predicate and :func:`_plan`'s result."""
-        return tuple((a.predicate, *_plan(r, i)) for r in self.rules for i, a in enumerate(r.body))
+        """Per rule and body atom: the atom's predicate and :func:`_plan`'s
+        result.  Transitivity rules have none: the classes stand for them."""
+        return tuple(
+            (a.predicate, *_plan(r, i, self.transitive))
+            for r in self.rules if _transitive_predicate(r) is None
+            for i, a in enumerate(r.body)
+        )
 
 
 def _split_top_level(text: str, lineno: int) -> list[str]:
@@ -203,11 +227,29 @@ def default_rules() -> RuleSet:
     return load_rules(text)
 
 
-def _plan(rule: Rule, delta_pos: int) -> tuple:
+def _transitive_predicate(rule: Rule) -> str | None:
+    """``p`` if ``rule`` is ``p(?a, ?c) :- p(?a, ?b), p(?b, ?c), ?a != ?c``
+    for a binary ``p`` with interchangeable arguments, up to the order of
+    the body atoms and of the arguments in each atom and condition."""
+    p = rule.head.predicate
+    if SYMMETRY.get(p) != (0, 1) or len(PREDICATES[p]) != 2 or any(atom.predicate != p for atom in rule.body):
+        return None
+    a, c = rule.head.args
+    middle = {var for atom in rule.body for var in atom.args} - {a, c}
+    if a == c or len(middle) != 1 or len(rule.body) != 2:
+        return None
+    b = middle.pop()
+    if {frozenset(atom.args) for atom in rule.body} != {frozenset((a, b)), frozenset((b, c))}:
+        return None
+    return p if set(map(frozenset, rule.distinct)) == {frozenset((a, c))} else None
+
+
+def _plan(rule: Rule, delta_pos: int, transitive: frozenset[str]) -> tuple:
     """Join steps for ``rule``, body atom ``delta_pos`` first: (predicate,
     probe position and slot or None to scan, (position, slot) pairs to
-    assign, pairs to check, older facts only).  Also the slot count and the
-    head: (predicate, slot getter, canonicaliser, slot pairs that differ)."""
+    assign, pairs to check, older facts only, probe by class).  Also the
+    slot count and the head: (predicate, slot getter, canonicaliser, slot
+    pairs that differ)."""
     slots: dict[str, int] = {}
     steps = []
     for i in [delta_pos] + [i for i in range(len(rule.body)) if i != delta_pos]:
@@ -224,28 +266,58 @@ def _plan(rule: Rule, delta_pos: int) -> tuple:
             tuple((pos, slots[var]) for pos, var in enumerate(args) if first[pos]),
             tuple((pos, slots[var]) for pos, var in enumerate(args) if not first[pos] and pos != probe),
             i < delta_pos,
+            probe is not None and rule.body[i].predicate in transitive,
         ))
     head, getter = rule.head, itemgetter(*(slots[v] for v in rule.head.args))
     distinct = tuple((slots[x], slots[y]) for x, y in rule.distinct)
     return tuple(steps), len(slots), (head.predicate, getter, CANONICAL_ARGS.get(head.predicate), distinct)
 
 
+def _join_classes(members: dict[str, list[str]], x: str, y: str) -> list[tuple[str, str]]:
+    """Merge the classes of ``x`` and ``y`` (``members`` maps a name to the
+    list its whole class shares; an absent name is a class of its own) and
+    return the pairs of names this puts in one class, each sorted."""
+    big, small = members.setdefault(x, [x]), members.setdefault(y, [y])
+    if big is small:
+        return []
+    if len(big) < len(small):
+        big, small = small, big
+    pairs = [(m, n) if m < n else (n, m) for m in small for n in big]
+    big.extend(small)
+    for m in small:
+        members[m] = big
+    return pairs
+
+
 def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     """Least fact set containing the construction's facts and closed under
-    the rules, by indexed semi-naive evaluation (see the module docstring).
+    the rules, by indexed semi-naive evaluation with a class per group of
+    names of a transitive predicate (see the module docstring).
     The result does not depend on rule order or fact iteration order, and
     every returned fact is a canonical ``(predicate, args)`` pair, not a :class:`Fact`.
     """
     plans = ruleset._plans
     body_predicates = {plan[0] for plan in plans}
+    classes: dict[str, dict[str, list[str]]] = {predicate: {} for predicate in ruleset.transitive}
     index: dict[tuple, list[tuple[int, tuple[str, ...]]]] = defaultdict(list)
     known: set[tuple[str, tuple[str, ...]]] = set()
     fresh = {(predicate, CANONICAL_ARGS[predicate](args) if predicate in CANONICAL_ARGS else args)
              for predicate, args in construction.facts}
     current = 0
 
+    def related(predicate, pos, name):
+        """Index entries for the facts of class predicate ``predicate`` with
+        ``name`` at ``pos``: the rest of its class, and ``name`` itself if
+        another rule derived that fact.  Born in round 0, the whole class is
+        read even where only older facts are asked for; a derivation found
+        twice is found in ``known`` the second time."""
+        others = [m for m in classes[predicate].get(name, ()) if m != name]
+        if (predicate, (name, name)) in known:
+            others.append(name)
+        return [(0, (name, m)) for m in others] if pos == 0 else [(0, (m, name)) for m in others]
+
     def join(steps, k, candidates, binding, head):
-        _, _, _, assign, check, older = steps[k]
+        _, _, _, assign, check, older, _ = steps[k]
         nxt = steps[k + 1] if k + 1 < len(steps) else None
         for born, args in candidates:
             if older and born == current:
@@ -255,8 +327,13 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
             if check and any(args[pos] != binding[slot] for pos, slot in check):
                 continue
             if nxt is not None:
-                key = (nxt[0],) if nxt[1] is None else (nxt[0], nxt[1], binding[nxt[2]])
-                join(steps, k + 1, index.get(key, ()), binding, head)
+                if nxt[6]:
+                    following = related(nxt[0], nxt[1], binding[nxt[2]])
+                else:
+                    key = (nxt[0],) if nxt[1] is None else (nxt[0], nxt[1], binding[nxt[2]])
+                    following = index.get(key, ())
+                if following:
+                    join(steps, k + 1, following, binding, head)
                 continue
             predicate, head_args, canonical, distinct = head
             if distinct and any(binding[x] == binding[y] for x, y in distinct):
@@ -268,16 +345,27 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
 
     while fresh:
         current += 1
+        if classes:  # a fact between two names of a class predicate stands for the pairs it joins
+            pending, fresh = fresh, set()
+            for fact in pending:
+                predicate, args = fact
+                if predicate in classes and args[0] != args[1]:
+                    fresh.update((predicate, pair) for pair in _join_classes(classes[predicate], *args))
+                else:
+                    fresh.add(fact)
         known |= fresh
         delta: dict[str, list[tuple[int, tuple[str, ...]]]] = defaultdict(list)
         for predicate, args in fresh:
             if predicate in body_predicates:
-                for variant in argument_variants(predicate, args):
+                # a pair of a class has its two orders; argument_variants costs more
+                by_class = predicate in classes and args[0] != args[1]
+                for variant in (args, args[::-1]) if by_class else argument_variants(predicate, args):
                     entry = (current, variant)
                     delta[predicate].append(entry)
                     index[(predicate,)].append(entry)
-                    for pos, name in enumerate(variant):
-                        index[(predicate, pos, name)].append(entry)
+                    if predicate not in classes:  # a class is probed by name instead
+                        for pos, name in enumerate(variant):
+                            index[(predicate, pos, name)].append(entry)
         fresh = set()
         for predicate, steps, slots, head in plans:
             if predicate in delta:

@@ -76,6 +76,18 @@ def collinear_points(n: int) -> Construction:
     )
 
 
+def random_line_figure(rng: random.Random, max_lines: int = 6) -> Construction:
+    """Lines only, with about 1.5 facts per line, each ``parallel`` or
+    ``perpendicular``, so that classes of parallel lines form, meet
+    perpendiculars and merge."""
+    names = [f"l{i}" for i in range(rng.randint(2, max_lines))]
+    facts = {
+        normalize_fact(Fact(rng.choice(("parallel", "perpendicular")), tuple(rng.sample(names, 2))))
+        for _ in range(rng.randint(1, 3 * len(names) // 2))
+    }
+    return Construction(frozenset(ObjectDecl(name, "line") for name in names), frozenset(facts))
+
+
 def _feasible(predicate: str, pool: dict[str, list[str]]) -> bool:
     kinds = PREDICATES[predicate]
     if predicate in DISTINCT_ARG_PREDICATES:

@@ -321,6 +321,21 @@ def test_insert_extension_only_warns_and_goes_through(tmp_path, caplog):
     assert "extends stored entries" in caplog.text
 
 
+def test_insert_log_names_the_count_and_the_first_five_extended_entries(tmp_path, caplog):
+    repo = Repository(tmp_path / "data")
+    segment = ProblemEntry(name="Segment", code="point A\npoint B\nline a\nline_through(a, A, B)\n",
+                           kind="construction")
+    for _ in range(5):
+        repo.insert(segment, force=True)
+    with caplog.at_level("WARNING", logger="geokb.repository"):
+        assert repo.insert(TRIANGLE_DRAFT) == "GEO0006"  # extends the five segments
+        assert repo.insert(replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT)) == "GEO0007"  # and the triangle
+    assert [record.getMessage() for record in caplog.records] == [
+        "insert GEO0006 extends stored entries (5): GEO0001, GEO0002, GEO0003, GEO0004, GEO0005",
+        "insert GEO0007 extends stored entries (6): GEO0001, GEO0002, GEO0003, GEO0004, GEO0005, ...",
+    ]
+
+
 def test_find_duplicates_mirror_report(fresh_seeded_repo):
     report = fresh_seeded_repo.find_duplicates(bare_triangle())
     oracle_contained = {

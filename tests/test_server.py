@@ -243,13 +243,14 @@ def test_concurrent_clients(server):
 
 
 def test_text_query_does_not_wait_for_a_long_geometric_query(server):
-    # the closure of a 120-line parallel chain takes seconds; it runs before
-    # the repository lock is taken, so a text query meanwhile is answered at once
-    chain = "".join(f"line l{i}\n" for i in range(120))
-    chain += "".join(f"parallel(l{i}, l{i + 1})\n" for i in range(119))
+    # 75 points on one line close to 67,600 facts (every triple collinear), a
+    # 2 KB request whose closure and fingerprint take over a second; they run
+    # before the repository lock is taken, so a text query meanwhile is
+    # answered at once
+    points = "line m\n" + "".join(f"point P{i}\nincident(P{i}, m)\n" for i in range(75))
     slow: list[object] = []
     thread = threading.Thread(target=lambda: slow.append(client_query(
-        server.host, server.port, QueryRequest(geometric=chain, confirm=False), timeout=120)))
+        server.host, server.port, QueryRequest(geometric=points, confirm=False), timeout=120)))
     thread.start()
     time.sleep(0.3)
     start = time.perf_counter()
