@@ -6,16 +6,23 @@ closed side into a :class:`MatchSide` once: closed facts as the
 ``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns,
 per-object per-predicate fact degrees and sorted names per kind.  A
 closure and a stored entry's closure read back from its file both arrive
-as pairs, so no side needs a :class:`~geokb.model.Fact`.  A query side
-builds its plan once, on first use: object order, most-constrained
-(highest degree) first, the degrees each object needs, and per step the
-facts whose last argument gets mapped there.  Per target only two things
-remain: keeping target objects of the right kind and enough degree, and
+as pairs, so no side needs a :class:`~geokb.model.Fact`.
+
+A query side builds its plan once, on first use, and keeps it for every
+target: the object order, most-constrained (highest degree) first; per
+step the facts whose last argument gets mapped there, each with a getter
+over the steps of its arguments; and the distinct needs (kind and needed
+degrees), since look-alike objects share one.  The search keeps the target
+names it assigns in a list indexed by step, so a check reads its arguments
+by position, and it reads the mapping back by query name only when it has
+found an embedding.  Per target only two things remain: one pass over the
+target's names of each needed kind, keeping those of enough degree, and
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  Relation nodes need no mapping:
 a fact is determined by its arguments.  An :class:`Embedding` keeps as its
 witness the canonical pairs those checks computed, so confirming a match
-builds no fact object.
+builds no fact object.  The backtracking is a loop over one iterator per
+step, not a recursion, so a search leaves no reference cycle behind.
 
 Worst-case cost is exponential, so the search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -29,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
@@ -39,7 +46,7 @@ from .rules import RuleSet, closure
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """An injective, kind-preserving map taking the query into a target.
 
@@ -72,20 +79,25 @@ class MatchSide:
     names: Mapping[str, tuple[str, ...]]
 
     @cached_property
-    def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
-        """The side as a query: object order, per step the facts to check as
-        (predicate, args getter, canonicaliser), and per step the kind and
-        needed degrees (look-alike objects share them, filtered once)."""
+    def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...]]:
+        """The side as a query: object order; per step the facts to check as
+        (predicate, getter of their arguments' positions, canonicaliser); the
+        distinct needs (kind, needed degrees), since look-alike objects share
+        one filter; and per step the index of its need."""
         order = tuple(sorted(self.kinds, key=lambda n: (-sum(self.degrees[n].values()), n)))
         position = {name: i for i, name in enumerate(order)}
         schedule: list[list] = [[] for _ in order]
         for predicate, args in self.facts:
             # every predicate takes two or more arguments, so the getter gives a tuple
             schedule[max(position[a] for a in args)].append(
-                (predicate, itemgetter(*args), CANONICAL_ARGS.get(predicate))
+                (predicate, itemgetter(*(position[a] for a in args)), CANONICAL_ARGS.get(predicate))
             )
-        needs = tuple((self.kinds[name], tuple(sorted(self.degrees[name].items()))) for name in order)
-        return order, tuple(map(tuple, schedule)), needs
+        needs: dict[tuple, int] = {}  # (kind, needed degrees) -> its index
+        need_of = tuple(
+            needs.setdefault((self.kinds[n], tuple(sorted(self.degrees[n].items()))), len(needs))
+            for n in order
+        )
+        return order, tuple(map(tuple, schedule)), tuple(needs), need_of
 
 
 def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:
@@ -94,8 +106,10 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     facts = frozenset((sys.intern(predicate), args) for predicate, args in closed)
     degrees: dict[str, dict[str, int]] = {name: {} for name in kinds}
     for predicate, args in facts:
-        for name in set(args):
-            degrees[name][predicate] = degrees[name].get(predicate, 0) + 1
+        # a fact counts once per object it names: only a repeat needs the set
+        for name in args if len(args) == 2 and args[0] != args[1] else set(args):
+            counts = degrees[name]
+            counts[predicate] = counts.get(predicate, 0) + 1
     names: dict[str, tuple[str, ...]] = {}
     for name in sorted(kinds):
         names[kinds[name]] = names.get(kinds[name], ()) + (name,)
@@ -109,37 +123,37 @@ def embed_closed(
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit!r}")
 
-    order, schedule, needs = query.plan
+    order, schedule, needs, need_of = query.plan
     target_degree, target_facts = target.degrees, target.facts
-    filtered: dict[tuple, list[str]] = {}
+    options: list[list[str]] = []
     for kind, needed in needs:
-        if (kind, needed) not in filtered:
-            options = filtered[kind, needed] = [
-                tname
-                for tname in target.names.get(kind, ())
-                if all(target_degree[tname].get(p, 0) >= n for p, n in needed)
-            ]
-            if not options:
-                return []
-    candidates = [filtered[need] for need in needs]
+        fitting = []
+        for tname in target.names.get(kind, ()):
+            degree = target_degree[tname]
+            for predicate, n in needed:
+                if degree.get(predicate, 0) < n:
+                    break
+            else:
+                fitting.append(tname)
+        if not fitting:
+            return []
+        options.append(fitting)
+    candidates = [options[k] for k in need_of]
 
+    if not order:
+        return [Embedding((), frozenset())]
     found: list[Embedding] = []
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    matched: list[list[tuple]] = [[] for _ in order]  # per step, the facts it checked
+    last = len(order) - 1
+    assigned = [""] * len(order)  # per step, its target name; read up to the current step only
+    used: set[str] = set()  # the names of the steps before the current one
+    matched: list = [()] * len(order)  # per step, the facts it checked
+    pending: list = [None] * len(order)  # per step up to the current one, the names left to try
+    pending[0] = iter(candidates[0])
     steps = budget
-
-    def emit() -> bool:
-        witness = frozenset(chain.from_iterable(matched))
-        found.append(Embedding(tuple(sorted(mapping.items())), witness))
-        return len(found) >= limit
-
-    def extend(i: int) -> bool:
-        nonlocal steps
-        if i == len(order):
-            return emit()
-        qname, checks = order[i], schedule[i]
-        for tname in candidates[i]:
+    i = 0
+    while i >= 0:
+        checks = schedule[i]
+        for tname in pending[i]:
             if tname in used:
                 continue
             if steps <= 0:
@@ -147,30 +161,32 @@ def embed_closed(
                     f"embedding search exceeded its budget of {budget} steps"
                 )
             steps -= 1
-            mapping[qname] = tname
-            used.add(tname)
+            assigned[i] = tname
             keys = []
             for predicate, get_args, canonical in checks:
-                mapped = get_args(mapping)
+                mapped = get_args(assigned)
                 key = (predicate, mapped if canonical is None else canonical(mapped))
                 if key not in target_facts:
                     break
                 keys.append(key)
             else:
                 matched[i] = keys
-                if extend(i + 1):
-                    return True
-            del mapping[qname]
-            used.discard(tname)
-        return False
-
-    try:
-        extend(0)
-    finally:
-        # extend refers to itself through its closure; unbinding it breaks that
-        # cycle, so the call's state is freed at once, not by the cyclic collector
-        del extend
-    return sorted(found, key=lambda e: e.mapping)
+                if i < last:  # one step deeper
+                    used.add(tname)
+                    i += 1
+                    pending[i] = iter(candidates[i])
+                    break
+                witness = frozenset(chain.from_iterable(matched))
+                found.append(Embedding(tuple(sorted(zip(order, assigned))), witness))
+                if len(found) == limit:
+                    i = -1
+                    break
+        else:  # every name tried: one step back
+            i -= 1
+            if i >= 0:
+                used.discard(assigned[i])
+    found.sort(key=attrgetter("mapping"))
+    return found
 
 
 def find_embeddings(

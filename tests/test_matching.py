@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from geokb import fingerprint, matching, model, repository
 from geokb.errors import SearchBudgetExceeded
 from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes
 from geokb.matching import Embedding, embed_closed, find_embeddings, is_subconstruction, prepare
-from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
+from geokb.model import EMPTY_CONSTRUCTION, Construction, Fact, ObjectDecl, fact, parse_construction
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -19,9 +20,10 @@ from generators import (
     bare_triangle,
     concurrent_lines,
     random_construction,
+    random_line_figure,
     triangle_with_circle,
 )
-from oracles import brute_force_embeds, brute_force_mappings
+from oracles import brute_canonical, brute_force_embeds, brute_force_mappings
 
 
 def mappings_of(embeddings: list[Embedding]) -> list[dict[str, str]]:
@@ -167,6 +169,122 @@ def test_embedding_sets_match_brute_force_enumeration(rules):
     assert compared == 60
 
 
+def _with_bare_objects(construction: Construction, *objects: tuple[str, str]) -> Construction:
+    extra = frozenset(ObjectDecl(name, kind) for name, kind in objects)
+    return Construction(construction.objects | extra, construction.facts)
+
+
+def _assert_brute_force_agreement(query, target, rules, limit=10_000) -> int:
+    """The search's embeddings against the oracle's: all of them in mapping
+    order when ``limit`` allows, else ``limit`` distinct ones of them; each
+    witness the orbit minima of the closed query facts under its mapping."""
+    expected = sorted(tuple(sorted(m.items())) for m in brute_force_mappings(query, target, rules))
+    found = find_embeddings(query, target, rules, limit=limit)
+    mappings = [e.mapping for e in found]
+    if limit >= len(expected):
+        assert mappings == expected
+    else:
+        assert len(mappings) == limit and mappings == sorted(set(mappings))
+        assert set(mappings) <= set(expected)
+    closed_query = closure(query, rules)
+    for embedding in found:
+        mapping = embedding.as_dict()
+        assert embedding.facts == {
+            brute_canonical(Fact(predicate, tuple(mapping[a] for a in args)))
+            for predicate, args in closed_query
+        }
+    return len(found)
+
+
+def test_line_figures_with_self_loops_agree_with_brute_force(rules):
+    """Line-only figures close to parallel classes, perpendiculars between
+    them and, where a line is both, ``perpendicular(a, a)``; as query and as
+    target."""
+    rng = random.Random(1803)
+    loops = hits = 0
+    for _ in range(60):
+        query = random_line_figure(rng, max_lines=4)
+        target = random_line_figure(rng, max_lines=6)
+        for side in (query, target):
+            loops += any(args[0] == args[1] for _, args in closure(side, rules))
+        hits += _assert_brute_force_agreement(query, target, rules) > 0
+        hits += _assert_brute_force_agreement(target, target, rules) > 0
+    assert loops > 10 and hits > 60
+
+
+def test_repeated_arguments_agree_with_brute_force(rules):
+    """A query fact that names one object twice, as ``equidistant(A, B, A,
+    C)`` does, reads that object's target name twice."""
+    isosceles = parse_construction("point A\npoint B\npoint C\nequidistant(A, B, A, C)")
+    rng = random.Random(4711)
+    hits = 0
+    for _ in range(40):
+        target = random_construction(rng, max_points=5, max_lines=2, max_circles=1, max_facts=9)
+        hits += _assert_brute_force_agreement(isosceles, target, rules) > 0
+        query = random_construction(rng, max_points=3, max_lines=1, max_circles=1, max_facts=5)
+        _assert_brute_force_agreement(query, target, rules)
+    for code in _CORPUS_CODE.values():
+        target = parse_construction(code)
+        if len(target.names_of_kind("point")) <= 6:
+            hits += _assert_brute_force_agreement(isosceles, target, rules) > 0
+    assert hits > 5
+
+
+def test_objects_in_no_fact_agree_with_brute_force(rules):
+    rng = random.Random(2718)
+    hits = 0
+    for _ in range(40):
+        query = _with_bare_objects(
+            random_construction(rng, max_points=2, max_lines=2, max_circles=1, max_facts=3),
+            ("Z", "point"), ("z", "line"),
+        )
+        target = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+        hits += _assert_brute_force_agreement(query, target, rules) > 0
+        padded = _with_bare_objects(target, ("Y", "point"))
+        hits += _assert_brute_force_agreement(query, padded, rules) > 0
+    assert hits > 10
+    assert _assert_brute_force_agreement(
+        _with_bare_objects(bare_triangle(), ("k", "circle")), triangle_with_circle(), rules
+    ) == 6
+
+
+def test_limits_above_one_agree_with_brute_force(rules):
+    rng = random.Random(1414)
+    cut = 0
+    for _ in range(60):
+        query = random_construction(rng, max_points=3, max_lines=2, max_circles=1, max_facts=4)
+        target = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+        limit = rng.randint(2, 6)
+        cut += _assert_brute_force_agreement(query, target, rules, limit) == limit
+    for _ in range(20):
+        limit = rng.randint(2, 6)
+        cut += _assert_brute_force_agreement(
+            random_line_figure(rng, max_lines=3), random_line_figure(rng), rules, limit
+        ) == limit
+    assert cut > 10
+
+
+def test_prepare_counts_each_fact_once_per_object_it_names(rules):
+    """``MatchSide.degrees`` against a count straight from its definition,
+    on closures that hold repeated arguments: equidistant pairs sharing a
+    point, and the ``perpendicular(a, a)`` of a line both parallel and
+    perpendicular to another."""
+    rng = random.Random(161)
+    figures = [random_construction(rng) for _ in range(150)]
+    figures += [random_line_figure(rng) for _ in range(150)]
+    repeats = 0
+    for figure in figures:
+        closed = closure(figure, rules)
+        expected = {name: Counter() for name in figure.kinds}
+        for predicate, args in closed:
+            for name in expected:
+                if name in args:
+                    expected[name][predicate] += 1
+            repeats += len(set(args)) < len(args)
+        assert prepare(figure.kinds, closed).degrees == {n: dict(c) for n, c in expected.items()}
+    assert repeats > 100
+
+
 def test_presence_agrees_with_brute_force_on_random_pairs(rules):
     rng = random.Random(1618)
     for _ in range(80):
@@ -259,6 +377,50 @@ line_through(N, p, q)
 """
 
 
+# Targets beside the corpus: a figure shaped like an entry of the synthetic
+# store (a random figure plus a triangle planted under names of its own), and
+# two classes of parallel lines, perpendicular to each other.
+_TARGET_CODE = {
+    **_CORPUS_CODE,
+    "synthetic": """\
+circle k0
+line l0
+line l1
+line ta
+line tb
+line tc
+point P0
+point P1
+point P2
+point TA
+point TB
+point TC
+circle_centered(k0, P1, P1)
+circle_centered(k0, P2, P0)
+collinear(P0, P1, P2)
+incident(P1, l0)
+incident(P2, l0)
+line_through(ta, TB, TC)
+line_through(tb, TA, TC)
+line_through(tc, TA, TB)
+midpoint(P1, P0, P2)
+midpoint(P2, P0, P1)
+perpendicular(l0, l1)
+""",
+    "two classes": """\
+line p
+line q
+line r
+line s
+line t
+parallel(p, q)
+parallel(q, r)
+perpendicular(p, s)
+parallel(s, t)
+""",
+}
+
+
 @pytest.mark.parametrize(
     "query, target, limit, minimal",
     [
@@ -268,11 +430,19 @@ line_through(N, p, q)
         (BARE_TRIANGLE_TEXT, "GEO0002", 100, 69),
         (BARE_TRIANGLE_TEXT, "GEO_CEVA", 100, 105),
         (_RELABELLED_TRIANGLE, "GEO_CEVA", 100, 105),
+        # These four were measured with the matcher of commit ddb2786, which
+        # kept the mapping in a dict keyed by query name: an isolated object,
+        # a line-only figure with a parallel class, a synthetic-store target
+        # and a fact that names one point twice.
+        (BARE_TRIANGLE_TEXT + "point D\n", "GEO_CEVA", 100, 129),
+        ("line a\nline b\nline c\nparallel(a, b)\nperpendicular(b, c)\n", "two classes", 100, 49),
+        (BARE_TRIANGLE_TEXT, "synthetic", 100, 51),
+        ("point A\npoint B\npoint C\nequidistant(A, B, A, C)\n", "GEO0008", 100, 15),
     ],
 )
 def test_minimal_budget_of_triangle_search(rules, query, target, limit, minimal):
     q = parse_construction(query)
-    t = q if target is None else parse_construction(_CORPUS_CODE[target])
+    t = q if target is None else parse_construction(_TARGET_CODE[target])
     assert find_embeddings(q, t, rules, limit=limit, budget=minimal)
     with pytest.raises(SearchBudgetExceeded):
         find_embeddings(q, t, rules, limit=limit, budget=minimal - 1)

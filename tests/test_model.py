@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from geokb.errors import ConstructionError
 from geokb.model import (
+    CANONICAL_ARGS,
     Construction,
     EMPTY_CONSTRUCTION,
     Fact,
@@ -137,6 +139,22 @@ def test_normalize_is_idempotent(f):
 @given(any_fact_strategy())
 def test_normalize_is_brute_force_orbit_minimum(f):
     assert normalize_fact(f) == brute_canonical(f)
+
+
+def test_canonical_args_is_the_orbit_minimum_on_every_argument_tuple():
+    """Every predicate on every argument tuple over four names, repeats
+    included: the two-slot forms compare instead of sorting, and each must
+    still return the least tuple of the brute-force orbit, as a tuple."""
+    pool = ("B", "a", "ab_c", "b")
+    for predicate, kinds in PREDICATES.items():
+        canonical = CANONICAL_ARGS.get(predicate)
+        for args in product(pool, repeat=len(kinds)):
+            expected = brute_canonical(Fact(predicate, args)).args
+            if canonical is None:
+                assert expected == args, predicate
+            else:
+                ordered = canonical(args)
+                assert type(ordered) is tuple and ordered == expected, (predicate, args)
 
 
 @given(any_fact_strategy(), any_fact_strategy())
