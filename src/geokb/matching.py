@@ -21,8 +21,7 @@ backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  Relation nodes need no mapping:
 a fact is determined by its arguments.  An :class:`Embedding` keeps as its
 witness the canonical pairs those checks computed, so confirming a match
-builds no fact object.  The backtracking is a loop over one iterator per
-step, not a recursion, so a search leaves no reference cycle behind.
+builds no fact object.
 
 Worst-case cost is exponential, so the search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -140,20 +139,20 @@ def embed_closed(
         options.append(fitting)
     candidates = [options[k] for k in need_of]
 
-    if not order:
-        return [Embedding((), frozenset())]
     found: list[Embedding] = []
-    last = len(order) - 1
     assigned = [""] * len(order)  # per step, its target name; read up to the current step only
     used: set[str] = set()  # the names of the steps before the current one
     matched: list = [()] * len(order)  # per step, the facts it checked
-    pending: list = [None] * len(order)  # per step up to the current one, the names left to try
-    pending[0] = iter(candidates[0])
     steps = budget
-    i = 0
-    while i >= 0:
+
+    def extend(i: int) -> bool:
+        nonlocal steps
+        if i == len(order):
+            witness = frozenset(chain.from_iterable(matched))
+            found.append(Embedding(tuple(sorted(zip(order, assigned))), witness))
+            return len(found) == limit
         checks = schedule[i]
-        for tname in pending[i]:
+        for tname in candidates[i]:
             if tname in used:
                 continue
             if steps <= 0:
@@ -171,20 +170,18 @@ def embed_closed(
                 keys.append(key)
             else:
                 matched[i] = keys
-                if i < last:  # one step deeper
-                    used.add(tname)
-                    i += 1
-                    pending[i] = iter(candidates[i])
-                    break
-                witness = frozenset(chain.from_iterable(matched))
-                found.append(Embedding(tuple(sorted(zip(order, assigned))), witness))
-                if len(found) == limit:
-                    i = -1
-                    break
-        else:  # every name tried: one step back
-            i -= 1
-            if i >= 0:
-                used.discard(assigned[i])
+                used.add(tname)
+                if extend(i + 1):
+                    return True
+                used.discard(tname)
+        return False
+
+    try:
+        extend(0)
+    finally:
+        # extend refers to itself through its closure; unbinding it breaks that
+        # cycle, so the call's state is freed at once, not by the cyclic collector
+        del extend
     found.sort(key=attrgetter("mapping"))
     return found
 

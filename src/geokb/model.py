@@ -102,17 +102,16 @@ SYMMETRY: dict[str, tuple[int, int]] = {
 
 
 def _block_sorter(arity: int, fixed: int, size: int) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
-    """The least order in a block group's orbit: sort within each block,
-    then sort the blocks as units.  Two interchangeable slots after none or
-    one fixed slot take one comparison instead of a sort."""
+    """The least order in a block group's orbit, for the shapes
+    :data:`SYMMETRY` lists: sort within each block, then sort the blocks as
+    units.  Two interchangeable slots after none or one fixed slot take one
+    comparison instead of a sort."""
     if size == 1 and (fixed, arity) == (0, 2):
         return lambda a: a if a[0] <= a[1] else (a[1], a[0])
     if size == 1 and (fixed, arity) == (1, 3):
         return lambda a: a if a[1] <= a[2] else (a[0], a[2], a[1])
     if size == 1 and fixed == 0:
         return lambda a: tuple(sorted(a))
-    if size == 1:
-        return lambda a: a[:fixed] + tuple(sorted(a[fixed:]))
     first, second = slice(fixed, fixed + size), slice(fixed + size, arity)
 
     def sort_pair(a: tuple[str, ...]) -> tuple[str, ...]:

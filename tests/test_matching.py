@@ -162,9 +162,7 @@ def test_embedding_sets_match_brute_force_enumeration(rules):
     for _ in range(60):
         q = random_construction(rng, max_points=3, max_lines=2, max_circles=1, max_facts=5)
         t = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
-        expected = {tuple(sorted(m.items())) for m in brute_force_mappings(q, t, rules)}
-        found = {e.mapping for e in find_embeddings(q, t, rules, limit=10_000)}
-        assert found == expected
+        _assert_brute_force_agreement(q, t, rules)
         compared += 1
     assert compared == 60
 
@@ -199,17 +197,20 @@ def _assert_brute_force_agreement(query, target, rules, limit=10_000) -> int:
 def test_line_figures_with_self_loops_agree_with_brute_force(rules):
     """Line-only figures close to parallel classes, perpendiculars between
     them and, where a line is both, ``perpendicular(a, a)``; as query and as
-    target."""
+    target, with all embeddings and with a limit of two to six, which
+    their many symmetries often cut short."""
     rng = random.Random(1803)
-    loops = hits = 0
-    for _ in range(60):
+    loops = hits = cut = 0
+    for k in range(60):
         query = random_line_figure(rng, max_lines=4)
         target = random_line_figure(rng, max_lines=6)
         for side in (query, target):
             loops += any(args[0] == args[1] for _, args in closure(side, rules))
         hits += _assert_brute_force_agreement(query, target, rules) > 0
         hits += _assert_brute_force_agreement(target, target, rules) > 0
-    assert loops > 10 and hits > 60
+        limit = 2 + k % 5
+        cut += _assert_brute_force_agreement(query, target, rules, limit) == limit
+    assert loops > 10 and hits > 60 and cut > 10
 
 
 def test_repeated_arguments_agree_with_brute_force(rules):
@@ -246,22 +247,6 @@ def test_objects_in_no_fact_agree_with_brute_force(rules):
     assert _assert_brute_force_agreement(
         _with_bare_objects(bare_triangle(), ("k", "circle")), triangle_with_circle(), rules
     ) == 6
-
-
-def test_limits_above_one_agree_with_brute_force(rules):
-    rng = random.Random(1414)
-    cut = 0
-    for _ in range(60):
-        query = random_construction(rng, max_points=3, max_lines=2, max_circles=1, max_facts=4)
-        target = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
-        limit = rng.randint(2, 6)
-        cut += _assert_brute_force_agreement(query, target, rules, limit) == limit
-    for _ in range(20):
-        limit = rng.randint(2, 6)
-        cut += _assert_brute_force_agreement(
-            random_line_figure(rng, max_lines=3), random_line_figure(rng), rules, limit
-        ) == limit
-    assert cut > 10
 
 
 def test_prepare_counts_each_fact_once_per_object_it_names(rules):
