@@ -21,6 +21,15 @@ Responses are one of three shapes: a mapping from entry identifiers to
 nothing matched), an object with ``Status``/``Identifier``/``Duplicates``
 for inserts (``Identifier`` is null only for a duplicate), and
 ``{"Error": "..."}`` for failures.
+
+A query answer is its hits' members joined (:func:`encode_hits`).  Each
+member is the text :func:`~geokb.repository.hit_member` writes, and the
+server sends the one it keeps, pre-encoded, with each stored entry.  Every
+message is the text ``json.dumps`` writes with ``ensure_ascii=False``, in
+UTF-8, except that a lone surrogate goes out as its JSON escape (such as
+``\\ud800``).  UTF-8 cannot carry one, but such an escape in a request or
+an entry file makes one, and so every answer can be sent and decodes to the
+text it was made from.
 """
 
 from __future__ import annotations
@@ -29,7 +38,13 @@ import json
 from dataclasses import dataclass
 
 from .errors import EntryError, ProtocolError
-from .repository import DuplicateReport, ProblemEntry, document_to_entry, entry_to_document
+from .repository import (
+    DuplicateReport,
+    ProblemEntry,
+    document_to_entry,
+    entry_to_document,
+    hit_member,
+)
 from .textindex import MODES
 
 #: primary member -> the members a request with it may carry, in wire order
@@ -123,7 +138,7 @@ def encode_request(request: QueryRequest) -> bytes:
     }
     members = {member: value for member, value in members.items() if value is not None}
     _primary(members)
-    return (json.dumps(members, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(members, ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _decode_line(data: bytes | str) -> str:
@@ -193,8 +208,21 @@ def response_to_document(response: QueryResponse) -> dict:
     }
 
 
+def encode_hits(members: list[bytes]) -> bytes:
+    """The response line of a query answer whose hits have these members
+    (:func:`~geokb.repository.hit_member`), in order."""
+    return b"{" + b", ".join(members) + b"}\n"
+
+
 def encode_response(response: QueryResponse) -> bytes:
-    return (json.dumps(response_to_document(response), ensure_ascii=False) + "\n").encode("utf-8")
+    """One newline-terminated response line; inverse of :func:`decode_response`."""
+    if isinstance(response, QueryResult):
+        return encode_hits([
+            hit_member(identifier, info.name, info.description, info.code)
+            for identifier, info in response.entries
+        ])
+    text = json.dumps(response_to_document(response), ensure_ascii=False)
+    return (text + "\n").encode("utf-8", "backslashreplace")
 
 
 def _decode_insert_result(obj: dict) -> InsertResult:
@@ -225,23 +253,32 @@ def _decode_insert_result(obj: dict) -> InsertResult:
     return InsertResult(status, identifier, DuplicateReport(*lists))
 
 
+def _hit_error(identifier: str, info: object) -> ProtocolError:
+    """Why a hit is not an object of exactly three strings."""
+    if not isinstance(info, dict):
+        return ProtocolError(f"entry {identifier!r} must be an object")
+    if set(info) != {"Name", "Description", "Code"}:
+        return ProtocolError(f"entry {identifier!r} must have exactly Name, Description, Code")
+    member = next(m for m in ("Name", "Description", "Code") if not isinstance(info[m], str))
+    return ProtocolError(f"{member} must be a string")
+
+
 def decode_response(data: bytes | str) -> QueryResponse:
     """Classify and parse one response line."""
     obj = _parse_object(data, "response")
     # a hit's value is always an object, which tells hits named Error or Status apart
-    if set(obj) == {"Error"} and not isinstance(obj["Error"], dict):
+    if len(obj) == 1 and "Error" in obj and not isinstance(obj["Error"], dict):
         _require(isinstance(obj["Error"], str), "Error must be a string")
         return ErrorResponse(obj["Error"])
     if not isinstance(obj.get("Status", {}), dict):
         return _decode_insert_result(obj)
     entries = []
     for identifier, info in obj.items():
-        _require(isinstance(info, dict), f"entry {identifier!r} must be an object")
-        _require(
-            set(info) == {"Name", "Description", "Code"},
-            f"entry {identifier!r} must have exactly Name, Description, Code",
-        )
-        for member in ("Name", "Description", "Code"):
-            _require(isinstance(info[member], str), f"{member} must be a string")
-        entries.append((identifier, EntryInfo(info["Name"], info["Description"], info["Code"])))
+        # three string members are exactly Name, Description and Code
+        if isinstance(info, dict) and len(info) == 3:
+            name, description, code = info.get("Name"), info.get("Description"), info.get("Code")
+            if isinstance(name, str) and isinstance(description, str) and isinstance(code, str):
+                entries.append((identifier, EntryInfo(name, description, code)))
+                continue
+        raise _hit_error(identifier, info)
     return QueryResult(tuple(entries))

@@ -24,8 +24,9 @@ every record with an analysis of its code.
 
 In memory each entry has one immutable record, built the same way by
 loading, inserting and updating: the entry, its closed construction
-prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint
-and its weighted text terms (:func:`~geokb.textindex.terms`).  The records
+prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint,
+its weighted text terms (:func:`~geokb.textindex.terms`) and its member of
+a query answer, already encoded (:func:`hit_member`).  The records
 sit in one dict that is replaced whole on every write and never mutated
 once published, so a reader takes it with one attribute read and no lock.
 
@@ -51,6 +52,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import (
@@ -131,6 +133,26 @@ class _Record:
     fingerprint: Gtd
     #: token -> field-weighted count over the text fields, for :mod:`~geokb.textindex`
     terms: dict[str, int]
+    #: the entry's member of a query answer, from :func:`hit_member`
+    hit: bytes
+
+
+def hit_member(identifier: str, name: str, description: str, code: str) -> bytes:
+    """One hit as a query answer carries it: ``"<identifier>": {"Name": ...,
+    "Description": ..., "Code": ...}``, the text ``json.dumps`` writes with
+    ``ensure_ascii=False``, in UTF-8 with each lone surrogate as its JSON
+    escape (``\\ud800``)."""
+    return (
+        f'{encode_basestring(identifier)}: {{"Name": {encode_basestring(name)}, '
+        f'"Description": {encode_basestring(description)}, "Code": {encode_basestring(code)}}}'
+    ).encode("utf-8", "backslashreplace")
+
+
+def _new_record(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
+    """The record of an entry and its analysis; the text terms and the hit
+    member are derived here."""
+    hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
+    return _Record(entry, side, fingerprint, textindex.terms(entry), hit)
 
 
 @dataclass(frozen=True)
@@ -278,7 +300,7 @@ def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple
 class Repository:
     """Persistent entry store bound to a data directory, holding one
     immutable record per entry: the entry, its matching side, its
-    fingerprint and its text terms.
+    fingerprint, its text terms and its encoded hit member.
 
     Readers take no lock: each query reads ``_records`` once and works on
     that snapshot, which no one mutates.  Writers (:meth:`insert` and
@@ -376,7 +398,7 @@ class Repository:
             fingerprint = parse_gtd(doc["GTD"])
         except ValueError:
             return None
-        return _Record(entry, prepare(objects, closed), fingerprint, textindex.terms(entry))
+        return _new_record(entry, prepare(objects, closed), fingerprint)
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
@@ -384,13 +406,17 @@ class Repository:
         return side, gtd(construction, closed)
 
     def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
-        """The record of an analysed entry, written to its entry file."""
-        record = _Record(entry, side, fingerprint, textindex.terms(entry))
+        """The record of an analysed entry, written to its entry file; on any
+        failure the temp file is removed."""
+        record = _new_record(entry, side, fingerprint)
         temp = self._entries_dir / f".{entry.identifier}.json.tmp"
-        doc = record_to_document(record, self._rules)
+        text = json.dumps(record_to_document(record, self._rules), ensure_ascii=False, indent=2)
         try:
-            temp.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-            os.replace(temp, self._entries_dir / f"{entry.identifier}.json")
+            try:
+                temp.write_bytes((text + "\n").encode("utf-8", "backslashreplace"))
+                os.replace(temp, self._entries_dir / f"{entry.identifier}.json")
+            finally:
+                temp.unlink(missing_ok=True)  # already gone once replaced
         except OSError as exc:
             raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
         return record
@@ -489,6 +515,12 @@ class Repository:
             return self._records[identifier].entry
         except KeyError:
             raise NotFoundError(f"no entry {identifier!r}") from None
+
+    def hits(self, identifiers: list[str]) -> list[bytes]:
+        """Each entry's member of a query answer (:func:`hit_member`), in the
+        order given."""
+        records = self._records
+        return [records[identifier].hit for identifier in identifiers]
 
     def list_all(self) -> list[str]:
         """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""

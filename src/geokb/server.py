@@ -3,9 +3,10 @@
 The server listens on a socket in an infinite cycle.  Each connection
 carries a single newline-terminated request; the server dispatches it to
 the repository, writes a single newline-terminated response and closes the
-connection.  Per-request failures of any sort produce an ``Error``
-response rather than a dropped connection, so one bad client request never
-poisons the next one.
+connection.  A query's answer joins the hits' members as the repository
+keeps them, encoded, so a hit costs no encoding per request.  Per-request
+failures of any sort produce an ``Error`` response rather than a dropped
+connection, so one bad client request never poisons the next one.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from typing import NoReturn
 
 from .errors import GeoKbError
 from .model import parse_construction
-from .protocol import (
-    EntryInfo,
-    ErrorResponse,
-    InsertResult,
-    QueryRequest,
-    QueryResponse,
-    QueryResult,
-    decode_request,
-    encode_response,
-)
+from .protocol import ErrorResponse, InsertResult, decode_request, encode_hits, encode_response
 from .repository import DuplicateReport, Repository, parse_filters
 from .rules import load_rules
 
@@ -42,34 +34,30 @@ CONNECTION_TIMEOUT = 30.0
 LISTEN_BACKLOG = 128
 
 
-def _entry_map(repository: Repository, identifiers: list[str]) -> QueryResult:
-    entries = [repository.get(identifier) for identifier in identifiers]
-    return QueryResult(tuple((e.identifier, EntryInfo(e.name, e.description, e.code)) for e in entries))
-
-
-def handle_request(repository: Repository, data: bytes) -> QueryResponse:
-    """Decode, dispatch and answer one request; never raises."""
+def handle_request(repository: Repository, data: bytes) -> bytes:
+    """Decode, dispatch and answer one request with its response line;
+    never raises.  A query's answer joins the hits' stored members."""
     try:
         request = decode_request(data)
         filters = parse_filters(request.filters)
         if request.query is not None:
             identifiers = repository.text_query(request.query, mode=request.mode, filters=filters)
-            return _entry_map(repository, identifiers)
+            return encode_hits(repository.hits(identifiers))
         if request.geometric is not None:
             construction = parse_construction(request.geometric)
             matches = repository.geometric_query(
                 construction, filters=filters, confirm=request.confirm
             )
-            return _entry_map(repository, [identifier for identifier, _ in matches])
+            return encode_hits(repository.hits([identifier for identifier, _ in matches]))
         outcome = repository.insert(request.insert, force=request.force)
         if isinstance(outcome, DuplicateReport):
-            return InsertResult("duplicate", None, outcome)
-        return InsertResult("inserted", outcome, DuplicateReport())
+            return encode_response(InsertResult("duplicate", None, outcome))
+        return encode_response(InsertResult("inserted", outcome, DuplicateReport()))
     except GeoKbError as exc:
-        return ErrorResponse(str(exc))
+        return encode_response(ErrorResponse(str(exc)))
     except Exception as exc:  # noqa: BLE001 - the server must keep serving
         log.exception("unexpected failure while handling a request")
-        return ErrorResponse(f"internal error: {exc}")
+        return encode_response(ErrorResponse(f"internal error: {exc}"))
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -84,11 +72,11 @@ class _Handler(socketserver.StreamRequestHandler):
         if not data:
             return
         if len(data) > MAX_REQUEST_BYTES:
-            response: QueryResponse = ErrorResponse("request too large")
+            response = encode_response(ErrorResponse("request too large"))
         else:
             response = handle_request(self.server.repository, data)
         try:
-            self.wfile.write(encode_response(response))
+            self.wfile.write(response)
         except OSError:
             log.warning("client went away before the response was written")
             return

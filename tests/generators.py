@@ -1,4 +1,4 @@
-"""Random construction generators shared by the test modules."""
+"""Random construction and text generators shared by the test modules."""
 
 from __future__ import annotations
 
@@ -145,3 +145,21 @@ def induced_subconstruction(
         f for f in construction.facts if all(a in kept for a in f.args)
     )
     return Construction(objects, facts)
+
+
+#: characters JSON and UTF-8 treat specially: non-ASCII (one astral), quotes,
+#: backslashes, controls, and lone surrogates, high and low
+AWKWARD_CHARS = 'aZ0 ãéçõ中😀"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udbff\udc00\udfff'
+
+
+def awkward_text(rng: random.Random, max_len: int = 12) -> str:
+    """Text drawn from :data:`AWKWARD_CHARS`.  A high surrogate is never
+    followed by a low one: that pair would be read back from its JSON
+    escapes as the one astral character it encodes."""
+    chars: list[str] = []
+    for _ in range(rng.randint(0, max_len)):
+        char = rng.choice(AWKWARD_CHARS)
+        if chars and "\ud800" <= chars[-1] <= "\udbff" and "\udc00" <= char <= "\udfff":
+            continue
+        chars.append(char)
+    return "".join(chars)

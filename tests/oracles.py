@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from itertools import combinations, permutations, product
 
 from geokb.model import Construction, Fact, FactSet, KINDS, PREDICATES, normalize_fact
+from geokb.protocol import QueryResponse, response_to_document
 from geokb.rules import RuleSet, closure
 
 
@@ -149,3 +151,10 @@ def brute_force_mappings(
 
 def brute_force_embeds(query: Construction, target: Construction, ruleset: RuleSet) -> bool:
     return bool(brute_force_mappings(query, target, ruleset, first_only=True))
+
+
+def standard_encoding(response: QueryResponse) -> bytes:
+    """A response line as the standard library writes it, with lone
+    surrogates as JSON escapes; shares no code with the hit members."""
+    text = json.dumps(response_to_document(response), ensure_ascii=False)
+    return text.encode("utf-8", "backslashreplace") + b"\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ from geokb.protocol import (
     encode_response,
 )
 from geokb.repository import DuplicateReport, ProblemEntry
+
+from generators import awkward_text
+from oracles import standard_encoding
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -214,6 +218,51 @@ def test_encode_rejects_inconsistent_requests():
 def test_decode_response_rejections(payload, message):
     with pytest.raises(ProtocolError, match=message):
         decode_response(payload)
+
+
+@pytest.mark.parametrize(
+    "hit, message",
+    [
+        ('"flat string"', "entry 'GEO1' must be an object"),
+        ('["n", "d", "c"]', "entry 'GEO1' must be an object"),
+        ('{"Name": "n", "Description": "d"}', "entry 'GEO1' must have exactly Name, Description, Code"),
+        ('{"Name": "n", "Description": "d", "Kode": "c"}', "entry 'GEO1' must have exactly Name, Description, Code"),
+        ('{"Name": "n", "Description": "d", "Code": "c", "Level": 3}', "entry 'GEO1' must have exactly Name, Description, Code"),
+        ('{"Name": 1, "Description": "d", "Code": "c"}', "Name must be a string"),
+        ('{"Name": "n", "Description": null, "Code": "c"}', "Description must be a string"),
+        ('{"Name": "n", "Description": "d", "Code": ["c"]}', "Code must be a string"),
+        ('{"Name": "n", "Description": 2, "Code": 3}', "Description must be a string"),
+    ],
+    ids=["string", "array", "missing", "misnamed", "extra", "name", "description", "code", "first-bad"],
+)
+def test_malformed_hit_gets_its_exact_error(hit, message):
+    # a good hit first: the check runs on every hit, not only the first
+    payload = f'{{"GEO0": {{"Name": "a", "Description": "", "Code": ""}}, "GEO1": {hit}}}\n'
+    with pytest.raises(ProtocolError) as raised:
+        decode_response(payload)
+    assert str(raised.value) == message
+
+
+def test_awkward_responses_are_the_standard_encoding_and_round_trip():
+    rng = random.Random(0x5EED)
+    identifiers = ["GEO0001", "GEO_CEVA", "Error", "Status", "x.y-z"]
+    for _ in range(300):
+        hits = tuple(
+            (identifier, EntryInfo(awkward_text(rng), awkward_text(rng), awkward_text(rng)))
+            for identifier in rng.sample(identifiers, rng.randint(0, 3))
+        )
+        for response in (QueryResult(hits), ErrorResponse(awkward_text(rng))):
+            encoded = encode_response(response)
+            assert encoded == standard_encoding(response)
+            encoded.decode("utf-8")  # strict: a lone surrogate went out escaped
+            assert decode_response(encoded) == response
+
+
+def test_request_with_a_lone_surrogate_is_escaped_and_round_trips():
+    request = QueryRequest(query="x", filters="\ud800=1")
+    encoded = encode_request(request)
+    assert encoded == b'{"Query": "x", "Filters": "\\ud800=1"}\n'
+    assert decode_request(encoded) == request
 
 
 def test_decode_accepts_line_without_trailing_newline():

@@ -16,6 +16,7 @@ from geokb.errors import (
     FilterError,
     IdentifierCollisionError,
     NotFoundError,
+    StorageError,
 )
 from geokb.fingerprint import construction_gtd, gtd, serialize_gtd
 from geokb.matching import find_embeddings
@@ -475,6 +476,21 @@ def test_interrupted_insert_leaves_no_trace(fresh_seeded_repo):
     reloaded = Repository(fresh_seeded_repo.data_dir)
     assert "GEO9998" not in reloaded.list_all()
     assert reloaded.text_query(".*") == reloaded.list_all()
+
+
+def test_failed_write_removes_its_temp_file(fresh_seeded_repo, monkeypatch):
+    def refuse(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("geokb.repository.os.replace", refuse)
+    draft = ProblemEntry(name="Unwritten", code="point A\n")
+    with pytest.raises(StorageError, match="cannot persist GEO0023: disk full"):
+        fresh_seeded_repo.insert(draft, force=True)
+    entries = fresh_seeded_repo.data_dir / "entries"
+    assert [p.name for p in entries.iterdir() if not p.name.endswith(".json")] == []
+    assert "GEO0023" not in fresh_seeded_repo.list_all()
+    monkeypatch.undo()
+    assert fresh_seeded_repo.insert(draft, force=True) == "GEO0023"
 
 
 def test_stale_cache_is_repaired_on_startup(fresh_seeded_repo, caplog):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import random
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,23 +23,33 @@ from geokb.protocol import (
     decode_request,
     decode_response,
     encode_request,
-    encode_response,
 )
-from geokb.repository import ProblemEntry
+from geokb.repository import DuplicateReport, ProblemEntry, Repository
 from geokb.server import LISTEN_BACKLOG, MAX_REQUEST_BYTES, GeoServer, handle_request
 
-from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT
+from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT, awkward_text
+from oracles import standard_encoding
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@contextlib.contextmanager
+def serving(repository: Repository):
+    srv = GeoServer(repository, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
 
 
 @pytest.fixture()
 def server(fresh_seeded_repo):
-    srv = GeoServer(fresh_seeded_repo, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    with serving(fresh_seeded_repo) as srv:
+        yield srv
 
 
 def raw_exchange(server: GeoServer, payload: bytes) -> bytes:
@@ -55,7 +68,7 @@ def raw_exchange(server: GeoServer, payload: bytes) -> bytes:
 
 
 def test_handle_request_text_query(fresh_seeded_repo):
-    response = handle_request(fresh_seeded_repo, b'{"Query": "ceva"}\n')
+    response = decode_response(handle_request(fresh_seeded_repo, b'{"Query": "ceva"}\n'))
     assert isinstance(response, QueryResult)
     assert [identifier for identifier, _ in response.entries] == ["GEO_CEVA"]
     info = response.entries[0][1]
@@ -69,9 +82,9 @@ def test_handle_request_unknown_filter_key(fresh_seeded_repo):
         b'{"Query": "x", "Filters": "colour=blue"}\n',
         b'{"GeometricQuery": "point A\\n", "Filters": "colour=blue"}\n',
     ):
-        response = handle_request(fresh_seeded_repo, payload)
-        assert isinstance(response, ErrorResponse)
-        assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
+        answer = handle_request(fresh_seeded_repo, payload)
+        assert isinstance(decode_response(answer), ErrorResponse)
+        assert answer == b'{"Error": "unknown filter key: colour"}\n'
 
 
 @pytest.mark.parametrize(
@@ -86,8 +99,7 @@ def test_bad_filter_decodes_and_fails_at_the_server(fresh_seeded_repo, payload):
     # decode_request checks only that Filters is a string; parse_filters in
     # handle_request is the one parse of its keys
     assert decode_request(payload) == QueryRequest(query="a", filters="colour=blue")
-    response = handle_request(fresh_seeded_repo, payload)
-    assert encode_response(response) == b'{"Error": "unknown filter key: colour"}\n'
+    assert handle_request(fresh_seeded_repo, payload) == b'{"Error": "unknown filter key: colour"}\n'
 
 
 @pytest.mark.parametrize(
@@ -104,20 +116,20 @@ def test_illegal_insert_value_gets_the_entry_error(fresh_seeded_repo, member, er
     payload = b'{"Insert": {"Name": "x", "Code": "", ' + member + b"}}\n"
     with pytest.raises(ProtocolError):
         decode_request(payload)
-    assert encode_response(handle_request(fresh_seeded_repo, payload)) == error
+    assert handle_request(fresh_seeded_repo, payload) == error
     assert len(fresh_seeded_repo) == 25
 
 
 def test_handle_request_bad_geometric_code(fresh_seeded_repo):
-    response = handle_request(
+    response = decode_response(handle_request(
         fresh_seeded_repo, b'{"GeometricQuery": "parallel(a, a)\\nline a"}\n'
-    )
+    ))
     assert isinstance(response, ErrorResponse)
     assert "repeated argument" in response.error
 
 
 def test_handle_request_invalid_pattern(fresh_seeded_repo):
-    response = handle_request(fresh_seeded_repo, b'{"Query": "(unclosed"}\n')
+    response = decode_response(handle_request(fresh_seeded_repo, b'{"Query": "(unclosed"}\n'))
     assert isinstance(response, ErrorResponse)
     assert "invalid pattern" in response.error
 
@@ -126,14 +138,14 @@ def test_handle_request_insert_duplicate_then_forced(fresh_seeded_repo):
     draft = json.dumps(
         {"Name": "Triangle again", "Code": BARE_TRIANGLE_TEXT, "Kind": "construction"}
     )
-    blocked = handle_request(fresh_seeded_repo, f'{{"Insert": {draft}}}\n'.encode())
+    blocked = decode_response(handle_request(fresh_seeded_repo, f'{{"Insert": {draft}}}\n'.encode()))
     assert isinstance(blocked, InsertResult)
     assert blocked.status == "duplicate"
     assert blocked.identifier is None
     assert "GEO0281" in blocked.duplicates.containing_entries
-    forced = handle_request(
+    forced = decode_response(handle_request(
         fresh_seeded_repo, f'{{"Insert": {draft}, "Force": true}}\n'.encode()
-    )
+    ))
     assert isinstance(forced, InsertResult)
     assert forced.status == "inserted"
     assert forced.identifier == "GEO0023"
@@ -193,6 +205,88 @@ def test_hit_named_like_a_response_member_round_trips(server, fresh_seeded_repo,
     assert isinstance(response, QueryResult)
     assert [hit for hit, _ in response.entries] == [identifier]
     assert response.entries[0][1].name == f"Lonely {identifier} figure"
+
+
+def test_text_query_answer_matches_golden_bytes(server):
+    # Portuguese text in the request and in the answer, compared byte for byte
+    payload = encode_request(QueryRequest(query="reflexão", mode="extended"))
+    answer = raw_exchange(server, payload)
+    assert answer == (GOLDEN / "response_query_extended_pt.json").read_bytes()
+    assert [identifier for identifier, _ in decode_response(answer).entries] == ["GEO0015"]
+
+
+def test_answers_on_awkward_entries_are_the_standard_encoding(tmp_path):
+    # names, descriptions and code comments with non-ASCII, quotes,
+    # backslashes, controls and lone surrogates; two hits named like response members
+    rng = random.Random(0xB17E)
+    repo = Repository(tmp_path / "data")
+    for n, identifier in enumerate(["Error", "Status", *(f"GEO{k:04d}" for k in range(1, 25))]):
+        comments = "".join(f"# {line}\n" for line in awkward_text(rng).splitlines())
+        figure = BARE_TRIANGLE_TEXT if n % 2 else "point A\n"
+        draft = ProblemEntry(identifier=identifier, name=awkward_text(rng),
+                             description=awkward_text(rng), code=comments + figure)
+        assert repo.insert(draft, force=True) == identifier
+    triangle = parse_construction(BARE_TRIANGLE_TEXT)
+    requests = [
+        (QueryRequest(query=".*"), repo.text_query(".*")),
+        (QueryRequest(geometric=BARE_TRIANGLE_TEXT), [i for i, _ in repo.geometric_query(triangle)]),
+        (QueryRequest(geometric="point A\n", confirm=False),
+         [i for i, _ in repo.geometric_query(parse_construction("point A\n"), confirm=False)]),
+    ]
+    assert [len(hits) for _, hits in requests] == [26, 13, 26]
+    answers = []
+    for request, hits in requests:
+        expected = QueryResult(tuple(
+            (i, EntryInfo(repo.get(i).name, repo.get(i).description, repo.get(i).code)) for i in hits
+        ))
+        answer = handle_request(repo, encode_request(request))
+        assert answer == standard_encoding(expected)
+        assert decode_response(answer) == expected
+        answers.append(answer)
+    # the entry files hold the same text: a reloaded store answers alike over TCP
+    with serving(Repository(tmp_path / "data")) as srv:
+        assert [raw_exchange(srv, encode_request(request)) for request, _ in requests] == answers
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["stale-cache", "trusted-cache"])
+def test_entry_file_with_a_lone_surrogate_is_served(tmp_path, version):
+    # a hand-edited entry file may hold a JSON escape of a lone surrogate;
+    # version 1 is analysed again and rewritten at start-up, version 2 is trusted
+    data = tmp_path / "data"
+    Repository(data).insert(ProblemEntry(identifier="GEO0001", name="placeholder", code=BARE_TRIANGLE_TEXT))
+    path = data / "entries" / "GEO0001.json"
+    text = path.read_text(encoding="utf-8").replace('"placeholder"', '"Odd \\ud800 name"')
+    path.write_text(text.replace('"Version": 2', f'"Version": {version}'), encoding="utf-8")
+    expected = QueryResult((("GEO0001", EntryInfo("Odd \ud800 name", "", BARE_TRIANGLE_TEXT)),))
+    with serving(Repository(data)) as srv:
+        answer = raw_exchange(srv, b'{"Query": "odd"}\n')
+        assert b'"Name": "Odd \\ud800 name"' in answer
+        assert decode_response(answer) == expected
+        geometric = client_query(srv.host, srv.port, QueryRequest(geometric=BARE_TRIANGLE_TEXT))
+        assert geometric == expected
+    assert sorted(p.name for p in path.parent.iterdir()) == ["GEO0001.json"]
+    assert b'"Name": "Odd \\ud800 name"' in path.read_bytes()
+    assert json.loads(path.read_bytes())["Version"] == 2
+
+
+def test_filter_key_with_a_lone_surrogate_gets_its_error(server):
+    answer = raw_exchange(server, b'{"Query": "x", "Filters": "\\ud800=1"}\n')
+    assert answer == b'{"Error": "unknown filter key: \\ud800"}\n'
+    expected = ErrorResponse("unknown filter key: \ud800")
+    assert decode_response(answer) == expected
+    assert client_query(server.host, server.port, QueryRequest(query="x", filters="\ud800=1")) == expected
+
+
+def test_insert_with_a_lone_surrogate_is_stored_and_served(server, fresh_seeded_repo):
+    payload = b'{"Insert": {"Name": "Odd \\ud800 draft", "Code": "point A\\n"}, "Force": true}\n'
+    answer = raw_exchange(server, payload)
+    assert decode_response(answer) == InsertResult("inserted", "GEO0023", DuplicateReport())
+    entries = fresh_seeded_repo.data_dir / "entries"
+    assert [p.name for p in entries.iterdir() if p.name.startswith(".")] == []
+    assert b'"Name": "Odd \\ud800 draft"' in (entries / "GEO0023.json").read_bytes()
+    hit = client_query(server.host, server.port, QueryRequest(query="odd"))
+    assert hit == QueryResult((("GEO0023", EntryInfo("Odd \ud800 draft", "", "point A\n")),))
+    assert Repository(fresh_seeded_repo.data_dir).get("GEO0023").name == "Odd \ud800 draft"
 
 
 def test_malformed_request_gets_error_response_and_liveness(server):
