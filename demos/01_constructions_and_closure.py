@@ -8,10 +8,10 @@ every later stage (fingerprinting, matching, search) works on.
 """
 
 from geokb import (
-    Fact,
     closure,
     default_rules,
     entails,
+    fact_text,
     normalize_fact,
     parse_construction,
     serialize_construction,
@@ -37,26 +37,26 @@ line_through(m, A, M)
 construction = parse_construction(SOURCE)
 print(f"parsed {len(construction.objects)} objects, {len(construction.facts)} facts")
 
+# A fact is a (predicate, args) pair, and fact_text gives its text form.
 # Facts are canonical: argument order of symmetric predicates is normalized.
 print("\nnormalization collapses equivalent statements:")
-for raw in (Fact("parallel", ("b", "a")), Fact("equidistant", ("M", "B", "A", "M"))):
-    print(f"  {raw}  ->  {normalize_fact(raw)}")
+for raw in (("parallel", ("b", "a")), ("equidistant", ("M", "B", "A", "M"))):
+    print(f"  {fact_text(*raw)}  ->  {fact_text(*normalize_fact(raw))}")
 
 # The closure adds everything the rules can infer: incidences from
 # line_through, collinearity of points sharing a line, midpoint
 # consequences, and so on.
 rules = default_rules()
 closed = closure(construction, rules)
-# The closure holds (predicate, args) pairs; Fact(*pair) gives one its text form.
-inferred = sorted((Fact(*pair) for pair in closed - construction.facts), key=lambda f: f.text)
+inferred = sorted(fact_text(*f) for f in closed - construction.facts)
 print(f"\nclosure holds {len(closed)} facts; the {len(inferred)} inferred ones:")
-for f in inferred:
-    print(f"  {f}")
+for line in inferred:
+    print(f"  {line}")
 
 # entails() is the convenience wrapper over closure membership.
 print("\nentailment checks:")
-for f in (Fact("collinear", ("M", "C", "B")), Fact("parallel", ("a", "m"))):
-    print(f"  {f}?  {entails(construction, rules, f)}")
+for f in (("collinear", ("M", "C", "B")), ("parallel", ("a", "m"))):
+    print(f"  {fact_text(*f)}?  {entails(construction, rules, f)}")
 
 # Serialization is deterministic (objects by kind then name, facts by
 # text), so a construction round-trips to identical bytes.

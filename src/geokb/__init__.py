@@ -35,16 +35,14 @@ from .matching import DEFAULT_BUDGET, Embedding, find_embeddings, is_subconstruc
 from .model import (
     Construction,
     EMPTY_CONSTRUCTION,
-    Fact,
     KINDS,
     ObjectDecl,
     PREDICATES,
-    Violation,
     fact,
+    fact_text,
     normalize_fact,
     parse_construction,
     serialize_construction,
-    validate,
 )
 from .protocol import (
     EntryInfo,
@@ -81,7 +79,6 @@ __all__ = [
     "EntryError",
     "EntryInfo",
     "ErrorResponse",
-    "Fact",
     "FactSet",
     "FilterError",
     "FilterSet",
@@ -106,7 +103,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "StorageError",
     "TransportError",
-    "Violation",
     "client_query",
     "closure",
     "construction_gtd",
@@ -117,6 +113,7 @@ __all__ = [
     "encode_response",
     "entails",
     "fact",
+    "fact_text",
     "find_embeddings",
     "gtd",
     "gtd_subsumes",
@@ -130,5 +127,4 @@ __all__ = [
     "serialize_construction",
     "serialize_gtd",
     "serve",
-    "validate",
 ]

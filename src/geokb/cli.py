@@ -99,7 +99,10 @@ def client_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"geoclient: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, ProtocolError) as exc:
+    except UnicodeDecodeError as exc:
+        print(f"geoclient: input file is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    except (json.JSONDecodeError, RecursionError, ProtocolError) as exc:  # too deep for json.loads
         print(f"geoclient: bad insert file: {exc}", file=sys.stderr)
         return 1
 
@@ -122,5 +125,6 @@ def client_main(argv: list[str] | None = None) -> int:
             print(f"geoclient: malformed response: {exc}", file=sys.stderr)
             return 1
         print(f"saved {len(written)} construction(s) to {args.out}", file=sys.stderr)
-    print(json.dumps(response_to_document(response), indent=2, ensure_ascii=False))
+    text = json.dumps(response_to_document(response), indent=2, ensure_ascii=False)
+    print(text.encode("utf-8", "backslashreplace").decode("utf-8"))  # a lone surrogate as its JSON escape
     return 0

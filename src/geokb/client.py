@@ -56,6 +56,6 @@ def save_codes(result: QueryResult, directory: str | Path) -> list[Path]:
     written = []
     for identifier, info in result.entries:
         path = target / f"{identifier}.cons"
-        path.write_text(info.code, encoding="utf-8")
+        path.write_bytes(info.code.encode("utf-8", "backslashreplace"))
         written.append(path)
     return written

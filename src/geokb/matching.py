@@ -6,7 +6,7 @@ closed side into a :class:`MatchSide` once: closed facts as the
 ``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns,
 per-object per-predicate fact degrees and sorted names per kind.  A
 closure and a stored entry's closure read back from its file both arrive
-as pairs, so no side needs a :class:`~geokb.model.Fact`.
+as pairs, the one form of a fact.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
@@ -53,8 +53,7 @@ class Embedding:
     by query name.  ``facts`` is the witness: the target's closed facts
     covered by the mapped query facts (the part of the target to
     highlight), kept as the canonical ``(predicate, args)`` pairs the search
-    checked, in the shape of :attr:`MatchSide.facts`; being pairs, they
-    compare equal to the same set of :class:`~geokb.model.Fact` objects.
+    checked, in the shape of :attr:`MatchSide.facts`.
     """
 
     mapping: tuple[tuple[str, str], ...]

@@ -13,10 +13,12 @@ with names matching ``[A-Za-z][A-Za-z0-9_]*``; they may appear anywhere in
 the file.  Fact lines apply a predicate to declared names, one statement
 per line, with optional spaces after commas.  Lines end with ``\\n``.
 
-Facts are normalized on parse so that logically equivalent statements
-compare equal: ``parallel(b, a)`` is stored as ``parallel(a, b)``.  Distinct
-names are assumed to denote distinct objects, so degenerate statements such
-as ``parallel(a, a)`` or ``collinear(A, A, B)`` are rejected outright.
+A fact is a ``(predicate, args)`` pair from parse to answer.  Parsing is
+the one check of a construction, and it normalizes facts so that logically
+equivalent statements compare equal: ``parallel(b, a)`` is stored as
+``parallel(a, b)``.  Distinct names are assumed to denote distinct
+objects, so degenerate statements such as ``parallel(a, a)`` or
+``collinear(A, A, B)`` are rejected outright.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ConstructionError
 
@@ -52,10 +54,11 @@ DISTINCT_ARG_PREDICATES = frozenset(
 )
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\Z")
-_NOT_CANONICAL = "arguments not in canonical order"
+_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\s*\Z")
+#: one fact: a predicate and its argument names
+FactPair = tuple[str, tuple[str, ...]]
 #: facts as ``(predicate, args)`` pairs, the shape a closure returns
-FactSet = frozenset[tuple[str, tuple[str, ...]]]
+FactSet = frozenset[FactPair]
 
 
 @dataclass(frozen=True, order=True)
@@ -66,29 +69,24 @@ class ObjectDecl:
     kind: str
 
 
-class Fact(NamedTuple):
-    """One predicate applied to object names, e.g. ``parallel(a, b)``; it
-    equals its ``(predicate, args)`` pair and hashes the same."""
-
-    predicate: str
-    args: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return fact_text(self.predicate, self.args)
-
-    def __str__(self) -> str:
-        return self.text
-
-
 def fact_text(predicate: str, args: tuple[str, ...]) -> str:
     """The text form of a fact, ``predicate(a, b, ...)``."""
     return f"{predicate}({', '.join(args)})"
 
 
-def fact(predicate: str, *args: str) -> Fact:
+def fact(predicate: str, *args: str) -> FactPair:
     """Build a fact already in canonical argument order."""
-    return normalize_fact(Fact(predicate, tuple(args)))
+    return normalize_fact((predicate, args))
+
+
+def split_atom(text: str) -> tuple[str, tuple[str, ...]] | None:
+    """``name(a, b, ...)`` as its name and stripped argument texts, or None:
+    the syntax of a fact and of a rule atom, whose parsers check the rest."""
+    m = _ATOM_RE.match(text)
+    if m is None:
+        return None
+    name, argtext = m.groups()
+    return name, tuple(t.strip() for t in argtext.split(",")) if argtext else ()
 
 
 #: predicate -> (fixed, size): its argument-permutation group keeps the first
@@ -140,14 +138,15 @@ def argument_variants(predicate: str, args: tuple[str, ...]) -> tuple[tuple[str,
     }))
 
 
-def normalize_fact(f: Fact) -> Fact:
+def normalize_fact(f: FactPair) -> FactPair:
     """The least argument order in the fact's symmetry orbit.  Idempotent.
 
     ``line_through(a, B, A)`` becomes ``line_through(a, A, B)``: the
     trailing point pair is sorted, as :data:`SYMMETRY` says.
     """
-    canonical = CANONICAL_ARGS.get(f.predicate)
-    return f if canonical is None else Fact(f.predicate, canonical(f.args))
+    predicate, args = f
+    canonical = CANONICAL_ARGS.get(predicate)
+    return f if canonical is None else (predicate, canonical(args))
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ class Construction:
     """A set of declared objects plus a set of canonical facts over them."""
 
     objects: frozenset[ObjectDecl]
-    facts: frozenset[Fact]
+    facts: FactSet
 
     @cached_property
     def kinds(self) -> dict[str, str]:
@@ -169,64 +168,38 @@ class Construction:
 EMPTY_CONSTRUCTION = Construction(frozenset(), frozenset())
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant, naming the object or fact at fault."""
-
-    subject: str
-    problem: str
-
-    def __str__(self) -> str:
-        return f"{self.subject}: {self.problem}"
-
-
-def _fact_problems(
-    predicate: str, args: tuple[str, ...], kinds: dict[str, str]
-) -> tuple[list[str], tuple[str, ...]]:
-    """What is wrong with one fact over objects of the given ``kinds``, most
-    basic first (empty if nothing is), and its arguments in canonical order.
-    An unknown predicate or a wrong argument count is reported alone, and a
-    fact with an undeclared or ill-typed argument is checked no further."""
-    spec = PREDICATES.get(predicate)
-    if spec is None:
-        return ["unknown predicate"], args
-    if len(args) != len(spec):
-        return [f"expects {len(spec)} arguments, got {len(args)}"], args
-    problems = []
-    for i, (arg, kind) in enumerate(zip(args, spec)):
-        declared = kinds.get(arg)
-        if declared is None:
-            problems.append(f"undeclared object {arg!r}")
-        elif declared != kind:
-            problems.append(f"argument {i + 1} must be a {kind}, got {declared} {arg!r}")
-    if problems:
-        return problems, args
-    if predicate in DISTINCT_ARG_PREDICATES and len(set(args)) != len(args):
-        problems.append("repeated argument")
-    if predicate == "equidistant" and (args[0] == args[1] or args[2] == args[3]):
-        problems.append("repeated point within a distance pair")
-    canonical = CANONICAL_ARGS.get(predicate)
-    ordered = args if canonical is None else canonical(args)
-    if ordered != args:
-        problems.append(_NOT_CANONICAL)
-    return problems, ordered
-
-
-def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> Fact:
-    m = _FACT_RE.match(line)
-    if m is None:
+def _parse_fact(line: str, kinds: dict[str, str], lineno: int) -> FactPair:
+    """One fact line over objects of the given ``kinds`` as its canonical
+    pair; a :class:`ConstructionError` names the first problem found."""
+    atom = split_atom(line)
+    if atom is None:
         raise ConstructionError(f"expected 'predicate(name, ...)', got {line!r}", line=lineno)
-    predicate, argtext = m.group(1), m.group(2)
-    args = tuple(t.strip() for t in argtext.split(",")) if argtext.strip() else ()
+    predicate, args = atom
     for arg in args:
         if not _NAME_RE.match(arg):
             raise ConstructionError(f"bad object name {arg!r}", line=lineno)
-    problems, ordered = _fact_problems(predicate, args, kinds)
-    # parsing puts any argument order right; that problem comes last, so it
-    # is the first only when it is the only one
-    if problems and problems[0] != _NOT_CANONICAL:
-        raise ConstructionError(f"{fact_text(predicate, args)}: {problems[0]}", line=lineno)
-    return Fact(predicate, ordered)
+    spec = PREDICATES.get(predicate)
+    problem = None
+    if spec is None:
+        problem = "unknown predicate"
+    elif len(args) != len(spec):
+        problem = f"expects {len(spec)} arguments, got {len(args)}"
+    else:
+        for i, (arg, kind) in enumerate(zip(args, spec)):
+            declared = kinds.get(arg)
+            if declared != kind:
+                problem = (f"undeclared object {arg!r}" if declared is None
+                           else f"argument {i + 1} must be a {kind}, got {declared} {arg!r}")
+                break
+        else:
+            if predicate in DISTINCT_ARG_PREDICATES and len(set(args)) != len(args):
+                problem = "repeated argument"
+            elif predicate == "equidistant" and (args[0] == args[1] or args[2] == args[3]):
+                problem = "repeated point within a distance pair"
+    if problem is not None:
+        raise ConstructionError(f"{fact_text(predicate, args)}: {problem}", line=lineno)
+    canonical = CANONICAL_ARGS.get(predicate)
+    return predicate, args if canonical is None else canonical(args)
 
 
 def parse_construction(text: str) -> Construction:
@@ -270,25 +243,3 @@ def serialize_construction(construction: Construction) -> str:
     ]
     lines.extend(sorted(fact_text(*f) for f in construction.facts))
     return "".join(line + "\n" for line in lines)
-
-
-def validate(construction: Construction) -> list[Violation]:
-    """Check every construction invariant; an empty list means valid.
-
-    Violations are values rather than exceptions so that callers can report
-    all problems at once.
-    """
-    out: list[Violation] = []
-    kinds: dict[str, str] = {}
-    for decl in sorted(construction.objects):
-        if not _NAME_RE.match(decl.name):
-            out.append(Violation(decl.name, "invalid object name"))
-        if decl.kind not in KINDS:
-            out.append(Violation(decl.name, f"unknown kind {decl.kind!r}"))
-        if decl.name in kinds:
-            out.append(Violation(decl.name, "duplicate object name"))
-        kinds[decl.name] = decl.kind
-    for f in sorted(map(Fact._make, construction.facts)):  # also takes a closure's plain pairs
-        for problem in _fact_problems(f.predicate, f.args, kinds)[0]:
-            out.append(Violation(f.text, problem))
-    return out

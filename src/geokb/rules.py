@@ -5,12 +5,13 @@ Rule format, one rule per line (blank lines and ``#`` lines are ignored):
     R1: incident(?p, ?l) :- line_through(?l, ?p, ?q).
     R4: parallel(?a, ?c) :- parallel(?a, ?b), parallel(?b, ?c), ?a != ?c.
 
-Variables are ``?`` followed by an identifier; every template argument must
-be a variable.  Each head variable must occur in the body, so the closure
-never invents objects, and with a finite predicate vocabulary the fact
-universe is finite and the fixpoint computation terminates.  Trailing
-``?x != ?y`` constraints require the two variables to be bound to distinct
-names (distinct names denote distinct objects).
+An atom has the syntax of a fact (:func:`~geokb.model.split_atom` splits
+both).  Variables are ``?`` followed by an identifier; every template
+argument must be a variable.  Each head variable must occur in the body,
+so the closure never invents objects, and with a finite predicate
+vocabulary the fact universe is finite and the fixpoint computation
+terminates.  Trailing ``?x != ?y`` constraints require the two variables
+to be bound to distinct names (distinct names denote distinct objects).
 
 Body atoms match stored facts modulo each predicate's argument symmetry,
 which is what makes canonical storage of symmetric predicates sound: the
@@ -47,7 +48,8 @@ from operator import itemgetter
 
 from .errors import ConstructionError, RuleError
 from .model import (
-    CANONICAL_ARGS, PREDICATES, SYMMETRY, Construction, Fact, FactSet, argument_variants, normalize_fact,
+    CANONICAL_ARGS, PREDICATES, SYMMETRY, Construction, FactPair, FactSet, argument_variants, normalize_fact,
+    split_atom,
 )
 
 try:  # the interpreter's own SHA-256; importing hashlib loads OpenSSL, 3-4 MB resident
@@ -56,7 +58,6 @@ except ImportError:  # renamed _sha2 in CPython 3.12
     from hashlib import sha256
 
 _VAR_RE = re.compile(r"\?([A-Za-z][A-Za-z0-9_]*)\Z")
-_ATOM_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)\Z")
 _SIDE_RE = re.compile(r"(\?[A-Za-z][A-Za-z0-9_]*)\s*!=\s*(\?[A-Za-z][A-Za-z0-9_]*)\Z")
 
 
@@ -138,14 +139,13 @@ def _split_top_level(text: str, lineno: int) -> list[str]:
 
 
 def _parse_atom(text: str, lineno: int, var_kinds: dict[str, str]) -> Atom:
-    m = _ATOM_RE.match(text)
-    if m is None:
+    atom = split_atom(text)
+    if atom is None:
         raise RuleError(f"expected 'predicate(?x, ...)', got {text!r}", line=lineno)
-    predicate, argtext = m.group(1), m.group(2)
+    predicate, raw_args = atom
     spec = PREDICATES.get(predicate)
     if spec is None:
         raise RuleError(f"unknown predicate {predicate!r}", line=lineno)
-    raw_args = [t.strip() for t in argtext.split(",")] if argtext.strip() else []
     if len(raw_args) != len(spec):
         raise RuleError(
             f"{predicate} expects {len(spec)} arguments, got {len(raw_args)}", line=lineno
@@ -294,7 +294,7 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     the rules, by indexed semi-naive evaluation with a class per group of
     names of a transitive predicate (see the module docstring).
     The result does not depend on rule order or fact iteration order, and
-    every returned fact is a canonical ``(predicate, args)`` pair, not a :class:`Fact`.
+    every returned fact is a canonical ``(predicate, args)`` pair.
     """
     plans = ruleset._plans
     body_predicates = {plan[0] for plan in plans}
@@ -374,9 +374,9 @@ def closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     return frozenset(known)
 
 
-def entails(construction: Construction, ruleset: RuleSet, f: Fact) -> bool:
-    """True iff the canonical form of ``f`` is in the closure."""
-    for arg in f.args:
+def entails(construction: Construction, ruleset: RuleSet, f: FactPair) -> bool:
+    """True iff the canonical form of the ``(predicate, args)`` pair ``f`` is in the closure."""
+    for arg in f[1]:
         if arg not in construction.kinds:
             raise ConstructionError(f"fact references undeclared object {arg!r}")
     return normalize_fact(f) in closure(construction, ruleset)

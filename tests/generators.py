@@ -8,7 +8,7 @@ from collections import Counter
 from geokb.model import (
     Construction,
     DISTINCT_ARG_PREDICATES,
-    Fact,
+    FactPair,
     ObjectDecl,
     PREDICATES,
     normalize_fact,
@@ -63,7 +63,7 @@ def parallel_chain(n: int) -> Construction:
     names = [f"l{i}" for i in range(n)]
     return Construction(
         frozenset(ObjectDecl(name, "line") for name in names),
-        frozenset(normalize_fact(Fact("parallel", pair)) for pair in zip(names, names[1:])),
+        frozenset(normalize_fact(("parallel", pair)) for pair in zip(names, names[1:])),
     )
 
 
@@ -72,7 +72,7 @@ def collinear_points(n: int) -> Construction:
     names = [f"P{i}" for i in range(n)]
     return Construction(
         frozenset([ObjectDecl("m", "line"), *(ObjectDecl(name, "point") for name in names)]),
-        frozenset(Fact("incident", (name, "m")) for name in names),
+        frozenset(("incident", (name, "m")) for name in names),
     )
 
 
@@ -82,7 +82,7 @@ def random_line_figure(rng: random.Random, max_lines: int = 6) -> Construction:
     perpendiculars and merge."""
     names = [f"l{i}" for i in range(rng.randint(2, max_lines))]
     facts = {
-        normalize_fact(Fact(rng.choice(("parallel", "perpendicular")), tuple(rng.sample(names, 2))))
+        normalize_fact((rng.choice(("parallel", "perpendicular")), tuple(rng.sample(names, 2))))
         for _ in range(rng.randint(1, 3 * len(names) // 2))
     }
     return Construction(frozenset(ObjectDecl(name, "line") for name in names), frozenset(facts))
@@ -98,7 +98,7 @@ def _feasible(predicate: str, pool: dict[str, list[str]]) -> bool:
     return all(len(pool[kind]) >= 1 for kind in needed)
 
 
-def random_fact(rng: random.Random, pool: dict[str, list[str]]) -> Fact | None:
+def random_fact(rng: random.Random, pool: dict[str, list[str]]) -> FactPair | None:
     feasible = [p for p in PREDICATES if _feasible(p, pool)]
     if not feasible:
         return None
@@ -110,7 +110,7 @@ def random_fact(rng: random.Random, pool: dict[str, list[str]]) -> Fact | None:
         args = rng.sample(pool["point"], 2) + rng.sample(pool["point"], 2)
     else:
         args = [rng.choice(pool[kind]) for kind in kinds]
-    return normalize_fact(Fact(predicate, tuple(args)))
+    return normalize_fact((predicate, tuple(args)))
 
 
 def random_construction(
@@ -142,7 +142,7 @@ def induced_subconstruction(
     kept = {o.name for o in construction.objects if rng.random() < keep}
     objects = frozenset(o for o in construction.objects if o.name in kept)
     facts = frozenset(
-        f for f in construction.facts if all(a in kept for a in f.args)
+        f for f in construction.facts if all(a in kept for a in f[1])
     )
     return Construction(objects, facts)
 

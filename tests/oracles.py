@@ -7,37 +7,37 @@ import re
 from collections import Counter
 from itertools import combinations, permutations, product
 
-from geokb.model import Construction, Fact, FactSet, KINDS, PREDICATES, normalize_fact
+from geokb.model import Construction, FactPair, FactSet, KINDS, PREDICATES, normalize_fact
 from geokb.protocol import QueryResponse, response_to_document
 from geokb.rules import RuleSet, closure
 
 
-def orbit(f: Fact) -> set[Fact]:
+def orbit(f: FactPair) -> set[FactPair]:
     """All facts stating the same thing, enumerated straight from the
     symmetry definitions (kept separate from the implementation)."""
-    p, a = f.predicate, f.args
+    p, a = f
     if p in ("parallel", "perpendicular"):
-        return {Fact(p, a), Fact(p, (a[1], a[0]))}
+        return {(p, a), (p, (a[1], a[0]))}
     if p in ("collinear", "concurrent"):
-        return {Fact(p, perm) for perm in permutations(a)}
+        return {(p, perm) for perm in permutations(a)}
     if p in ("line_through", "midpoint"):
-        return {Fact(p, a), Fact(p, (a[0], a[2], a[1]))}
+        return {(p, a), (p, (a[0], a[2], a[1]))}
     if p == "equidistant":
         out = set()
         for first in ((a[0], a[1]), (a[1], a[0])):
             for second in ((a[2], a[3]), (a[3], a[2])):
-                out.add(Fact(p, first + second))
-                out.add(Fact(p, second + first))
+                out.add((p, first + second))
+                out.add((p, second + first))
         return out
-    return {Fact(p, a)}
+    return {(p, a)}
 
 
-def brute_canonical(f: Fact) -> Fact:
+def brute_canonical(f: FactPair) -> FactPair:
     """Lexicographic minimum over the symmetry orbit."""
-    return min(orbit(f), key=lambda g: g.args)
+    return min(orbit(f), key=lambda g: g[1])
 
 
-def naive_closure(construction: Construction, ruleset: RuleSet) -> frozenset[Fact]:
+def naive_closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     """Apply every rule to every kind-respecting variable assignment until
     nothing changes.  No deltas, no join order, no variant matching: body
     atoms are instantiated and checked by canonical membership."""
@@ -63,14 +63,12 @@ def naive_closure(construction: Construction, ruleset: RuleSet) -> frozenset[Fac
                 if any(substitution[x] == substitution[y] for x, y in rule.distinct):
                     continue
                 instantiated = (
-                    normalize_fact(
-                        Fact(atom.predicate, tuple(substitution[v] for v in atom.args))
-                    )
+                    normalize_fact((atom.predicate, tuple(substitution[v] for v in atom.args)))
                     for atom in rule.body
                 )
                 if all(f in facts for f in instantiated):
                     head = normalize_fact(
-                        Fact(rule.head.predicate, tuple(substitution[v] for v in rule.head.args))
+                        (rule.head.predicate, tuple(substitution[v] for v in rule.head.args))
                     )
                     if head not in facts:
                         facts.add(head)
@@ -139,7 +137,7 @@ def brute_force_mappings(
         for (q_names, _), chosen in zip(per_kind, choice):
             mapping.update(zip(q_names, chosen))
         ok = all(
-            normalize_fact(Fact(predicate, tuple(mapping[a] for a in args))) in closed_t
+            normalize_fact((predicate, tuple(mapping[a] for a in args))) in closed_t
             for predicate, args in closed_q
         )
         if ok:

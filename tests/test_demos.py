@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, under this interpreter's -X dev
+and -W options when it has them."""
 
 from __future__ import annotations
 
@@ -17,7 +18,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    flags = ["-X", "dev"] if sys.flags.dev_mode else []
+    flags += [f"-W{option}" for option in sys.warnoptions]
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, str(demo)], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr

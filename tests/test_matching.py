@@ -6,12 +6,10 @@ from collections import Counter
 
 import pytest
 
-import geokb.rules as rules_module
-from geokb import fingerprint, matching, model, repository
 from geokb.errors import SearchBudgetExceeded
 from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes
 from geokb.matching import Embedding, embed_closed, find_embeddings, is_subconstruction, prepare
-from geokb.model import EMPTY_CONSTRUCTION, Construction, Fact, ObjectDecl, fact, parse_construction
+from geokb.model import EMPTY_CONSTRUCTION, Construction, ObjectDecl, fact, parse_construction
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -132,17 +130,11 @@ def test_embedding_search_leaves_no_cyclic_garbage(rules):
         gc.enable()
 
 
-def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules, monkeypatch):
-    """Closed facts stay pairs from closure to confirmation: only parsing
-    and ``entails`` build a Fact, and both happen outside this test's path."""
-    def no_fact(*args):
-        raise AssertionError("the analysis core built a Fact")
-
-    for module in (fingerprint, matching, repository):
-        assert not hasattr(module, "Fact")
+def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules):
+    """A fact has one form, a plain ``(predicate, args)`` tuple, from parsing
+    through closure to a confirmed witness."""
     ceva, triangle = parse_construction(_CORPUS_CODE["GEO_CEVA"]), bare_triangle()
-    monkeypatch.setattr(model, "Fact", no_fact)
-    monkeypatch.setattr(rules_module, "Fact", no_fact)  # bound there for entails only
+    assert ceva.facts and all(type(f) is tuple for f in ceva.facts | triangle.facts)
     closed = closure(ceva, rules)
     assert closed and all(type(f) is tuple for f in closed)
     assert gtd(ceva, closed) == construction_gtd(ceva, rules)
@@ -188,7 +180,7 @@ def _assert_brute_force_agreement(query, target, rules, limit=10_000) -> int:
     for embedding in found:
         mapping = embedding.as_dict()
         assert embedding.facts == {
-            brute_canonical(Fact(predicate, tuple(mapping[a] for a in args)))
+            brute_canonical((predicate, tuple(mapping[a] for a in args)))
             for predicate, args in closed_query
         }
     return len(found)

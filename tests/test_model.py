@@ -9,16 +9,13 @@ from hypothesis import given, strategies as st
 from geokb.errors import ConstructionError
 from geokb.model import (
     CANONICAL_ARGS,
-    Construction,
     EMPTY_CONSTRUCTION,
-    Fact,
     PREDICATES,
     argument_variants,
     fact,
     normalize_fact,
     parse_construction,
     serialize_construction,
-    validate,
 )
 
 from generators import random_construction
@@ -29,7 +26,7 @@ NAMES = ["A", "B", "C", "M", "P1", "x", "ab_c"]
 
 def any_fact_strategy():
     def build(predicate, draw_names):
-        return Fact(predicate, tuple(draw_names))
+        return predicate, tuple(draw_names)
 
     return st.sampled_from(sorted(PREDICATES)).flatmap(
         lambda p: st.tuples(
@@ -69,12 +66,15 @@ def test_parse_declaration_position_is_irrelevant():
 
 def test_parse_normalizes_facts():
     c = parse_construction("line a\nline b\nparallel(b, a)")
-    assert c.facts == frozenset({Fact("parallel", ("a", "b"))})
+    assert c.facts == frozenset({("parallel", ("a", "b"))})
 
 
 def test_parse_collapses_equivalent_duplicates():
     c = parse_construction("line a\nline b\nparallel(b, a)\nparallel(a, b)")
     assert len(c.facts) == 1
+
+
+CATALOGUE_OBJECTS = "point A\npoint B\npoint C\nline a\nline b\ncircle k\n"
 
 
 @pytest.mark.parametrize(
@@ -92,12 +92,31 @@ def test_parse_collapses_equivalent_duplicates():
         ("point A\npoint B\nequidistant(A, A, A, B)", "distance pair"),
         ("point A incident", "bad object name"),
         ("nonsense line", "expected 'predicate"),
+        # the malformed-fact catalogue; each of its rows gives the whole message
+        *(
+            (CATALOGUE_OBJECTS + line, f"line 7: {line}: {problem}")
+            for line, problem in [
+                ("parallel(a, a)", "repeated argument"),
+                ("perpendicular(b, b)", "repeated argument"),
+                ("collinear(A, A, B)", "repeated argument"),
+                ("concurrent(a, a, b)", "repeated argument"),
+                ("midpoint(A, A, B)", "repeated argument"),
+                ("equidistant(A, A, B, C)", "repeated point within a distance pair"),
+                ("equidistant(A, B, C, C)", "repeated point within a distance pair"),
+                ("incident(a, A)", "argument 1 must be a point, got line 'a'"),
+                ("on_circle(A, a)", "argument 2 must be a circle, got line 'a'"),
+                ("line_through(a, A)", "expects 3 arguments, got 2"),
+            ]
+        ),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(ConstructionError) as err:
         parse_construction(text)
-    assert message in str(err.value)
+    if message.startswith("line "):
+        assert str(err.value) == message
+    else:
+        assert message in str(err.value)
 
 
 def test_parse_error_reports_line_number():
@@ -117,17 +136,11 @@ def test_parse_accepts_tight_and_loose_spacing():
 
 
 def test_normalize_examples():
-    assert normalize_fact(Fact("parallel", ("b", "a"))) == Fact("parallel", ("a", "b"))
-    assert normalize_fact(Fact("equidistant", ("M", "B", "A", "M"))) == Fact(
-        "equidistant", ("A", "M", "B", "M")
-    )
-    assert normalize_fact(Fact("incident", ("A", "a"))) == Fact("incident", ("A", "a"))
-    assert normalize_fact(Fact("midpoint", ("M", "B", "A"))) == Fact(
-        "midpoint", ("M", "A", "B")
-    )
-    assert normalize_fact(Fact("line_through", ("a", "B", "A"))) == Fact(
-        "line_through", ("a", "A", "B")
-    )
+    assert normalize_fact(("parallel", ("b", "a"))) == ("parallel", ("a", "b"))
+    assert normalize_fact(("equidistant", ("M", "B", "A", "M"))) == ("equidistant", ("A", "M", "B", "M"))
+    assert normalize_fact(("incident", ("A", "a"))) == ("incident", ("A", "a"))
+    assert normalize_fact(("midpoint", ("M", "B", "A"))) == ("midpoint", ("M", "A", "B"))
+    assert normalize_fact(("line_through", ("a", "B", "A"))) == ("line_through", ("a", "A", "B"))
 
 
 @given(any_fact_strategy())
@@ -149,7 +162,7 @@ def test_canonical_args_is_the_orbit_minimum_on_every_argument_tuple():
     for predicate, kinds in PREDICATES.items():
         canonical = CANONICAL_ARGS.get(predicate)
         for args in product(pool, repeat=len(kinds)):
-            expected = brute_canonical(Fact(predicate, args)).args
+            expected = brute_canonical((predicate, args))[1]
             if canonical is None:
                 assert expected == args, predicate
             else:
@@ -165,7 +178,7 @@ def test_semantic_equality_iff_canonical_equality(f, g):
 
 @given(any_fact_strategy())
 def test_argument_variants_match_oracle_orbit(f):
-    variants = {Fact(f.predicate, args) for args in argument_variants(f.predicate, f.args)}
+    variants = {(f[0], args) for args in argument_variants(*f)}
     assert variants == orbit(f)
 
 
@@ -204,7 +217,6 @@ def test_parse_serialize_round_trip_on_random_constructions():
     rng = random.Random(20260810)
     for _ in range(200):
         c = random_construction(rng)
-        assert validate(c) == []
         assert parse_construction(serialize_construction(c)) == c
 
 
@@ -228,7 +240,7 @@ def test_parsing_is_permutation_invariant_over_fact_lines():
         assert parse_construction("\n".join(decls + facts)) == base
 
 
-# -- validation ---------------------------------------------------------------
+# -- validation: parsing is the one check of a construction --------------------
 
 
 def test_validate_accepts_wellformed_triangle():
@@ -236,64 +248,22 @@ def test_validate_accepts_wellformed_triangle():
         "point A\npoint B\npoint C\nline a\nline b\nline c\n"
         "line_through(a, B, C)\nline_through(b, A, C)\nline_through(c, A, B)"
     )
-    assert validate(c) == []
+    assert len(c.objects) == 6 and len(c.facts) == 3
 
 
 def test_validate_reports_undeclared_object():
-    c = Construction(frozenset(), frozenset({fact("incident", "A", "a")}))
-    problems = validate(c)
-    assert len(problems) == 2  # both arguments undeclared
-    assert all("undeclared" in p.problem for p in problems)
-    assert problems[0].subject == "incident(A, a)"
+    # both arguments are undeclared; the first one is reported
+    with pytest.raises(ConstructionError) as err:
+        parse_construction("incident(A, a)")
+    assert str(err.value) == "line 1: incident(A, a): undeclared object 'A'"
 
 
 def test_validate_reports_repeated_argument():
-    c = parse_construction("point A\npoint B")
-    broken = Construction(c.objects, frozenset({Fact("collinear", ("A", "A", "B"))}))
-    problems = validate(broken)
-    assert [p.problem for p in problems] == ["repeated argument"]
-
-
-def test_validate_reports_noncanonical_fact():
-    c = parse_construction("line a\nline b")
-    broken = Construction(c.objects, frozenset({Fact("parallel", ("b", "a"))}))
-    assert any("canonical" in p.problem for p in validate(broken))
-
-
-def test_validate_reports_duplicate_names():
-    from geokb.model import ObjectDecl
-
-    c = Construction(
-        frozenset({ObjectDecl("A", "point"), ObjectDecl("A", "line")}), frozenset()
-    )
-    assert any("duplicate object name" in p.problem for p in validate(c))
-
-
-def test_validator_oracle_on_malformed_fact_catalogue():
-    """Every malformed shape the parser rejects is also a validation hit."""
-    c = parse_construction("point A\npoint B\npoint C\nline a\nline b\ncircle k")
-    bad_facts = [
-        Fact("parallel", ("a", "a")),
-        Fact("perpendicular", ("b", "b")),
-        Fact("collinear", ("A", "A", "B")),
-        Fact("concurrent", ("a", "a", "b")),
-        Fact("midpoint", ("A", "A", "B")),
-        Fact("equidistant", ("A", "A", "B", "C")),
-        Fact("equidistant", ("A", "B", "C", "C")),
-        Fact("incident", ("a", "A")),
-        Fact("on_circle", ("A", "a")),
-        Fact("line_through", ("a", "A")),
-    ]
-    for f in bad_facts:
-        broken = Construction(c.objects, frozenset({f}))
-        problems = validate(broken)
-        assert problems, f"expected a violation for {f}"
-        # written as text, the fact is rejected with the first problem validate reports
-        with pytest.raises(ConstructionError) as rejected:
-            parse_construction(serialize_construction(c) + f.text + "\n")
-        assert str(rejected.value).endswith(str(problems[0]))
+    with pytest.raises(ConstructionError) as err:
+        parse_construction("point A\npoint B\ncollinear(A, A, B)")
+    assert str(err.value) == "line 3: collinear(A, A, B): repeated argument"
 
 
 def test_equidistant_allows_shared_point_across_pairs():
     c = parse_construction("point A\npoint B\npoint M\nequidistant(M, A, M, B)")
-    assert validate(c) == []
+    assert c.facts == frozenset({("equidistant", ("A", "M", "B", "M"))})

@@ -9,7 +9,7 @@ import pytest
 from geokb import model
 from geokb.corpus import ENTRIES
 from geokb.errors import ConstructionError, RuleError
-from geokb.model import Construction, Fact, ObjectDecl, fact, parse_construction, serialize_construction, validate
+from geokb.model import Construction, ObjectDecl, fact, parse_construction, serialize_construction
 from geokb.rules import RuleSet, closure, default_rules, entails, load_rules
 
 from generators import bare_triangle, collinear_points, parallel_chain, random_construction, random_line_figure
@@ -155,23 +155,23 @@ def test_closure_matches_symmetric_facts_in_either_orientation(rules):
 
 
 def test_entails_triangle_incidence(rules):
-    assert entails(bare_triangle(), rules, Fact("incident", ("A", "c")))
+    assert entails(bare_triangle(), rules, ("incident", ("A", "c")))
 
 
 def test_entails_uses_canonical_order(rules):
     c = parse_construction("point A\npoint B\npoint M\nmidpoint(M, A, B)")
-    assert entails(c, rules, Fact("collinear", ("M", "B", "A")))
+    assert entails(c, rules, ("collinear", ("M", "B", "A")))
 
 
 def test_entails_nothing_from_empty(rules):
     from geokb.model import EMPTY_CONSTRUCTION
 
     with pytest.raises(ConstructionError):
-        entails(EMPTY_CONSTRUCTION, rules, Fact("incident", ("A", "a")))
+        entails(EMPTY_CONSTRUCTION, rules, ("incident", ("A", "a")))
 
 
 def test_entails_false_for_underivable(rules):
-    assert not entails(bare_triangle(), rules, Fact("parallel", ("a", "b")))
+    assert not entails(bare_triangle(), rules, ("parallel", ("a", "b")))
 
 
 # -- algebraic laws over random constructions ---------------------------------
@@ -250,9 +250,9 @@ def test_closure_equals_naive_oracle_with_scans_and_repeated_variables():
 
 def test_a_closed_construction_validates_and_round_trips_through_text(rules):
     c = parse_construction("point A\npoint B\npoint M\nline a\nline_through(a, A, B)\nmidpoint(M, A, B)")
-    closed = Construction(c.objects, closure(c, rules))  # (predicate, args) pairs, not Facts
+    closed = Construction(c.objects, closure(c, rules))
     assert len(closed.facts) > len(c.facts)
-    assert validate(closed) == []
+    # parsing is the one check: the closed facts' text passes it unchanged
     assert parse_construction(serialize_construction(closed)) == closed
 
 
@@ -350,8 +350,7 @@ def test_a_directed_binary_predicate_is_joined_not_kept_as_classes(monkeypatch):
     assert directed.transitive == frozenset()
     c = Construction(
         frozenset(ObjectDecl(n, "line") for n in "abcd"),
-        frozenset({Fact("perpendicular", ("a", "b")), Fact("perpendicular", ("b", "c")),
-                   Fact("perpendicular", ("d", "c"))}),
+        frozenset({("perpendicular", ("a", "b")), ("perpendicular", ("b", "c")), ("perpendicular", ("d", "c"))}),
     )
     closed = closure(c, directed)
     assert closed == c.facts | {("perpendicular", ("a", "c"))}

@@ -492,6 +492,35 @@ def test_geoclient_insert_file(server, tmp_path, capsys):
     assert printed["Status"] == "inserted"
 
 
+def test_geoclient_prints_a_lone_surrogate_as_its_escape(server, capsys):
+    payload = b'{"Insert": {"Name": "Odd \\ud800", "Code": "point A\\n"}, "Force": true}\n'
+    assert isinstance(decode_response(raw_exchange(server, payload)), InsertResult)
+    code = client_main([server.host, str(server.port), "odd"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert '"Name": "Odd \\ud800"' in out
+    assert [info["Name"] for info in json.loads(out).values()] == ["Odd \ud800"]
+
+
+@pytest.mark.parametrize(
+    "option, content, message",
+    [
+        ("--geometric", b"point A\xff\n", "geoclient: input file is not UTF-8 text: "),
+        ("--insert", b'{"Name": "\xff"}', "geoclient: input file is not UTF-8 text: "),
+        ("--insert", b"[" * 100_000 + b"]" * 100_000, "geoclient: bad insert file: maximum recursion depth"),
+    ],
+    ids=["geometric-not-utf8", "insert-not-utf8", "insert-too-deep"],
+)
+def test_geoclient_unreadable_input_file_exit_1(tmp_path, capsys, option, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    # refused before connecting: port 1 has no listener
+    code = client_main(["127.0.0.1", "1", option, str(path), "--timeout", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_geoclient_server_error_exit_2(server, capsys):
     code = client_main([server.host, str(server.port), "(unclosed"])
     assert code == 2
@@ -561,6 +590,12 @@ def test_save_codes_writes_every_entry(tmp_path, fresh_seeded_repo, server):
     assert len(written) == len(fresh_seeded_repo.list_all())
     for path in written:
         assert parse_construction(path.read_text(encoding="utf-8")) is not None
+
+
+def test_save_codes_writes_a_lone_surrogate_as_its_escape(tmp_path):
+    info = EntryInfo(name="X", description="", code="point A\n# \udc00\n")
+    [path] = save_codes(QueryResult((("GEO0001", info),)), tmp_path)
+    assert path.read_bytes() == b"point A\n# \\udc00\n"
 
 
 @pytest.mark.parametrize("identifier", ["../escaped", "sub/GEO0001", ".hidden", ""])
