@@ -18,14 +18,17 @@ Componentwise superset comparison of fingerprints is the candidate filter
 for structural search: whenever one closed construction embeds into
 another, the bigger one's fingerprint dominates the smaller one's, so
 filtering never loses a true match.  The converse fails, which is why
-matches are confirmed exactly afterwards.
+matches are confirmed exactly afterwards.  :class:`GtdIndex` answers that
+comparison, in both directions, for a whole store at once.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
-from itertools import combinations
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from collections.abc import Sequence
+from itertools import combinations, compress
 
 from .errors import ConstructionError
 from .model import Construction, FactSet
@@ -75,14 +78,120 @@ def gtd(construction: Construction, closed: FactSet) -> Gtd:
 
 
 def gtd_subsumes(candidate: Gtd, query: Gtd) -> bool:
-    """True iff the candidate has at least the query's count for every key."""
-    # a plain loop: it runs once per stored entry per query, and a generator
-    # under all() costs a frame switch per key
+    """True iff the candidate has at least the query's count for every key:
+    the comparison :class:`GtdIndex` makes for a whole store at once."""
     count = candidate.get
     for key, n in query.items():
         if count(key, 0) < n:
             return False
     return True
+
+
+#: turns the digits of ``bin`` into bytes that are false for 0 and true for 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _slots(mask: int) -> list[int]:
+    """The positions of a mask's set bits, ascending."""
+    bits = bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)  # lowest bit first
+    return list(compress(range(len(bits)), bits))
+
+
+class GtdIndex:
+    """Fingerprints of a store, one per slot, as range-encoded bitmaps
+    (Chan and Ioannidis, "Bitmap index design and evaluation", SIGMOD
+    1998).  For each key it keeps the distinct counts stored under the key,
+    ascending, and for each of them one integer mask over the slots whose
+    count for the key is at least that count.  So a query reads one mask
+    per key, whatever the number of slots, in the filter-then-verify style
+    of gIndex (Yan, Yu and Han, SIGMOD 2004).
+
+    Never changed once built: :meth:`with_slot` derives a new index, so a
+    reader holding this one keeps its answers.
+    """
+
+    __slots__ = ("size", "_postings")
+
+    def __init__(
+        self, size: int = 0, postings: dict[str, tuple[list[int], list[int]]] | None = None
+    ):
+        #: slots in use, numbered from 0
+        self.size = size
+        #: key -> (distinct counts ascending, the mask of each count)
+        self._postings = {} if postings is None else postings
+
+    @classmethod
+    def build(cls, fingerprints: Sequence[Gtd]) -> GtdIndex:
+        """The index holding each fingerprint in the slot of its position."""
+        slots_by_count: defaultdict[str, defaultdict[int, list[int]]] = defaultdict(
+            lambda: defaultdict(list)
+        )
+        for slot, fingerprint in enumerate(fingerprints):
+            for key, n in fingerprint.items():
+                slots_by_count[key][n].append(slot)
+        postings = {}
+        for key, by_count in slots_by_count.items():
+            counts = sorted(by_count)
+            bits = bytearray((len(fingerprints) + 7) // 8)
+            masks = []
+            for n in reversed(counts):  # each mask adds its own count's slots to the next one's
+                for slot in by_count[n]:
+                    bits[slot >> 3] |= 1 << (slot & 7)
+                masks.append(int.from_bytes(bits, "little"))
+            masks.reverse()
+            postings[key] = (counts, masks)
+        return cls(len(fingerprints), postings)
+
+    def with_slot(self, slot: int, fingerprint: Gtd, previous: Gtd | None = None) -> GtdIndex:
+        """A new index holding ``fingerprint`` in ``slot``: the next unused
+        slot, or a slot in use whose fingerprint, ``previous``, it replaces.
+        Only the postings of the two fingerprints' keys are copied."""
+        postings = dict(self._postings)
+        bit = 1 << slot
+        for key, n in (previous or {}).items():
+            counts, masks = postings[key]
+            i = bisect_left(counts, n)
+            masks = [mask & ~bit for mask in masks[: i + 1]] + masks[i + 1 :]
+            if masks[i] == (masks[i + 1] if i + 1 < len(masks) else 0):  # no slot holds n now
+                counts, masks = counts[:i] + counts[i + 1 :], masks[:i] + masks[i + 1 :]
+            if counts:
+                postings[key] = (counts, masks)
+            else:
+                del postings[key]
+        for key, n in fingerprint.items():
+            counts, masks = postings.get(key, ([], []))
+            i = bisect_left(counts, n)
+            if i == len(counts) or counts[i] != n:
+                counts = counts[:i] + [n] + counts[i:]
+                masks = masks[:i] + [masks[i] if i < len(masks) else 0] + masks[i:]
+            postings[key] = (counts, [mask | bit for mask in masks[: i + 1]] + masks[i + 1 :])
+        return GtdIndex(max(self.size, slot + 1), postings)
+
+    def dominating(self, fingerprint: Gtd) -> list[int]:
+        """The slots whose fingerprint dominates ``fingerprint``
+        (``gtd_subsumes(stored, fingerprint)``), ascending; every slot for
+        the empty fingerprint."""
+        postings = self._postings
+        hits = (1 << self.size) - 1
+        for key, n in fingerprint.items():
+            counts, masks = postings.get(key, ((), ()))
+            i = bisect_left(counts, n)
+            if i == len(counts):  # an absent key, or more than any slot has
+                return []
+            hits &= masks[i]
+        return _slots(hits)
+
+    def dominated(self, fingerprint: Gtd) -> list[int]:
+        """The slots whose fingerprint ``fingerprint`` dominates
+        (``gtd_subsumes(fingerprint, stored)``), ascending: all slots but
+        those with more of some key than ``fingerprint`` has."""
+        count = fingerprint.get
+        over = 0
+        for key, (counts, masks) in self._postings.items():
+            i = bisect_right(counts, count(key, 0))
+            if i < len(counts):
+                over |= masks[i]
+        return _slots(((1 << self.size) - 1) & ~over)
 
 
 def serialize_gtd(fingerprint: Gtd) -> str:

@@ -26,22 +26,28 @@ In memory each entry has one immutable record, built the same way by
 loading, inserting and updating: the entry, its closed construction
 prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint,
 its weighted text terms (:func:`~geokb.textindex.terms`) and its member of
-a query answer, already encoded (:func:`hit_member`).  The records
-sit in one dict that is replaced whole on every write and never mutated
-once published, so a reader takes it with one attribute read and no lock.
+a query answer, already encoded (:func:`hit_member`).  Each entry also
+takes a slot of a :class:`~geokb.fingerprint.GtdIndex` over the
+fingerprints, the next one when it is inserted, and keeps it through
+updates.  The records, the identifier in each slot and the index form one
+snapshot that is replaced whole on every write and never mutated once
+published, so a reader takes it with one attribute read and no lock.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
-close and fingerprint the query construction, keep the entries whose
-cached fingerprint dominates it, and optionally confirm each candidate by
-exact embedding search, attaching the witness mapping; the query is prepared
-for matching only once a candidate passes the filter.
+close and fingerprint the query construction, read the entries whose
+cached fingerprint dominates it from the index, apply filters to those
+alone, and optionally confirm each candidate by exact embedding search,
+attaching the witness mapping; the query is prepared for matching only once
+a candidate passes the filter.
 
 Inserts pass through a duplicate gate: unless forced, a draft that is
 structurally equal to a stored entry, or embeds into one, is rejected with
 a report naming the offenders.  A draft that merely extends stored entries
 (they embed into it) is inserted with a warning, since a richer
-construction legitimately refines a poorer one.
+construction legitimately refines a poorer one.  The index gives the gate
+its candidates in both directions: the entries whose fingerprint dominates
+the draft's, and those whose fingerprint the draft's dominates.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from .errors import (
     SearchBudgetExceeded,
     StorageError,
 )
-from .fingerprint import Gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
+from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
 from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
@@ -153,6 +159,23 @@ def _new_record(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Reco
     member are derived here."""
     hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
     return _Record(entry, side, fingerprint, textindex.terms(entry), hit)
+
+
+@dataclass(frozen=True, slots=True)
+class _Snapshot:
+    """What a reader needs of the store, published as one object: the
+    records, the identifier in each slot and the fingerprint index over the
+    slots.  Never changed once published."""
+
+    records: dict[str, _Record]
+    #: slot -> identifier
+    identifiers: tuple[str, ...]
+    index: GtdIndex
+
+    def identifiers_in(self, slots: list[int]) -> list[str]:
+        """The identifiers in these slots, in ascending string order."""
+        identifiers = self.identifiers
+        return sorted([identifiers[slot] for slot in slots])
 
 
 @dataclass(frozen=True)
@@ -302,13 +325,14 @@ class Repository:
     immutable record per entry: the entry, its matching side, its
     fingerprint, its text terms and its encoded hit member.
 
-    Readers take no lock: each query reads ``_records`` once and works on
-    that snapshot, which no one mutates.  Writers (:meth:`insert` and
-    :meth:`update`) hold one lock from the identifier and duplicate checks
-    to publishing a new dict with their record, so two writers never pass
-    the gate on the same state, and a reader sees all of a write or none of
-    it.  A request's analysis (parsing, closure and fingerprint) reads no
-    stored state, so it runs before the lock is taken.
+    Readers take no lock: each query reads ``_snapshot`` (the records and
+    their fingerprint index) once and works on it, and no one mutates it.
+    Writers (:meth:`insert` and :meth:`update`) hold one lock from the
+    identifier and duplicate checks to publishing a new snapshot with their
+    record, so two writers never pass the gate on the same state, and a
+    reader sees all of a write or none of it.  A request's analysis
+    (parsing, closure and fingerprint) reads no stored state, so it runs
+    before the lock is taken.
     """
 
     def __init__(self, data_dir: str | os.PathLike[str], ruleset: RuleSet | None = None):
@@ -319,7 +343,7 @@ class Repository:
         #: held by writers only
         self._lock = threading.Lock()
         #: replaced whole by each write, never mutated once published
-        self._records: dict[str, _Record] = {}
+        self._snapshot = _Snapshot({}, (), GtdIndex())
         #: stems of entry files that failed to load; never reused
         self._quarantined: set[str] = set()
         #: every GEO#### below it is taken; entries are never deleted
@@ -336,8 +360,13 @@ class Repository:
     def ruleset(self) -> RuleSet:
         return self._rules
 
+    @property
+    def _records(self) -> dict[str, _Record]:
+        """The published records by identifier."""
+        return self._snapshot.records
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._snapshot.records)
 
     # -- loading and persistence -----------------------------------------
 
@@ -359,7 +388,22 @@ class Repository:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
                 record = self._store(entry, side, fingerprint)
             records[entry.identifier] = record
-        self._records = records
+        fingerprints = [record.fingerprint for record in records.values()]
+        self._snapshot = _Snapshot(records, tuple(records), GtdIndex.build(fingerprints))
+
+    def _publish(self, identifier: str, record: _Record) -> None:
+        """Publish a new snapshot with ``record`` stored under
+        ``identifier``: a new identifier takes the next slot, a stored one
+        keeps its slot.  Writers only, under the lock."""
+        old = self._snapshot
+        previous = old.records.get(identifier)
+        identifiers = old.identifiers
+        if previous is None:
+            slot, identifiers, replaced = len(identifiers), (*identifiers, identifier), None
+        else:
+            slot, replaced = identifiers.index(identifier), previous.fingerprint
+        index = old.index.with_slot(slot, record.fingerprint, replaced)
+        self._snapshot = _Snapshot({**old.records, identifier: record}, identifiers, index)
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
         """An entry file's entry and document; raises StorageError or
@@ -441,19 +485,26 @@ class Repository:
         return found[0] if found else None
 
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
-        """Compare a draft construction against every stored entry."""
+        """Compare a draft construction against the stored entries; only
+        those the fingerprint index pairs with it in either direction are
+        matched."""
         return self._find_duplicates(*self._analyze(construction))
 
     def _find_duplicates(self, side: MatchSide, fingerprint: Gtd) -> DuplicateReport:
+        snapshot = self._snapshot
+        records, identifiers = snapshot.records, snapshot.identifiers
+        dominating = {identifiers[slot] for slot in snapshot.index.dominating(fingerprint)}
+        dominated = {identifiers[slot] for slot in snapshot.index.dominated(fingerprint)}
         exact: list[str] = []
         containing: list[str] = []
         contained: list[str] = []
-        for identifier, record in sorted(self._records.items()):
+        for identifier in sorted(dominating | dominated):
+            target = records[identifier].side
             forward = backward = False
-            if gtd_subsumes(record.fingerprint, fingerprint):
-                forward = self._confirm(side, record.side, f"draft against {identifier}") is not None
-            if gtd_subsumes(fingerprint, record.fingerprint):
-                backward = self._confirm(record.side, side, f"{identifier} against draft") is not None
+            if identifier in dominating:
+                forward = self._confirm(side, target, f"draft against {identifier}") is not None
+            if identifier in dominated:
+                backward = self._confirm(target, side, f"{identifier} against draft") is not None
             if forward and backward:
                 exact.append(identifier)
             elif forward:
@@ -494,7 +545,7 @@ class Repository:
                         ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
                     )
             record = self._store(replace(draft, identifier=identifier), side, fingerprint)
-            self._records = {**self._records, identifier: record}
+            self._publish(identifier, record)
             return identifier
 
     def update(self, identifier: str, draft: ProblemEntry) -> None:
@@ -506,7 +557,7 @@ class Repository:
             if draft.identifier and draft.identifier != identifier:
                 raise IdentifierCollisionError("an entry's identifier cannot change")
             record = self._store(replace(draft, identifier=identifier), side, fingerprint)
-            self._records = {**self._records, identifier: record}
+            self._publish(identifier, record)
 
     # -- queries -----------------------------------------------------------
 
@@ -542,6 +593,8 @@ class Repository:
             identifiers = [identifier for identifier, _ in textindex.extended_search(text, records)]
         else:
             raise ValueError(f"mode must be one of {textindex.MODES}, got {mode!r}")
+        if not filters:
+            return identifiers
         return [i for i in identifiers if filters.matches(records[i].entry)]
 
     def geometric_query(
@@ -559,20 +612,17 @@ class Repository:
         budget are dropped with a logged warning.
         """
         closed = closure(query, self._rules)
-        fingerprint = gtd(query, closed)
-        side = None
+        snapshot = self._snapshot
+        records = snapshot.records
+        candidates = snapshot.identifiers_in(snapshot.index.dominating(gtd(query, closed)))
+        if filters:
+            candidates = [i for i in candidates if filters.matches(records[i].entry)]
+        if not confirm or not candidates:
+            return [(identifier, None) for identifier in candidates]
+        side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
-        for identifier, record in sorted(self._records.items()):
-            if not filters.matches(record.entry):
-                continue
-            if not gtd_subsumes(record.fingerprint, fingerprint):
-                continue
-            if not confirm:
-                results.append((identifier, None))
-                continue
-            if side is None:
-                side = prepare(query.kinds, closed)
-            found = self._confirm(side, record.side, f"query against {identifier}")
+        for identifier in candidates:
+            found = self._confirm(side, records[identifier].side, f"query against {identifier}")
             if found is not None:
                 results.append((identifier, found))
         return results

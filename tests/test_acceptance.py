@@ -15,7 +15,7 @@ import pytest
 
 from geokb.client import client_query
 from geokb.corpus import ENTRIES, seed_repository
-from geokb.fingerprint import gtd, gtd_subsumes
+from geokb.fingerprint import GtdIndex, gtd, gtd_subsumes
 from geokb.matching import is_subconstruction
 from geokb.model import (
     Construction,
@@ -131,16 +131,23 @@ def test_criterion_3_triangle_plus_circle_selectivity(seeded_repo):
 
 
 def test_criterion_4_filter_soundness_property(rules):
+    """Each target's fingerprint dominates its induced query's, and the
+    index the repository filters with finds the target for the query in a
+    small store: the target among the last few targets."""
     with criterion(4, f"fingerprint soundness on {FILTER_SOUNDNESS_PAIRS} pairs"):
         rng = random.Random(0xF11)
         failures = 0
-        for _ in range(FILTER_SOUNDNESS_PAIRS):
+        recent: list[dict[str, int]] = []
+        for n in range(FILTER_SOUNDNESS_PAIRS):
             target = random_construction(rng, max_points=5, max_lines=4, max_circles=2, max_facts=10)
             query = induced_subconstruction(rng, target)
-            target_closed = closure(target, rules)
-            query_closed = closure(query, rules)
-            if not gtd_subsumes(gtd(target, target_closed), gtd(query, query_closed)):
+            target_gtd = gtd(target, closure(target, rules))
+            query_gtd = gtd(query, closure(query, rules))
+            slot = n % (len(recent) + 1)
+            store = GtdIndex.build([*recent[:slot], target_gtd, *recent[slot:]])
+            if not gtd_subsumes(target_gtd, query_gtd) or slot not in store.dominating(query_gtd):
                 failures += 1
+            recent = [*recent[-4:], target_gtd]
         assert failures == 0
 
 

@@ -6,7 +6,14 @@ from itertools import combinations
 import pytest
 
 from geokb.errors import ConstructionError
-from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, parse_gtd, serialize_gtd
+from geokb.fingerprint import (
+    GtdIndex,
+    construction_gtd,
+    gtd,
+    gtd_subsumes,
+    parse_gtd,
+    serialize_gtd,
+)
 from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
 from geokb.rules import closure
 
@@ -147,6 +154,92 @@ def test_embedding_monotonicity_on_induced_subconstructions(rules):
         target = random_construction(rng)
         query = induced_subconstruction(rng, target)
         assert gtd_subsumes(construction_gtd(target, rules), construction_gtd(query, rules))
+
+
+# -- the index -----------------------------------------------------------------------
+
+
+def _scan(fingerprints, query) -> tuple[list[int], list[int]]:
+    """Brute force: the slots whose fingerprint dominates the query, and the
+    slots whose fingerprint the query dominates."""
+    return (
+        [slot for slot, stored in enumerate(fingerprints) if gtd_subsumes(stored, query)],
+        [slot for slot, stored in enumerate(fingerprints) if gtd_subsumes(query, stored)],
+    )
+
+
+def _probe_queries(rng: random.Random, fingerprints, rules) -> list[dict[str, int]]:
+    """Queries for an index over ``fingerprints``: the empty fingerprint, a
+    key no slot has, a count above every stored count, stored fingerprints
+    as they are and with one count raised or lowered, and fresh ones."""
+    queries = [{}, {"kind:nowhere": 1}]
+    keys = sorted({key for stored in fingerprints for key in stored})
+    if keys:
+        key = rng.choice(keys)
+        queries.append({key: max(stored.get(key, 0) for stored in fingerprints) + 1})
+    for stored in rng.sample(fingerprints, min(4, len(fingerprints))):
+        queries.append(dict(stored))
+        if not stored:
+            continue
+        key = rng.choice(sorted(stored))
+        queries.append({**stored, key: stored[key] + 1})
+        queries.append({k: n for k, n in {**stored, key: stored[key] - 1}.items() if n})
+    queries.extend(construction_gtd(random_construction(rng), rules) for _ in range(3))
+    return queries
+
+
+def test_index_agrees_with_a_scan_as_slots_are_written(rules):
+    """A seeded sequence of new slots and rewritten ones, with counts raised
+    and lowered: after each write, both directions equal a brute-force scan,
+    and the derived index equals one built from scratch."""
+    rng = random.Random(0x1DE)
+    fingerprints: list[dict[str, int]] = []
+    index = GtdIndex()
+    raised = lowered = False
+    for _ in range(80):
+        fingerprint = construction_gtd(random_construction(rng), rules)
+        if fingerprints and rng.random() < 0.4:
+            slot = rng.randrange(len(fingerprints))
+            previous = fingerprints[slot]
+            raised |= any(n > previous.get(key, 0) for key, n in fingerprint.items())
+            lowered |= any(n < previous[key] for key, n in fingerprint.items() if key in previous)
+            index = index.with_slot(slot, fingerprint, previous)
+            fingerprints[slot] = fingerprint
+        else:
+            index = index.with_slot(len(fingerprints), fingerprint)
+            fingerprints.append(fingerprint)
+        assert index._postings == GtdIndex.build(fingerprints)._postings
+        for query in _probe_queries(rng, fingerprints, rules):
+            assert (index.dominating(query), index.dominated(query)) == _scan(fingerprints, query)
+    assert raised and lowered
+
+
+def test_empty_index_answers_nothing(rules):
+    for index in (GtdIndex(), GtdIndex.build([])):
+        for query in ({}, {"kind:point": 1}, construction_gtd(bare_triangle(), rules)):
+            assert index.dominating(query) == [] and index.dominated(query) == []
+
+
+def test_index_keeps_its_answers_after_a_derived_index_is_made(rules):
+    triangle = construction_gtd(bare_triangle(), rules)
+    with_circle = construction_gtd(triangle_with_circle(), rules)
+    index = GtdIndex.build([triangle])
+    derived = index.with_slot(0, with_circle, triangle).with_slot(1, triangle)
+    assert index.dominating(with_circle) == [] and index.dominated(triangle) == [0]
+    assert derived.dominating(with_circle) == [0] and derived.dominated(triangle) == [1]
+
+
+def test_sixty_collinear_points_leave_one_mask_per_distinct_count(rules):
+    points60 = construction_gtd(collinear_points(60), rules)
+    assert 84_848_490 in points60.values()
+    fingerprints = [points60, construction_gtd(collinear_points(8), rules), points60]
+    for index in (GtdIndex.build(fingerprints), GtdIndex().with_slot(0, points60).with_slot(
+        1, fingerprints[1]).with_slot(2, points60)):
+        for key, (counts, masks) in index._postings.items():
+            assert counts == sorted({stored[key] for stored in fingerprints if key in stored})
+            assert len(masks) == len(counts)
+        assert index.dominating(points60) == [0, 2]
+        assert index.dominated(fingerprints[1]) == [1]
 
 
 # -- serialization ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from geokb.errors import (
     NotFoundError,
     StorageError,
 )
-from geokb.fingerprint import construction_gtd, gtd, serialize_gtd
+from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, serialize_gtd
 from geokb.matching import find_embeddings
 from geokb.model import fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
@@ -39,6 +39,7 @@ from generators import (
     TRIANGLE_WITH_CIRCLE_TEXT,
     bare_triangle,
     concurrent_lines,
+    random_construction,
     triangle_with_circle,
 )
 from oracles import brute_force_embeds
@@ -891,16 +892,96 @@ def test_concurrent_readers_during_writes(fresh_seeded_repo):
     assert len(fresh_seeded_repo) == len(ENTRIES) + 10
 
 
-def test_writes_publish_a_new_records_dict_and_leave_the_old_one_alone(fresh_seeded_repo):
+def test_writes_publish_a_new_records_dict_and_leave_the_old_one_alone(fresh_seeded_repo, rules):
     repo = fresh_seeded_repo
+    triangle = construction_gtd(bare_triangle(), rules)
+    old = repo._snapshot
     before = repo._records
     snapshot = dict(before)
+    old_hits = old.identifiers_in(old.index.dominating(triangle))
+    assert "GEO0281" in old_hits
     identifier = repo.insert(replace(TRIANGLE_DRAFT, name="Snapshot triangle"), force=True)
-    repo.update("GEO0281", replace(repo.get("GEO0281"), name="Renamed incircle"))
+    repo.update("GEO0281", replace(repo.get("GEO0281"), name="Renamed incircle", code="circle k\n"))
     assert before == snapshot and identifier not in before
     assert repo._records is not before
     assert repo.get("GEO0281").name == "Renamed incircle"
     assert repo.text_query("Snapshot") == [identifier]
+    # the snapshot held before the writes answers from its own records and index
+    assert old.records is before
+    assert old.identifiers_in(old.index.dominating(triangle)) == old_hits
+    new = repo._snapshot
+    new_hits = new.identifiers_in(new.index.dominating(triangle))
+    assert new_hits == sorted({*old_hits, identifier} - {"GEO0281"})
+    assert [hit for hit, _ in repo.geometric_query(bare_triangle(), confirm=False)] == new_hits
+
+
+def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
+    """Both directions of the published fingerprint index equal a
+    brute-force scan of the published records, and so does an unconfirmed
+    geometric query's list, with and without a filter."""
+    snapshot = repo._snapshot
+    records = snapshot.records
+    assert sorted(snapshot.identifiers) == sorted(records) and len(snapshot.identifiers) == len(records)
+    level3 = parse_filters("level=3")
+    for fingerprint in queries:
+        dominating = sorted(i for i, r in records.items() if gtd_subsumes(r.fingerprint, fingerprint))
+        dominated = sorted(i for i, r in records.items() if gtd_subsumes(fingerprint, r.fingerprint))
+        assert snapshot.identifiers_in(snapshot.index.dominating(fingerprint)) == dominating
+        assert snapshot.identifiers_in(snapshot.index.dominated(fingerprint)) == dominated
+    for code in ("point P\n", "point P\nline l\nincident(P, l)\n", BARE_TRIANGLE_TEXT):
+        query = parse_construction(code)
+        fingerprint = construction_gtd(query, repo.ruleset)
+        dominating = sorted(i for i, r in records.items() if gtd_subsumes(r.fingerprint, fingerprint))
+        assert [i for i, _ in repo.geometric_query(query, confirm=False)] == dominating
+        assert [i for i, _ in repo.geometric_query(query, level3, confirm=False)] == [
+            i for i in dominating if records[i].entry.level == 3
+        ]
+
+
+def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules):
+    """Inserts under identifiers that sort before stored ones (``AAA...``,
+    ``GEO10000`` before ``GEO2...``) and store-assigned ones, and updates
+    that raise and lower counts: after each write the index equals a scan,
+    and a store loaded again from the files answers as the written one."""
+    rng = random.Random(0xB17)
+    repo = Repository(tmp_path / "data")
+    probes = [{}, {"kind:nowhere": 1}, construction_gtd(bare_triangle(), rules)]
+    _assert_index_agrees_with_a_scan(repo, probes)
+    names = iter([f"GEO2{n:03d}" for n in range(8)] + [f"AAA{n:03d}" for n in range(8)]
+                 + [f"GEO1000{n}" for n in range(8)])
+    raised = lowered = False
+    for step in range(45):
+        draft = ProblemEntry(name=f"Entry {step}", code=serialize_construction(random_construction(rng)),
+                             level=rng.randint(1, 5))
+        stored = repo.list_all()
+        if stored and step % 3 == 2:
+            identifier = rng.choice(stored)
+            previous = repo._records[identifier].fingerprint
+            repo.update(identifier, draft)
+            fingerprint = repo._records[identifier].fingerprint
+            raised |= any(n > previous.get(key, 0) for key, n in fingerprint.items())
+            lowered |= any(n < fingerprint.get(key, 0) for key, n in previous.items())
+        else:
+            repo.insert(replace(draft, identifier=next(names, "")), force=True)
+        fingerprints = [r.fingerprint for r in repo._records.values()]
+        keys = sorted({key for fingerprint in fingerprints for key in fingerprint})
+        key = rng.choice(keys) if keys else "kind:point"
+        above = {key: max(f.get(key, 0) for f in fingerprints) + 1}
+        picked = rng.choice(fingerprints)
+        halved = {k: (n + 1) // 2 for k, n in picked.items()}
+        _assert_index_agrees_with_a_scan(repo, [*probes, above, picked, halved])
+    assert raised and lowered
+    assert any(i.startswith("AAA") for i in repo.list_all()) and "GEO0001" in repo.list_all()
+    reloaded = Repository(repo.data_dir)
+    queries = [*probes, *(r.fingerprint for r in repo._records.values())]
+    _assert_index_agrees_with_a_scan(reloaded, queries)
+
+    def index_answers(snapshot) -> list:
+        return [(snapshot.identifiers_in(snapshot.index.dominating(fingerprint)),
+                 snapshot.identifiers_in(snapshot.index.dominated(fingerprint))) for fingerprint in queries]
+
+    assert index_answers(reloaded._snapshot) == index_answers(repo._snapshot)
+    assert _answers(reloaded) == _answers(repo)
 
 
 #: seconds a worker thread of a test may take
