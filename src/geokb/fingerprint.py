@@ -106,8 +106,9 @@ class GtdIndex:
     per key, whatever the number of slots, in the filter-then-verify style
     of gIndex (Yan, Yu and Han, SIGMOD 2004).
 
-    Never changed once built: :meth:`with_slot` derives a new index, so a
-    reader holding this one keeps its answers.
+    Never changed once built: :meth:`with_slot` derives a new index with
+    one more slot, so a reader holding this one keeps its answers.  Slots
+    are only ever added, so a mask only ever gains bits.
     """
 
     __slots__ = ("size", "_postings")
@@ -142,22 +143,12 @@ class GtdIndex:
             postings[key] = (counts, masks)
         return cls(len(fingerprints), postings)
 
-    def with_slot(self, slot: int, fingerprint: Gtd, previous: Gtd | None = None) -> GtdIndex:
-        """A new index holding ``fingerprint`` in ``slot``: the next unused
-        slot, or a slot in use whose fingerprint, ``previous``, it replaces.
-        Only the postings of the two fingerprints' keys are copied."""
+    def with_slot(self, fingerprint: Gtd) -> GtdIndex:
+        """A new index holding ``fingerprint`` in the next slot, ``size``.
+        A slot is never rewritten, so this only sets bits; only the postings
+        of the fingerprint's keys are copied, the rest are shared."""
         postings = dict(self._postings)
-        bit = 1 << slot
-        for key, n in (previous or {}).items():
-            counts, masks = postings[key]
-            i = bisect_left(counts, n)
-            masks = [mask & ~bit for mask in masks[: i + 1]] + masks[i + 1 :]
-            if masks[i] == (masks[i + 1] if i + 1 < len(masks) else 0):  # no slot holds n now
-                counts, masks = counts[:i] + counts[i + 1 :], masks[:i] + masks[i + 1 :]
-            if counts:
-                postings[key] = (counts, masks)
-            else:
-                del postings[key]
+        bit = 1 << self.size
         for key, n in fingerprint.items():
             counts, masks = postings.get(key, ([], []))
             i = bisect_left(counts, n)
@@ -165,7 +156,7 @@ class GtdIndex:
                 counts = counts[:i] + [n] + counts[i:]
                 masks = masks[:i] + [masks[i] if i < len(masks) else 0] + masks[i:]
             postings[key] = (counts, [mask | bit for mask in masks[: i + 1]] + masks[i + 1 :])
-        return GtdIndex(max(self.size, slot + 1), postings)
+        return GtdIndex(self.size + 1, postings)
 
     def dominating(self, fingerprint: Gtd) -> list[int]:
         """The slots whose fingerprint dominates ``fingerprint``

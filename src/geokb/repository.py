@@ -16,22 +16,25 @@ At startup a document whose digest matches is trusted: its record is built
 from those members, with no parsing, closure or fingerprinting.  Any other
 document (an older version, a changed rule set, an edited or malformed
 cache member) is analysed again from its code, logged as a stale cache and
-rewritten.  A file that is not an entry document, or holds an unknown
-member or an entry :class:`ProblemEntry` refuses, is skipped with an error
-log and left on disk, and its identifier stays taken.
+rewritten; if the rewrite fails, the entry is served from that analysis
+and the file is left as it is, with an error log.  A file that is not an
+entry document, or holds an unknown member or an entry
+:class:`ProblemEntry` refuses, is skipped with an error log and left on
+disk, and its identifier stays taken.
 :meth:`Repository.check_cache_coherence` is the full check: it compares
 every record with an analysis of its code.
 
 In memory each entry has one immutable record, built the same way by
-loading, inserting and updating: the entry, its closed construction
-prepared for matching (:func:`~geokb.matching.prepare`), its fingerprint,
-its weighted text terms (:func:`~geokb.textindex.terms`) and its member of
-a query answer, already encoded (:func:`hit_member`).  Each entry also
-takes a slot of a :class:`~geokb.fingerprint.GtdIndex` over the
-fingerprints, the next one when it is inserted, and keeps it through
-updates.  The records, the identifier in each slot and the index form one
-snapshot that is replaced whole on every write and never mutated once
-published, so a reader takes it with one attribute read and no lock.
+loading and inserting: the entry, its closed construction prepared for
+matching (:func:`~geokb.matching.prepare`), its fingerprint, its weighted
+text terms (:func:`~geokb.textindex.terms`) and its member of a query
+answer, already encoded (:func:`hit_member`).  Each entry also takes a
+slot of a :class:`~geokb.fingerprint.GtdIndex` over the fingerprints, the
+next one when it is inserted.  The store is append-only: it never changes
+or removes an entry it holds (to correct one, edit its file while the
+store is closed).  The records, the identifier in each slot and the index
+form one snapshot that is replaced whole on every insert and never mutated
+once published, so a reader takes it with one attribute read and no lock.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -327,12 +330,12 @@ class Repository:
 
     Readers take no lock: each query reads ``_snapshot`` (the records and
     their fingerprint index) once and works on it, and no one mutates it.
-    Writers (:meth:`insert` and :meth:`update`) hold one lock from the
-    identifier and duplicate checks to publishing a new snapshot with their
-    record, so two writers never pass the gate on the same state, and a
-    reader sees all of a write or none of it.  A request's analysis
-    (parsing, closure and fingerprint) reads no stored state, so it runs
-    before the lock is taken.
+    Writers (:meth:`insert`) hold one lock from the identifier and
+    duplicate checks to publishing a new snapshot with their record, so two
+    writers never pass the gate on the same state, and a reader sees all of
+    a write or none of it.  A published record is never replaced.  A
+    request's analysis (parsing, closure and fingerprint) reads no stored
+    state, so it runs before the lock is taken.
     """
 
     def __init__(self, data_dir: str | os.PathLike[str], ruleset: RuleSet | None = None):
@@ -342,7 +345,7 @@ class Repository:
         self._rules = default_rules() if ruleset is None else ruleset
         #: held by writers only
         self._lock = threading.Lock()
-        #: replaced whole by each write, never mutated once published
+        #: replaced whole by each insert, never mutated once published
         self._snapshot = _Snapshot({}, (), GtdIndex())
         #: stems of entry files that failed to load; never reused
         self._quarantined: set[str] = set()
@@ -386,24 +389,14 @@ class Repository:
                 continue
             if record is None:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
-                record = self._store(entry, side, fingerprint)
+                try:
+                    record = self._store(entry, side, fingerprint)
+                except StorageError as exc:
+                    log.error("entry file %s left stale, served from its code: %s", path.name, exc)
+                    record = _new_record(entry, side, fingerprint)
             records[entry.identifier] = record
         fingerprints = [record.fingerprint for record in records.values()]
         self._snapshot = _Snapshot(records, tuple(records), GtdIndex.build(fingerprints))
-
-    def _publish(self, identifier: str, record: _Record) -> None:
-        """Publish a new snapshot with ``record`` stored under
-        ``identifier``: a new identifier takes the next slot, a stored one
-        keeps its slot.  Writers only, under the lock."""
-        old = self._snapshot
-        previous = old.records.get(identifier)
-        identifiers = old.identifiers
-        if previous is None:
-            slot, identifiers, replaced = len(identifiers), (*identifiers, identifier), None
-        else:
-            slot, replaced = identifiers.index(identifier), previous.fingerprint
-        index = old.index.with_slot(slot, record.fingerprint, replaced)
-        self._snapshot = _Snapshot({**old.records, identifier: record}, identifiers, index)
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
         """An entry file's entry and document; raises StorageError or
@@ -513,7 +506,7 @@ class Repository:
                 contained.append(identifier)
         return DuplicateReport(tuple(exact), tuple(containing), tuple(contained))
 
-    # -- mutations ---------------------------------------------------------
+    # -- inserts -----------------------------------------------------------
 
     def insert(self, draft: ProblemEntry, force: bool = False) -> str | DuplicateReport:
         """Store a draft unless the duplicate gate blocks it.
@@ -545,19 +538,13 @@ class Repository:
                         ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
                     )
             record = self._store(replace(draft, identifier=identifier), side, fingerprint)
-            self._publish(identifier, record)
+            old = self._snapshot
+            self._snapshot = _Snapshot(
+                {**old.records, identifier: record},
+                (*old.identifiers, identifier),
+                old.index.with_slot(fingerprint),
+            )
             return identifier
-
-    def update(self, identifier: str, draft: ProblemEntry) -> None:
-        """Replace an entry's fields; the identifier itself cannot change."""
-        side, fingerprint = self._analyze(parse_construction(draft.code))
-        with self._lock:
-            if identifier not in self._records:
-                raise NotFoundError(f"no entry {identifier!r}")
-            if draft.identifier and draft.identifier != identifier:
-                raise IdentifierCollisionError("an entry's identifier cannot change")
-            record = self._store(replace(draft, identifier=identifier), side, fingerprint)
-            self._publish(identifier, record)
 
     # -- queries -----------------------------------------------------------
 
@@ -569,7 +556,8 @@ class Repository:
 
     def hits(self, identifiers: list[str]) -> list[bytes]:
         """Each entry's member of a query answer (:func:`hit_member`), in the
-        order given."""
+        order given.  Identifiers from any earlier snapshot are valid, since
+        a record is never replaced or removed."""
         records = self._records
         return [records[identifier].hit for identifier in identifiers]
 

@@ -147,6 +147,30 @@ def induced_subconstruction(
     return Construction(objects, facts)
 
 
+#: every way :func:`write_kinds` names, which a test of growth should meet
+WRITE_KINDS = frozenset({"new key", "below", "between", "above", "repeat"})
+
+
+def write_kinds(stored: list[dict[str, int]], fingerprint: dict[str, int]) -> set[str]:
+    """How a fingerprint appended after ``stored`` meets them: ``repeat``
+    if it equals a stored fingerprint, and for each of its keys ``new
+    key`` (no stored fingerprint has it), or ``below``, ``between`` or
+    ``above`` the key's stored counts (a count equal to a stored one is
+    none of these)."""
+    kinds = {"repeat"} if fingerprint in stored else set()
+    for key, n in fingerprint.items():
+        counts = sorted({f[key] for f in stored if key in f})
+        if not counts:
+            kinds.add("new key")
+        elif n < counts[0]:
+            kinds.add("below")
+        elif n > counts[-1]:
+            kinds.add("above")
+        elif n not in counts:
+            kinds.add("between")
+    return kinds
+
+
 #: characters JSON and UTF-8 treat specially: non-ASCII (one astral), quotes,
 #: backslashes, controls, and lone surrogates, high and low
 AWKWARD_CHARS = 'aZ0 ãéçõ中😀"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udbff\udc00\udfff'

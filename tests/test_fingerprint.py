@@ -18,12 +18,14 @@ from geokb.model import EMPTY_CONSTRUCTION, fact, parse_construction
 from geokb.rules import closure
 
 from generators import (
+    WRITE_KINDS,
     bare_triangle,
     collinear_points,
     induced_subconstruction,
     parallel_chain,
     random_construction,
     triangle_with_circle,
+    write_kinds,
 )
 from oracles import pairwise_gtd
 
@@ -189,29 +191,50 @@ def _probe_queries(rng: random.Random, fingerprints, rules) -> list[dict[str, in
 
 
 def test_index_agrees_with_a_scan_as_slots_are_written(rules):
-    """A seeded sequence of new slots and rewritten ones, with counts raised
-    and lowered: after each write, both directions equal a brute-force scan,
-    and the derived index equals one built from scratch."""
+    """A seeded sequence of appended slots: fresh fingerprints, exact
+    repeats of stored ones and stored ones with one count changed, which
+    bring new keys and counts below, between and above a key's stored
+    counts.  After each write both directions equal a brute-force scan, and
+    the derived index equals one built from scratch."""
     rng = random.Random(0x1DE)
     fingerprints: list[dict[str, int]] = []
     index = GtdIndex()
-    raised = lowered = False
+    seen: set[str] = set()
     for _ in range(80):
         fingerprint = construction_gtd(random_construction(rng), rules)
-        if fingerprints and rng.random() < 0.4:
-            slot = rng.randrange(len(fingerprints))
-            previous = fingerprints[slot]
-            raised |= any(n > previous.get(key, 0) for key, n in fingerprint.items())
-            lowered |= any(n < previous[key] for key, n in fingerprint.items() if key in previous)
-            index = index.with_slot(slot, fingerprint, previous)
-            fingerprints[slot] = fingerprint
-        else:
-            index = index.with_slot(len(fingerprints), fingerprint)
-            fingerprints.append(fingerprint)
+        if fingerprints and rng.random() < 0.5:
+            fingerprint = dict(rng.choice(fingerprints))
+            if fingerprint and rng.random() < 0.6:
+                key = rng.choice(sorted(fingerprint))
+                fingerprint[key] = rng.randint(1, 2 * fingerprint[key] + 1)
+        seen |= write_kinds(fingerprints, fingerprint)
+        index = index.with_slot(fingerprint)
+        fingerprints.append(fingerprint)
+        assert index.size == len(fingerprints)
         assert index._postings == GtdIndex.build(fingerprints)._postings
         for query in _probe_queries(rng, fingerprints, rules):
             assert (index.dominating(query), index.dominated(query)) == _scan(fingerprints, query)
-    assert raised and lowered
+    assert seen == WRITE_KINDS
+
+
+def test_a_slot_write_copies_only_its_own_keys(rules):
+    """The cost of a write grows with the entry, not with the store: the
+    derived index shares the parent's postings of every key the new
+    fingerprint lacks, and the parent keeps its answers."""
+    rng = random.Random(0xC0B)
+    fingerprints = [construction_gtd(random_construction(rng), rules) for _ in range(30)]
+    parent = GtdIndex.build(fingerprints)
+    postings = dict(parent._postings)
+    queries = [{}, *fingerprints]
+    answers = [(parent.dominating(query), parent.dominated(query)) for query in queries]
+    triangle = construction_gtd(bare_triangle(), rules)
+    for fingerprint in ({}, {"kind:nowhere": 1}, fingerprints[3], triangle):
+        child = parent.with_slot(fingerprint)
+        lacking = [key for key in postings if key not in fingerprint]
+        assert lacking and all(child._postings[key] is postings[key] for key in lacking)
+        assert all(child._postings[key] is not postings.get(key) for key in fingerprint)
+        assert parent.size == len(fingerprints) and parent._postings == postings
+        assert [(parent.dominating(query), parent.dominated(query)) for query in queries] == answers
 
 
 def test_empty_index_answers_nothing(rules):
@@ -224,17 +247,17 @@ def test_index_keeps_its_answers_after_a_derived_index_is_made(rules):
     triangle = construction_gtd(bare_triangle(), rules)
     with_circle = construction_gtd(triangle_with_circle(), rules)
     index = GtdIndex.build([triangle])
-    derived = index.with_slot(0, with_circle, triangle).with_slot(1, triangle)
+    derived = index.with_slot(with_circle).with_slot(triangle)
     assert index.dominating(with_circle) == [] and index.dominated(triangle) == [0]
-    assert derived.dominating(with_circle) == [0] and derived.dominated(triangle) == [1]
+    assert derived.dominating(with_circle) == [1] and derived.dominated(triangle) == [0, 2]
 
 
 def test_sixty_collinear_points_leave_one_mask_per_distinct_count(rules):
     points60 = construction_gtd(collinear_points(60), rules)
     assert 84_848_490 in points60.values()
     fingerprints = [points60, construction_gtd(collinear_points(8), rules), points60]
-    for index in (GtdIndex.build(fingerprints), GtdIndex().with_slot(0, points60).with_slot(
-        1, fingerprints[1]).with_slot(2, points60)):
+    appended = GtdIndex().with_slot(points60).with_slot(fingerprints[1]).with_slot(points60)
+    for index in (GtdIndex.build(fingerprints), appended):
         for key, (counts, masks) in index._postings.items():
             assert counts == sorted({stored[key] for stored in fingerprints if key in stored})
             assert len(masks) == len(counts)

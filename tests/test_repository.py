@@ -37,10 +37,12 @@ from geokb.rules import RuleSet, closure, default_rules
 from generators import (
     BARE_TRIANGLE_TEXT,
     TRIANGLE_WITH_CIRCLE_TEXT,
+    WRITE_KINDS,
     bare_triangle,
     concurrent_lines,
     random_construction,
     triangle_with_circle,
+    write_kinds,
 )
 from oracles import brute_force_embeds
 
@@ -215,41 +217,52 @@ def test_insert_validates_draft_and_code(tmp_path):
     assert Repository(repo.data_dir).get(identifier).keywords == ("a",)
 
 
-def test_update_revalidates_and_reindexes(fresh_seeded_repo):
-    entry = fresh_seeded_repo.get("GEO0012")
-    fresh_seeded_repo.update("GEO0012", ProblemEntry(
-        name="Renamed Circle Figure",
-        description=entry.description,
-        short_description=entry.short_description,
-        keywords=entry.keywords,
-        code=entry.code,
-        kind=entry.kind,
-        level=entry.level,
-    ))
-    assert fresh_seeded_repo.text_query("renamed circle") == ["GEO0012"]
-    assert fresh_seeded_repo.text_query("^Circle and Diameter$") == []
-    assert fresh_seeded_repo.check_cache_coherence() == []
-    with pytest.raises(NotFoundError):
-        fresh_seeded_repo.update("GEO9999", entry)
-    with pytest.raises(IdentifierCollisionError):
-        fresh_seeded_repo.update("GEO0012", ProblemEntry(identifier="GEO0013", code=""))
+def test_an_entry_renamed_in_its_file_is_trusted_under_the_new_name(fresh_seeded_repo, caplog):
+    """The store never changes an entry it holds; an entry is corrected by
+    editing its file while the store is closed.  ``Name`` is not under the
+    digest, so the edited file is trusted as it is."""
+    path = fresh_seeded_repo.data_dir / "entries" / "GEO0012.json"
+    _edit_entry(fresh_seeded_repo.data_dir, "GEO0012", lambda doc: {**doc, "Name": "Renamed Circle"})
+    edited = path.read_bytes()
+    with caplog.at_level("WARNING"):
+        reloaded = Repository(fresh_seeded_repo.data_dir)
+    assert not caplog.records and path.read_bytes() == edited
+    assert reloaded.text_query("renamed circle") == ["GEO0012"]
+    assert reloaded.text_query("renamed", mode="extended") == ["GEO0012"]
+    assert reloaded.text_query("^Circle and Diameter$") == []
+    [hit] = reloaded.hits(["GEO0012"])
+    assert json.loads(b"{" + hit + b"}")["GEO0012"]["Name"] == "Renamed Circle"
+    assert reloaded.check_cache_coherence() == []
 
 
-def test_update_replaces_what_queries_and_the_gate_see(fresh_seeded_repo):
+def test_an_entry_whose_code_is_edited_in_its_file_is_analysed_again(fresh_seeded_repo, caplog):
+    """An edited ``Code`` no longer matches the digest: the reload analyses
+    the entry again and rewrites its file, and geometric queries and the
+    duplicate gate see the new construction."""
     repo = fresh_seeded_repo
     hits = {i for i, _ in repo.geometric_query(bare_triangle())}
     gained = next(i for i in repo.list_all() if i not in hits)
     assert "GEO0281" in hits
     for identifier, code in (("GEO0281", "circle k\n"), (gained, BARE_TRIANGLE_TEXT)):
-        entry = repo.get(identifier)
-        repo.update(identifier, replace(entry, identifier="", code=code))
-    after = dict(repo.geometric_query(bare_triangle()))
+        _edit_entry(repo.data_dir, identifier, lambda doc, code=code: {**doc, "Code": code})
+    with caplog.at_level("WARNING"):
+        reloaded = Repository(repo.data_dir)
+    assert _refreshed(caplog) == [
+        f"refreshing stale fingerprint cache of {i}" for i in sorted(("GEO0281", gained))
+    ]
+    assert reloaded.check_cache_coherence() == []
+    after = dict(reloaded.geometric_query(bare_triangle()))
     assert "GEO0281" not in after
     assert after[gained].as_dict() == {n: n for n in bare_triangle().kinds}
-    report = repo.find_duplicates(bare_triangle())
+    report = reloaded.find_duplicates(bare_triangle())
     assert gained in report.exact_duplicates
     assert "GEO0281" not in report.exact_duplicates + report.containing_entries
-    assert "GEO0281" in repo.find_duplicates(parse_construction("circle k\n")).exact_duplicates
+    assert "GEO0281" in reloaded.find_duplicates(parse_construction("circle k\n")).exact_duplicates
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        again = Repository(repo.data_dir)
+    assert not caplog.records  # the rewritten files are trusted
+    assert _answers(again) == _answers(reloaded)
 
 
 def test_reloaded_witnesses_equal_direct_matching(fresh_seeded_repo):
@@ -505,6 +518,34 @@ def test_stale_cache_is_repaired_on_startup(fresh_seeded_repo, caplog):
     assert "refreshing stale fingerprint cache" in caplog.text
     assert reloaded.check_cache_coherence() == []
     assert _entry_document(reloaded, "GEO0281")["GTD"] == stored
+
+
+def test_a_stale_entry_that_cannot_be_rewritten_is_served_from_its_code(
+    fresh_seeded_repo, caplog, monkeypatch
+):
+    """Startup survives an entry file it cannot rewrite: the entry is
+    served from a fresh analysis of its code, an error names the file, and
+    the file is left as it is."""
+    entries = fresh_seeded_repo.data_dir / "entries"
+    _edit_entry(fresh_seeded_repo.data_dir, "GEO0001", lambda doc: {**doc, "Code": BARE_TRIANGLE_TEXT})
+    edited = (entries / "GEO0001.json").read_bytes()
+
+    def refuse(source, target):
+        raise PermissionError("read-only store")
+
+    monkeypatch.setattr("geokb.repository.os.replace", refuse)
+    with caplog.at_level("WARNING"):
+        repo = Repository(fresh_seeded_repo.data_dir)
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "GEO0001.json" in error and "read-only store" in error
+    assert repo.list_all() == fresh_seeded_repo.list_all()
+    assert (entries / "GEO0001.json").read_bytes() == edited
+    assert sorted(p.name for p in entries.iterdir()) == [f"{i}.json" for i in repo.list_all()]
+    assert repo.get("GEO0001").code == BARE_TRIANGLE_TEXT and repo.check_cache_coherence() == []
+    assert dict(repo.geometric_query(bare_triangle()))["GEO0001"].as_dict() == {
+        n: n for n in bare_triangle().kinds
+    }
+    assert "GEO0001" in repo.insert(TRIANGLE_DRAFT).exact_duplicates
 
 
 def test_corrupt_entry_file_is_quarantined(fresh_seeded_repo, caplog):
@@ -901,18 +942,20 @@ def test_writes_publish_a_new_records_dict_and_leave_the_old_one_alone(fresh_see
     old_hits = old.identifiers_in(old.index.dominating(triangle))
     assert "GEO0281" in old_hits
     identifier = repo.insert(replace(TRIANGLE_DRAFT, name="Snapshot triangle"), force=True)
-    repo.update("GEO0281", replace(repo.get("GEO0281"), name="Renamed incircle", code="circle k\n"))
-    assert before == snapshot and identifier not in before
+    circle = repo.insert(ProblemEntry(name="Snapshot circle", code="circle k\n"), force=True)
+    assert before == snapshot and identifier not in before and circle not in before
     assert repo._records is not before
-    assert repo.get("GEO0281").name == "Renamed incircle"
-    assert repo.text_query("Snapshot") == [identifier]
+    assert repo.text_query("Snapshot") == sorted([identifier, circle])
     # the snapshot held before the writes answers from its own records and index
     assert old.records is before
     assert old.identifiers_in(old.index.dominating(triangle)) == old_hits
     new = repo._snapshot
     new_hits = new.identifiers_in(new.index.dominating(triangle))
-    assert new_hits == sorted({*old_hits, identifier} - {"GEO0281"})
+    assert new_hits == sorted({*old_hits, identifier})
     assert [hit for hit, _ in repo.geometric_query(bare_triangle(), confirm=False)] == new_hits
+    # a write only adds: every record of the old snapshot is in the new one
+    assert all(new.records[i] is record for i, record in before.items())
+    assert new.identifiers[: len(old.identifiers)] == old.identifiers
 
 
 def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
@@ -940,37 +983,35 @@ def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
 
 def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules):
     """Inserts under identifiers that sort before stored ones (``AAA...``,
-    ``GEO10000`` before ``GEO2...``) and store-assigned ones, and updates
-    that raise and lower counts: after each write the index equals a scan,
-    and a store loaded again from the files answers as the written one."""
+    ``GEO10000`` before ``GEO2...``) and store-assigned ones, of fresh
+    constructions and exact repeats of stored ones, which bring new keys
+    and counts below, between and above a key's stored counts: after each
+    insert the index equals a scan, and a store loaded again from the
+    files answers as the written one."""
     rng = random.Random(0xB17)
     repo = Repository(tmp_path / "data")
     probes = [{}, {"kind:nowhere": 1}, construction_gtd(bare_triangle(), rules)]
     _assert_index_agrees_with_a_scan(repo, probes)
     names = iter([f"GEO2{n:03d}" for n in range(8)] + [f"AAA{n:03d}" for n in range(8)]
                  + [f"GEO1000{n}" for n in range(8)])
-    raised = lowered = False
+    seen: set[str] = set()
     for step in range(45):
-        draft = ProblemEntry(name=f"Entry {step}", code=serialize_construction(random_construction(rng)),
-                             level=rng.randint(1, 5))
-        stored = repo.list_all()
+        stored = [r.fingerprint for r in repo._records.values()]
+        code = serialize_construction(random_construction(rng))
         if stored and step % 3 == 2:
-            identifier = rng.choice(stored)
-            previous = repo._records[identifier].fingerprint
-            repo.update(identifier, draft)
-            fingerprint = repo._records[identifier].fingerprint
-            raised |= any(n > previous.get(key, 0) for key, n in fingerprint.items())
-            lowered |= any(n < fingerprint.get(key, 0) for key, n in previous.items())
-        else:
-            repo.insert(replace(draft, identifier=next(names, "")), force=True)
-        fingerprints = [r.fingerprint for r in repo._records.values()]
+            code = repo.get(rng.choice(repo.list_all())).code
+        draft = ProblemEntry(identifier=next(names, ""), name=f"Entry {step}", code=code,
+                             level=rng.randint(1, 5))
+        identifier = repo.insert(draft, force=True)
+        seen |= write_kinds(stored, repo._records[identifier].fingerprint)
+        fingerprints = [*stored, repo._records[identifier].fingerprint]
         keys = sorted({key for fingerprint in fingerprints for key in fingerprint})
         key = rng.choice(keys) if keys else "kind:point"
         above = {key: max(f.get(key, 0) for f in fingerprints) + 1}
         picked = rng.choice(fingerprints)
         halved = {k: (n + 1) // 2 for k, n in picked.items()}
         _assert_index_agrees_with_a_scan(repo, [*probes, above, picked, halved])
-    assert raised and lowered
+    assert seen == WRITE_KINDS
     assert any(i.startswith("AAA") for i in repo.list_all()) and "GEO0001" in repo.list_all()
     reloaded = Repository(repo.data_dir)
     queries = [*probes, *(r.fingerprint for r in repo._records.values())]
