@@ -27,11 +27,10 @@ def client_query(
     try:
         with socket.create_connection((host, int(port)), timeout=timeout) as sock:
             sock.sendall(payload)
-            while b"\n" not in buffer:
-                chunk = sock.recv(_CHUNK)
-                if not chunk:
-                    break
+            while chunk := sock.recv(_CHUNK):
                 buffer.extend(chunk)
+                if b"\n" in chunk:  # the line ends in the newest chunk, if at all
+                    break
     except OSError as exc:
         # a server that closes without reading the request resets the connection
         if buffer or not isinstance(exc, (ConnectionResetError, BrokenPipeError)):

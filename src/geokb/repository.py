@@ -467,13 +467,19 @@ class Repository:
 
     # -- duplicate gate ----------------------------------------------------
 
-    def _confirm(self, query: MatchSide, target: MatchSide, context: str) -> Embedding | None:
+    def _confirm(
+        self, query: MatchSide, target: MatchSide, identifier: str, direction: str
+    ) -> Embedding | None:
         """One embedding of ``query`` into ``target``, or None if there is
-        none or the match budget runs out, which is logged with ``context``."""
+        none or the match budget runs out, which is logged with ``direction``
+        (such as ``"query against {}"``) filled in with ``identifier``."""
         try:
             found = embed_closed(query, target, 1, budget=DEFAULT_BUDGET)
         except SearchBudgetExceeded:
-            log.warning("match budget exhausted while checking %s; treating as no match", context)
+            log.warning(
+                "match budget exhausted while checking %s; treating as no match",
+                direction.format(identifier),
+            )
             return None
         return found[0] if found else None
 
@@ -495,9 +501,9 @@ class Repository:
             target = records[identifier].side
             forward = backward = False
             if identifier in dominating:
-                forward = self._confirm(side, target, f"draft against {identifier}") is not None
+                forward = self._confirm(side, target, identifier, "draft against {}") is not None
             if identifier in dominated:
-                backward = self._confirm(target, side, f"{identifier} against draft") is not None
+                backward = self._confirm(target, side, identifier, "{} against draft") is not None
             if forward and backward:
                 exact.append(identifier)
             elif forward:
@@ -610,7 +616,7 @@ class Repository:
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
         for identifier in candidates:
-            found = self._confirm(side, records[identifier].side, f"query against {identifier}")
+            found = self._confirm(side, records[identifier].side, identifier, "query against {}")
             if found is not None:
                 results.append((identifier, found))
         return results

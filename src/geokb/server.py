@@ -7,13 +7,22 @@ connection.  A query's answer joins the hits' members as the repository
 keeps them, encoded, so a hit costs no encoding per request.  Per-request
 failures of any sort produce an ``Error`` response rather than a dropped
 connection, so one bad client request never poisons the next one.
+
+A connection has a handler thread to itself while it is served.  A thread
+that has served one waits for the next instead of exiting, and a new
+connection goes to the thread that became idle last, so a closed-loop
+client keeps one thread; a new thread starts only when none is idle, so no
+connection waits behind another.  At most :data:`IDLE_THREADS` threads wait.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
+import queue
 import socket
 import socketserver
+import threading
 import time
 from pathlib import Path
 from typing import NoReturn
@@ -32,6 +41,9 @@ MAX_REQUEST_BYTES = 4 * 1024 * 1024
 CONNECTION_TIMEOUT = 30.0
 #: pending connections queued by the kernel; socketserver's 5 made bursts wait out SYN retries
 LISTEN_BACKLOG = 128
+#: handler threads kept waiting for a connection; one that finishes while
+#: this many wait exits instead
+IDLE_THREADS = 8
 
 
 def handle_request(repository: Repository, data: bytes) -> bytes:
@@ -98,18 +110,23 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
 
-class GeoServer(socketserver.ThreadingTCPServer):
-    """A repository's TCP server, listening once built, with a thread per
-    connection.  Leaving a ``with`` block calls :meth:`server_close` only;
-    a caller running :meth:`serve_forever` in another thread calls
-    :meth:`shutdown` first, which waits for that loop to stop."""
+class GeoServer(socketserver.TCPServer):
+    """A repository's TCP server, listening once built.  A connection goes
+    to the handler thread that became idle last, or to a new thread when
+    none is idle; see the module docstring.  Leaving a ``with`` block calls
+    :meth:`server_close` only; a caller running :meth:`serve_forever` in
+    another thread calls :meth:`shutdown` first, which waits for that loop
+    to stop."""
 
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, repository: Repository, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
         self.repository = repository
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # idle threads' inboxes, the last idle on top
+        self._threads: set[threading.Thread] = set()
+        self._closed = False
         super().__init__((host, port), _Handler)
 
     @property
@@ -119,6 +136,51 @@ class GeoServer(socketserver.ThreadingTCPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request: socket.socket, client_address: tuple) -> None:
+        job = (request, client_address)
+        with self._lock:
+            if self._idle:
+                self._idle.pop().put(job)
+                return
+            thread = threading.Thread(target=self._work, args=(job,), daemon=True)
+            self._threads.add(thread)
+        thread.start()
+
+    def _work(self, job: tuple[socket.socket, tuple] | None) -> None:
+        """Serve connections until the server closes or, after one, the
+        idle stack is full; ``None`` in the inbox ends an idle thread."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        try:
+            while job is not None:
+                request, client_address = job
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:  # noqa: BLE001 - the thread serves the next connection
+                    self.handle_error(request, client_address)
+                with self._lock:
+                    stays = not self._closed and len(self._idle) < IDLE_THREADS
+                    if stays:
+                        self._idle.append(inbox)
+                # idle before the close: a client that sees the end of its
+                # answer's stream and connects again finds this thread
+                self.shutdown_request(request)
+                job = inbox.get() if stays else None
+        finally:
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+
+    def server_close(self) -> None:
+        """Close the socket, end the idle threads and wait for the busy ones."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+            threads = list(self._threads)
+        for inbox in idle:
+            inbox.put(None)
+        for thread in threads:
+            thread.join()
 
 
 def serve(
@@ -131,6 +193,9 @@ def serve(
     signalled.  Binding failures propagate as ``OSError``."""
     ruleset = load_rules(Path(rules_path).read_text(encoding="utf-8")) if rules_path else None
     repository = Repository(data_dir, ruleset=ruleset)
+    # the loaded records live as long as the process: keep them out of the
+    # collector's full passes, which would otherwise walk them inside a request
+    gc.freeze()
     log.info("serving %d entries from %s", len(repository), repository.data_dir)
     server = GeoServer(repository, host, port)
     log.info("listening on %s:%d", server.host, server.port)

@@ -473,6 +473,19 @@ def test_budget_exhaustion_drops_confirmed_matches_with_warning(tmp_path, caplog
     assert repo.geometric_query(bare_triangle(), confirm=False)
 
 
+def test_budget_warning_names_the_entry_in_each_direction(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr("geokb.repository.DEFAULT_BUDGET", 0)
+    repo = Repository(tmp_path / "data")
+    seed_repository(repo)
+    with caplog.at_level("WARNING"):
+        repo.geometric_query(bare_triangle(), confirm=True)
+        # an entry's own figure is a candidate of the gate in both directions
+        assert repo.find_duplicates(repo.construction_of("GEO0281")) == DuplicateReport()
+    messages = {record.getMessage() for record in caplog.records}
+    for checked in ("query against GEO0281", "draft against GEO0281", "GEO0281 against draft"):
+        assert f"match budget exhausted while checking {checked}; treating as no match" in messages
+
+
 # -- persistence -------------------------------------------------------------------
 
 

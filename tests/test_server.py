@@ -4,6 +4,7 @@ import contextlib
 import json
 import random
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from geokb.protocol import (
     encode_request,
 )
 from geokb.repository import DuplicateReport, ProblemEntry, Repository
-from geokb.server import LISTEN_BACKLOG, MAX_REQUEST_BYTES, GeoServer, handle_request
+from geokb.server import IDLE_THREADS, LISTEN_BACKLOG, MAX_REQUEST_BYTES, GeoServer, handle_request
 
 from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT, awkward_text
 from oracles import standard_encoding
@@ -52,16 +53,32 @@ def server(fresh_seeded_repo):
         yield srv
 
 
+@pytest.fixture()
+def handler_threads(monkeypatch):
+    """The threads that ran ``handle_request`` from now on; the references
+    keep them distinct objects."""
+    threads: set[threading.Thread] = set()
+
+    def recording(repository, data):
+        threads.add(threading.current_thread())
+        return handle_request(repository, data)
+
+    monkeypatch.setattr("geokb.server.handle_request", recording)
+    return threads
+
+
+def read_to_eof(sock: socket.socket) -> bytes:
+    data = bytearray()
+    while chunk := sock.recv(65536):
+        data.extend(chunk)
+    return bytes(data)
+
+
 def raw_exchange(server: GeoServer, payload: bytes) -> bytes:
+    """The answer to ``payload``, read until the server closes the connection."""
     with socket.create_connection((server.host, server.port), timeout=5) as sock:
         sock.sendall(payload)
-        data = bytearray()
-        while b"\n" not in data:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            data.extend(chunk)
-    return bytes(data)
+        return read_to_eof(sock)
 
 
 # -- dispatch unit tests -------------------------------------------------------
@@ -377,7 +394,7 @@ def test_with_block_that_never_serves_closes_the_socket(fresh_seeded_repo):
     assert servers[0].socket.fileno() == -1
 
 
-def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seeded_repo):
+def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seeded_repo, handler_threads):
     triangle_hits = [i for i, _ in fresh_seeded_repo.geometric_query(parse_construction(BARE_TRIANGLE_TEXT))]
     requests = [
         (QueryRequest(query="ceva"), ["GEO_CEVA"]),
@@ -401,6 +418,65 @@ def test_sixteen_concurrent_clients_each_get_the_right_answer(server, fresh_seed
     for n, response in answers.items():
         assert isinstance(response, QueryResult), response
         assert [identifier for identifier, _ in response.entries] == requests[n % 2][1]
+    # a thread that finishes while IDLE_THREADS others wait exits
+    deadline = time.monotonic() + 5
+    while sum(t.is_alive() for t in handler_threads) > IDLE_THREADS and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert sum(t.is_alive() for t in handler_threads) <= IDLE_THREADS
+
+
+def test_sequential_requests_are_served_by_one_handler_thread(server, handler_threads):
+    # the server closes a connection only once its thread is idle again, so a
+    # client that reads to the end finds that thread waiting
+    answer = raw_exchange(server, b'{"Query": "ceva"}\n')
+    assert [identifier for identifier, _ in decode_response(answer).entries] == ["GEO_CEVA"]
+    for _ in range(49):
+        assert raw_exchange(server, b'{"Query": "ceva"}\n') == answer
+    assert len(handler_threads) == 1
+
+
+def test_text_query_is_answered_while_more_connections_than_idle_threads_wait(server, handler_threads):
+    # every idle thread and two new ones hold a connection whose line is unfinished
+    slow = [socket.create_connection((server.host, server.port), timeout=5) for _ in range(IDLE_THREADS + 2)]
+    try:
+        for sock in slow:
+            sock.sendall(b'{"Query": ')
+        start = time.perf_counter()
+        response = client_query(server.host, server.port, QueryRequest(query="ceva"))
+        elapsed = time.perf_counter() - start
+        assert [identifier for identifier, _ in response.entries] == ["GEO_CEVA"]
+        assert elapsed < 0.1, f"text query took {elapsed * 1000:.0f} ms"
+        for sock in slow:
+            sock.sendall(b'"ceva"}\n')
+        for sock in slow:
+            assert [identifier for identifier, _ in decode_response(read_to_eof(sock)).entries] == ["GEO_CEVA"]
+    finally:
+        for sock in slow:
+            sock.close()
+    assert len(handler_threads) == IDLE_THREADS + 3
+
+
+def test_no_handler_thread_outlives_the_server(fresh_seeded_repo, handler_threads):
+    # bursts under fast thread switching: an idle-stack push lost or made
+    # twice would leave a connection unanswered or a thread behind
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(fresh_seeded_repo) as srv:
+            for _ in range(5):
+                answers: list[object] = []
+                clients = [threading.Thread(target=lambda: answers.append(
+                    client_query(srv.host, srv.port, QueryRequest(query="ceva"), timeout=10))) for _ in range(12)]
+                for client in clients:
+                    client.start()
+                for client in clients:
+                    client.join(timeout=20)
+                    assert not client.is_alive()
+                assert [[i for i, _ in answer.entries] for answer in answers] == [["GEO_CEVA"]] * 12
+    finally:
+        sys.setswitchinterval(interval)
+    assert handler_threads
+    assert not any(t.is_alive() for t in handler_threads)
 
 
 def test_connection_refused_raises_transport_error():
@@ -409,6 +485,37 @@ def test_connection_refused_raises_transport_error():
         free_port = probe.getsockname()[1]
     with pytest.raises(TransportError):
         client_query("127.0.0.1", free_port, QueryRequest(query="x"), timeout=2)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [b'{"Error": "answer in ', b"pieces", b'"}\n'],
+        [b'{"Error": "answer in pieces"}', b"\n", b"ignored after the line"],
+        [b'{"Error": "answer in pieces"}'],
+    ],
+    ids=["newline-in-last-piece", "newline-alone", "closed-without-newline"],
+)
+def test_client_reads_an_answer_sent_in_pieces(pieces):
+    # the client looks for the end of the line in each new piece only
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                for piece in pieces:
+                    conn.sendall(piece)
+                    time.sleep(0.05)
+
+        sender = threading.Thread(target=answer, daemon=True)
+        sender.start()
+        response = client_query("127.0.0.1", listener.getsockname()[1], QueryRequest(query="x"), timeout=5)
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+    assert response == ErrorResponse("answer in pieces")
 
 
 def test_server_closing_without_response_raises_transport_error():
