@@ -12,18 +12,33 @@ A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
 step the facts whose last argument gets mapped there, each with a getter
 over the steps of its arguments; and the distinct needs (kind and needed
-degrees), since look-alike objects share one.  The search keeps the target
-names it assigns in a list indexed by step, so a check reads its arguments
-by position, and it reads the mapping back by query name only when it has
-found an embedding.  Per target only two things remain: one pass over the
-target's names of each needed kind, keeping those of enough degree, and
+degrees), since look-alike objects share one.  Per target only two things
+remain.  First the need filter, :func:`fitting_names`: one pass over the
+target's names of each needed kind, keeping those of enough degree.  Then
 backtracking over them, checking each scheduled fact by canonical
-membership in the target's closed facts.  Relation nodes need no mapping:
-a fact is determined by its arguments.  An :class:`Embedding` keeps as its
-witness the canonical pairs those checks computed, so confirming a match
-builds no fact object.
+membership in the target's closed facts.  The search keeps the target
+names it assigns in a list indexed by step, so a check reads its arguments
+by position.  Relation nodes need no mapping: a fact is determined by its
+arguments.
 
-Worst-case cost is exponential, so the search carries a step budget,
+One plan and one filter serve two searches, which try the same
+assignments in the same order and count the same steps:
+
+- :func:`embed_closed` finds embeddings with witnesses, for confirmed
+  geometric queries.  It reads the mapping back by query name only when it
+  has found an embedding, and an :class:`Embedding` keeps as its witness
+  the canonical pairs its checks computed, so confirming a match builds no
+  fact object.
+- :func:`embeds_closed` only answers whether one exists, for the duplicate
+  gate, whose report names entries alone.  It keeps no fact keys and builds
+  no embedding.  Its callers may share the filtered names of each need
+  between searches into one target.
+
+The witness search keeps its own loop rather than deriving a witness from
+the plan after a yes/no hit: rebuilding the mapping and the facts afterwards
+made confirmed queries slower than recording them on the way.
+
+Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
 :class:`~geokb.errors.SearchBudgetExceeded` when it runs out; callers that
 cannot wait treat that as "no match" with a warning.
@@ -114,6 +129,87 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     return MatchSide(dict(kinds), facts, degrees, names)
 
 
+def fitting_names(target: MatchSide, need: tuple[str, tuple[tuple[str, int], ...]]) -> list[str]:
+    """The target's names of the need's kind whose degree reaches the
+    need's for every predicate it names, in sorted order."""
+    kind, needed = need
+    target_degree = target.degrees
+    fitting = []
+    for tname in target.names.get(kind, ()):
+        degree = target_degree[tname]
+        for predicate, n in needed:
+            if degree.get(predicate, 0) < n:
+                break
+        else:
+            fitting.append(tname)
+    return fitting
+
+
+def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
+
+
+def embeds_closed(
+    query: MatchSide,
+    target: MatchSide,
+    fitting: dict[tuple, list[str]] | None = None,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Whether the query embeds into the target: the search of
+    :func:`embed_closed` with limit 1, in the same order and under the same
+    budget, but keeping no witness.  ``fitting`` maps each need already
+    filtered over this target to its fitting names (see
+    :func:`fitting_names`); it is filled in as needs are met, so calls that
+    share it for one target filter each need once."""
+    order, schedule, needs, need_of = query.plan
+    if fitting is None:
+        fitting = {}
+    options: list[list[str]] = []
+    for need in needs:
+        names = fitting.get(need)
+        if names is None:
+            names = fitting[need] = fitting_names(target, need)
+        if not names:
+            return False
+        options.append(names)
+    candidates = [options[k] for k in need_of]
+
+    target_facts = target.facts
+    depth = len(order)
+    assigned = [""] * depth  # per step, its target name; read up to the current step only
+    used: set[str] = set()  # the names of the steps before the current one
+    steps = budget
+
+    def extend(i: int) -> bool:
+        nonlocal steps
+        if i == depth:
+            return True
+        checks = schedule[i]
+        for tname in candidates[i]:
+            if tname in used:
+                continue
+            if steps <= 0:
+                raise _budget_exceeded(budget)
+            steps -= 1
+            assigned[i] = tname
+            for predicate, get_args, canonical in checks:
+                mapped = get_args(assigned)
+                if (predicate, mapped if canonical is None else canonical(mapped)) not in target_facts:
+                    break
+            else:
+                used.add(tname)
+                if extend(i + 1):
+                    return True
+                used.discard(tname)
+        return False
+
+    try:
+        return extend(0)
+    finally:
+        del extend  # as in embed_closed: no reference cycle outlives the call
+
+
 def embed_closed(
     query: MatchSide, target: MatchSide, limit: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[Embedding]:
@@ -122,17 +218,10 @@ def embed_closed(
         raise ValueError(f"limit must be positive, got {limit!r}")
 
     order, schedule, needs, need_of = query.plan
-    target_degree, target_facts = target.degrees, target.facts
+    target_facts = target.facts
     options: list[list[str]] = []
-    for kind, needed in needs:
-        fitting = []
-        for tname in target.names.get(kind, ()):
-            degree = target_degree[tname]
-            for predicate, n in needed:
-                if degree.get(predicate, 0) < n:
-                    break
-            else:
-                fitting.append(tname)
+    for need in needs:
+        fitting = fitting_names(target, need)
         if not fitting:
             return []
         options.append(fitting)
@@ -155,9 +244,7 @@ def embed_closed(
             if tname in used:
                 continue
             if steps <= 0:
-                raise SearchBudgetExceeded(
-                    f"embedding search exceeded its budget of {budget} steps"
-                )
+                raise _budget_exceeded(budget)
             steps -= 1
             assigned[i] = tname
             keys = []

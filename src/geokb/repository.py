@@ -50,7 +50,13 @@ a report naming the offenders.  A draft that merely extends stored entries
 (they embed into it) is inserted with a warning, since a richer
 construction legitimately refines a poorer one.  The index gives the gate
 its candidates in both directions: the entries whose fingerprint dominates
-the draft's, and those whose fingerprint the draft's dominates.
+the draft's, and those whose fingerprint the draft's dominates.  The report
+names entries only, so the gate decides containment with the yes/no search
+(:func:`~geokb.matching.embeds_closed`), which builds no witness.  The
+draft is the target of every backward check, so one call keeps the draft's
+names that fit each need of a stored query and filters each need once.  A
+check that runs out of match budget counts as no match, with a warning, in
+the gate as in a confirmed query.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, embeds_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
 from . import textindex
@@ -323,6 +329,12 @@ def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple
     return facts
 
 
+def _budget_exhausted(checked: str) -> None:
+    """Log that a match check ran out of budget; its caller treats it as
+    no match."""
+    log.warning("match budget exhausted while checking %s; treating as no match", checked)
+
+
 class Repository:
     """Persistent entry store bound to a data directory, holding one
     immutable record per entry: the entry, its matching side, its
@@ -467,22 +479,6 @@ class Repository:
 
     # -- duplicate gate ----------------------------------------------------
 
-    def _confirm(
-        self, query: MatchSide, target: MatchSide, identifier: str, direction: str
-    ) -> Embedding | None:
-        """One embedding of ``query`` into ``target``, or None if there is
-        none or the match budget runs out, which is logged with ``direction``
-        (such as ``"query against {}"``) filled in with ``identifier``."""
-        try:
-            found = embed_closed(query, target, 1, budget=DEFAULT_BUDGET)
-        except SearchBudgetExceeded:
-            log.warning(
-                "match budget exhausted while checking %s; treating as no match",
-                direction.format(identifier),
-            )
-            return None
-        return found[0] if found else None
-
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against the stored entries; only
         those the fingerprint index pairs with it in either direction are
@@ -497,13 +493,22 @@ class Repository:
         exact: list[str] = []
         containing: list[str] = []
         contained: list[str] = []
+        # need -> the draft's names that fit it, shared by the backward
+        # searches: the draft is the target of each
+        fitting: dict[tuple, list[str]] = {}
         for identifier in sorted(dominating | dominated):
-            target = records[identifier].side
+            stored = records[identifier].side
             forward = backward = False
             if identifier in dominating:
-                forward = self._confirm(side, target, identifier, "draft against {}") is not None
+                try:
+                    forward = embeds_closed(side, stored, budget=DEFAULT_BUDGET)
+                except SearchBudgetExceeded:
+                    _budget_exhausted(f"draft against {identifier}")
             if identifier in dominated:
-                backward = self._confirm(target, side, identifier, "{} against draft") is not None
+                try:
+                    backward = embeds_closed(stored, side, fitting, budget=DEFAULT_BUDGET)
+                except SearchBudgetExceeded:
+                    _budget_exhausted(f"{identifier} against draft")
             if forward and backward:
                 exact.append(identifier)
             elif forward:
@@ -616,9 +621,13 @@ class Repository:
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
         for identifier in candidates:
-            found = self._confirm(side, records[identifier].side, identifier, "query against {}")
-            if found is not None:
-                results.append((identifier, found))
+            try:
+                found = embed_closed(side, records[identifier].side, 1, budget=DEFAULT_BUDGET)
+            except SearchBudgetExceeded:
+                _budget_exhausted(f"query against {identifier}")
+                continue
+            if found:
+                results.append((identifier, found[0]))
         return results
 
     def check_cache_coherence(self) -> list[str]:

@@ -5,10 +5,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geokb.errors import SearchBudgetExceeded
 from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes
-from geokb.matching import Embedding, embed_closed, find_embeddings, is_subconstruction, prepare
+from geokb.matching import (
+    DEFAULT_BUDGET,
+    Embedding,
+    embed_closed,
+    embeds_closed,
+    find_embeddings,
+    is_subconstruction,
+    prepare,
+)
 from geokb.model import EMPTY_CONSTRUCTION, Construction, ObjectDecl, fact, parse_construction
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
@@ -17,6 +26,7 @@ from generators import (
     BARE_TRIANGLE_TEXT,
     bare_triangle,
     concurrent_lines,
+    induced_subconstruction,
     random_construction,
     random_line_figure,
     triangle_with_circle,
@@ -121,10 +131,13 @@ def test_embedding_search_leaves_no_cyclic_garbage(rules):
         for _ in range(10):
             for query, target, limit in searches:
                 embed_closed(query, target, limit)
-            try:
-                embed_closed(triangle, ceva, 100, budget=5)
-            except SearchBudgetExceeded:
-                pass
+                embeds_closed(query, target)
+            for search in (lambda: embed_closed(triangle, ceva, 100, budget=5),
+                           lambda: embeds_closed(ceva, ceva, budget=5)):
+                try:
+                    search()
+                except SearchBudgetExceeded:
+                    pass
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -143,6 +156,64 @@ def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules):
     assert len(hits) > 1 and all(type(f) is tuple for _, embedding in hits for f in embedding.facts)
     report = fresh_seeded_repo.find_duplicates(ceva)
     assert "GEO_CEVA" in report.exact_duplicates
+
+
+# -- the yes/no search ------------------------------------------------------------
+
+
+def _target_and_queries(seed: int, count: int, rules):
+    """A target and queries from ``generators``, all figures of one family:
+    mixed objects, or lines alone, whose parallel classes make many
+    look-alike candidates.  A query is an induced part of the target, which
+    embeds, or a random figure, which embeds seldom, and often only a
+    search tells."""
+    rng = random.Random(seed)
+    figure = random_construction if rng.random() < 0.5 else random_line_figure
+    target = figure(rng)
+    queries = [induced_subconstruction(rng, target) if rng.random() < 0.5 else figure(rng) for _ in range(count)]
+    return [_side(query, rules) for query in queries], _side(target, rules)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_yes_no_search_answers_as_embed_closed(rules, seed, count):
+    """With its own candidate lists, and with one dict of them shared by
+    all queries into one target."""
+    queries, target = _target_and_queries(seed, count, rules)
+    fitting: dict = {}
+    for query in queries:
+        expected = bool(embed_closed(query, target, 1))
+        assert embeds_closed(query, target) is expected
+        assert embeds_closed(query, target, fitting) is expected
+    for query in queries:  # now every need is met from the dict
+        assert embeds_closed(query, target, fitting) is bool(embed_closed(query, target, 1))
+
+
+def _least_budget(search) -> int:
+    """The least budget under which ``search(budget)`` finishes, by bisection:
+    a search that finishes under a budget finishes under any larger one."""
+    low, high = 0, DEFAULT_BUDGET
+    while low < high:
+        middle = (low + high) // 2
+        try:
+            search(middle)
+        except SearchBudgetExceeded:
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_yes_no_search_runs_out_of_budget_where_embed_closed_does(rules, seed):
+    """Also when every need is already in a shared dict."""
+    [query], target = _target_and_queries(seed, 1, rules)
+    least = _least_budget(lambda budget: embed_closed(query, target, 1, budget=budget))
+    assert _least_budget(lambda budget: embeds_closed(query, target, budget=budget)) == least
+    filled: dict = {}
+    embeds_closed(query, target, filled)
+    assert _least_budget(lambda budget: embeds_closed(query, target, filled, budget=budget)) == least
 
 
 # -- oracle agreement --------------------------------------------------------------

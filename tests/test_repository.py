@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -351,18 +352,45 @@ def test_insert_log_names_the_count_and_the_first_five_extended_entries(tmp_path
     ]
 
 
+def _may_embed(query, target, rules) -> bool:
+    """A necessary condition for an embedding, from counts alone: an
+    injective map sends distinct objects of a kind, and distinct closed
+    facts of a predicate, to distinct ones.  It spares brute force the
+    pairs it would have to enumerate in full."""
+    def counts(construction):
+        return (Counter(construction.kinds.values()), Counter(p for p, _ in closure(construction, rules)))
+    return all(small <= large for small, large in zip(counts(query), counts(target)))
+
+
+#: drafts for the gate's oracle.  The padded triangle's fingerprint dominates
+#: no stored entry's; nine stored entries are searched against the padded
+#: corpus entry, sharing its candidate lists, and five of them embed
+GATE_DRAFTS = {
+    "bare triangle": BARE_TRIANGLE_TEXT,
+    "padded triangle": BARE_TRIANGLE_TEXT
+    + "".join(f"point Q{i}\n" for i in range(6)) + "".join(f"line m{i}\n" for i in range(6)),
+    "padded corpus entry": next(e.code for e in ENTRIES if e.identifier == "GEO0003")
+    + "point Q0\npoint Q1\nline m0\nline m1\n",
+}
+
+
 def test_find_duplicates_mirror_report(fresh_seeded_repo):
-    report = fresh_seeded_repo.find_duplicates(bare_triangle())
-    oracle_contained = {
-        identifier
-        for identifier in fresh_seeded_repo.list_all()
-        if brute_force_embeds(
-            bare_triangle(),
-            fresh_seeded_repo.construction_of(identifier),
-            fresh_seeded_repo.ruleset,
-        )
-    }
-    assert set(report.containing_entries) | set(report.exact_duplicates) == oracle_contained
+    repo, rules = fresh_seeded_repo, fresh_seeded_repo.ruleset
+    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    for draft, code in GATE_DRAFTS.items():
+        construction = parse_construction(code)
+        report = repo.find_duplicates(construction)
+        oracle_containing = {
+            identifier for identifier, entry in stored.items()
+            if _may_embed(construction, entry, rules) and brute_force_embeds(construction, entry, rules)
+        }
+        oracle_contained = {
+            identifier for identifier, entry in stored.items()
+            if _may_embed(entry, construction, rules) and brute_force_embeds(entry, construction, rules)
+        }
+        assert set(report.containing_entries) | set(report.exact_duplicates) == oracle_containing, draft
+        assert set(report.contained_entries) | set(report.exact_duplicates) == oracle_contained, draft
+    assert len(oracle_contained) == 5  # of the padded corpus entry
 
 
 # -- queries -----------------------------------------------------------------------
@@ -1043,21 +1071,24 @@ THREAD_TIMEOUT = 5.0
 
 
 def _hold_first_embedding(monkeypatch) -> tuple[threading.Event, threading.Event]:
-    """Make the next ``embed_closed`` call of the repository wait for the
+    """Make the repository's next search, of either kind, wait for the
     returned release event; the entered event is set once it waits.  Later
     calls run at once."""
     import geokb.repository as repository_module
 
     entered, release = threading.Event(), threading.Event()
-    original = repository_module.embed_closed
 
-    def held(*args, **kwargs):
-        if not entered.is_set():
-            entered.set()
-            release.wait(30)
-        return original(*args, **kwargs)
+    def held(original):
+        def search(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(30)
+            return original(*args, **kwargs)
+        return search
 
-    monkeypatch.setattr(repository_module, "embed_closed", held)
+    # queries confirm with the first search, the duplicate gate asks the second
+    for name in ("embed_closed", "embeds_closed"):
+        monkeypatch.setattr(repository_module, name, held(getattr(repository_module, name)))
     return entered, release
 
 
@@ -1109,13 +1140,13 @@ def test_identical_unforced_inserts_at_once_store_one_entry(tmp_path, monkeypatc
 
     repo = Repository(tmp_path / "data")
     repo.insert(ProblemEntry(name="Circle", code="circle k\n", level=1), force=True)
-    original = repository_module.embed_closed
+    original = repository_module.embeds_closed
 
     def slow(*args, **kwargs):
         time.sleep(0.02)  # widens the gap between a gate's check and its write
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(repository_module, "embed_closed", slow)
+    monkeypatch.setattr(repository_module, "embeds_closed", slow)
     draft = replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT)
     start = threading.Barrier(3)
     outcomes = []
