@@ -13,7 +13,7 @@ target: the object order, most-constrained (highest degree) first; per
 step the facts whose last argument gets mapped there, each with a getter
 over the steps of its arguments; and the distinct needs (kind and needed
 degrees), since look-alike objects share one.  Per target only two things
-remain.  First the need filter, :func:`fitting_names`: one pass over the
+remain.  First the need filter, :func:`candidate_lists`: one pass over the
 target's names of each needed kind, keeping those of enough degree.  Then
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  The search keeps the target
@@ -34,9 +34,11 @@ assignments in the same order and count the same steps:
   no embedding.  Its callers may share the filtered names of each need
   between searches into one target.
 
-The witness search keeps its own loop rather than deriving a witness from
-the plan after a yes/no hit: rebuilding the mapping and the facts afterwards
-made confirmed queries slower than recording them on the way.
+The witness search keeps its own loop, and the gate does not use it:
+deriving the witness from the plan after a yes/no hit made confirmed
+queries slower than recording it on the way, and nine in ten of the gate's
+backward checks find an embedding, so building witnesses there made inserts
+slower than the second loop does.
 
 Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -129,20 +131,36 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     return MatchSide(dict(kinds), facts, degrees, names)
 
 
-def fitting_names(target: MatchSide, need: tuple[str, tuple[tuple[str, int], ...]]) -> list[str]:
-    """The target's names of the need's kind whose degree reaches the
-    need's for every predicate it names, in sorted order."""
-    kind, needed = need
+def candidate_lists(
+    query: MatchSide, target: MatchSide, fitting: dict[tuple, list[str]] | None = None
+) -> list[list[str]] | None:
+    """Per step of the query's plan, the target names it may take: those of
+    its need's kind whose degree reaches the need's for every predicate it
+    names, in sorted order; None when some need fits no name.  ``fitting``
+    maps each need already filtered over this target to its names; it is
+    filled in as needs are met, so searches that share it for one target
+    filter each need once."""
+    _, _, needs, need_of = query.plan
+    if fitting is None:
+        fitting = {}
     target_degree = target.degrees
-    fitting = []
-    for tname in target.names.get(kind, ()):
-        degree = target_degree[tname]
-        for predicate, n in needed:
-            if degree.get(predicate, 0) < n:
-                break
-        else:
-            fitting.append(tname)
-    return fitting
+    options: list[list[str]] = []
+    for need in needs:
+        names = fitting.get(need)
+        if names is None:
+            kind, needed = need
+            names = fitting[need] = []
+            for tname in target.names.get(kind, ()):
+                degree = target_degree[tname]
+                for predicate, n in needed:
+                    if degree.get(predicate, 0) < n:
+                        break
+                else:
+                    names.append(tname)
+        if not names:
+            return None
+        options.append(names)
+    return [options[k] for k in need_of]
 
 
 def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
@@ -158,23 +176,12 @@ def embeds_closed(
 ) -> bool:
     """Whether the query embeds into the target: the search of
     :func:`embed_closed` with limit 1, in the same order and under the same
-    budget, but keeping no witness.  ``fitting`` maps each need already
-    filtered over this target to its fitting names (see
-    :func:`fitting_names`); it is filled in as needs are met, so calls that
-    share it for one target filter each need once."""
-    order, schedule, needs, need_of = query.plan
-    if fitting is None:
-        fitting = {}
-    options: list[list[str]] = []
-    for need in needs:
-        names = fitting.get(need)
-        if names is None:
-            names = fitting[need] = fitting_names(target, need)
-        if not names:
-            return False
-        options.append(names)
-    candidates = [options[k] for k in need_of]
-
+    budget, but keeping no witness.  ``fitting`` holds the candidate lists
+    shared by searches into this target; see :func:`candidate_lists`."""
+    candidates = candidate_lists(query, target, fitting)
+    if candidates is None:
+        return False
+    order, schedule, _, _ = query.plan
     target_facts = target.facts
     depth = len(order)
     assigned = [""] * depth  # per step, its target name; read up to the current step only
@@ -217,15 +224,11 @@ def embed_closed(
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit!r}")
 
-    order, schedule, needs, need_of = query.plan
+    candidates = candidate_lists(query, target)
+    if candidates is None:
+        return []
+    order, schedule, _, _ = query.plan
     target_facts = target.facts
-    options: list[list[str]] = []
-    for need in needs:
-        fitting = fitting_names(target, need)
-        if not fitting:
-            return []
-        options.append(fitting)
-    candidates = [options[k] for k in need_of]
 
     found: list[Embedding] = []
     assigned = [""] * len(order)  # per step, its target name; read up to the current step only

@@ -362,22 +362,24 @@ def _may_embed(query, target, rules) -> bool:
     return all(small <= large for small, large in zip(counts(query), counts(target)))
 
 
-#: drafts for the gate's oracle.  The padded triangle's fingerprint dominates
-#: no stored entry's; nine stored entries are searched against the padded
-#: corpus entry, sharing its candidate lists, and five of them embed
+#: drafts for the gate's oracle, each with the number of stored entries that
+#: contain it and that it contains.  The bare triangle is searched forward
+#: only; against the padded corpus entry nine stored entries are searched
+#: backward, all sharing its candidate lists
 GATE_DRAFTS = {
-    "bare triangle": BARE_TRIANGLE_TEXT,
-    "padded triangle": BARE_TRIANGLE_TEXT
-    + "".join(f"point Q{i}\n" for i in range(6)) + "".join(f"line m{i}\n" for i in range(6)),
-    "padded corpus entry": next(e.code for e in ENTRIES if e.identifier == "GEO0003")
-    + "point Q0\npoint Q1\nline m0\nline m1\n",
+    "bare triangle": (BARE_TRIANGLE_TEXT, 18, 0),
+    "padded corpus entry": (
+        next(e.code for e in ENTRIES if e.identifier == "GEO0003") + "point Q0\npoint Q1\nline m0\nline m1\n",
+        0,
+        5,
+    ),
 }
 
 
 def test_find_duplicates_mirror_report(fresh_seeded_repo):
     repo, rules = fresh_seeded_repo, fresh_seeded_repo.ruleset
     stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
-    for draft, code in GATE_DRAFTS.items():
+    for draft, (code, containing, contained) in GATE_DRAFTS.items():
         construction = parse_construction(code)
         report = repo.find_duplicates(construction)
         oracle_containing = {
@@ -390,7 +392,7 @@ def test_find_duplicates_mirror_report(fresh_seeded_repo):
         }
         assert set(report.containing_entries) | set(report.exact_duplicates) == oracle_containing, draft
         assert set(report.contained_entries) | set(report.exact_duplicates) == oracle_contained, draft
-    assert len(oracle_contained) == 5  # of the padded corpus entry
+        assert (len(oracle_containing), len(oracle_contained)) == (containing, contained), draft
 
 
 # -- queries -----------------------------------------------------------------------
