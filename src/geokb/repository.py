@@ -32,9 +32,11 @@ answer, already encoded (:func:`hit_member`).  Each entry also takes a
 slot of a :class:`~geokb.fingerprint.GtdIndex` over the fingerprints, the
 next one when it is inserted.  The store is append-only: it never changes
 or removes an entry it holds (to correct one, edit its file while the
-store is closed).  The records, the identifier in each slot and the index
-form one snapshot that is replaced whole on every insert and never mutated
-once published, so a reader takes it with one attribute read and no lock.
+store is closed).  So the records are one list by slot that only grows,
+and an insert appends its record and publishes a new index with one more
+slot, copying nothing else of the store.  The published index is the only
+snapshot: a reader takes it with one attribute read and no lock, and reads
+no record at or beyond its ``size``.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -168,23 +170,6 @@ def _new_record(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Reco
     member are derived here."""
     hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
     return _Record(entry, side, fingerprint, textindex.terms(entry), hit)
-
-
-@dataclass(frozen=True, slots=True)
-class _Snapshot:
-    """What a reader needs of the store, published as one object: the
-    records, the identifier in each slot and the fingerprint index over the
-    slots.  Never changed once published."""
-
-    records: dict[str, _Record]
-    #: slot -> identifier
-    identifiers: tuple[str, ...]
-    index: GtdIndex
-
-    def identifiers_in(self, slots: list[int]) -> list[str]:
-        """The identifiers in these slots, in ascending string order."""
-        identifiers = self.identifiers
-        return sorted([identifiers[slot] for slot in slots])
 
 
 @dataclass(frozen=True)
@@ -340,14 +325,15 @@ class Repository:
     immutable record per entry: the entry, its matching side, its
     fingerprint, its text terms and its encoded hit member.
 
-    Readers take no lock: each query reads ``_snapshot`` (the records and
-    their fingerprint index) once and works on it, and no one mutates it.
+    Readers take no lock: each query reads ``_index`` once and reads only
+    the records in the slots below its ``size``, which no one changes.
     Writers (:meth:`insert`) hold one lock from the identifier and
-    duplicate checks to publishing a new snapshot with their record, so two
-    writers never pass the gate on the same state, and a reader sees all of
-    a write or none of it.  A published record is never replaced.  A
-    request's analysis (parsing, closure and fingerprint) reads no stored
-    state, so it runs before the lock is taken.
+    duplicate checks to publishing an index with their slot, so two writers
+    never pass the gate on the same state, and a reader sees all of a write
+    or none of it.  :meth:`get` and :meth:`hits` find a record by its
+    identifier through ``_slots``.  A request's analysis (parsing, closure
+    and fingerprint) reads no stored state, so it runs before the lock is
+    taken.
     """
 
     def __init__(self, data_dir: str | os.PathLike[str], ruleset: RuleSet | None = None):
@@ -357,8 +343,13 @@ class Repository:
         self._rules = default_rules() if ruleset is None else ruleset
         #: held by writers only
         self._lock = threading.Lock()
-        #: replaced whole by each insert, never mutated once published
-        self._snapshot = _Snapshot({}, (), GtdIndex())
+        #: slot -> record; only appended to, shared by all readers
+        self._records: list[_Record] = []
+        #: identifier -> slot; only added to and never iterated, since a
+        #: dict that grows while it is iterated raises RuntimeError
+        self._slots: dict[str, int] = {}
+        #: the published snapshot: replaced by each insert, never mutated
+        self._index = GtdIndex()
         #: stems of entry files that failed to load; never reused
         self._quarantined: set[str] = set()
         #: every GEO#### below it is taken; entries are never deleted
@@ -375,18 +366,16 @@ class Repository:
     def ruleset(self) -> RuleSet:
         return self._rules
 
-    @property
-    def _records(self) -> dict[str, _Record]:
-        """The published records by identifier."""
-        return self._snapshot.records
-
     def __len__(self) -> int:
-        return len(self._snapshot.records)
+        return self._index.size
+
+    def _published(self) -> list[_Record]:
+        """The records of the published index's slots."""
+        return self._records[: self._index.size]
 
     # -- loading and persistence -----------------------------------------
 
     def _load(self) -> None:
-        records: dict[str, _Record] = {}
         for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
                 continue  # leftover temp files from interrupted writes
@@ -406,9 +395,9 @@ class Repository:
                 except StorageError as exc:
                     log.error("entry file %s left stale, served from its code: %s", path.name, exc)
                     record = _new_record(entry, side, fingerprint)
-            records[entry.identifier] = record
-        fingerprints = [record.fingerprint for record in records.values()]
-        self._snapshot = _Snapshot(records, tuple(records), GtdIndex.build(fingerprints))
+            self._slots[entry.identifier] = len(self._records)
+            self._records.append(record)
+        self._index = GtdIndex.build([record.fingerprint for record in self._records])
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
         """An entry file's entry and document; raises StorageError or
@@ -473,7 +462,7 @@ class Repository:
     def _next_identifier(self) -> str:
         while True:
             candidate = f"GEO{self._next_number:04d}"
-            if candidate not in self._records and candidate not in self._quarantined:
+            if candidate not in self._slots and candidate not in self._quarantined:
                 return candidate
             self._next_number += 1
 
@@ -486,25 +475,25 @@ class Repository:
         return self._find_duplicates(*self._analyze(construction))
 
     def _find_duplicates(self, side: MatchSide, fingerprint: Gtd) -> DuplicateReport:
-        snapshot = self._snapshot
-        records, identifiers = snapshot.records, snapshot.identifiers
-        dominating = {identifiers[slot] for slot in snapshot.index.dominating(fingerprint)}
-        dominated = {identifiers[slot] for slot in snapshot.index.dominated(fingerprint)}
+        index, records = self._index, self._records
+        dominating = set(index.dominating(fingerprint))
+        dominated = set(index.dominated(fingerprint))
         exact: list[str] = []
         containing: list[str] = []
         contained: list[str] = []
         # need -> the draft's names that fit it, shared by the backward
         # searches: the draft is the target of each
         fitting: dict[tuple, list[str]] = {}
-        for identifier in sorted(dominating | dominated):
-            stored = records[identifier].side
+        pairs = sorted([(records[slot].entry.identifier, slot) for slot in dominating | dominated])
+        for identifier, slot in pairs:
+            stored = records[slot].side
             forward = backward = False
-            if identifier in dominating:
+            if slot in dominating:
                 try:
                     forward = embeds_closed(side, stored, budget=DEFAULT_BUDGET)
                 except SearchBudgetExceeded:
                     _budget_exhausted(f"draft against {identifier}")
-            if identifier in dominated:
+            if slot in dominated:
                 try:
                     backward = embeds_closed(stored, side, fitting, budget=DEFAULT_BUDGET)
                 except SearchBudgetExceeded:
@@ -529,7 +518,7 @@ class Repository:
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
             if draft.identifier:
-                if draft.identifier in self._records or draft.identifier in self._quarantined:
+                if draft.identifier in self._slots or draft.identifier in self._quarantined:
                     raise IdentifierCollisionError(
                         f"identifier {draft.identifier} is already taken"
                     )
@@ -549,32 +538,32 @@ class Repository:
                         ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
                     )
             record = self._store(replace(draft, identifier=identifier), side, fingerprint)
-            old = self._snapshot
-            self._snapshot = _Snapshot(
-                {**old.records, identifier: record},
-                (*old.identifiers, identifier),
-                old.index.with_slot(fingerprint),
-            )
+            index = self._index.with_slot(fingerprint)
+            # record, then slot, then index: a reader that finds an
+            # identifier or a slot of the index always finds its record
+            self._records.append(record)
+            self._slots[identifier] = index.size - 1
+            self._index = index
             return identifier
 
     # -- queries -----------------------------------------------------------
 
     def get(self, identifier: str) -> ProblemEntry:
         try:
-            return self._records[identifier].entry
+            return self._records[self._slots[identifier]].entry
         except KeyError:
             raise NotFoundError(f"no entry {identifier!r}") from None
 
     def hits(self, identifiers: list[str]) -> list[bytes]:
         """Each entry's member of a query answer (:func:`hit_member`), in the
-        order given.  Identifiers from any earlier snapshot are valid, since
+        order given.  Identifiers from any earlier answer are valid, since
         a record is never replaced or removed."""
-        records = self._records
-        return [records[identifier].hit for identifier in identifiers]
+        records, slots = self._records, self._slots
+        return [records[slots[identifier]].hit for identifier in identifiers]
 
     def list_all(self) -> list[str]:
         """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""
-        return sorted(self._records)
+        return sorted([record.entry.identifier for record in self._published()])
 
     def construction_of(self, identifier: str) -> Construction:
         """The entry's construction, parsed again from its code."""
@@ -585,7 +574,7 @@ class Repository:
     ) -> list[str]:
         """Identifiers matching a text query, filtered; simple mode is
         ordered by identifier, extended mode by score."""
-        records = self._records
+        records = self._published()
         if mode == "simple":
             identifiers = textindex.simple_search(text, records)
         elif mode == "extended":
@@ -594,7 +583,7 @@ class Repository:
             raise ValueError(f"mode must be one of {textindex.MODES}, got {mode!r}")
         if not filters:
             return identifiers
-        return [i for i in identifiers if filters.matches(records[i].entry)]
+        return [i for i in identifiers if filters.matches(self.get(i))]
 
     def geometric_query(
         self,
@@ -611,18 +600,18 @@ class Repository:
         budget are dropped with a logged warning.
         """
         closed = closure(query, self._rules)
-        snapshot = self._snapshot
-        records = snapshot.records
-        candidates = snapshot.identifiers_in(snapshot.index.dominating(gtd(query, closed)))
+        records = self._records
+        slots = self._index.dominating(gtd(query, closed))
+        candidates = sorted([records[slot].entry.identifier for slot in slots])
         if filters:
-            candidates = [i for i in candidates if filters.matches(records[i].entry)]
+            candidates = [i for i in candidates if filters.matches(self.get(i))]
         if not confirm or not candidates:
             return [(identifier, None) for identifier in candidates]
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
         for identifier in candidates:
             try:
-                found = embed_closed(side, records[identifier].side, 1, budget=DEFAULT_BUDGET)
+                found = embed_closed(side, records[self._slots[identifier]].side, 1, budget=DEFAULT_BUDGET)
             except SearchBudgetExceeded:
                 _budget_exhausted(f"query against {identifier}")
                 continue
@@ -636,7 +625,8 @@ class Repository:
         code, or whose code no longer parses; always empty unless entry
         files were edited behind the repository's back."""
         stale = []
-        for identifier, record in sorted(self._records.items()):
+        for record in self._published():
+            identifier = record.entry.identifier
             try:
                 side, fingerprint = self._analyze(parse_construction(record.entry.code))
             except ConstructionError:
@@ -646,4 +636,4 @@ class Repository:
                 record.side.kinds, record.side.facts, list(record.fingerprint.items())
             ):
                 stale.append(identifier)
-        return stale
+        return sorted(stale)

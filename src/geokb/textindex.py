@@ -6,17 +6,18 @@ uses ``^``/``$``), while ``extended_search`` tokenizes the query and scores
 entries across name, keywords, shortDescription and description with
 OR semantics and field-weighted term frequency.
 
-Both search a mapping of identifier -> record, where a record has the
-``entry`` itself and the field-weighted token counts that :func:`terms`
-made for it once, when the record was built.  Searching only reads the
-records, so any number of threads may search the same mapping.
+Both search a sequence of records, where a record has the ``entry``
+itself, whose ``identifier`` names a hit, and the field-weighted token
+counts that :func:`terms` made for it once, when the record was built.
+Searching only reads the records, so any number of threads may search the
+same sequence.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Mapping
+from typing import Sequence
 
 from .errors import PatternError
 
@@ -48,26 +49,26 @@ def terms(entry) -> dict[str, int]:
     return weighted
 
 
-def simple_search(pattern: str, records: Mapping) -> list[str]:
+def simple_search(pattern: str, records: Sequence) -> list[str]:
     """Identifiers whose name matches the pattern, sorted."""
     try:
         rx = re.compile(pattern, re.IGNORECASE)
     except re.error as exc:
         raise PatternError(f"invalid pattern {pattern!r}: {exc}") from exc
-    return sorted(i for i, record in records.items() if rx.search(record.entry.name))
+    return sorted([record.entry.identifier for record in records if rx.search(record.entry.name)])
 
 
-def extended_search(query: str, records: Mapping) -> list[tuple[str, int]]:
+def extended_search(query: str, records: Sequence) -> list[tuple[str, int]]:
     """``(identifier, score)`` pairs with a positive score, best first and
     ties by identifier; a token repeated in the query counts again."""
     tokens = tokenize(query)
     hits: list[tuple[str, int]] = []
-    for identifier, record in records.items():
+    for record in records:
         weighted = record.terms
         score = 0
         for token in tokens:
             score += weighted.get(token, 0)
         if score:
-            hits.append((identifier, score))
+            hits.append((record.entry.identifier, score))
     hits.sort(key=lambda hit: (-hit[1], hit[0]))
     return hits

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -45,7 +46,7 @@ from generators import (
     triangle_with_circle,
     write_kinds,
 )
-from oracles import brute_force_embeds
+from oracles import brute_force_embeds, ranked_text_hits
 
 TRIANGLE_DRAFT = ProblemEntry(
     name="Plain Triangle",
@@ -731,10 +732,15 @@ def _refreshed(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if "refreshing stale" in r.getMessage()]
 
 
+def _record(repo: Repository, identifier: str):
+    """The record the repository keeps in the entry's slot."""
+    return repo._records[repo._slots[identifier]]
+
+
 def _assert_same_records(loaded: Repository, computed: Repository) -> None:
     assert loaded.list_all() == computed.list_all()
     for identifier in loaded.list_all():
-        a, b = loaded._records[identifier], computed._records[identifier]
+        a, b = _record(loaded, identifier), _record(computed, identifier)
         assert a.entry == b.entry
         assert (a.side.kinds, a.side.facts, a.side.degrees, a.side.names) == (
             b.side.kinds, b.side.facts, b.side.degrees, b.side.names
@@ -771,7 +777,7 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
         warm = Repository(computed.data_dir)
     assert not caplog.records
     _assert_same_records(warm, computed)
-    for record in warm._records.values():  # shared strings keep a warm store's memory down
+    for record in warm._records:  # shared strings keep a warm store's memory down
         names = {name: name for name in record.side.kinds}
         assert all(arg is names[arg] for _, args in record.side.facts for arg in args)
         assert all(key is sys.intern(key) for key in record.fingerprint)
@@ -853,7 +859,7 @@ def test_coherence_check_finds_a_wrong_closure_under_a_forged_digest(fresh_seede
     with caplog.at_level("WARNING"):
         trusting = Repository(repo.data_dir)
     assert not caplog.records  # the digest matches, so the load trusts the file
-    assert len(trusting._records["GEO0281"].side.facts) == len(repo._records["GEO0281"].side.facts) - 1
+    assert len(_record(trusting, "GEO0281").side.facts) == len(_record(repo, "GEO0281").side.facts) - 1
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
@@ -878,7 +884,7 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     trusting = Repository(repo.data_dir)
-    assert trusting._records["GEO0281"].fingerprint == repo._records["GEO0281"].fingerprint
+    assert _record(trusting, "GEO0281").fingerprint == _record(repo, "GEO0281").fingerprint
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
@@ -891,10 +897,11 @@ def test_new_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog):
     seed_repository(fresh)
     _assert_same_records(reopened, fresh)
     assert _answers(reopened) == _answers(fresh)
-    before, after = fresh_seeded_repo._records, reopened._records
+    before, after = fresh_seeded_repo, reopened
     assert any(  # the new rules change what is stored
-        (after[i].side.facts, after[i].fingerprint) != (before[i].side.facts, before[i].fingerprint)
-        for i in after
+        (_record(after, i).side.facts, _record(after, i).fingerprint)
+        != (_record(before, i).side.facts, _record(before, i).fingerprint)
+        for i in after.list_all()
     )
     caplog.clear()
     with caplog.at_level("WARNING"):
@@ -976,44 +983,156 @@ def test_concurrent_readers_during_writes(fresh_seeded_repo):
     assert len(fresh_seeded_repo) == len(ENTRIES) + 10
 
 
-def test_writes_publish_a_new_records_dict_and_leave_the_old_one_alone(fresh_seeded_repo, rules):
+def test_readers_beside_a_writer_see_a_prefix_of_the_inserts(tmp_path, rules):
+    """One writer inserts 40 entries while three readers call every read
+    method in a loop.  No call raises, and each answer equals, by a plain
+    scan, the answer on the entries of some prefix of the inserts; a
+    reader never sees the store shrink."""
+    from test_acceptance import synthetic_corpus_entry
+
+    rng = random.Random(0xC0DE)
+    count = 40
+    entries = [
+        replace(synthetic_corpus_entry(i, rng), identifier=f"GEO{i + 1:04d}") for i in range(count)
+    ]
+    repo = Repository(tmp_path / "data")
+    level2 = parse_filters("level=2")
+    triangle = bare_triangle()
+    calls = {
+        "simple": lambda: repo.text_query("figure 0[12]"),
+        "extended": lambda: repo.text_query("figure 007 stress", mode="extended"),
+        "filtered": lambda: repo.text_query("synthetic", mode="extended", filters=level2),
+        "candidates": lambda: [i for i, _ in repo.geometric_query(triangle, confirm=False)],
+        "confirmed": lambda: repo.geometric_query(triangle),
+        "list_all": repo.list_all,
+    }
+    answers: list[list[tuple[str, object]]] = [[] for _ in range(3)]
+    errors: list[Exception] = []
+    done = threading.Event()
+
+    def reader(seen: list) -> None:
+        try:
+            while True:
+                last = done.is_set()  # one more round once the writer is done
+                round_ = {name: call() for name, call in calls.items()}
+                seen.extend(round_.items())
+                listed, text = round_["list_all"], round_["simple"]
+                if listed:
+                    identifier = listed[len(seen) % len(listed)]
+                    seen.append(("get", (identifier, repo.get(identifier))))
+                seen.append(("hits", (text, repo.hits(text))))
+                if last:
+                    break
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    def writer() -> None:
+        try:
+            for entry in entries:
+                assert repo.insert(replace(entry, identifier=""), force=True) == entry.identifier
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=reader, args=(seen,)) for seen in answers]
+    threads.append(threading.Thread(target=writer))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+
+    # the plain scans, for each prefix of the inserts
+    by_identifier = {e.identifier: e for e in entries}
+    gtds = [construction_gtd(parse_construction(e.code), rules) for e in entries]
+    query_gtd = construction_gtd(triangle, rules)
+    dominating = {e.identifier for e, g in zip(entries, gtds) if gtd_subsumes(g, query_gtd)}
+    embedding = dict(repo.geometric_query(triangle))  # the witnesses, once the writer is done
+    assert set(embedding) == {
+        i for i in dominating
+        if brute_force_embeds(triangle, parse_construction(by_identifier[i].code), rules)
+    }
+    simple = re.compile("figure 0[12]", re.IGNORECASE)
+    expected = {name: [] for name in calls}
+    for k in range(count + 1):
+        prefix = entries[:k]
+        ids = sorted(e.identifier for e in prefix)
+        expected["simple"].append(sorted(e.identifier for e in prefix if simple.search(e.name)))
+        expected["extended"].append([i for i, _ in ranked_text_hits("figure 007 stress", prefix)])
+        expected["filtered"].append(
+            [i for i, _ in ranked_text_hits("synthetic", prefix) if by_identifier[i].level == 2]
+        )
+        expected["candidates"].append([i for i in ids if i in dominating])
+        expected["confirmed"].append([(i, embedding[i]) for i in ids if i in embedding])
+        expected["list_all"].append(ids)
+    sizes = set()
+    for seen in answers:
+        listed_sizes = [len(answer) for name, answer in seen if name == "list_all"]
+        assert listed_sizes == sorted(listed_sizes)
+        sizes.update(listed_sizes)
+        for name, answer in seen:
+            if name == "get":
+                identifier, entry = answer
+                assert entry == by_identifier[identifier]
+            elif name == "hits":
+                identifiers, members = answer
+                stored = [by_identifier[i] for i in identifiers]
+                assert members == [
+                    json.dumps({e.identifier: {"Name": e.name, "Description": e.description, "Code": e.code}})
+                    [1:-1].encode()
+                    for e in stored
+                ]
+            else:
+                assert answer in expected[name], name
+    assert len(sizes) > 2  # the readers ran beside the writer
+
+
+def _identifiers_in(repo: Repository, slots: list[int]) -> list[str]:
+    return sorted(repo._records[slot].entry.identifier for slot in slots)
+
+
+def test_writes_publish_a_new_index_and_leave_the_old_one_and_its_records_alone(fresh_seeded_repo, rules):
     repo = fresh_seeded_repo
     triangle = construction_gtd(bare_triangle(), rules)
-    old = repo._snapshot
-    before = repo._records
-    snapshot = dict(before)
-    old_hits = old.identifiers_in(old.index.dominating(triangle))
+    old = repo._index
+    records = repo._records
+    before = list(records)
+    assert len(before) == old.size
+    old_hits = _identifiers_in(repo, old.dominating(triangle))
     assert "GEO0281" in old_hits
     identifier = repo.insert(replace(TRIANGLE_DRAFT, name="Snapshot triangle"), force=True)
     circle = repo.insert(ProblemEntry(name="Snapshot circle", code="circle k\n"), force=True)
-    assert before == snapshot and identifier not in before and circle not in before
-    assert repo._records is not before
+    # an insert appends to the one records list, copying none of it
+    assert repo._records is records and len(records) == old.size + 2
+    assert repo._slots[identifier] == old.size and repo._slots[circle] == old.size + 1
     assert repo.text_query("Snapshot") == sorted([identifier, circle])
-    # the snapshot held before the writes answers from its own records and index
-    assert old.records is before
-    assert old.identifiers_in(old.index.dominating(triangle)) == old_hits
-    new = repo._snapshot
-    new_hits = new.identifiers_in(new.index.dominating(triangle))
+    # the index held before the writes still answers its old hits
+    assert old.size == len(before)
+    assert _identifiers_in(repo, old.dominating(triangle)) == old_hits
+    new = repo._index
+    assert new is not old and new.size == old.size + 2
+    new_hits = _identifiers_in(repo, new.dominating(triangle))
     assert new_hits == sorted({*old_hits, identifier})
     assert [hit for hit, _ in repo.geometric_query(bare_triangle(), confirm=False)] == new_hits
-    # a write only adds: every record of the old snapshot is in the new one
-    assert all(new.records[i] is record for i, record in before.items())
-    assert new.identifiers[: len(old.identifiers)] == old.identifiers
+    # a write only adds: every record below the old index's size is the same object
+    assert all(records[slot] is record for slot, record in enumerate(before))
 
 
 def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
     """Both directions of the published fingerprint index equal a
     brute-force scan of the published records, and so does an unconfirmed
     geometric query's list, with and without a filter."""
-    snapshot = repo._snapshot
-    records = snapshot.records
-    assert sorted(snapshot.identifiers) == sorted(records) and len(snapshot.identifiers) == len(records)
+    index = repo._index
+    assert index.size == len(repo._records) == len(repo._slots)
+    assert all(repo._records[slot].entry.identifier == i for i, slot in repo._slots.items())
+    records = {r.entry.identifier: r for r in repo._records}
     level3 = parse_filters("level=3")
     for fingerprint in queries:
         dominating = sorted(i for i, r in records.items() if gtd_subsumes(r.fingerprint, fingerprint))
         dominated = sorted(i for i, r in records.items() if gtd_subsumes(fingerprint, r.fingerprint))
-        assert snapshot.identifiers_in(snapshot.index.dominating(fingerprint)) == dominating
-        assert snapshot.identifiers_in(snapshot.index.dominated(fingerprint)) == dominated
+        assert _identifiers_in(repo, index.dominating(fingerprint)) == dominating
+        assert _identifiers_in(repo, index.dominated(fingerprint)) == dominated
     for code in ("point P\n", "point P\nline l\nincident(P, l)\n", BARE_TRIANGLE_TEXT):
         query = parse_construction(code)
         fingerprint = construction_gtd(query, repo.ruleset)
@@ -1039,15 +1158,15 @@ def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules
                  + [f"GEO1000{n}" for n in range(8)])
     seen: set[str] = set()
     for step in range(45):
-        stored = [r.fingerprint for r in repo._records.values()]
+        stored = [r.fingerprint for r in repo._records]
         code = serialize_construction(random_construction(rng))
         if stored and step % 3 == 2:
             code = repo.get(rng.choice(repo.list_all())).code
         draft = ProblemEntry(identifier=next(names, ""), name=f"Entry {step}", code=code,
                              level=rng.randint(1, 5))
         identifier = repo.insert(draft, force=True)
-        seen |= write_kinds(stored, repo._records[identifier].fingerprint)
-        fingerprints = [*stored, repo._records[identifier].fingerprint]
+        seen |= write_kinds(stored, _record(repo, identifier).fingerprint)
+        fingerprints = [*stored, _record(repo, identifier).fingerprint]
         keys = sorted({key for fingerprint in fingerprints for key in fingerprint})
         key = rng.choice(keys) if keys else "kind:point"
         above = {key: max(f.get(key, 0) for f in fingerprints) + 1}
@@ -1057,14 +1176,14 @@ def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules
     assert seen == WRITE_KINDS
     assert any(i.startswith("AAA") for i in repo.list_all()) and "GEO0001" in repo.list_all()
     reloaded = Repository(repo.data_dir)
-    queries = [*probes, *(r.fingerprint for r in repo._records.values())]
+    queries = [*probes, *(r.fingerprint for r in repo._records)]
     _assert_index_agrees_with_a_scan(reloaded, queries)
 
-    def index_answers(snapshot) -> list:
-        return [(snapshot.identifiers_in(snapshot.index.dominating(fingerprint)),
-                 snapshot.identifiers_in(snapshot.index.dominated(fingerprint))) for fingerprint in queries]
+    def index_answers(repo) -> list:
+        return [(_identifiers_in(repo, repo._index.dominating(fingerprint)),
+                 _identifiers_in(repo, repo._index.dominated(fingerprint))) for fingerprint in queries]
 
-    assert index_answers(reloaded._snapshot) == index_answers(repo._snapshot)
+    assert index_answers(reloaded) == index_answers(repo)
     assert _answers(reloaded) == _answers(repo)
 
 

@@ -17,9 +17,9 @@ def entry(identifier, name, description="", short="", keywords=()):
 
 
 def records_of(*entries):
-    """A records mapping as the repository keeps one: identifier -> entry
-    and its terms."""
-    return {e.identifier: SimpleNamespace(entry=e, terms=terms(e)) for e in entries}
+    """Records as the repository keeps them: a list of each entry and its
+    terms."""
+    return [SimpleNamespace(entry=e, terms=terms(e)) for e in entries]
 
 
 @pytest.fixture()
@@ -216,4 +216,4 @@ def test_index_state_equals_rebuild_from_scratch(tmp_path):
     for query in ("name", "words 3", "kw1 name", "again", "^name [0-2]$"):
         for mode in ("simple", "extended"):
             assert repo.text_query(query, mode=mode) == reloaded.text_query(query, mode=mode)
-        assert extended_search(query, repo._records) == extended_search(query, reloaded._records)
+        assert extended_search(query, repo._published()) == extended_search(query, reloaded._published())
