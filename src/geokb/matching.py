@@ -3,10 +3,10 @@
 Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
 closed side into a :class:`MatchSide` once: closed facts as the
-``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns,
-per-object per-predicate fact degrees and sorted names per kind.  A
-closure and a stored entry's closure read back from its file both arrive
-as pairs, the one form of a fact.
+``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns, and one
+map from each kind to its objects in name order, each with its
+per-predicate fact degrees.  A closure and a stored entry's closure read
+back from its file both arrive as pairs, the one form of a fact.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
@@ -14,7 +14,7 @@ step the facts whose last argument gets mapped there, each with a getter
 over the steps of its arguments; and the distinct needs (kind and needed
 degrees), since look-alike objects share one.  Per target only two things
 remain.  First the need filter, :func:`candidate_lists`: one pass over the
-target's names of each needed kind, keeping those of enough degree.  Then
+target's objects of each needed kind, keeping those of enough degree.  Then
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  The search keeps the target
 names it assigns in a list indexed by step, so a check reads its arguments
@@ -86,20 +86,23 @@ class MatchSide:
     A stored entry keeps its side for life; a query side builds its
     :attr:`plan` once, on first use, and reuses it for every target."""
 
-    kinds: Mapping[str, str]
     facts: FactSet
-    #: object name -> predicate -> closed facts naming the object
-    degrees: Mapping[str, Mapping[str, int]]
-    #: kind -> its object names, sorted
-    names: Mapping[str, tuple[str, ...]]
+    #: kind -> its objects sorted by name, each as (name, predicate -> closed
+    #: facts naming the object); an isolated object has empty degrees
+    by_kind: Mapping[str, tuple[tuple[str, Mapping[str, int]], ...]]
 
     @cached_property
     def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...]]:
-        """The side as a query: object order; per step the facts to check as
-        (predicate, getter of their arguments' positions, canonicaliser); the
-        distinct needs (kind, needed degrees), since look-alike objects share
-        one filter; and per step the index of its need."""
-        order = tuple(sorted(self.kinds, key=lambda n: (-sum(self.degrees[n].values()), n)))
+        """The side as a query: object order (highest degree first, then by
+        name); per step the facts to check as (predicate, getter of their
+        arguments' positions, canonicaliser); the distinct needs (kind,
+        needed degrees), since look-alike objects share one filter; and per
+        step the index of its need."""
+        ranked = sorted(
+            (-sum(degrees.values()), name, kind, tuple(sorted(degrees.items())))
+            for kind, named in self.by_kind.items() for name, degrees in named
+        )
+        order = tuple(name for _, name, _, _ in ranked)
         position = {name: i for i, name in enumerate(order)}
         schedule: list[list] = [[] for _ in order]
         for predicate, args in self.facts:
@@ -108,10 +111,7 @@ class MatchSide:
                 (predicate, itemgetter(*(position[a] for a in args)), CANONICAL_ARGS.get(predicate))
             )
         needs: dict[tuple, int] = {}  # (kind, needed degrees) -> its index
-        need_of = tuple(
-            needs.setdefault((self.kinds[n], tuple(sorted(self.degrees[n].items()))), len(needs))
-            for n in order
-        )
+        need_of = tuple(needs.setdefault((kind, needed), len(needs)) for _, _, kind, needed in ranked)
         return order, tuple(map(tuple, schedule)), tuple(needs), need_of
 
 
@@ -125,10 +125,10 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
         for name in args if len(args) == 2 and args[0] != args[1] else set(args):
             counts = degrees[name]
             counts[predicate] = counts.get(predicate, 0) + 1
-    names: dict[str, tuple[str, ...]] = {}
+    by_kind: dict[str, list] = {}
     for name in sorted(kinds):
-        names[kinds[name]] = names.get(kinds[name], ()) + (name,)
-    return MatchSide(dict(kinds), facts, degrees, names)
+        by_kind.setdefault(sys.intern(kinds[name]), []).append((name, degrees[name]))
+    return MatchSide(facts, {kind: tuple(named) for kind, named in by_kind.items()})
 
 
 def candidate_lists(
@@ -143,15 +143,13 @@ def candidate_lists(
     _, _, needs, need_of = query.plan
     if fitting is None:
         fitting = {}
-    target_degree = target.degrees
     options: list[list[str]] = []
     for need in needs:
         names = fitting.get(need)
         if names is None:
             kind, needed = need
             names = fitting[need] = []
-            for tname in target.names.get(kind, ()):
-                degree = target_degree[tname]
+            for tname, degree in target.by_kind.get(kind, ()):
                 for predicate, n in needed:
                     if degree.get(predicate, 0) < n:
                         break

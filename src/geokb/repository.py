@@ -12,31 +12,31 @@ sorted) and ``GTD`` (the fingerprint), under a ``Digest`` that also covers
 ``Code``, the format version, the rule set and the fixed ``depth=2`` header
 of ``GTD``.
 
-At startup a document whose digest matches is trusted: its record is built
-from those members, with no parsing, closure or fingerprinting.  Any other
-document (an older version, a changed rule set, an edited or malformed
-cache member) is analysed again from its code, logged as a stale cache and
-rewritten; if the rewrite fails, the entry is served from that analysis
-and the file is left as it is, with an error log.  A file that is not an
-entry document, or holds an unknown member or an entry
-:class:`ProblemEntry` refuses, is skipped with an error log and left on
-disk, and its identifier stays taken.
+At startup a document whose digest matches is trusted: its record and its
+index slot are built from those members, with no parsing, closure or
+fingerprinting.  Any other document (an older version, a changed rule
+set, an edited or malformed cache member) is analysed again from its code,
+logged as a stale cache and rewritten; if the rewrite fails, the entry is
+served from that analysis and the file is left as it is, with an error
+log.  A file that is not an entry document, or holds an unknown member or
+an entry :class:`ProblemEntry` refuses, is skipped with an error log and
+left on disk, and its identifier stays taken.
 :meth:`Repository.check_cache_coherence` is the full check: it compares
-every record with an analysis of its code.
+every record and index slot with an analysis of its entry's code.
 
 In memory each entry has one immutable record, built the same way by
 loading and inserting: the entry, its closed construction prepared for
-matching (:func:`~geokb.matching.prepare`), its fingerprint, its weighted
-text terms (:func:`~geokb.textindex.terms`) and its member of a query
-answer, already encoded (:func:`hit_member`).  Each entry also takes a
-slot of a :class:`~geokb.fingerprint.GtdIndex` over the fingerprints, the
-next one when it is inserted.  The store is append-only: it never changes
-or removes an entry it holds (to correct one, edit its file while the
-store is closed).  So the records are one list by slot that only grows,
-and an insert appends its record and publishes a new index with one more
-slot, copying nothing else of the store.  The published index is the only
-snapshot: a reader takes it with one attribute read and no lock, and reads
-no record at or beyond its ``size``.
+matching (:func:`~geokb.matching.prepare`), its weighted text terms
+(:func:`~geokb.textindex.terms`) and its member of a query answer, already
+encoded (:func:`hit_member`).  Its fingerprint is kept only in its slot of
+a :class:`~geokb.fingerprint.GtdIndex`, the next slot when it is inserted.
+The store is append-only: it never changes or removes an entry it holds
+(to correct one, edit its file while the store is closed).  So the records
+are one list by slot that only grows, and an insert appends its record and
+publishes a new index with one more slot, copying nothing else of the
+store.  The published index is the only snapshot: a reader takes it with
+one attribute read and no lock, and reads no record at or beyond its
+``size``.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -143,11 +143,11 @@ class ProblemEntry:
 
 @dataclass(frozen=True, slots=True)
 class _Record:
-    """What the store keeps of one entry in memory; never changed once built."""
+    """What the store keeps of one entry in memory, bar its fingerprint
+    (see :class:`Repository`); never changed once built."""
 
     entry: ProblemEntry
     side: MatchSide
-    fingerprint: Gtd
     #: token -> field-weighted count over the text fields, for :mod:`~geokb.textindex`
     terms: dict[str, int]
     #: the entry's member of a query answer, from :func:`hit_member`
@@ -165,11 +165,11 @@ def hit_member(identifier: str, name: str, description: str, code: str) -> bytes
     ).encode("utf-8", "backslashreplace")
 
 
-def _new_record(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
-    """The record of an entry and its analysis; the text terms and the hit
-    member are derived here."""
+def _new_record(entry: ProblemEntry, side: MatchSide) -> _Record:
+    """The record of an entry and its matching side; the text terms and the
+    hit member are derived here."""
     hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
-    return _Record(entry, side, fingerprint, textindex.terms(entry), hit)
+    return _Record(entry, side, textindex.terms(entry), hit)
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,14 @@ def cache_digest(doc: dict, ruleset: RuleSet) -> str:
     return sha256(json.dumps(members, separators=(",", ":")).encode("ascii")).hexdigest()
 
 
-def record_to_document(record: _Record, ruleset: RuleSet) -> dict:
-    """The entry document of a record: its entry, its cached analysis and
-    the digest over them."""
+def record_to_document(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd, ruleset: RuleSet) -> dict:
+    """The entry document of an entry and its analysis: the entry, the
+    cached analysis and the digest over them."""
     doc = {
-        **entry_to_document(record.entry),
-        "GTD": serialize_gtd(record.fingerprint),
-        "Objects": dict(sorted(record.side.kinds.items())),
-        "Closure": sorted(fact_text(predicate, args) for predicate, args in record.side.facts),
+        **entry_to_document(entry),
+        "GTD": serialize_gtd(fingerprint),
+        "Objects": dict(sorted((n, kind) for kind, named in side.by_kind.items() for n, _ in named)),
+        "Closure": sorted(fact_text(predicate, args) for predicate, args in side.facts),
         "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
     }
@@ -322,8 +322,8 @@ def _budget_exhausted(checked: str) -> None:
 
 class Repository:
     """Persistent entry store bound to a data directory, holding one
-    immutable record per entry: the entry, its matching side, its
-    fingerprint, its text terms and its encoded hit member.
+    immutable record per entry (the entry, its matching side, its text
+    terms and its encoded hit member) and an index of their fingerprints.
 
     Readers take no lock: each query reads ``_index`` once and reads only
     the records in the slots below its ``size``, which no one changes.
@@ -376,28 +376,28 @@ class Repository:
     # -- loading and persistence -----------------------------------------
 
     def _load(self) -> None:
+        fingerprints: list[Gtd] = []  # by slot; the index built from them keeps the only copy
         for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
                 continue  # leftover temp files from interrupted writes
             try:
                 entry, doc = self._read(path)
-                record = self._cached_record(entry, doc)
-                if record is None:
-                    side, fingerprint = self._analyze(parse_construction(entry.code))
+                cached = self._cached_analysis(doc)
+                side, fingerprint = cached or self._analyze(parse_construction(entry.code))
             except (StorageError, EntryError, ConstructionError) as exc:
                 log.error("skipping entry file %s, left as it is: %s", path.name, exc)
                 self._quarantined.add(path.stem)
                 continue
-            if record is None:
+            if cached is None:
                 log.warning("refreshing stale fingerprint cache of %s", entry.identifier)
                 try:
-                    record = self._store(entry, side, fingerprint)
+                    self._store(entry, side, fingerprint)
                 except StorageError as exc:
                     log.error("entry file %s left stale, served from its code: %s", path.name, exc)
-                    record = _new_record(entry, side, fingerprint)
             self._slots[entry.identifier] = len(self._records)
-            self._records.append(record)
-        self._index = GtdIndex.build([record.fingerprint for record in self._records])
+            self._records.append(_new_record(entry, side))
+            fingerprints.append(fingerprint)
+        self._index = GtdIndex.build(fingerprints)
 
     def _read(self, path: Path) -> tuple[ProblemEntry, dict]:
         """An entry file's entry and document; raises StorageError or
@@ -421,9 +421,9 @@ class Repository:
             raise StorageError(f"holds identifier {entry.identifier!r}")
         return entry, doc
 
-    def _cached_record(self, entry: ProblemEntry, doc: dict) -> _Record | None:
-        """The record a current-version document's cache describes, or None
-        unless its digest matches and its members are well formed."""
+    def _cached_analysis(self, doc: dict) -> tuple[MatchSide, Gtd] | None:
+        """The side and fingerprint a current-version document's cache holds,
+        or None unless its digest matches and its members are well formed."""
         if doc.get("Version") != FORMAT_VERSION or doc.get("Digest") != cache_digest(doc, self._rules):
             return None
         objects = doc.get("Objects")
@@ -436,19 +436,19 @@ class Repository:
             fingerprint = parse_gtd(doc["GTD"])
         except ValueError:
             return None
-        return _new_record(entry, prepare(objects, closed), fingerprint)
+        return prepare(objects, closed), fingerprint
 
     def _analyze(self, construction: Construction) -> tuple[MatchSide, Gtd]:
         closed = closure(construction, self._rules)
         side = prepare(construction.kinds, closed)
         return side, gtd(construction, closed)
 
-    def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> _Record:
-        """The record of an analysed entry, written to its entry file; on any
-        failure the temp file is removed."""
-        record = _new_record(entry, side, fingerprint)
+    def _store(self, entry: ProblemEntry, side: MatchSide, fingerprint: Gtd) -> None:
+        """Write an analysed entry to its entry file; on any failure the temp
+        file is removed."""
         temp = self._entries_dir / f".{entry.identifier}.json.tmp"
-        text = json.dumps(record_to_document(record, self._rules), ensure_ascii=False, indent=2)
+        document = record_to_document(entry, side, fingerprint, self._rules)
+        text = json.dumps(document, ensure_ascii=False, indent=2)
         try:
             try:
                 temp.write_bytes((text + "\n").encode("utf-8", "backslashreplace"))
@@ -457,7 +457,6 @@ class Repository:
                 temp.unlink(missing_ok=True)  # already gone once replaced
         except OSError as exc:
             raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
-        return record
 
     def _next_identifier(self) -> str:
         while True:
@@ -537,11 +536,12 @@ class Repository:
                         len(extended),
                         ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
                     )
-            record = self._store(replace(draft, identifier=identifier), side, fingerprint)
+            entry = replace(draft, identifier=identifier)
+            self._store(entry, side, fingerprint)
             index = self._index.with_slot(fingerprint)
             # record, then slot, then index: a reader that finds an
             # identifier or a slot of the index always finds its record
-            self._records.append(record)
+            self._records.append(_new_record(entry, side))
             self._slots[identifier] = index.size - 1
             self._index = index
             return identifier
@@ -620,20 +620,21 @@ class Repository:
         return results
 
     def check_cache_coherence(self) -> list[str]:
-        """Identifiers whose record (kinds, closed facts, fingerprint and the
-        order of its keys) disagrees with a fresh analysis of the entry's
-        code, or whose code no longer parses; always empty unless entry
-        files were edited behind the repository's back."""
+        """Identifiers whose record (objects, degrees and closed facts) or
+        slot of the published index (fingerprint) disagrees with a fresh
+        analysis of the entry's code, or whose code no longer parses; always
+        empty unless entry files were edited behind the repository's back."""
+        index = self._index
         stale = []
-        for record in self._published():
+        for slot, record in enumerate(self._records[: index.size]):
             identifier = record.entry.identifier
             try:
                 side, fingerprint = self._analyze(parse_construction(record.entry.code))
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            if (side.kinds, side.facts, list(fingerprint.items())) != (
-                record.side.kinds, record.side.facts, list(record.fingerprint.items())
-            ):
+            # both hold exactly when the index holds the fresh counts in the slot
+            held = slot in index.dominating(fingerprint) and slot in index.dominated(fingerprint)
+            if not held or (side.by_kind, side.facts) != (record.side.by_kind, record.side.facts):
                 stale.append(identifier)
         return sorted(stale)

@@ -313,10 +313,12 @@ def test_objects_in_no_fact_agree_with_brute_force(rules):
 
 
 def test_prepare_counts_each_fact_once_per_object_it_names(rules):
-    """``MatchSide.degrees`` against a count straight from its definition,
-    on closures that hold repeated arguments: equidistant pairs sharing a
-    point, and the ``perpendicular(a, a)`` of a line both parallel and
-    perpendicular to another."""
+    """The degrees of ``MatchSide.by_kind`` against a count straight from
+    its definition, on closures that hold repeated arguments: equidistant
+    pairs sharing a point, and the ``perpendicular(a, a)`` of a line both
+    parallel and perpendicular to another.  Every declared object appears
+    exactly once, under its kind, and each kind lists its objects in name
+    order."""
     rng = random.Random(161)
     figures = [random_construction(rng) for _ in range(150)]
     figures += [random_line_figure(rng) for _ in range(150)]
@@ -329,7 +331,13 @@ def test_prepare_counts_each_fact_once_per_object_it_names(rules):
                 if name in args:
                     expected[name][predicate] += 1
             repeats += len(set(args)) < len(args)
-        assert prepare(figure.kinds, closed).degrees == {n: dict(c) for n, c in expected.items()}
+        by_kind = prepare(figure.kinds, closed).by_kind
+        listed = [(kind, name) for kind, named in by_kind.items() for name, _ in named]
+        assert sorted(listed) == sorted((kind, name) for name, kind in figure.kinds.items())
+        for named in by_kind.values():
+            assert [name for name, _ in named] == sorted(name for name, _ in named)
+        degrees = {name: degree for named in by_kind.values() for name, degree in named}
+        assert degrees == {n: dict(c) for n, c in expected.items()}
     assert repeats > 100
 
 

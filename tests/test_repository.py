@@ -737,15 +737,28 @@ def _record(repo: Repository, identifier: str):
     return repo._records[repo._slots[identifier]]
 
 
+def _code_fingerprint(repo: Repository, identifier: str) -> dict[str, int]:
+    """The entry's fingerprint computed from its code: an oracle independent
+    of the index, which holds the only stored copy."""
+    return construction_gtd(parse_construction(repo.get(identifier).code), repo.ruleset)
+
+
+def _index_holds(repo: Repository, identifier: str, fingerprint: dict[str, int]) -> bool:
+    """Whether the published index holds exactly ``fingerprint`` in the
+    entry's slot: the slot dominates it and is dominated by it."""
+    slot, index = repo._slots[identifier], repo._index
+    return slot in index.dominating(fingerprint) and slot in index.dominated(fingerprint)
+
+
 def _assert_same_records(loaded: Repository, computed: Repository) -> None:
     assert loaded.list_all() == computed.list_all()
     for identifier in loaded.list_all():
         a, b = _record(loaded, identifier), _record(computed, identifier)
         assert a.entry == b.entry
-        assert (a.side.kinds, a.side.facts, a.side.degrees, a.side.names) == (
-            b.side.kinds, b.side.facts, b.side.degrees, b.side.names
-        )
-        assert list(a.fingerprint.items()) == list(b.fingerprint.items())
+        assert (a.side.by_kind, a.side.facts) == (b.side.by_kind, b.side.facts)
+        fingerprint = _code_fingerprint(computed, identifier)
+        assert _index_holds(loaded, identifier, fingerprint)
+        assert _index_holds(computed, identifier, fingerprint)
 
 
 def _answers(repo: Repository) -> list:
@@ -778,9 +791,9 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
     assert not caplog.records
     _assert_same_records(warm, computed)
     for record in warm._records:  # shared strings keep a warm store's memory down
-        names = {name: name for name in record.side.kinds}
+        names = {name: name for named in record.side.by_kind.values() for name, _ in named}
         assert all(arg is names[arg] for _, args in record.side.facts for arg in args)
-        assert all(key is sys.intern(key) for key in record.fingerprint)
+    assert all(key is sys.intern(key) for key in warm._index._postings)
     hits = warm.geometric_query(bare_triangle())
     assert len(hits) >= 150  # every even entry holds a planted triangle
     assert hits == computed.geometric_query(bare_triangle())
@@ -874,7 +887,10 @@ def test_coherence_check_finds_unparsable_code_under_a_forged_digest(fresh_seede
     assert Repository(repo.data_dir).check_cache_coherence() == ["GEO0281"]
 
 
-def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh_seeded_repo):
+def test_coherence_check_ignores_gtd_keys_out_of_order_under_a_forged_digest(fresh_seeded_repo):
+    """The order of a stored fingerprint's keys reaches no query and no
+    file: the index takes each key on its own, and a written ``GTD`` is
+    sorted."""
     repo = fresh_seeded_repo
 
     def forge(doc):
@@ -884,7 +900,41 @@ def test_coherence_check_finds_gtd_keys_out_of_order_under_a_forged_digest(fresh
 
     _edit_entry(repo.data_dir, "GEO0281", forge)
     trusting = Repository(repo.data_dir)
-    assert _record(trusting, "GEO0281").fingerprint == _record(repo, "GEO0281").fingerprint
+    assert _index_holds(trusting, "GEO0281", _code_fingerprint(repo, "GEO0281"))
+    assert _answers(trusting) == _answers(repo)
+    assert trusting.check_cache_coherence() == []
+
+
+@pytest.mark.parametrize("forgery", ["count-raised", "key-dropped"])
+def test_coherence_check_finds_forged_gtd_counts_the_store_serves(fresh_seeded_repo, caplog, forgery):
+    """A ``GTD`` forged under a recomputed digest is trusted, and the index
+    serves its counts to queries, so the check must find it there."""
+    repo = fresh_seeded_repo
+    code = repo.get("GEO0281").code
+
+    def forge(doc):
+        header, *keys = doc["GTD"].split()
+        if forgery == "count-raised":
+            n = _code_fingerprint(repo, "GEO0281")["kind:point"]
+            keys = [f"kind:point={n + 1}" if key.startswith("kind:point=") else key for key in keys]
+        else:
+            keys = keys[1:]
+        doc = {**doc, "GTD": " ".join([header, *keys])}
+        return {**doc, "Digest": cache_digest(doc, repo.ruleset)}
+
+    _edit_entry(repo.data_dir, "GEO0281", forge)
+    with caplog.at_level("WARNING"):
+        trusting = Repository(repo.data_dir)
+    assert not caplog.records  # the digest matches, so the load trusts the file
+    # one point more than the entry has: only a raised count lets it dominate;
+    # the entry itself: a dropped key keeps it from dominating its own code
+    query = parse_construction(code + "point Zz\n" if forgery == "count-raised" else code)
+
+    def served(repo: Repository) -> bool:
+        return "GEO0281" in [i for i, _ in repo.geometric_query(query, confirm=False)]
+
+    assert served(trusting) is (forgery == "count-raised")
+    assert served(repo) is (forgery == "key-dropped")
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
@@ -899,8 +949,8 @@ def test_new_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog):
     assert _answers(reopened) == _answers(fresh)
     before, after = fresh_seeded_repo, reopened
     assert any(  # the new rules change what is stored
-        (_record(after, i).side.facts, _record(after, i).fingerprint)
-        != (_record(before, i).side.facts, _record(before, i).fingerprint)
+        _record(after, i).side.facts != _record(before, i).side.facts
+        or not _index_holds(after, i, _code_fingerprint(before, i))
         for i in after.list_all()
     )
     caplog.clear()
@@ -1121,22 +1171,24 @@ def test_writes_publish_a_new_index_and_leave_the_old_one_and_its_records_alone(
 
 def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
     """Both directions of the published fingerprint index equal a
-    brute-force scan of the published records, and so does an unconfirmed
-    geometric query's list, with and without a filter."""
+    brute-force scan of the fingerprints of the published entries' code,
+    and so does an unconfirmed geometric query's list, with and without a
+    filter."""
     index = repo._index
     assert index.size == len(repo._records) == len(repo._slots)
     assert all(repo._records[slot].entry.identifier == i for i, slot in repo._slots.items())
     records = {r.entry.identifier: r for r in repo._records}
+    stored = {i: _code_fingerprint(repo, i) for i in records}
     level3 = parse_filters("level=3")
     for fingerprint in queries:
-        dominating = sorted(i for i, r in records.items() if gtd_subsumes(r.fingerprint, fingerprint))
-        dominated = sorted(i for i, r in records.items() if gtd_subsumes(fingerprint, r.fingerprint))
+        dominating = sorted(i for i, f in stored.items() if gtd_subsumes(f, fingerprint))
+        dominated = sorted(i for i, f in stored.items() if gtd_subsumes(fingerprint, f))
         assert _identifiers_in(repo, index.dominating(fingerprint)) == dominating
         assert _identifiers_in(repo, index.dominated(fingerprint)) == dominated
     for code in ("point P\n", "point P\nline l\nincident(P, l)\n", BARE_TRIANGLE_TEXT):
         query = parse_construction(code)
         fingerprint = construction_gtd(query, repo.ruleset)
-        dominating = sorted(i for i, r in records.items() if gtd_subsumes(r.fingerprint, fingerprint))
+        dominating = sorted(i for i, f in stored.items() if gtd_subsumes(f, fingerprint))
         assert [i for i, _ in repo.geometric_query(query, confirm=False)] == dominating
         assert [i for i, _ in repo.geometric_query(query, level3, confirm=False)] == [
             i for i in dominating if records[i].entry.level == 3
@@ -1157,26 +1209,27 @@ def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules
     names = iter([f"GEO2{n:03d}" for n in range(8)] + [f"AAA{n:03d}" for n in range(8)]
                  + [f"GEO1000{n}" for n in range(8)])
     seen: set[str] = set()
+    stored: list[dict[str, int]] = []  # by slot, from each entry's code
     for step in range(45):
-        stored = [r.fingerprint for r in repo._records]
         code = serialize_construction(random_construction(rng))
         if stored and step % 3 == 2:
             code = repo.get(rng.choice(repo.list_all())).code
         draft = ProblemEntry(identifier=next(names, ""), name=f"Entry {step}", code=code,
                              level=rng.randint(1, 5))
         identifier = repo.insert(draft, force=True)
-        seen |= write_kinds(stored, _record(repo, identifier).fingerprint)
-        fingerprints = [*stored, _record(repo, identifier).fingerprint]
-        keys = sorted({key for fingerprint in fingerprints for key in fingerprint})
+        fingerprint = _code_fingerprint(repo, identifier)
+        seen |= write_kinds(stored, fingerprint)
+        stored.append(fingerprint)
+        keys = sorted({key for f in stored for key in f})
         key = rng.choice(keys) if keys else "kind:point"
-        above = {key: max(f.get(key, 0) for f in fingerprints) + 1}
-        picked = rng.choice(fingerprints)
+        above = {key: max(f.get(key, 0) for f in stored) + 1}
+        picked = rng.choice(stored)
         halved = {k: (n + 1) // 2 for k, n in picked.items()}
         _assert_index_agrees_with_a_scan(repo, [*probes, above, picked, halved])
     assert seen == WRITE_KINDS
     assert any(i.startswith("AAA") for i in repo.list_all()) and "GEO0001" in repo.list_all()
     reloaded = Repository(repo.data_dir)
-    queries = [*probes, *(r.fingerprint for r in repo._records)]
+    queries = [*probes, *stored]
     _assert_index_agrees_with_a_scan(reloaded, queries)
 
     def index_answers(repo) -> list:
