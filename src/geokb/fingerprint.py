@@ -184,6 +184,19 @@ class GtdIndex:
                 over |= masks[i]
         return _slots(((1 << self.size) - 1) & ~over)
 
+    def counts(self, slot: int) -> Gtd:
+        """The fingerprint held in a slot: per key, the last count whose mask
+        holds the slot.  A mask holds every slot of the masks after it, so
+        the scan stops at the first that does not."""
+        bit = 1 << slot
+        held = {}
+        for key, (counts, masks) in self._postings.items():
+            for n, mask in zip(counts, masks):
+                if not mask & bit:
+                    break
+                held[key] = n
+        return held
+
 
 def serialize_gtd(fingerprint: Gtd) -> str:
     """Single-line cache form: :data:`GTD_HEADER` then ``key=count`` sorted by key."""

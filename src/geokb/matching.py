@@ -21,24 +21,14 @@ names it assigns in a list indexed by step, so a check reads its arguments
 by position.  Relation nodes need no mapping: a fact is determined by its
 arguments.
 
-One plan and one filter serve two searches, which try the same
-assignments in the same order and count the same steps:
-
-- :func:`embed_closed` finds embeddings with witnesses, for confirmed
-  geometric queries.  It reads the mapping back by query name only when it
-  has found an embedding, and an :class:`Embedding` keeps as its witness
-  the canonical pairs its checks computed, so confirming a match builds no
-  fact object.
-- :func:`embeds_closed` only answers whether one exists, for the duplicate
-  gate, whose report names entries alone.  It keeps no fact keys and builds
-  no embedding.  Its callers may share the filtered names of each need
-  between searches into one target.
-
-The witness search keeps its own loop, and the gate does not use it:
-deriving the witness from the plan after a yes/no hit made confirmed
-queries slower than recording it on the way, and nine in ten of the gate's
-backward checks find an embedding, so building witnesses there made inserts
-slower than the second loop does.
+One loop, :func:`embed_closed`, serves confirmed geometric queries,
+:func:`find_embeddings` and both directions of the duplicate gate.  It
+stops at its limit and returns each embedding as the search found it: the
+target names its plan steps took, in step order, with no witness built.
+An :class:`Embedding` reads its mapping and witness from those names only
+when asked, since the gate's report and a query's answer name entries
+alone.  Callers may share the filtered names of each need between searches
+into one target.
 
 Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -49,9 +39,8 @@ cannot wait treat that as "no match" with a warning.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
@@ -60,24 +49,6 @@ from .model import CANONICAL_ARGS, Construction, FactSet
 from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True, slots=True)
-class Embedding:
-    """An injective, kind-preserving map taking the query into a target.
-
-    ``mapping`` pairs query object names with target object names, sorted
-    by query name.  ``facts`` is the witness: the target's closed facts
-    covered by the mapped query facts (the part of the target to
-    highlight), kept as the canonical ``(predicate, args)`` pairs the search
-    checked, in the shape of :attr:`MatchSide.facts`.
-    """
-
-    mapping: tuple[tuple[str, str], ...]
-    facts: FactSet
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +102,50 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     return MatchSide(facts, {kind: tuple(named) for kind, named in by_kind.items()})
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Embedding:
+    """An injective, kind-preserving map taking the query into a target,
+    kept as the search found it: the query side and, per step of its plan,
+    the target name that step took.
+
+    ``mapping`` pairs query object names with target object names, sorted
+    by query name.  ``facts`` is the witness: the target's closed facts
+    covered by the mapped query facts (the part of the target to
+    highlight), as the canonical ``(predicate, args)`` pairs the search
+    checked, in the shape of :attr:`MatchSide.facts`.  Both are derived on
+    each read.  Two embeddings are equal when their mappings and witnesses
+    are.
+    """
+
+    query: MatchSide = field(repr=False)
+    targets: tuple[str, ...]
+
+    @property
+    def mapping(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(zip(self.query.plan[0], self.targets)))
+
+    @property
+    def facts(self) -> FactSet:
+        targets = self.targets
+        return frozenset(
+            (predicate, mapped if canonical is None else canonical(mapped))
+            for checks in self.query.plan[1]
+            for predicate, get_args, canonical in checks
+            for mapped in (get_args(targets),)
+        )
+
+    def as_dict(self) -> dict[str, str]:
+        return dict(self.mapping)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Embedding):
+            return NotImplemented
+        return self.mapping == other.mapping and self.facts == other.facts
+
+    def __hash__(self) -> int:
+        return hash(self.mapping)
+
+
 def candidate_lists(
     query: MatchSide, target: MatchSide, fitting: dict[tuple, list[str]] | None = None
 ) -> list[list[str]] | None:
@@ -165,23 +180,29 @@ def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
     return SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
 
 
-def embeds_closed(
+def embed_closed(
     query: MatchSide,
     target: MatchSide,
+    limit: int,
     fitting: dict[tuple, list[str]] | None = None,
     *,
     budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Whether the query embeds into the target: the search of
-    :func:`embed_closed` with limit 1, in the same order and under the same
-    budget, but keeping no witness.  ``fitting`` holds the candidate lists
-    shared by searches into this target; see :func:`candidate_lists`."""
+) -> list[tuple[str, ...]]:
+    """Up to ``limit`` embeddings of the query into the target, in search
+    order, each as the target names the query's plan steps take (wrap one
+    in an :class:`Embedding` to read it); empty iff none exist.
+    ``fitting`` holds the candidate lists shared by searches into this
+    target; see :func:`candidate_lists`."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit!r}")
+
     candidates = candidate_lists(query, target, fitting)
     if candidates is None:
-        return False
+        return []
     order, schedule, _, _ = query.plan
     target_facts = target.facts
     depth = len(order)
+    found: list[tuple[str, ...]] = []
     assigned = [""] * depth  # per step, its target name; read up to the current step only
     used: set[str] = set()  # the names of the steps before the current one
     steps = budget
@@ -189,7 +210,8 @@ def embeds_closed(
     def extend(i: int) -> bool:
         nonlocal steps
         if i == depth:
-            return True
+            found.append(tuple(assigned))
+            return len(found) == limit
         checks = schedule[i]
         for tname in candidates[i]:
             if tname in used:
@@ -210,66 +232,11 @@ def embeds_closed(
         return False
 
     try:
-        return extend(0)
-    finally:
-        del extend  # as in embed_closed: no reference cycle outlives the call
-
-
-def embed_closed(
-    query: MatchSide, target: MatchSide, limit: int, *, budget: int = DEFAULT_BUDGET
-) -> list[Embedding]:
-    """Embeddings between prepared sides; see :func:`find_embeddings`."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit!r}")
-
-    candidates = candidate_lists(query, target)
-    if candidates is None:
-        return []
-    order, schedule, _, _ = query.plan
-    target_facts = target.facts
-
-    found: list[Embedding] = []
-    assigned = [""] * len(order)  # per step, its target name; read up to the current step only
-    used: set[str] = set()  # the names of the steps before the current one
-    matched: list = [()] * len(order)  # per step, the facts it checked
-    steps = budget
-
-    def extend(i: int) -> bool:
-        nonlocal steps
-        if i == len(order):
-            witness = frozenset(chain.from_iterable(matched))
-            found.append(Embedding(tuple(sorted(zip(order, assigned))), witness))
-            return len(found) == limit
-        checks = schedule[i]
-        for tname in candidates[i]:
-            if tname in used:
-                continue
-            if steps <= 0:
-                raise _budget_exceeded(budget)
-            steps -= 1
-            assigned[i] = tname
-            keys = []
-            for predicate, get_args, canonical in checks:
-                mapped = get_args(assigned)
-                key = (predicate, mapped if canonical is None else canonical(mapped))
-                if key not in target_facts:
-                    break
-                keys.append(key)
-            else:
-                matched[i] = keys
-                used.add(tname)
-                if extend(i + 1):
-                    return True
-                used.discard(tname)
-        return False
-
-    try:
         extend(0)
     finally:
         # extend refers to itself through its closure; unbinding it breaks that
         # cycle, so the call's state is freed at once, not by the cyclic collector
         del extend
-    found.sort(key=attrgetter("mapping"))
     return found
 
 
@@ -282,13 +249,11 @@ def find_embeddings(
     budget: int = DEFAULT_BUDGET,
 ) -> list[Embedding]:
     """Up to ``limit`` distinct embeddings of the closed query into the
-    closed target, in lexicographic mapping order; empty iff none exist."""
-    return embed_closed(
-        prepare(query.kinds, closure(query, ruleset)),
-        prepare(target.kinds, closure(target, ruleset)),
-        limit,
-        budget=budget,
-    )
+    closed target, the first the search finds, in lexicographic mapping
+    order; empty iff none exist."""
+    side = prepare(query.kinds, closure(query, ruleset))
+    found = embed_closed(side, prepare(target.kinds, closure(target, ruleset)), limit, budget=budget)
+    return sorted([Embedding(side, targets) for targets in found], key=attrgetter("mapping"))
 
 
 def is_subconstruction(

@@ -43,8 +43,8 @@ terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
 close and fingerprint the query construction, read the entries whose
 cached fingerprint dominates it from the index, apply filters to those
 alone, and optionally confirm each candidate by exact embedding search,
-attaching the witness mapping; the query is prepared for matching only once
-a candidate passes the filter.
+attaching the embedding it finds; the query is prepared for matching only
+once a candidate passes the filter.
 
 Inserts pass through a duplicate gate: unless forced, a draft that is
 structurally equal to a stored entry, or embeds into one, is rejected with
@@ -53,12 +53,12 @@ a report naming the offenders.  A draft that merely extends stored entries
 construction legitimately refines a poorer one.  The index gives the gate
 its candidates in both directions: the entries whose fingerprint dominates
 the draft's, and those whose fingerprint the draft's dominates.  The report
-names entries only, so the gate decides containment with the yes/no search
-(:func:`~geokb.matching.embeds_closed`), which builds no witness.  The
-draft is the target of every backward check, so one call keeps the draft's
-names that fit each need of a stored query and filters each need once.  A
-check that runs out of match budget counts as no match, with a warning, in
-the gate as in a confirmed query.
+names entries only, so the gate asks :func:`~geokb.matching.embed_closed`
+for one embedding each way and only tests whether it found one; no witness
+is read.  The draft is the target of every backward check, so one call
+keeps the draft's names that fit each need of a stored query and filters
+each need once.  A check that runs out of match budget counts as no match,
+with a warning, in the gate as in a confirmed query.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, embeds_closed, prepare
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
 from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
 from . import textindex
@@ -486,15 +486,15 @@ class Repository:
         pairs = sorted([(records[slot].entry.identifier, slot) for slot in dominating | dominated])
         for identifier, slot in pairs:
             stored = records[slot].side
-            forward = backward = False
+            forward = backward = ()  # each becomes the search's list of embeddings
             if slot in dominating:
                 try:
-                    forward = embeds_closed(side, stored, budget=DEFAULT_BUDGET)
+                    forward = embed_closed(side, stored, 1, budget=DEFAULT_BUDGET)
                 except SearchBudgetExceeded:
                     _budget_exhausted(f"draft against {identifier}")
             if slot in dominated:
                 try:
-                    backward = embeds_closed(stored, side, fitting, budget=DEFAULT_BUDGET)
+                    backward = embed_closed(stored, side, 1, fitting, budget=DEFAULT_BUDGET)
                 except SearchBudgetExceeded:
                     _budget_exhausted(f"{identifier} against draft")
             if forward and backward:
@@ -616,7 +616,7 @@ class Repository:
                 _budget_exhausted(f"query against {identifier}")
                 continue
             if found:
-                results.append((identifier, found[0]))
+                results.append((identifier, Embedding(side, found[0])))
         return results
 
     def check_cache_coherence(self) -> list[str]:
@@ -633,8 +633,7 @@ class Repository:
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            # both hold exactly when the index holds the fresh counts in the slot
-            held = slot in index.dominating(fingerprint) and slot in index.dominated(fingerprint)
+            held = index.counts(slot) == fingerprint
             if not held or (side.by_kind, side.facts) != (record.side.by_kind, record.side.facts):
                 stale.append(identifier)
         return sorted(stale)

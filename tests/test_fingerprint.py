@@ -194,8 +194,9 @@ def test_index_agrees_with_a_scan_as_slots_are_written(rules):
     """A seeded sequence of appended slots: fresh fingerprints, exact
     repeats of stored ones and stored ones with one count changed, which
     bring new keys and counts below, between and above a key's stored
-    counts.  After each write both directions equal a brute-force scan, and
-    the derived index equals one built from scratch."""
+    counts.  After each write both directions equal a brute-force scan, the
+    derived index equals one built from scratch, and each slot's counts are
+    its fingerprint."""
     rng = random.Random(0x1DE)
     fingerprints: list[dict[str, int]] = []
     index = GtdIndex()
@@ -212,6 +213,7 @@ def test_index_agrees_with_a_scan_as_slots_are_written(rules):
         fingerprints.append(fingerprint)
         assert index.size == len(fingerprints)
         assert index._postings == GtdIndex.build(fingerprints)._postings
+        assert [index.counts(slot) for slot in range(index.size)] == fingerprints
         for query in _probe_queries(rng, fingerprints, rules):
             assert (index.dominating(query), index.dominated(query)) == _scan(fingerprints, query)
     assert seen == WRITE_KINDS

@@ -13,7 +13,6 @@ from geokb.matching import (
     DEFAULT_BUDGET,
     Embedding,
     embed_closed,
-    embeds_closed,
     find_embeddings,
     is_subconstruction,
     prepare,
@@ -49,7 +48,8 @@ def test_single_point_embeds_three_ways_into_triangle(rules):
 
 def test_empty_query_has_the_trivial_embedding(rules):
     found = find_embeddings(EMPTY_CONSTRUCTION, bare_triangle(), rules, limit=5)
-    assert found == [Embedding((), frozenset())]
+    assert found == [Embedding(prepare({}, ()), ())]
+    assert (found[0].mapping, found[0].facts) == ((), frozenset())
     assert is_subconstruction(EMPTY_CONSTRUCTION, EMPTY_CONSTRUCTION, rules) is not None
 
 
@@ -131,9 +131,11 @@ def test_embedding_search_leaves_no_cyclic_garbage(rules):
         for _ in range(10):
             for query, target, limit in searches:
                 embed_closed(query, target, limit)
-                embeds_closed(query, target)
+                embed_closed(query, target, 1, {})
+                for targets in embed_closed(query, target, limit):
+                    Embedding(query, targets).facts
             for search in (lambda: embed_closed(triangle, ceva, 100, budget=5),
-                           lambda: embeds_closed(ceva, ceva, budget=5)):
+                           lambda: embed_closed(ceva, ceva, 1, {}, budget=5)):
                 try:
                     search()
                 except SearchBudgetExceeded:
@@ -158,7 +160,7 @@ def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules):
     assert "GEO_CEVA" in report.exact_duplicates
 
 
-# -- the yes/no search ------------------------------------------------------------
+# -- candidate lists shared between searches ------------------------------------------
 
 
 def _target_and_queries(seed: int, count: int, rules):
@@ -175,18 +177,16 @@ def _target_and_queries(seed: int, count: int, rules):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.integers(0, 2**32), st.integers(1, 8))
-def test_yes_no_search_answers_as_embed_closed(rules, seed, count):
-    """With its own candidate lists, and with one dict of them shared by
-    all queries into one target."""
+@given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from([1, 3, 100]))
+def test_shared_candidate_lists_give_the_searchs_own_answers(rules, seed, count, limit):
+    """One dict of candidate lists shared by all queries into one target
+    gives each search the targets, in order, that its own lists give."""
     queries, target = _target_and_queries(seed, count, rules)
     fitting: dict = {}
     for query in queries:
-        expected = bool(embed_closed(query, target, 1))
-        assert embeds_closed(query, target) is expected
-        assert embeds_closed(query, target, fitting) is expected
+        assert embed_closed(query, target, limit, fitting) == embed_closed(query, target, limit)
     for query in queries:  # now every need is met from the dict
-        assert embeds_closed(query, target, fitting) is bool(embed_closed(query, target, 1))
+        assert embed_closed(query, target, limit, fitting) == embed_closed(query, target, limit)
 
 
 def _least_budget(search) -> int:
@@ -206,14 +206,14 @@ def _least_budget(search) -> int:
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
-def test_yes_no_search_runs_out_of_budget_where_embed_closed_does(rules, seed):
-    """Also when every need is already in a shared dict."""
+def test_shared_candidate_lists_run_out_of_budget_where_own_lists_do(rules, seed):
+    """With a dict being filled and with one in which every need is met."""
     [query], target = _target_and_queries(seed, 1, rules)
     least = _least_budget(lambda budget: embed_closed(query, target, 1, budget=budget))
-    assert _least_budget(lambda budget: embeds_closed(query, target, budget=budget)) == least
+    assert _least_budget(lambda budget: embed_closed(query, target, 1, {}, budget=budget)) == least
     filled: dict = {}
-    embeds_closed(query, target, filled)
-    assert _least_budget(lambda budget: embeds_closed(query, target, filled, budget=budget)) == least
+    embed_closed(query, target, 1, filled)
+    assert _least_budget(lambda budget: embed_closed(query, target, 1, filled, budget=budget)) == least
 
 
 # -- oracle agreement --------------------------------------------------------------

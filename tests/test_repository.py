@@ -1173,12 +1173,13 @@ def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
     """Both directions of the published fingerprint index equal a
     brute-force scan of the fingerprints of the published entries' code,
     and so does an unconfirmed geometric query's list, with and without a
-    filter."""
+    filter; each slot's counts are its entry's fingerprint."""
     index = repo._index
     assert index.size == len(repo._records) == len(repo._slots)
     assert all(repo._records[slot].entry.identifier == i for i, slot in repo._slots.items())
     records = {r.entry.identifier: r for r in repo._records}
     stored = {i: _code_fingerprint(repo, i) for i in records}
+    assert all(index.counts(slot) == stored[i] for i, slot in repo._slots.items())
     level3 = parse_filters("level=3")
     for fingerprint in queries:
         dominating = sorted(i for i, f in stored.items() if gtd_subsumes(f, fingerprint))
@@ -1245,24 +1246,22 @@ THREAD_TIMEOUT = 5.0
 
 
 def _hold_first_embedding(monkeypatch) -> tuple[threading.Event, threading.Event]:
-    """Make the repository's next search, of either kind, wait for the
-    returned release event; the entered event is set once it waits.  Later
-    calls run at once."""
+    """Make the repository's next embedding search, of a confirmed query or
+    of the duplicate gate, wait for the returned release event; the entered
+    event is set once it waits.  Later calls run at once."""
     import geokb.repository as repository_module
 
     entered, release = threading.Event(), threading.Event()
 
-    def held(original):
-        def search(*args, **kwargs):
-            if not entered.is_set():
-                entered.set()
-                release.wait(30)
-            return original(*args, **kwargs)
-        return search
+    original = repository_module.embed_closed
 
-    # queries confirm with the first search, the duplicate gate asks the second
-    for name in ("embed_closed", "embeds_closed"):
-        monkeypatch.setattr(repository_module, name, held(getattr(repository_module, name)))
+    def held(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(30)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repository_module, "embed_closed", held)
     return entered, release
 
 
@@ -1314,13 +1313,13 @@ def test_identical_unforced_inserts_at_once_store_one_entry(tmp_path, monkeypatc
 
     repo = Repository(tmp_path / "data")
     repo.insert(ProblemEntry(name="Circle", code="circle k\n", level=1), force=True)
-    original = repository_module.embeds_closed
+    original = repository_module.embed_closed
 
     def slow(*args, **kwargs):
         time.sleep(0.02)  # widens the gap between a gate's check and its write
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(repository_module, "embeds_closed", slow)
+    monkeypatch.setattr(repository_module, "embed_closed", slow)
     draft = replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT)
     start = threading.Barrier(3)
     outcomes = []

@@ -13,7 +13,9 @@ import pytest
 
 from geokb.client import client_query, save_codes
 from geokb.cli import client_main, server_main
+from geokb.corpus import ENTRIES, seed_repository
 from geokb.errors import ProtocolError, TransportError
+from geokb.matching import Embedding
 from geokb.model import parse_construction
 from geokb.protocol import (
     EntryInfo,
@@ -166,6 +168,37 @@ def test_handle_request_insert_duplicate_then_forced(fresh_seeded_repo):
     assert isinstance(forced, InsertResult)
     assert forced.status == "inserted"
     assert forced.identifier == "GEO0023"
+
+
+def test_answers_read_no_embedding_mapping_or_witness(tmp_path, monkeypatch):
+    """Answers name entries only: a confirmed query, and unforced inserts
+    whose duplicate gate finds embeddings (one blocked, one extending a
+    stored entry), answer the same bytes when reading an embedding's
+    mapping or witness raises."""
+    extended = next(e.code for e in ENTRIES if e.identifier == "GEO0281")
+    requests = [
+        QueryRequest(geometric=BARE_TRIANGLE_TEXT),
+        QueryRequest(insert=ProblemEntry(name="Triangle again", code=BARE_TRIANGLE_TEXT)),
+        QueryRequest(insert=ProblemEntry(
+            name="Six circles more", code=extended + "".join(f"circle z{i}\n" for i in range(6))
+        )),
+    ]
+
+    def answers(name: str) -> list[bytes]:
+        repo = Repository(tmp_path / name)
+        seed_repository(repo)
+        return [handle_request(repo, encode_request(request)) for request in requests]
+
+    expected = answers("plain")
+    assert len(decode_response(expected[0]).entries) > 1
+    assert [decode_response(answer).status for answer in expected[1:]] == ["duplicate", "inserted"]
+
+    def unread(embedding):
+        raise AssertionError("an answer read an embedding's mapping or witness")
+
+    monkeypatch.setattr(Embedding, "mapping", property(unread))
+    monkeypatch.setattr(Embedding, "facts", property(unread))
+    assert answers("patched") == expected
 
 
 # -- wire round trips -----------------------------------------------------------
