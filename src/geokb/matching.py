@@ -22,7 +22,7 @@ by position.  Relation nodes need no mapping: a fact is determined by its
 arguments.
 
 One loop, :func:`embed_closed`, serves confirmed geometric queries,
-:func:`find_embeddings` and both directions of the duplicate gate.  It
+:func:`find_embeddings` and the duplicate gate, in either direction.  It
 stops at its limit and returns each embedding as the search found it: the
 target names its plan steps took, in step order, with no witness built.
 An :class:`Embedding` reads its mapping and witness from those names only

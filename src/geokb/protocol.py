@@ -43,7 +43,6 @@ from .repository import (
     ProblemEntry,
     document_to_entry,
     entry_to_document,
-    hit_member,
 )
 from .textindex import MODES
 
@@ -216,11 +215,6 @@ def encode_hits(members: list[bytes]) -> bytes:
 
 def encode_response(response: QueryResponse) -> bytes:
     """One newline-terminated response line; inverse of :func:`decode_response`."""
-    if isinstance(response, QueryResult):
-        return encode_hits([
-            hit_member(identifier, info.name, info.description, info.code)
-            for identifier, info in response.entries
-        ])
     text = json.dumps(response_to_document(response), ensure_ascii=False)
     return (text + "\n").encode("utf-8", "backslashreplace")
 

@@ -52,13 +52,14 @@ a report naming the offenders.  A draft that merely extends stored entries
 (they embed into it) is inserted with a warning, since a richer
 construction legitimately refines a poorer one.  The index gives the gate
 its candidates in both directions: the entries whose fingerprint dominates
-the draft's, and those whose fingerprint the draft's dominates.  The report
-names entries only, so the gate asks :func:`~geokb.matching.embed_closed`
-for one embedding each way and only tests whether it found one; no witness
-is read.  The draft is the target of every backward check, so one call
-keeps the draft's names that fit each need of a stored query and filters
-each need once.  A check that runs out of match budget counts as no match,
-with a warning, in the gate as in a confirmed query.
+the draft's, and those whose fingerprint the draft's dominates.  Each is
+searched once for one embedding, and no witness is read.  One that
+dominates is searched forward (the draft into it), and is an exact
+duplicate if its fingerprint also equals the draft's: equal object and fact
+counts make the embedding a bijection, whose inverse embeds it back.  Any
+other is searched backward, into the draft, so those searches share the
+draft's names that fit each need.  A search that runs out of match budget
+counts as no match, with a warning, in the gate as in a confirmed query.
 """
 
 from __future__ import annotations
@@ -174,9 +175,11 @@ def _new_record(entry: ProblemEntry, side: MatchSide) -> _Record:
 
 @dataclass(frozen=True)
 class DuplicateReport:
-    """Outcome of the duplicate gate.  The three lists are disjoint:
-    mutual embeddings are exact duplicates, one-way embeddings fall in the
-    matching one-way list.  Either of the first two blocks an unforced insert."""
+    """Outcome of the duplicate gate.  The three lists are disjoint: an
+    entry of the draft's fingerprint that the draft embeds into is an exact
+    duplicate (the embedding is an isomorphism), and any other embedding
+    falls in the list of its direction.  Either of the first two blocks an
+    unforced insert."""
 
     exact_duplicates: tuple[str, ...] = ()
     containing_entries: tuple[str, ...] = ()
@@ -314,10 +317,18 @@ def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple
     return facts
 
 
-def _budget_exhausted(checked: str) -> None:
-    """Log that a match check ran out of budget; its caller treats it as
-    no match."""
-    log.warning("match budget exhausted while checking %s; treating as no match", checked)
+def _first_embedding(
+    query: MatchSide, target: MatchSide, checked: str, fitting: dict[tuple, list[str]] | None = None
+) -> tuple[str, ...] | None:
+    """The first embedding of the query into the target the search finds,
+    or None; a search that runs out of match budget counts as no match,
+    with a warning naming what was ``checked``."""
+    try:
+        found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
+    except SearchBudgetExceeded:
+        log.warning("match budget exhausted while checking %s; treating as no match", checked)
+        return None
+    return found[0] if found else None
 
 
 class Repository:
@@ -486,22 +497,12 @@ class Repository:
         pairs = sorted([(records[slot].entry.identifier, slot) for slot in dominating | dominated])
         for identifier, slot in pairs:
             stored = records[slot].side
-            forward = backward = ()  # each becomes the search's list of embeddings
+            # equal fingerprints mean equal object and fact counts, so an
+            # injective embedding either way is a bijection whose inverse embeds back
             if slot in dominating:
-                try:
-                    forward = embed_closed(side, stored, 1, budget=DEFAULT_BUDGET)
-                except SearchBudgetExceeded:
-                    _budget_exhausted(f"draft against {identifier}")
-            if slot in dominated:
-                try:
-                    backward = embed_closed(stored, side, 1, fitting, budget=DEFAULT_BUDGET)
-                except SearchBudgetExceeded:
-                    _budget_exhausted(f"{identifier} against draft")
-            if forward and backward:
-                exact.append(identifier)
-            elif forward:
-                containing.append(identifier)
-            elif backward:
+                if _first_embedding(side, stored, f"draft against {identifier}") is not None:
+                    (exact if slot in dominated else containing).append(identifier)
+            elif _first_embedding(stored, side, f"{identifier} against draft", fitting) is not None:
                 contained.append(identifier)
         return DuplicateReport(tuple(exact), tuple(containing), tuple(contained))
 
@@ -602,21 +603,17 @@ class Repository:
         closed = closure(query, self._rules)
         records = self._records
         slots = self._index.dominating(gtd(query, closed))
-        candidates = sorted([records[slot].entry.identifier for slot in slots])
+        candidates = sorted([(records[slot].entry.identifier, slot) for slot in slots])
         if filters:
-            candidates = [i for i in candidates if filters.matches(self.get(i))]
+            candidates = [(i, slot) for i, slot in candidates if filters.matches(records[slot].entry)]
         if not confirm or not candidates:
-            return [(identifier, None) for identifier in candidates]
+            return [(identifier, None) for identifier, _ in candidates]
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
-        for identifier in candidates:
-            try:
-                found = embed_closed(side, records[self._slots[identifier]].side, 1, budget=DEFAULT_BUDGET)
-            except SearchBudgetExceeded:
-                _budget_exhausted(f"query against {identifier}")
-                continue
-            if found:
-                results.append((identifier, Embedding(side, found[0])))
+        for identifier, slot in candidates:
+            found = _first_embedding(side, records[slot].side, f"query against {identifier}")
+            if found is not None:
+                results.append((identifier, Embedding(side, found)))
         return results
 
     def check_cache_coherence(self) -> list[str]:

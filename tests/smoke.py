@@ -1,0 +1,96 @@
+"""A pytest-free smoke check of the duplicate gate and the response encoder,
+for interpreters that have no pytest installed.  Run it from the repository
+root, for instance under each supported CPython with warnings as errors:
+
+    PYTHONPATH=src python -X dev -W error tests/smoke.py
+
+It prints one line per check and exits non-zero at the first that fails.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import sys
+import tempfile
+
+from geokb import repository
+from geokb.corpus import ENTRIES, seed_repository
+from geokb.model import parse_construction
+from geokb.protocol import (
+    EntryInfo,
+    ErrorResponse,
+    InsertResult,
+    QueryResult,
+    decode_response,
+    encode_response,
+    response_to_document,
+)
+from geokb.repository import DuplicateReport, ProblemEntry, Repository
+
+TRIANGLE = (
+    "point A\npoint B\npoint C\nline a\nline b\nline c\n"
+    "line_through(a, B, C)\nline_through(b, A, C)\nline_through(c, A, B)\n"
+)
+
+
+class Warnings(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def check(label: str, condition: bool) -> None:
+    print(("ok  " if condition else "FAIL") + f" {label}")
+    if not condition:
+        sys.exit(1)
+
+
+def main() -> None:
+    print(f"Python {sys.version.split()[0]}")
+    own = parse_construction(next(e.code for e in ENTRIES if e.identifier == "GEO0281"))
+    with tempfile.TemporaryDirectory() as data:
+        repo = Repository(data)
+        seed_repository(repo)
+        report = repo.find_duplicates(own)
+        check("an entry's own figure is its exact duplicate", report.exact_duplicates == ("GEO0281",))
+        report = repo.find_duplicates(parse_construction(TRIANGLE))
+        check("the bare triangle is contained in GEO0281", "GEO0281" in report.containing_entries)
+        smaller = repo.insert(ProblemEntry(name="Triangle", code=TRIANGLE), force=True)
+        report = repo.find_duplicates(own)
+        check(f"GEO0281's figure contains {smaller}", smaller in report.contained_entries)
+
+        warnings = Warnings()
+        logging.getLogger("geokb.repository").addHandler(warnings)
+        budget, repository.DEFAULT_BUDGET = repository.DEFAULT_BUDGET, 0
+        try:
+            check("with no budget the gate reports nothing", repo.find_duplicates(own) == DuplicateReport())
+        finally:
+            repository.DEFAULT_BUDGET = budget
+            logging.getLogger("geokb.repository").removeHandler(warnings)
+        expected = [f"match budget exhausted while checking {checked}; treating as no match"
+                    for checked in ("draft against GEO0281", f"{smaller} against draft")]
+        check("budget warnings name the forward and the backward check",
+              all(message in warnings.messages for message in expected)
+              and not any("GEO0281 against draft" in message for message in warnings.messages))
+
+    responses = [
+        ErrorResponse("bad \ud800 filter"),
+        InsertResult("inserted", "GEO0042", DuplicateReport()),
+        InsertResult("duplicate", None, DuplicateReport(("GEO0001",), ("GEO0002",), ("GEO0003",))),
+        QueryResult(()),
+        QueryResult((("GEO0015", EntryInfo("Simetria", "Reflexão\n\"x\" \ud800", "point A\n")),)),
+    ]
+    for response in responses:
+        text = json.dumps(response_to_document(response), ensure_ascii=False)
+        encoded = encode_response(response)
+        check(f"{type(response).__name__} encodes as json.dumps and round-trips",
+              encoded == (text + "\n").encode("utf-8", "backslashreplace")
+              and decode_response(encoded) == response)
+
+
+if __name__ == "__main__":
+    main()

@@ -91,6 +91,7 @@ CATALOGUE_OBJECTS = "point A\npoint B\npoint C\nline a\nline b\ncircle k\n"
         ("point A\npoint B\ncollinear(A, A, B)", "repeated argument"),
         ("point A\npoint B\nequidistant(A, A, A, B)", "distance pair"),
         ("point A incident", "bad object name"),
+        ("point A\nline a\nincident(A, 1a)", "bad object name '1a'"),
         ("nonsense line", "expected 'predicate"),
         # the malformed-fact catalogue; each of its rows gives the whole message
         *(

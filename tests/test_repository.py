@@ -21,8 +21,8 @@ from geokb.errors import (
     StorageError,
 )
 from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, serialize_gtd
-from geokb.matching import find_embeddings
-from geokb.model import fact_text, parse_construction, serialize_construction
+from geokb.matching import embed_closed, find_embeddings
+from geokb.model import Construction, ObjectDecl, fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
 from geokb.protocol import QueryRequest, encode_request
 from geokb.repository import (
@@ -363,10 +363,28 @@ def _may_embed(query, target, rules) -> bool:
     return all(small <= large for small, large in zip(counts(query), counts(target)))
 
 
+def _embeds(query, target, rules) -> bool:
+    return _may_embed(query, target, rules) and brute_force_embeds(query, target, rules)
+
+
+def _renamed(code: str) -> str:
+    """The figure of ``code`` with each object renamed, in reverse name
+    order, so that look-alike objects are tried in another order."""
+    construction = parse_construction(code)
+    names = {name: f"N{i:02d}" for i, name in enumerate(sorted(construction.kinds, reverse=True))}
+    return serialize_construction(Construction(
+        frozenset(ObjectDecl(names[o.name], o.kind) for o in construction.objects),
+        frozenset((predicate, tuple(names[a] for a in args)) for predicate, args in construction.facts),
+    ))
+
+
+GEO0281_CODE = next(e.code for e in ENTRIES if e.identifier == "GEO0281")
+
 #: drafts for the gate's oracle, each with the number of stored entries that
 #: contain it and that it contains.  The bare triangle is searched forward
 #: only; against the padded corpus entry nine stored entries are searched
-#: backward, all sharing its candidate lists
+#: backward, all sharing its candidate lists.  A stored entry's own figure,
+#: under its names or others, is an exact duplicate of it
 GATE_DRAFTS = {
     "bare triangle": (BARE_TRIANGLE_TEXT, 18, 0),
     "padded corpus entry": (
@@ -374,6 +392,8 @@ GATE_DRAFTS = {
         0,
         5,
     ),
+    "GEO0281": (GEO0281_CODE, 1, 1),
+    "GEO0281 renamed": (_renamed(GEO0281_CODE), 1, 1),
 }
 
 
@@ -383,17 +403,55 @@ def test_find_duplicates_mirror_report(fresh_seeded_repo):
     for draft, (code, containing, contained) in GATE_DRAFTS.items():
         construction = parse_construction(code)
         report = repo.find_duplicates(construction)
-        oracle_containing = {
-            identifier for identifier, entry in stored.items()
-            if _may_embed(construction, entry, rules) and brute_force_embeds(construction, entry, rules)
-        }
-        oracle_contained = {
-            identifier for identifier, entry in stored.items()
-            if _may_embed(entry, construction, rules) and brute_force_embeds(entry, construction, rules)
-        }
+        oracle_containing = {i for i, entry in stored.items() if _embeds(construction, entry, rules)}
+        oracle_contained = {i for i, entry in stored.items() if _embeds(entry, construction, rules)}
+        assert set(report.exact_duplicates) == oracle_containing & oracle_contained, draft
         assert set(report.containing_entries) | set(report.exact_duplicates) == oracle_containing, draft
         assert set(report.contained_entries) | set(report.exact_duplicates) == oracle_contained, draft
         assert (len(oracle_containing), len(oracle_contained)) == (containing, contained), draft
+
+
+def test_find_duplicates_classifies_seeded_drafts_as_brute_force_does(fresh_seeded_repo):
+    repo, rules = fresh_seeded_repo, fresh_seeded_repo.ruleset
+    rng = random.Random(0x6A7E)
+
+    def small_figure():
+        return random_construction(rng, max_points=4, max_lines=3, max_circles=1, max_facts=6)
+
+    figures = [small_figure() for _ in range(100)]
+    for i, figure in enumerate(figures):
+        repo.insert(ProblemEntry(name=f"Random {i}", code=serialize_construction(figure)), force=True)
+    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    drafts = [small_figure() for _ in range(40)]
+    drafts += [parse_construction(_renamed(serialize_construction(f))) for f in rng.sample(figures, 15)]
+    drafts += [stored[identifier] for identifier in ("GEO0003", "GEO0281")]
+    seen = set()
+    for draft in drafts:
+        forward = {i for i, entry in stored.items() if _embeds(draft, entry, rules)}
+        backward = {i for i, entry in stored.items() if _embeds(entry, draft, rules)}
+        oracle = [sorted(forward & backward), sorted(forward - backward), sorted(backward - forward)]
+        report = repo.find_duplicates(draft)
+        lists = [report.exact_duplicates, report.containing_entries, report.contained_entries]
+        assert [list(found) for found in lists] == oracle
+        seen.update(k for k, found in enumerate(lists) if found)
+    assert seen == {0, 1, 2}  # each list is met
+
+
+def test_a_draft_equal_to_a_stored_entry_costs_it_one_search(fresh_seeded_repo, monkeypatch):
+    stored = _record(fresh_seeded_repo, "GEO0281").side
+    searched = []
+
+    def counting(query, target, *args, **kwargs):
+        if stored in (query, target):
+            searched.append((query, target))
+        return embed_closed(query, target, *args, **kwargs)
+
+    monkeypatch.setattr("geokb.repository.embed_closed", counting)
+    for code in (GEO0281_CODE, _renamed(GEO0281_CODE)):
+        searched.clear()
+        report = fresh_seeded_repo.find_duplicates(parse_construction(code))
+        assert report.exact_duplicates == ("GEO0281",)
+        assert len(searched) == 1 and searched[0][1] is stored
 
 
 # -- queries -----------------------------------------------------------------------
@@ -508,13 +566,17 @@ def test_budget_warning_names_the_entry_in_each_direction(tmp_path, caplog, monk
     monkeypatch.setattr("geokb.repository.DEFAULT_BUDGET", 0)
     repo = Repository(tmp_path / "data")
     seed_repository(repo)
+    smaller = repo.insert(TRIANGLE_DRAFT, force=True)  # GEO0281 strictly contains it
     with caplog.at_level("WARNING"):
         repo.geometric_query(bare_triangle(), confirm=True)
-        # an entry's own figure is a candidate of the gate in both directions
+        # an entry's own figure is searched forward only, since its
+        # fingerprint equals the draft's; a smaller figure is searched backward
         assert repo.find_duplicates(repo.construction_of("GEO0281")) == DuplicateReport()
     messages = {record.getMessage() for record in caplog.records}
-    for checked in ("query against GEO0281", "draft against GEO0281", "GEO0281 against draft"):
+    for checked in ("query against GEO0281", "draft against GEO0281", f"{smaller} against draft"):
         assert f"match budget exhausted while checking {checked}; treating as no match" in messages
+    for checked in ("GEO0281 against draft", f"draft against {smaller}"):
+        assert f"match budget exhausted while checking {checked}; treating as no match" not in messages
 
 
 # -- persistence -------------------------------------------------------------------

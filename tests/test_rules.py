@@ -73,6 +73,11 @@ def test_digest_covers_heads_bodies_and_distinctness_only():
         ("R1: incident(?p, ?l) :- incident(A, ?l).", "must be variables"),
         ("R1: incident(?p, ?l) :- incident(?l, ?l).", "used both as"),
         ("R1: incident(?p, ?l) :- .", "at least one atom"),
+        ("R1: parallel(?a, ?b) :- ?a != ?b.", "at least one atom"),
+        ("R1: incident(?p, ?l) :- incident(?p, ?l)).", "unbalanced parentheses"),
+        ("R1: incident(?p, ?l) :- incident(?p, ?l.", "unbalanced parentheses"),
+        ("R1: incident :- incident(?p, ?l).", "expected 'predicate(?x, ...)'"),
+        ("R1: incident(?p, ?l).", "missing ':-'"),
         ("incident(?p, ?l) :- incident(?p, ?l).", "expected '<name>"),
         ("R1: incident(?p, ?l) :- incident(?p, ?l), ?p != ?z.", "side-condition variable"),
         (
@@ -301,6 +306,11 @@ RULE_FILES = {
     "no distinctness": (LINE_RULES.replace("parallel(?b, ?c), ?a != ?c", "parallel(?b, ?c)"), set()),
     "distinctness on the wrong pair": (LINE_RULES.replace("parallel(?b, ?c), ?a != ?c", "parallel(?b, ?c), ?a != ?b"), set()),
     "head variable out of place": (LINE_RULES.replace("R4: parallel(?a, ?c)", "R4: parallel(?a, ?b)"), set()),
+    "chain of three": (
+        LINE_RULES.replace("R4: parallel(?a, ?c)", "R4: parallel(?a, ?d)")
+        .replace("parallel(?b, ?c), ?a != ?c", "parallel(?b, ?c), parallel(?c, ?d), ?a != ?d"),
+        set(),
+    ),
     "no transitive rule": (LINE_RULES.split("\n", 1)[1], set()),
 }
 

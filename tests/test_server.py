@@ -349,6 +349,14 @@ def test_malformed_request_gets_error_response_and_liveness(server):
     assert isinstance(ok, QueryResult)
 
 
+def test_connection_closed_without_a_byte_gets_no_answer_and_the_server_goes_on(server):
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.shutdown(socket.SHUT_WR)
+        assert read_to_eof(sock) == b""
+    ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
+    assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
+
+
 @pytest.mark.parametrize("size", [MAX_REQUEST_BYTES + 10, 2 * MAX_REQUEST_BYTES])
 def test_oversized_request_gets_its_error_and_the_server_goes_on(server, size):
     # the server stops reading at the limit; it must still deliver its answer
