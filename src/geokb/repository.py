@@ -53,13 +53,18 @@ a report naming the offenders.  A draft that merely extends stored entries
 construction legitimately refines a poorer one.  The index gives the gate
 its candidates in both directions: the entries whose fingerprint dominates
 the draft's, and those whose fingerprint the draft's dominates.  Each is
-searched once for one embedding, and no witness is read.  One that
-dominates is searched forward (the draft into it), and is an exact
-duplicate if its fingerprint also equals the draft's: equal object and fact
-counts make the embedding a bijection, whose inverse embeds it back.  Any
-other is searched backward, into the draft, so those searches share the
-draft's names that fit each need.  A search that runs out of match budget
-counts as no match, with a warning, in the gate as in a confirmed query.
+searched at most once for one embedding, and no witness is read.  Those
+that dominate are searched first, forward (the draft into each), and alone
+decide whether the draft is blocked; one is an exact duplicate if its
+fingerprint also equals the draft's: equal object and fact counts make the
+embedding a bijection, whose inverse embeds it back.  The others are
+searched backward, into the draft, so those searches share the draft's
+names that fit each need.  A blocked report, like
+:meth:`Repository.find_duplicates`, names every entry found either way.  An
+insert that goes through answers with no report, and its warning names
+only the first five entries it extends, so its backward searches stop at
+the fifth embedding.  A search that runs out of match budget counts as no
+match, with a warning, in the gate as in a confirmed query.
 """
 
 from __future__ import annotations
@@ -69,8 +74,11 @@ import logging
 import os
 import re
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 from json.encoder import encode_basestring
+from operator import length_hint
 from pathlib import Path
 
 from .errors import (
@@ -356,6 +364,9 @@ class Repository:
         self._lock = threading.Lock()
         #: slot -> record; only appended to, shared by all readers
         self._records: list[_Record] = []
+        #: slot -> its entry's identifier, appended beside ``_records``: a
+        #: sort key for slots that reads no record
+        self._identifiers: list[str] = []
         #: identifier -> slot; only added to and never iterated, since a
         #: dict that grows while it is iterated raises RuntimeError
         self._slots: dict[str, int] = {}
@@ -407,6 +418,7 @@ class Repository:
                     log.error("entry file %s left stale, served from its code: %s", path.name, exc)
             self._slots[entry.identifier] = len(self._records)
             self._records.append(_new_record(entry, side))
+            self._identifiers.append(entry.identifier)
             fingerprints.append(fingerprint)
         self._index = GtdIndex.build(fingerprints)
 
@@ -481,30 +493,44 @@ class Repository:
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against the stored entries; only
         those the fingerprint index pairs with it in either direction are
-        matched."""
-        return self._find_duplicates(*self._analyze(construction))
+        matched, and every one of them is."""
+        side, fingerprint = self._analyze(construction)
+        exact, containing, backward = self._search_forward(side, fingerprint)
+        return DuplicateReport(exact, containing, tuple(self._search_backward(side, backward)))
 
-    def _find_duplicates(self, side: MatchSide, fingerprint: Gtd) -> DuplicateReport:
-        index, records = self._index, self._records
-        dominating = set(index.dominating(fingerprint))
+    def _search_forward(
+        self, side: MatchSide, fingerprint: Gtd
+    ) -> tuple[tuple[str, ...], tuple[str, ...], list[int]]:
+        """The stored entries the draft embeds into, as exact duplicates and
+        containing entries, which alone decide whether an unforced insert is
+        blocked; and the slots left for the backward searches.  All in
+        identifier order."""
+        index, records, identifiers = self._index, self._records, self._identifiers
+        dominating = index.dominating(fingerprint)
         dominated = set(index.dominated(fingerprint))
         exact: list[str] = []
         containing: list[str] = []
-        contained: list[str] = []
-        # need -> the draft's names that fit it, shared by the backward
-        # searches: the draft is the target of each
-        fitting: dict[tuple, list[str]] = {}
-        pairs = sorted([(records[slot].entry.identifier, slot) for slot in dominating | dominated])
-        for identifier, slot in pairs:
-            stored = records[slot].side
+        for slot in sorted(dominating, key=identifiers.__getitem__):
+            identifier = identifiers[slot]
             # equal fingerprints mean equal object and fact counts, so an
             # injective embedding either way is a bijection whose inverse embeds back
-            if slot in dominating:
-                if _first_embedding(side, stored, f"draft against {identifier}") is not None:
-                    (exact if slot in dominated else containing).append(identifier)
-            elif _first_embedding(stored, side, f"{identifier} against draft", fitting) is not None:
-                contained.append(identifier)
-        return DuplicateReport(tuple(exact), tuple(containing), tuple(contained))
+            if _first_embedding(side, records[slot].side, f"draft against {identifier}") is not None:
+                (exact if slot in dominated else containing).append(identifier)
+        backward = sorted(dominated.difference(dominating), key=identifiers.__getitem__)
+        return tuple(exact), tuple(containing), backward
+
+    def _search_backward(self, side: MatchSide, slots: Iterable[int]) -> Iterator[str]:
+        """The identifiers of the stored entries in ``slots`` that embed into
+        the draft, each searched only when the one before it is yielded or
+        found not to embed."""
+        records, identifiers = self._records, self._identifiers
+        # need -> the draft's names that fit it, shared by the searches: the
+        # draft is the target of each
+        fitting: dict[tuple, list[str]] = {}
+        for slot in slots:
+            identifier = identifiers[slot]
+            if _first_embedding(records[slot].side, side, f"{identifier} against draft", fitting) is not None:
+                yield identifier
 
     # -- inserts -----------------------------------------------------------
 
@@ -513,7 +539,10 @@ class Repository:
 
         Returns the assigned identifier on success, or a
         :class:`DuplicateReport` (and stores nothing) when an unforced
-        insert collides with an equal or containing entry.
+        insert collides with an equal or containing entry; that report is
+        the whole one :meth:`find_duplicates` gives.  An unforced insert that
+        goes through logs the first five stored entries it extends, and its
+        backward searches stop at the fifth embedding.
         """
         side, fingerprint = self._analyze(parse_construction(draft.code))
         with self._lock:
@@ -526,16 +555,20 @@ class Repository:
             else:
                 identifier = self._next_identifier()
             if not force:
-                report = self._find_duplicates(side, fingerprint)
-                if report.exact_duplicates or report.containing_entries:
-                    return report
-                if report.contained_entries:
-                    extended = report.contained_entries
+                exact, containing, backward = self._search_forward(side, fingerprint)
+                unsearched = iter(backward)
+                contained = self._search_backward(side, unsearched)
+                if exact or containing:
+                    return DuplicateReport(exact, containing, tuple(contained))
+                # an inserted answer names no stored entry, so only this line
+                # reads the backward searches, and it names five
+                extended = list(islice(contained, 5))
+                if extended:
                     log.warning(
-                        "insert %s extends stored entries (%d): %s",
+                        "insert %s extends stored entries %s; backward candidates left unsearched: %d",
                         identifier,
-                        len(extended),
-                        ", ".join(extended[:5]) + (", ..." if len(extended) > 5 else ""),
+                        ", ".join(extended),
+                        length_hint(unsearched),  # exact for a list's iterator
                     )
             entry = replace(draft, identifier=identifier)
             self._store(entry, side, fingerprint)
@@ -543,6 +576,7 @@ class Repository:
             # record, then slot, then index: a reader that finds an
             # identifier or a slot of the index always finds its record
             self._records.append(_new_record(entry, side))
+            self._identifiers.append(identifier)
             self._slots[identifier] = index.size - 1
             self._index = index
             return identifier
@@ -564,7 +598,7 @@ class Repository:
 
     def list_all(self) -> list[str]:
         """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""
-        return sorted([record.entry.identifier for record in self._published()])
+        return sorted(self._identifiers[: self._index.size])
 
     def construction_of(self, identifier: str) -> Construction:
         """The entry's construction, parsed again from its code."""
@@ -601,16 +635,16 @@ class Repository:
         budget are dropped with a logged warning.
         """
         closed = closure(query, self._rules)
-        records = self._records
-        slots = self._index.dominating(gtd(query, closed))
-        candidates = sorted([(records[slot].entry.identifier, slot) for slot in slots])
+        records, identifiers = self._records, self._identifiers
+        candidates = sorted(self._index.dominating(gtd(query, closed)), key=identifiers.__getitem__)
         if filters:
-            candidates = [(i, slot) for i, slot in candidates if filters.matches(records[slot].entry)]
+            candidates = [slot for slot in candidates if filters.matches(records[slot].entry)]
         if not confirm or not candidates:
-            return [(identifier, None) for identifier, _ in candidates]
+            return [(identifiers[slot], None) for slot in candidates]
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
-        for identifier, slot in candidates:
+        for slot in candidates:
+            identifier = identifiers[slot]
             found = _first_embedding(side, records[slot].side, f"query against {identifier}")
             if found is not None:
                 results.append((identifier, Embedding(side, found)))

@@ -16,21 +16,36 @@ import tempfile
 
 from geokb import repository
 from geokb.corpus import ENTRIES, seed_repository
+from geokb.matching import embed_closed
 from geokb.model import parse_construction
 from geokb.protocol import (
     EntryInfo,
     ErrorResponse,
     InsertResult,
+    QueryRequest,
     QueryResult,
     decode_response,
+    encode_request,
     encode_response,
     response_to_document,
 )
 from geokb.repository import DuplicateReport, ProblemEntry, Repository
+from geokb.server import handle_request
 
 TRIANGLE = (
     "point A\npoint B\npoint C\nline a\nline b\nline c\n"
     "line_through(a, B, C)\nline_through(b, A, C)\nline_through(c, A, B)\n"
+)
+#: four segments in a chain: its fingerprint dominates the triangle's, but
+#: the triangle does not embed into it
+CHAIN = "".join(f"point P{i}\n" for i in range(5)) + "".join(
+    f"line l{i}\nline_through(l{i}, P{i}, P{i + 1})\n" for i in range(4)
+)
+#: seven figures that each embed into the triangle
+PARTS = (
+    "point A\n", "line a\n", "point A\npoint B\n", "point A\nline a\n",
+    "point A\npoint B\nline a\nline_through(a, A, B)\n", "point A\npoint B\nline a\n",
+    "point A\npoint B\npoint C\n",
 )
 
 
@@ -76,6 +91,38 @@ def main() -> None:
         check("budget warnings name the forward and the backward check",
               all(message in warnings.messages for message in expected)
               and not any("GEO0281 against draft" in message for message in warnings.messages))
+
+    with tempfile.TemporaryDirectory() as data:
+        repo = Repository(data)
+        for i, code in enumerate((CHAIN, *PARTS)):
+            repo.insert(ProblemEntry(name=f"Figure {i}", code=code), force=True)
+        searched = []
+
+        def counting(query, target, *args, **kwargs):
+            searched.append((query, target))
+            return embed_closed(query, target, *args, **kwargs)
+
+        stored = [record.side for record in repo._records]
+        warnings = Warnings()
+        logging.getLogger("geokb.repository").addHandler(warnings)
+        repository.embed_closed = counting
+        try:
+            inserted = repo.insert(ProblemEntry(name="Triangle", code=TRIANGLE))
+        finally:
+            repository.embed_closed = embed_closed
+            logging.getLogger("geokb.repository").removeHandler(warnings)
+        # the chain forward, then the parts backward up to the fifth embedding
+        check("an insert that goes through stops its backward searches at the fifth embedding",
+              inserted == "GEO0009" and [t if t in stored else q for q, t in searched] == stored[:6]
+              and [s for s in stored if "plan" in vars(s)] == stored[1:6]
+              and warnings.messages == ["insert GEO0009 extends stored entries GEO0002, GEO0003, GEO0004,"
+                                        " GEO0005, GEO0006; backward candidates left unsearched: 2"])
+        answer = decode_response(handle_request(repo, encode_request(QueryRequest(insert=ProblemEntry(
+            name="Triangle again", code=TRIANGLE)))))
+        report = repo.find_duplicates(parse_construction(TRIANGLE))
+        check("a blocked insert answers with all seven contained entries, as find_duplicates reports",
+              answer == InsertResult("duplicate", None, report)
+              and report.exact_duplicates == ("GEO0009",) and len(report.contained_entries) == 7)
 
     responses = [
         ErrorResponse("bad \ud800 filter"),

@@ -24,7 +24,7 @@ from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, serialize_gtd
 from geokb.matching import embed_closed, find_embeddings
 from geokb.model import Construction, ObjectDecl, fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
-from geokb.protocol import QueryRequest, encode_request
+from geokb.protocol import InsertResult, QueryRequest, decode_response, encode_request
 from geokb.repository import (
     DuplicateReport,
     EMPTY_FILTERS,
@@ -35,6 +35,7 @@ from geokb.repository import (
     parse_filters,
 )
 from geokb.rules import RuleSet, closure, default_rules
+from geokb.server import handle_request
 
 from generators import (
     BARE_TRIANGLE_TEXT,
@@ -338,7 +339,7 @@ def test_insert_extension_only_warns_and_goes_through(tmp_path, caplog):
     assert "extends stored entries" in caplog.text
 
 
-def test_insert_log_names_the_count_and_the_first_five_extended_entries(tmp_path, caplog):
+def test_insert_log_names_the_first_five_extended_entries_and_the_unsearched_rest(tmp_path, caplog):
     repo = Repository(tmp_path / "data")
     segment = ProblemEntry(name="Segment", code="point A\npoint B\nline a\nline_through(a, A, B)\n",
                            kind="construction")
@@ -348,9 +349,78 @@ def test_insert_log_names_the_count_and_the_first_five_extended_entries(tmp_path
         assert repo.insert(TRIANGLE_DRAFT) == "GEO0006"  # extends the five segments
         assert repo.insert(replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT)) == "GEO0007"  # and the triangle
     assert [record.getMessage() for record in caplog.records] == [
-        "insert GEO0006 extends stored entries (5): GEO0001, GEO0002, GEO0003, GEO0004, GEO0005",
-        "insert GEO0007 extends stored entries (6): GEO0001, GEO0002, GEO0003, GEO0004, GEO0005, ...",
+        "insert GEO0006 extends stored entries GEO0001, GEO0002, GEO0003, GEO0004, GEO0005;"
+        " backward candidates left unsearched: 0",
+        "insert GEO0007 extends stored entries GEO0001, GEO0002, GEO0003, GEO0004, GEO0005;"
+        " backward candidates left unsearched: 1",
     ]
+
+
+#: four segments in a chain: its fingerprint dominates the bare triangle's,
+#: but it has no cycle, so the triangle does not embed into it
+CHAIN_OF_FOUR_TEXT = "".join(f"point P{i}\n" for i in range(5)) + "".join(
+    f"line l{i}\nline_through(l{i}, P{i}, P{i + 1})\n" for i in range(4)
+)
+#: seven figures that each embed into the bare triangle
+TRIANGLE_PARTS = (
+    "point A\n",
+    "line a\n",
+    "point A\npoint B\n",
+    "point A\nline a\n",
+    "point A\npoint B\nline a\nline_through(a, A, B)\n",
+    "point A\npoint B\nline a\n",
+    "point A\npoint B\npoint C\n",
+)
+
+
+def _chain_and_triangle_parts(data) -> Repository:
+    """A store of the chain, GEO0001, and the triangle's parts, GEO0002 to
+    GEO0008, each inserted by force."""
+    repo = Repository(data)
+    for i, code in enumerate((CHAIN_OF_FOUR_TEXT, *TRIANGLE_PARTS)):
+        repo.insert(ProblemEntry(name=f"Figure {i}", code=code), force=True)
+    return repo
+
+
+def test_an_insert_that_goes_through_stops_its_backward_searches_at_the_fifth_embedding(
+    tmp_path, monkeypatch, caplog
+):
+    repo = _chain_and_triangle_parts(tmp_path / "data")
+    names = {record.side: record.entry.identifier for record in repo._records}
+    searched = []
+
+    def counting(query, target, *args, **kwargs):
+        searched.append(("forward", names[target]) if target in names else ("backward", names[query]))
+        return embed_closed(query, target, *args, **kwargs)
+
+    monkeypatch.setattr("geokb.repository.embed_closed", counting)
+    with caplog.at_level("WARNING", logger="geokb.repository"):
+        assert repo.insert(TRIANGLE_DRAFT) == "GEO0009"
+    # the chain is searched forward and found not to hold the triangle; the
+    # parts are searched backward, GEO0007 and GEO0008 not at all
+    extended = ["GEO0002", "GEO0003", "GEO0004", "GEO0005", "GEO0006"]
+    assert searched == [("forward", "GEO0001")] + [("backward", i) for i in extended]
+    assert [record.getMessage() for record in caplog.records] == [
+        f"insert GEO0009 extends stored entries {', '.join(extended)}; backward candidates left unsearched: 2"
+    ]
+    # of the sides stored before, only those searched backward were queries;
+    # the draft's own side, now GEO0009's, was the query of the forward search
+    planned = [record.entry.identifier for record in repo._records[:8] if "plan" in vars(record.side)]
+    assert planned == extended
+    # the public call still searches them all
+    monkeypatch.undo()
+    report = repo.find_duplicates(bare_triangle())
+    assert report == DuplicateReport(("GEO0009",), (), tuple(f"GEO{n:04d}" for n in range(2, 9)))
+
+
+def test_a_blocked_insert_answers_with_every_stored_entry_its_figure_contains(tmp_path):
+    repo = _chain_and_triangle_parts(tmp_path / "data")
+    assert repo.insert(TRIANGLE_DRAFT, force=True) == "GEO0009"
+    answer = handle_request(repo, encode_request(QueryRequest(insert=TRIANGLE_DRAFT)))
+    report = repo.find_duplicates(bare_triangle())
+    assert len(report.contained_entries) == 7
+    assert decode_response(answer) == InsertResult("duplicate", None, report)
+    assert len(repo) == 9
 
 
 def _may_embed(query, target, rules) -> bool:
