@@ -184,17 +184,16 @@ class GtdIndex:
                 over |= masks[i]
         return _slots(((1 << self.size) - 1) & ~over)
 
-    def counts(self, slot: int) -> Gtd:
-        """The fingerprint held in a slot: per key, the last count whose mask
-        holds the slot.  A mask holds every slot of the masks after it, so
-        the scan stops at the first that does not."""
-        bit = 1 << slot
-        held = {}
+    def fingerprints(self) -> list[Gtd]:
+        """The fingerprint held in each slot, by slot.  A mask holds every
+        slot of the masks after it, so the slots whose count for a key is
+        exactly a count are its mask less the next one's; each slot is read
+        once per key it has, in one pass over the masks."""
+        held: list[Gtd] = [{} for _ in range(self.size)]
         for key, (counts, masks) in self._postings.items():
-            for n, mask in zip(counts, masks):
-                if not mask & bit:
-                    break
-                held[key] = n
+            for n, mask, above in zip(counts, masks, [*masks[1:], 0]):
+                for slot in _slots(mask & ~above):
+                    held[slot][key] = n
         return held
 
 

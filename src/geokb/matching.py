@@ -4,17 +4,22 @@ Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
 closed side into a :class:`MatchSide` once: closed facts as the
 ``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns, and one
-map from each kind to its objects in name order, each with its
-per-predicate fact degrees.  A closure and a stored entry's closure read
-back from its file both arrive as pairs, the one form of a fact.
+map from each kind to two parallel tuples, its object names in name order
+and their degree vectors: per predicate, in :data:`~geokb.model.PREDICATES`
+order, the closed facts naming the object.  A closure and a stored entry's
+closure read back from its file both arrive as pairs, the one form of a
+fact.  Sides passed through one hash-cons table by :func:`share` hold one
+object per distinct name, argument tuple, fact pair and degree vector.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
 step the facts whose last argument gets mapped there, each with a getter
-over the steps of its arguments; and the distinct needs (kind and needed
-degrees), since look-alike objects share one.  Per target only two things
-remain.  First the need filter, :func:`candidate_lists`: one pass over the
-target's objects of each needed kind, keeping those of enough degree.  Then
+over the steps of its arguments; and the distinct needs (a kind and the
+``(position, count)`` pairs of the nonzero entries of a degree vector),
+since look-alike objects share one.  Per target only two things remain.
+First the need filter, :func:`candidate_lists`: one pass over the target's
+objects of each needed kind, keeping those whose vector reaches every
+needed count at its position.  Then
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  The search keeps the target
 names it assigns in a list indexed by step, so a check reads its arguments
@@ -41,11 +46,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
-from .model import CANONICAL_ARGS, Construction, FactSet
+from .model import CANONICAL_ARGS, PREDICATES, Construction, FactSet
 from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
@@ -58,20 +64,23 @@ class MatchSide:
     :attr:`plan` once, on first use, and reuses it for every target."""
 
     facts: FactSet
-    #: kind -> its objects sorted by name, each as (name, predicate -> closed
-    #: facts naming the object); an isolated object has empty degrees
-    by_kind: Mapping[str, tuple[tuple[str, Mapping[str, int]], ...]]
+    #: kind -> (its object names sorted, each name's degree vector): two
+    #: parallel tuples.  A degree vector holds, per predicate in
+    #: :data:`~geokb.model.PREDICATES` order, the closed facts naming the
+    #: object; an isolated object's vector is all zeros
+    by_kind: Mapping[str, tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]]
 
     @cached_property
     def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...]]:
         """The side as a query: object order (highest degree first, then by
         name); per step the facts to check as (predicate, getter of their
-        arguments' positions, canonicaliser); the distinct needs (kind,
-        needed degrees), since look-alike objects share one filter; and per
-        step the index of its need."""
+        arguments' positions, canonicaliser); the distinct needs (kind, the
+        ``(position, count)`` pairs of its degree vector's nonzero counts),
+        since look-alike objects share one filter; and per step the index
+        of its need."""
         ranked = sorted(
-            (-sum(degrees.values()), name, kind, tuple(sorted(degrees.items())))
-            for kind, named in self.by_kind.items() for name, degrees in named
+            (-sum(degrees), name, kind, tuple(compress(enumerate(degrees), degrees)))
+            for kind, (names, vectors) in self.by_kind.items() for name, degrees in zip(names, vectors)
         )
         order = tuple(name for _, name, _, _ in ranked)
         position = {name: i for i, name in enumerate(order)}
@@ -81,25 +90,57 @@ class MatchSide:
             schedule[max(position[a] for a in args)].append(
                 (predicate, itemgetter(*(position[a] for a in args)), CANONICAL_ARGS.get(predicate))
             )
-        needs: dict[tuple, int] = {}  # (kind, needed degrees) -> its index
+        needs: dict[tuple, int] = {}  # (kind, needed counts) -> its index
         need_of = tuple(needs.setdefault((kind, needed), len(needs)) for _, _, kind, needed in ranked)
         return order, tuple(map(tuple, schedule)), tuple(needs), need_of
+
+
+#: predicate -> the position of its count in a degree vector
+_POSITION = {predicate: i for i, predicate in enumerate(PREDICATES)}
 
 
 def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:
     """The matching record of a construction's kinds and closed facts, the
     facts given as ``(predicate, args)`` pairs."""
     facts = frozenset((sys.intern(predicate), args) for predicate, args in closed)
-    degrees: dict[str, dict[str, int]] = {name: {} for name in kinds}
+    counts = {name: [0] * len(_POSITION) for name in kinds}
     for predicate, args in facts:
+        i = _POSITION[predicate]
         # a fact counts once per object it names: only a repeat needs the set
         for name in args if len(args) == 2 and args[0] != args[1] else set(args):
-            counts = degrees[name]
-            counts[predicate] = counts.get(predicate, 0) + 1
-    by_kind: dict[str, list] = {}
+            counts[name][i] += 1
+    by_kind: dict[str, tuple[list[str], list[tuple[int, ...]]]] = {}
     for name in sorted(kinds):
-        by_kind.setdefault(sys.intern(kinds[name]), []).append((name, degrees[name]))
-    return MatchSide(facts, {kind: tuple(named) for kind, named in by_kind.items()})
+        names, vectors = by_kind.setdefault(sys.intern(kinds[name]), ([], []))
+        names.append(name)
+        vectors.append(tuple(counts[name]))
+    return MatchSide(
+        facts, {kind: (tuple(names), tuple(vectors)) for kind, (names, vectors) in by_kind.items()}
+    )
+
+
+def _kept(table: dict, value):
+    """The table's object for a value, its members first if it is a tuple
+    or a frozenset; a value the table lacks is added."""
+    found = table.get(value)
+    if found is None:
+        if isinstance(value, (tuple, frozenset)):
+            value = type(value)(_kept(table, member) for member in value)
+        found = table.setdefault(value, value)
+    return found
+
+
+def share(side: MatchSide, table: dict) -> MatchSide:
+    """The side rebuilt from the objects of a hash-cons table, which maps
+    each value to the one object kept for it and gains the values it lacks.
+    So the fact set, each fact pair and argument tuple, each tuple of
+    :attr:`MatchSide.by_kind` and each name and degree vector in them are
+    the table's objects, and the sides shared through one table hold one
+    object per distinct value."""
+    by_kind = {
+        kind: (_kept(table, names), _kept(table, vectors)) for kind, (names, vectors) in side.by_kind.items()
+    }
+    return MatchSide(_kept(table, side.facts), by_kind)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -150,8 +191,8 @@ def candidate_lists(
     query: MatchSide, target: MatchSide, fitting: dict[tuple, list[str]] | None = None
 ) -> list[list[str]] | None:
     """Per step of the query's plan, the target names it may take: those of
-    its need's kind whose degree reaches the need's for every predicate it
-    names, in sorted order; None when some need fits no name.  ``fitting``
+    its need's kind whose degree vector reaches each needed count at its
+    position, in sorted order; None when some need fits no name.  ``fitting``
     maps each need already filtered over this target to its names; it is
     filled in as needs are met, so searches that share it for one target
     filter each need once."""
@@ -164,9 +205,9 @@ def candidate_lists(
         if names is None:
             kind, needed = need
             names = fitting[need] = []
-            for tname, degree in target.by_kind.get(kind, ()):
-                for predicate, n in needed:
-                    if degree.get(predicate, 0) < n:
+            for tname, degrees in zip(*target.by_kind.get(kind, ((), ()))):
+                for i, n in needed:
+                    if degrees[i] < n:
                         break
                 else:
                     names.append(tname)

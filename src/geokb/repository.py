@@ -38,6 +38,18 @@ store.  The published index is the only snapshot: a reader takes it with
 one attribute read and no lock, and reads no record at or beyond its
 ``size``.
 
+The same names, closed facts and degree vectors recur from entry to entry,
+so every stored side is passed through one hash-cons table of the store
+(Filliâtre and Conchon, "Type-safe modular hash-consing", 2006): value ->
+the one object the store keeps for it (see :func:`~geokb.matching.share`).
+Only loading writes the table, and an insert, under the writer lock, once
+its draft has passed the identifier check and the gate.  No other
+analysis (a query, :meth:`Repository.find_duplicates`, the coherence
+check, an insert's draft before the lock) shares its side.  So reads take
+no lock, and a blocked, refused or colliding draft leaves nothing in the
+table: the gate searches with the draft's own side, and only the stored
+record gets the shared one.
+
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
 close and fingerprint the query construction, read the entries whose
@@ -91,8 +103,8 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare
-from .model import KINDS, PREDICATES, Construction, fact_text, parse_construction
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare, share
+from .model import KINDS, PREDICATES, Construction, FactPair, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
 from . import textindex
 
@@ -297,7 +309,8 @@ def record_to_document(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd, r
     doc = {
         **entry_to_document(entry),
         "GTD": serialize_gtd(fingerprint),
-        "Objects": dict(sorted((n, kind) for kind, named in side.by_kind.items() for n, _ in named)),
+        # each kind lists its names sorted; the member sorts them across kinds
+        "Objects": dict(sorted((n, kind) for kind, (names, _) in side.by_kind.items() for n in names)),
         "Closure": sorted(fact_text(predicate, args) for predicate, args in side.facts),
         "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
@@ -306,21 +319,30 @@ def record_to_document(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd, r
     return doc
 
 
-def _read_closure(texts: object, names: dict[str, str]) -> list[tuple[str, tuple[str, ...]]] | None:
-    """A ``Closure`` member as ``(predicate, args)`` pairs, each argument the
-    string object of ``names`` (name -> itself); None unless it is a list of
-    facts in text form with known predicates and declared arguments."""
+def _read_closure(
+    texts: object, objects: dict[str, str], parsed: dict[str, FactPair]
+) -> list[FactPair] | None:
+    """A ``Closure`` member as ``(predicate, args)`` pairs; None unless it is
+    a list of facts in text form with known predicates and arguments
+    declared in ``objects`` (name -> kind).  ``parsed`` maps each fact text
+    already read to its pair, and is added to, so a text recurring across
+    entries is parsed once; the arguments are checked for each entry."""
     if not isinstance(texts, list):
         return None
     facts = []
     try:
         for text in texts:
-            predicate, _, rest = text.partition("(")
-            args = tuple([names[name] for name in rest[:-1].split(", ")])
-            if rest[-1:] != ")" or len(args) != len(PREDICATES.get(predicate, ())):
-                return None
-            facts.append((predicate, args))
-    except (AttributeError, KeyError):  # not a string, or an undeclared name
+            fact = parsed.get(text)
+            if fact is None:
+                predicate, _, rest = text.partition("(")
+                args = tuple(rest[:-1].split(", "))
+                if rest[-1:] != ")" or len(args) != len(PREDICATES.get(predicate, ())):
+                    return None
+                fact = parsed[text] = (predicate, args)
+            facts.append(fact)
+    except (AttributeError, TypeError):  # not a string
+        return None
+    if not all(name in objects for _, args in facts for name in args):
         return None
     return facts
 
@@ -376,6 +398,9 @@ class Repository:
         self._quarantined: set[str] = set()
         #: every GEO#### below it is taken; entries are never deleted
         self._next_number = 1
+        #: the hash-cons table of every stored side; written by loading and
+        #: by writers under the lock only
+        self._shared: dict = {}
         self._load()
 
     # -- properties ------------------------------------------------------
@@ -399,12 +424,13 @@ class Repository:
 
     def _load(self) -> None:
         fingerprints: list[Gtd] = []  # by slot; the index built from them keeps the only copy
+        parsed: dict[str, FactPair] = {}  # fact text -> its pair, for every Closure member read
         for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
                 continue  # leftover temp files from interrupted writes
             try:
                 entry, doc = self._read(path)
-                cached = self._cached_analysis(doc)
+                cached = self._cached_analysis(doc, parsed)
                 side, fingerprint = cached or self._analyze(parse_construction(entry.code))
             except (StorageError, EntryError, ConstructionError) as exc:
                 log.error("skipping entry file %s, left as it is: %s", path.name, exc)
@@ -417,7 +443,7 @@ class Repository:
                 except StorageError as exc:
                     log.error("entry file %s left stale, served from its code: %s", path.name, exc)
             self._slots[entry.identifier] = len(self._records)
-            self._records.append(_new_record(entry, side))
+            self._records.append(_new_record(entry, share(side, self._shared)))
             self._identifiers.append(entry.identifier)
             fingerprints.append(fingerprint)
         self._index = GtdIndex.build(fingerprints)
@@ -444,15 +470,16 @@ class Repository:
             raise StorageError(f"holds identifier {entry.identifier!r}")
         return entry, doc
 
-    def _cached_analysis(self, doc: dict) -> tuple[MatchSide, Gtd] | None:
+    def _cached_analysis(self, doc: dict, parsed: dict[str, FactPair]) -> tuple[MatchSide, Gtd] | None:
         """The side and fingerprint a current-version document's cache holds,
-        or None unless its digest matches and its members are well formed."""
+        or None unless its digest matches and its members are well formed;
+        see :func:`_read_closure` for ``parsed``."""
         if doc.get("Version") != FORMAT_VERSION or doc.get("Digest") != cache_digest(doc, self._rules):
             return None
         objects = doc.get("Objects")
         if not isinstance(objects, dict) or not all(kind in KINDS for kind in objects.values()):
             return None
-        closed = _read_closure(doc.get("Closure"), {name: name for name in objects})
+        closed = _read_closure(doc.get("Closure"), objects, parsed)
         if closed is None or not isinstance(doc.get("GTD"), str):
             return None
         try:
@@ -574,8 +601,9 @@ class Repository:
             self._store(entry, side, fingerprint)
             index = self._index.with_slot(fingerprint)
             # record, then slot, then index: a reader that finds an
-            # identifier or a slot of the index always finds its record
-            self._records.append(_new_record(entry, side))
+            # identifier or a slot of the index always finds its record.  The
+            # gate searched with the draft's own side; only the record shares
+            self._records.append(_new_record(entry, share(side, self._shared)))
             self._identifiers.append(identifier)
             self._slots[identifier] = index.size - 1
             self._index = index
@@ -656,6 +684,7 @@ class Repository:
         analysis of the entry's code, or whose code no longer parses; always
         empty unless entry files were edited behind the repository's back."""
         index = self._index
+        held = index.fingerprints()
         stale = []
         for slot, record in enumerate(self._records[: index.size]):
             identifier = record.entry.identifier
@@ -664,7 +693,7 @@ class Repository:
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            held = index.counts(slot) == fingerprint
-            if not held or (side.by_kind, side.facts) != (record.side.by_kind, record.side.facts):
+            same = (side.by_kind, side.facts) == (record.side.by_kind, record.side.facts)
+            if held[slot] != fingerprint or not same:
                 stale.append(identifier)
         return sorted(stale)

@@ -1,6 +1,7 @@
-"""A pytest-free smoke check of the duplicate gate and the response encoder,
-for interpreters that have no pytest installed.  Run it from the repository
-root, for instance under each supported CPython with warnings as errors:
+"""A pytest-free smoke check of the duplicate gate, the store's shared
+objects and the response encoder, for interpreters that have no pytest
+installed.  Run it from the repository root, for instance under each
+supported CPython with warnings as errors:
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
 
@@ -91,6 +92,24 @@ def main() -> None:
         check("budget warnings name the forward and the backward check",
               all(message in warnings.messages for message in expected)
               and not any("GEO0281 against draft" in message for message in warnings.messages))
+
+    with tempfile.TemporaryDirectory() as data:
+        seed_repository(Repository(data))
+        repo = Repository(data)
+        first, second = (repo._records[repo._slots[identifier]].side for identifier in ("GEO0001", "GEO0004"))
+        names = [{name for names, _ in side.by_kind.values() for name in names} for side in (first, second)]
+        held = {value: value for value in (*names[0], *first.facts)}
+        common = [*(names[0] & names[1]), *(first.facts & second.facts)]
+        check("equal names and facts of two loaded entries are one object",
+              {"Ma", "Mb", "Mc"} <= names[0] & names[1] and len(common) > 20
+              and all(held[value] is value for value in common))
+        # names the store does not hold, so a query that wrote the table would grow it
+        query = parse_construction(TRIANGLE.replace("A", "Qa").replace("B", "Qb"))
+        size = len(repo._shared)
+        hits = repo.geometric_query(query)
+        check("a confirmed query leaves the store's hash-cons table as it was",
+              "Qa" not in repo._shared and len(hits) > 1 and all(found is not None for _, found in hits)
+              and len(repo._shared) == size)
 
     with tempfile.TemporaryDirectory() as data:
         repo = Repository(data)

@@ -17,7 +17,7 @@ from geokb.matching import (
     is_subconstruction,
     prepare,
 )
-from geokb.model import EMPTY_CONSTRUCTION, Construction, ObjectDecl, fact, parse_construction
+from geokb.model import EMPTY_CONSTRUCTION, PREDICATES, Construction, ObjectDecl, fact, parse_construction
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -313,12 +313,13 @@ def test_objects_in_no_fact_agree_with_brute_force(rules):
 
 
 def test_prepare_counts_each_fact_once_per_object_it_names(rules):
-    """The degrees of ``MatchSide.by_kind`` against a count straight from
-    its definition, on closures that hold repeated arguments: equidistant
-    pairs sharing a point, and the ``perpendicular(a, a)`` of a line both
-    parallel and perpendicular to another.  Every declared object appears
-    exactly once, under its kind, and each kind lists its objects in name
-    order."""
+    """The degree vectors of ``MatchSide.by_kind`` against a count straight
+    from its definition, on closures that hold repeated arguments:
+    equidistant pairs sharing a point, and the ``perpendicular(a, a)`` of a
+    line both parallel and perpendicular to another.  Every declared object
+    appears exactly once, under its kind, each kind lists its objects in
+    name order, and a vector holds one count per predicate, in
+    ``PREDICATES`` order."""
     rng = random.Random(161)
     figures = [random_construction(rng) for _ in range(150)]
     figures += [random_line_figure(rng) for _ in range(150)]
@@ -332,12 +333,12 @@ def test_prepare_counts_each_fact_once_per_object_it_names(rules):
                     expected[name][predicate] += 1
             repeats += len(set(args)) < len(args)
         by_kind = prepare(figure.kinds, closed).by_kind
-        listed = [(kind, name) for kind, named in by_kind.items() for name, _ in named]
+        listed = [(kind, name) for kind, (names, _) in by_kind.items() for name in names]
         assert sorted(listed) == sorted((kind, name) for name, kind in figure.kinds.items())
-        for named in by_kind.values():
-            assert [name for name, _ in named] == sorted(name for name, _ in named)
-        degrees = {name: degree for named in by_kind.values() for name, degree in named}
-        assert degrees == {n: dict(c) for n, c in expected.items()}
+        for names, vectors in by_kind.values():
+            assert list(names) == sorted(names) and len(vectors) == len(names)
+        degrees = {name: vector for names, vectors in by_kind.values() for name, vector in zip(names, vectors)}
+        assert degrees == {n: tuple(c[p] for p in PREDICATES) for n, c in expected.items()}
     assert repeats > 100
 
 

@@ -922,13 +922,83 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
         warm = Repository(computed.data_dir)
     assert not caplog.records
     _assert_same_records(warm, computed)
-    for record in warm._records:  # shared strings keep a warm store's memory down
-        names = {name: name for named in record.side.by_kind.values() for name, _ in named}
-        assert all(arg is names[arg] for _, args in record.side.facts for arg in args)
+    # shared strings keep a warm store's memory down: one object per name in
+    # the whole store, which every fact naming it holds
+    names: dict[str, str] = {}
+    for record in warm._records:
+        assert all(names.setdefault(n, n) is n for own, _ in record.side.by_kind.values() for n in own)
+    assert all(arg is names[arg] for record in warm._records for _, args in record.side.facts for arg in args)
     assert all(key is sys.intern(key) for key in warm._index._postings)
     hits = warm.geometric_query(bare_triangle())
     assert len(hits) >= 150  # every even entry holds a planted triangle
     assert hits == computed.geometric_query(bare_triangle())
+
+
+def _assert_shared(repo: Repository) -> None:
+    """Every object name, argument tuple, fact pair and degree vector that
+    is equal by value across the store's records is one object, and it is
+    the one the store's hash-cons table holds for its value."""
+    seen: dict = {}
+
+    def one(value) -> bool:
+        return seen.setdefault(value, value) is value and repo._shared.get(value) is value
+
+    for record in repo._records:
+        for names, vectors in record.side.by_kind.values():
+            assert all(map(one, names)) and all(map(one, vectors))
+        for fact in record.side.facts:
+            assert one(fact) and one(fact[1]) and all(map(one, fact[1]))
+
+
+#: a figure that no corpus entry contains, so an unforced insert of it goes
+#: through, under names some corpus entries use
+CONCENTRIC_TEXT = (
+    "point Ma\npoint Mb\npoint Mc\npoint O1\ncircle k1\ncircle k2\ncenter(O1, k1)\ncenter(O1, k2)\n"
+    "on_circle(Ma, k1)\non_circle(Mb, k1)\non_circle(Mc, k2)\n"
+)
+
+
+def test_stored_sides_share_one_object_per_value(fresh_seeded_repo, caplog):
+    """Sides loaded from a trusted cache, analysed again on a load, and
+    stored by forced and unforced inserts all take their names, argument
+    tuples, fact pairs and degree vectors from the one table of the store."""
+    data = fresh_seeded_repo.data_dir
+    _assert_shared(fresh_seeded_repo)
+    _edit_entry(data, "GEO0281", CACHE_EDITS["Digest"])
+    with caplog.at_level("WARNING"):
+        repo = Repository(data)
+    assert _refreshed(caplog) == ["refreshing stale fingerprint cache of GEO0281"]
+    _assert_shared(repo)
+    ceva = repo.get("GEO_CEVA")
+    assert isinstance(repo.insert(replace(ceva, identifier=""), force=True), str)
+    assert isinstance(repo.insert(ProblemEntry(name="Concentric", code=CONCENTRIC_TEXT)), str)
+    _assert_shared(repo)
+    # the sharing is real: the copy of Ceva holds the original's objects
+    copy = repo._records[-2].side
+    assert copy.facts == _record(repo, "GEO_CEVA").side.facts
+    assert all(fact is repo._shared[fact] for fact in copy.facts)
+
+
+def test_only_loading_and_stored_inserts_write_the_hash_cons_table(fresh_seeded_repo):
+    """Queries, the duplicate check, the coherence check, a blocked insert
+    and one refused for its identifier leave the table as it was; each of
+    them analyses a figure whose names the store has never seen, so a write
+    would show."""
+    repo = fresh_seeded_repo
+    renamed = parse_construction(_renamed(GEO0281_CODE))
+    assert not any(name in repo._shared for name in renamed.kinds)
+    size = len(repo._shared)
+    assert [hit for hit, _ in repo.geometric_query(renamed, confirm=False)] == ["GEO0281"]
+    assert [hit for hit, _ in repo.geometric_query(renamed)] == ["GEO0281"]
+    assert repo.find_duplicates(renamed).exact_duplicates == ("GEO0281",)
+    assert repo.check_cache_coherence() == []
+    draft = ProblemEntry(name="GEO0281 renamed", code=_renamed(GEO0281_CODE))
+    assert repo.insert(draft).exact_duplicates == ("GEO0281",)
+    with pytest.raises(IdentifierCollisionError):
+        repo.insert(replace(draft, identifier="GEO0281"))
+    assert len(repo._shared) == size
+    assert repo.insert(draft, force=True) == "GEO0023"
+    assert all(name in repo._shared for name in renamed.kinds)
 
 
 CACHE_EDITS = {
@@ -1311,7 +1381,8 @@ def _assert_index_agrees_with_a_scan(repo: Repository, queries) -> None:
     assert all(repo._records[slot].entry.identifier == i for i, slot in repo._slots.items())
     records = {r.entry.identifier: r for r in repo._records}
     stored = {i: _code_fingerprint(repo, i) for i in records}
-    assert all(index.counts(slot) == stored[i] for i, slot in repo._slots.items())
+    held = index.fingerprints()
+    assert len(held) == index.size and all(held[slot] == stored[i] for i, slot in repo._slots.items())
     level3 = parse_filters("level=3")
     for fingerprint in queries:
         dominating = sorted(i for i, f in stored.items() if gtd_subsumes(f, fingerprint))
