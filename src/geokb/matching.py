@@ -3,23 +3,25 @@
 Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
 closed side into a :class:`MatchSide` once: closed facts as the
-``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns, and one
-map from each kind to two parallel tuples, its object names in name order
-and their degree vectors: per predicate, in :data:`~geokb.model.PREDICATES`
-order, the closed facts naming the object.  A closure and a stored entry's
-closure read back from its file both arrive as pairs, the one form of a
-fact.  Sides passed through one hash-cons table by :func:`share` hold one
-object per distinct name, argument tuple, fact pair and degree vector.
+``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns, and per
+kind, in :data:`~geokb.model.KINDS` order, two parallel tuples: its object
+names in name order and their degree vectors (per predicate, in
+:data:`~geokb.model.PREDICATES` order, the closed facts naming the
+object).  A closure and a stored entry's closure read back from its file
+both arrive as pairs, the one form of a fact.  Sides are equal when their
+facts and per-kind tuples are.  Sides passed through one hash-cons table
+by :func:`share` are one object per distinct side, and hold one object per
+distinct name, argument tuple, fact pair, degree vector and per-kind tuple.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
 step the facts whose last argument gets mapped there, each with a getter
-over the steps of its arguments; and the distinct needs (a kind and the
-``(position, count)`` pairs of the nonzero entries of a degree vector),
-since look-alike objects share one.  Per target only two things remain.
-First the need filter, :func:`candidate_lists`: one pass over the target's
-objects of each needed kind, keeping those whose vector reaches every
-needed count at its position.  Then
+over the steps of its arguments; and the distinct needs (a kind's index
+and the ``(position, count)`` pairs of the nonzero entries of a degree
+vector), since look-alike objects share one.  Per target only two things
+remain.  First the need filter, :func:`candidate_lists`: one pass over the
+target's objects of each needed kind, read by its index, keeping those
+whose vector reaches every needed count at its position.  Then
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's closed facts.  The search keeps the target
 names it assigns in a list indexed by step, so a check reads its arguments
@@ -33,7 +35,9 @@ target names its plan steps took, in step order, with no witness built.
 An :class:`Embedding` reads its mapping and witness from those names only
 when asked, since the gate's report and a query's answer name entries
 alone.  Callers may share the filtered names of each need between searches
-into one target.
+into one target.  A search's outcome depends only on its two sides, its
+limit and its budget, so a caller that meets one stored side in several
+places may search it once and reuse what it found.
 
 Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -51,36 +55,45 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
-from .model import CANONICAL_ARGS, PREDICATES, Construction, FactSet
+from .model import CANONICAL_ARGS, KINDS, PREDICATES, Construction, FactSet
 from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatchSide:
     """One closed construction made ready for matching (see :func:`prepare`).
     A stored entry keeps its side for life; a query side builds its
-    :attr:`plan` once, on first use, and reuses it for every target."""
+    :attr:`plan` once, on first use, and reuses it for every target.  Two
+    sides are equal when their facts and ``by_kind`` are, so a hash-cons
+    table keys a side by the two objects it holds (see :func:`share`)."""
 
     facts: FactSet
-    #: kind -> (its object names sorted, each name's degree vector): two
-    #: parallel tuples.  A degree vector holds, per predicate in
-    #: :data:`~geokb.model.PREDICATES` order, the closed facts naming the
-    #: object; an isolated object's vector is all zeros
-    by_kind: Mapping[str, tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]]
+    #: per kind, in :data:`~geokb.model.KINDS` order: its object names
+    #: sorted and each name's degree vector, two parallel tuples.  A degree
+    #: vector holds, per predicate in :data:`~geokb.model.PREDICATES` order,
+    #: the closed facts naming the object; an isolated object's vector is
+    #: all zeros
+    by_kind: tuple[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], ...]
+
+    def __hash__(self) -> int:
+        # the facts and each kind's names settle the degree vectors, which
+        # would cost more to hash than the rest; the facts alone would not
+        # do, since sides that differ only in isolated objects are common
+        return hash((self.facts, *[names for names, _ in self.by_kind]))
 
     @cached_property
     def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...]]:
         """The side as a query: object order (highest degree first, then by
         name); per step the facts to check as (predicate, getter of their
-        arguments' positions, canonicaliser); the distinct needs (kind, the
-        ``(position, count)`` pairs of its degree vector's nonzero counts),
-        since look-alike objects share one filter; and per step the index
-        of its need."""
+        arguments' positions, canonicaliser); the distinct needs (a kind's
+        index in ``by_kind``, the ``(position, count)`` pairs of its degree
+        vector's nonzero counts), since look-alike objects share one filter;
+        and per step the index of its need."""
         ranked = sorted(
-            (-sum(degrees), name, kind, tuple(compress(enumerate(degrees), degrees)))
-            for kind, (names, vectors) in self.by_kind.items() for name, degrees in zip(names, vectors)
+            (-sum(degrees), name, k, tuple(compress(enumerate(degrees), degrees)))
+            for k, (names, vectors) in enumerate(self.by_kind) for name, degrees in zip(names, vectors)
         )
         order = tuple(name for _, name, _, _ in ranked)
         position = {name: i for i, name in enumerate(order)}
@@ -90,13 +103,15 @@ class MatchSide:
             schedule[max(position[a] for a in args)].append(
                 (predicate, itemgetter(*(position[a] for a in args)), CANONICAL_ARGS.get(predicate))
             )
-        needs: dict[tuple, int] = {}  # (kind, needed counts) -> its index
-        need_of = tuple(needs.setdefault((kind, needed), len(needs)) for _, _, kind, needed in ranked)
+        needs: dict[tuple, int] = {}  # (kind index, needed counts) -> its index
+        need_of = tuple(needs.setdefault((k, needed), len(needs)) for _, _, k, needed in ranked)
         return order, tuple(map(tuple, schedule)), tuple(needs), need_of
 
 
 #: predicate -> the position of its count in a degree vector
 _POSITION = {predicate: i for i, predicate in enumerate(PREDICATES)}
+#: kind -> its index in :attr:`MatchSide.by_kind`
+_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
 
 
 def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:
@@ -109,38 +124,64 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
         # a fact counts once per object it names: only a repeat needs the set
         for name in args if len(args) == 2 and args[0] != args[1] else set(args):
             counts[name][i] += 1
-    by_kind: dict[str, tuple[list[str], list[tuple[int, ...]]]] = {}
+    by_kind: tuple[tuple[list[str], list[tuple[int, ...]]], ...] = tuple(([], []) for _ in KINDS)
     for name in sorted(kinds):
-        names, vectors = by_kind.setdefault(sys.intern(kinds[name]), ([], []))
+        names, vectors = by_kind[_KIND_INDEX[kinds[name]]]
         names.append(name)
         vectors.append(tuple(counts[name]))
-    return MatchSide(
-        facts, {kind: (tuple(names), tuple(vectors)) for kind, (names, vectors) in by_kind.items()}
-    )
+    return MatchSide(facts, tuple((tuple(names), tuple(vectors)) for names, vectors in by_kind))
 
 
-def _kept(table: dict, value):
-    """The table's object for a value, its members first if it is a tuple
-    or a frozenset; a value the table lacks is added."""
+def _kept(table: dict, value: tuple | frozenset):
+    """The table's object for a tuple or frozenset; a value the table lacks
+    is added, and so is, at any depth, each member of a tuple or frozenset
+    it lacks, members first.  A loop over a stack of the lacking containers,
+    so a member costs one lookup and no call."""
     found = table.get(value)
-    if found is None:
-        if isinstance(value, (tuple, frozenset)):
-            value = type(value)(_kept(table, member) for member in value)
-        found = table.setdefault(value, value)
-    return found
+    if found is not None:
+        return found
+    # per lacking container: it, an iterator over its members, and the
+    # table's objects for the members taken so far
+    stack = [(value, iter(value), [])]
+    while True:
+        container, members, held = stack[-1]
+        for member in members:
+            found = table.get(member)
+            if found is None:
+                if isinstance(member, (tuple, frozenset)):
+                    stack.append((member, iter(member), []))
+                    break
+                found = table.setdefault(member, member)
+            held.append(found)
+        else:
+            stack.pop()
+            built = type(container)(held)
+            built = table.setdefault(built, built)
+            if not stack:
+                return built
+            stack[-1][2].append(built)
 
 
 def share(side: MatchSide, table: dict) -> MatchSide:
-    """The side rebuilt from the objects of a hash-cons table, which maps
-    each value to the one object kept for it and gains the values it lacks.
-    So the fact set, each fact pair and argument tuple, each tuple of
-    :attr:`MatchSide.by_kind` and each name and degree vector in them are
-    the table's objects, and the sides shared through one table hold one
-    object per distinct value."""
-    by_kind = {
-        kind: (_kept(table, names), _kept(table, vectors)) for kind, (names, vectors) in side.by_kind.items()
-    }
-    return MatchSide(_kept(table, side.facts), by_kind)
+    """The table's side equal to this one, which a hash-cons table maps each
+    value to; a side the table lacks is rebuilt from the table's objects and
+    added.  So its fact set, each fact pair and argument tuple, and each
+    kind's pair of :attr:`MatchSide.by_kind` and the names and degree
+    vectors in it are the table's objects, and the sides shared through one
+    table are one object per distinct side, with one :attr:`MatchSide.plan`.
+    ``by_kind`` itself is its side's alone: distinct sides nearly always
+    differ in it."""
+    found = table.get(side)
+    if found is None:
+        # a new side's per-kind pairs are most likely new too, so they are
+        # built from their members' objects rather than looked up first
+        pairs = []
+        for names, vectors in side.by_kind:
+            pair = (_kept(table, names), _kept(table, vectors))
+            pairs.append(table.setdefault(pair, pair))
+        found = MatchSide(_kept(table, side.facts), tuple(pairs))
+        table[found] = found
+    return found
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -203,9 +244,9 @@ def candidate_lists(
     for need in needs:
         names = fitting.get(need)
         if names is None:
-            kind, needed = need
+            k, needed = need
             names = fitting[need] = []
-            for tname, degrees in zip(*target.by_kind.get(kind, ((), ()))):
+            for tname, degrees in zip(*target.by_kind[k]):
                 for i, n in needed:
                     if degrees[i] < n:
                         break

@@ -39,16 +39,27 @@ one attribute read and no lock, and reads no record at or beyond its
 ``size``.
 
 The same names, closed facts and degree vectors recur from entry to entry,
-so every stored side is passed through one hash-cons table of the store
-(Filliâtre and Conchon, "Type-safe modular hash-consing", 2006): value ->
-the one object the store keeps for it (see :func:`~geokb.matching.share`).
-Only loading writes the table, and an insert, under the writer lock, once
-its draft has passed the identifier check and the gate.  No other
-analysis (a query, :meth:`Repository.find_duplicates`, the coherence
-check, an insert's draft before the lock) shares its side.  So reads take
-no lock, and a blocked, refused or colliding draft leaves nothing in the
-table: the gate searches with the draft's own side, and only the stored
-record gets the shared one.
+and so do whole figures, so every stored side is passed through one
+hash-cons table of the store (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): value -> the one object the store keeps for it (see
+:func:`~geokb.matching.share`).  Entries whose figures have equal closed
+facts and equal objects of each kind hold one side, with one plan.  Only
+loading writes the table, and an insert, under the writer lock, once its
+draft has passed the identifier check and the gate.  No other analysis (a
+query, :meth:`Repository.find_duplicates`, the coherence check, an
+insert's draft before the lock) shares its side.  So reads take no lock,
+and a blocked, refused or colliding draft leaves nothing in the table: the
+gate searches with the draft's own side, and only the stored record gets
+the shared one.
+
+A request searches each distinct stored side once.  A confirmed query,
+and each direction of the gate, keep a dict from stored side to what its
+search found, for that request only, and reuse it for every slot that
+holds the side, in identifier order.  Records never change, the table
+only grows and a search's outcome depends only on its two sides, its limit
+and its budget, so each slot gets the answer a search of its own would
+give; a side whose search ran out of match budget is warned about once per
+identifier that holds it.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -64,19 +75,20 @@ a report naming the offenders.  A draft that merely extends stored entries
 (they embed into it) is inserted with a warning, since a richer
 construction legitimately refines a poorer one.  The index gives the gate
 its candidates in both directions: the entries whose fingerprint dominates
-the draft's, and those whose fingerprint the draft's dominates.  Each is
-searched at most once for one embedding, and no witness is read.  Those
-that dominate are searched first, forward (the draft into each), and alone
-decide whether the draft is blocked; one is an exact duplicate if its
-fingerprint also equals the draft's: equal object and fact counts make the
-embedding a bijection, whose inverse embeds it back.  The others are
-searched backward, into the draft, so those searches share the draft's
-names that fit each need.  A blocked report, like
+the draft's, and those whose fingerprint the draft's dominates.  Each
+distinct side among them is searched at most once for one embedding, and
+no witness is read.  Those that dominate are searched first, forward (the
+draft into each), and alone decide whether the draft is blocked; one is an
+exact duplicate if its fingerprint also equals the draft's: equal object
+and fact counts make the embedding a bijection, whose inverse embeds it
+back.  The others are searched backward, into the draft, so those searches
+share the draft's names that fit each need.  A blocked report, like
 :meth:`Repository.find_duplicates`, names every entry found either way.  An
 insert that goes through answers with no report, and its warning names
 only the first five entries it extends, so its backward searches stop at
-the fifth embedding.  A search that runs out of match budget counts as no
-match, with a warning, in the gate as in a confirmed query.
+the fifth embedding, which may take fewer searches when entries share a
+side.  A search that runs out of match budget counts as no match, with a
+warning, in the gate as in a confirmed query.
 """
 
 from __future__ import annotations
@@ -310,7 +322,7 @@ def record_to_document(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd, r
         **entry_to_document(entry),
         "GTD": serialize_gtd(fingerprint),
         # each kind lists its names sorted; the member sorts them across kinds
-        "Objects": dict(sorted((n, kind) for kind, (names, _) in side.by_kind.items() for n in names)),
+        "Objects": dict(sorted((n, kind) for kind, (names, _) in zip(KINDS, side.by_kind) for n in names)),
         "Closure": sorted(fact_text(predicate, args) for predicate, args in side.facts),
         "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
@@ -347,15 +359,31 @@ def _read_closure(
     return facts
 
 
+#: what ``searched`` holds for a search that ran out of match budget
+_EXHAUSTED = object()
+
+
 def _first_embedding(
-    query: MatchSide, target: MatchSide, checked: str, fitting: dict[tuple, list[str]] | None = None
+    query: MatchSide, target: MatchSide, stored: MatchSide, checked: str, searched: dict,
+    fitting: dict[tuple, list[str]] | None = None,
 ) -> tuple[str, ...] | None:
     """The first embedding of the query into the target the search finds,
     or None; a search that runs out of match budget counts as no match,
-    with a warning naming what was ``checked``."""
-    try:
-        found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
-    except SearchBudgetExceeded:
+    with a warning naming what was ``checked``.  ``searched`` maps the id of
+    each ``stored`` side (the target or the query) that the caller's
+    searches, which share their other side, have met to what its search
+    found; such a side is not searched again, but is warned about again.
+    A stored side is one object per distinct side, kept for the life of the
+    store, so its id names it without hashing its contents."""
+    key = id(stored)
+    found = searched.get(key)
+    if found is None:
+        try:
+            found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
+        except SearchBudgetExceeded:
+            found = _EXHAUSTED
+        searched[key] = found
+    if found is _EXHAUSTED:
         log.warning("match budget exhausted while checking %s; treating as no match", checked)
         return None
     return found[0] if found else None
@@ -537,11 +565,13 @@ class Repository:
         dominated = set(index.dominated(fingerprint))
         exact: list[str] = []
         containing: list[str] = []
+        searched: dict[int, object] = {}  # id of a stored side -> what the draft's search into it found
         for slot in sorted(dominating, key=identifiers.__getitem__):
             identifier = identifiers[slot]
+            stored = records[slot].side
             # equal fingerprints mean equal object and fact counts, so an
             # injective embedding either way is a bijection whose inverse embeds back
-            if _first_embedding(side, records[slot].side, f"draft against {identifier}") is not None:
+            if _first_embedding(side, stored, stored, f"draft against {identifier}", searched) is not None:
                 (exact if slot in dominated else containing).append(identifier)
         backward = sorted(dominated.difference(dominating), key=identifiers.__getitem__)
         return tuple(exact), tuple(containing), backward
@@ -554,9 +584,11 @@ class Repository:
         # need -> the draft's names that fit it, shared by the searches: the
         # draft is the target of each
         fitting: dict[tuple, list[str]] = {}
+        searched: dict[int, object] = {}  # id of a stored side -> what its search into the draft found
         for slot in slots:
             identifier = identifiers[slot]
-            if _first_embedding(records[slot].side, side, f"{identifier} against draft", fitting) is not None:
+            stored = records[slot].side
+            if _first_embedding(stored, side, stored, f"{identifier} against draft", searched, fitting) is not None:
                 yield identifier
 
     # -- inserts -----------------------------------------------------------
@@ -671,9 +703,11 @@ class Repository:
             return [(identifiers[slot], None) for slot in candidates]
         side = prepare(query.kinds, closed)
         results: list[tuple[str, Embedding | None]] = []
+        searched: dict[int, object] = {}  # id of a stored side -> what the query's search into it found
         for slot in candidates:
             identifier = identifiers[slot]
-            found = _first_embedding(side, records[slot].side, f"query against {identifier}")
+            stored = records[slot].side
+            found = _first_embedding(side, stored, stored, f"query against {identifier}", searched)
             if found is not None:
                 results.append((identifier, Embedding(side, found)))
         return results
@@ -693,7 +727,6 @@ class Repository:
             except ConstructionError:
                 stale.append(identifier)
                 continue
-            same = (side.by_kind, side.facts) == (record.side.by_kind, record.side.facts)
-            if held[slot] != fingerprint or not same:
+            if held[slot] != fingerprint or side != record.side:
                 stale.append(identifier)
         return sorted(stale)

@@ -1,6 +1,6 @@
 """A pytest-free smoke check of the duplicate gate, the store's shared
-objects and the response encoder, for interpreters that have no pytest
-installed.  Run it from the repository root, for instance under each
+objects, one search per distinct stored side and the response encoder,
+for interpreters that have no pytest installed.  Run it from the repository root, for instance under each
 supported CPython with warnings as errors:
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -97,7 +97,7 @@ def main() -> None:
         seed_repository(Repository(data))
         repo = Repository(data)
         first, second = (repo._records[repo._slots[identifier]].side for identifier in ("GEO0001", "GEO0004"))
-        names = [{name for names, _ in side.by_kind.values() for name in names} for side in (first, second)]
+        names = [{name for names, _ in side.by_kind for name in names} for side in (first, second)]
         held = {value: value for value in (*names[0], *first.facts)}
         common = [*(names[0] & names[1]), *(first.facts & second.facts)]
         check("equal names and facts of two loaded entries are one object",
@@ -110,6 +110,34 @@ def main() -> None:
         check("a confirmed query leaves the store's hash-cons table as it was",
               "Qa" not in repo._shared and len(hits) > 1 and all(found is not None for _, found in hits)
               and len(repo._shared) == size)
+
+    with tempfile.TemporaryDirectory() as data:
+        repo = Repository(data)
+        renamed = TRIANGLE.replace("A", "Ra").replace("B", "Rb").replace("C", "Rc")
+        copies = (TRIANGLE, CHAIN, TRIANGLE, CHAIN, renamed, TRIANGLE)
+        for i, code in enumerate(copies):
+            repo.insert(ProblemEntry(name=f"Copy {i}", code=code), force=True)
+        repo = Repository(data)
+        sides = {}
+        for record in repo._records:
+            sides.setdefault(record.entry.code, set()).add(id(record.side))
+        check("a loaded store holds one side per distinct figure",
+              len(sides) == 3 and all(len(held) == 1 for held in sides.values()))
+        searched = []
+
+        def counting(query, target, *args, **kwargs):
+            searched.append(id(target))
+            return embed_closed(query, target, *args, **kwargs)
+
+        repository.embed_closed = counting
+        try:
+            hits = repo.geometric_query(parse_construction(TRIANGLE))
+        finally:
+            repository.embed_closed = embed_closed
+        # the triangle's copies and the renamed one hold it, the chains do not
+        check("a confirmed query searches each distinct side once",
+              sorted(searched) == sorted(held for held, in sides.values())
+              and [identifier for identifier, _ in hits] == ["GEO0001", "GEO0003", "GEO0005", "GEO0006"])
 
     with tempfile.TemporaryDirectory() as data:
         repo = Repository(data)

@@ -17,7 +17,7 @@ from geokb.matching import (
     is_subconstruction,
     prepare,
 )
-from geokb.model import EMPTY_CONSTRUCTION, PREDICATES, Construction, ObjectDecl, fact, parse_construction
+from geokb.model import EMPTY_CONSTRUCTION, KINDS, PREDICATES, Construction, ObjectDecl, fact, parse_construction
 from geokb.rules import closure
 from geokb.corpus import ENTRIES
 
@@ -333,11 +333,12 @@ def test_prepare_counts_each_fact_once_per_object_it_names(rules):
                     expected[name][predicate] += 1
             repeats += len(set(args)) < len(args)
         by_kind = prepare(figure.kinds, closed).by_kind
-        listed = [(kind, name) for kind, (names, _) in by_kind.items() for name in names]
+        assert len(by_kind) == len(KINDS)
+        listed = [(kind, name) for kind, (names, _) in zip(KINDS, by_kind) for name in names]
         assert sorted(listed) == sorted((kind, name) for name, kind in figure.kinds.items())
-        for names, vectors in by_kind.values():
+        for names, vectors in by_kind:
             assert list(names) == sorted(names) and len(vectors) == len(names)
-        degrees = {name: vector for names, vectors in by_kind.values() for name, vector in zip(names, vectors)}
+        degrees = {name: vector for names, vectors in by_kind for name, vector in zip(names, vectors)}
         assert degrees == {n: tuple(c[p] for p in PREDICATES) for n, c in expected.items()}
     assert repeats > 100
 

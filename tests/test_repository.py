@@ -512,7 +512,7 @@ def test_a_draft_equal_to_a_stored_entry_costs_it_one_search(fresh_seeded_repo, 
     searched = []
 
     def counting(query, target, *args, **kwargs):
-        if stored in (query, target):
+        if stored is query or stored is target:  # sides compare by value
             searched.append((query, target))
         return embed_closed(query, target, *args, **kwargs)
 
@@ -522,6 +522,136 @@ def test_a_draft_equal_to_a_stored_entry_costs_it_one_search(fresh_seeded_repo, 
         report = fresh_seeded_repo.find_duplicates(parse_construction(code))
         assert report.exact_duplicates == ("GEO0281",)
         assert len(searched) == 1 and searched[0][1] is stored
+
+
+#: the parts of the triangle a store of copies holds
+SEGMENT_TEXT, POINT_TEXT, POINT_PAIR_TEXT = TRIANGLE_PARTS[4], TRIANGLE_PARTS[0], TRIANGLE_PARTS[5]
+#: GEO0001 to GEO0013, six distinct sides: the triangle with a circle under
+#: three identifiers and, once, renamed, which makes it a distinct side;
+#: the chain twice; three parts of the triangle two or three times each
+COPIES = (
+    TRIANGLE_WITH_CIRCLE_TEXT, SEGMENT_TEXT, CHAIN_OF_FOUR_TEXT, POINT_TEXT, TRIANGLE_WITH_CIRCLE_TEXT,
+    _renamed(TRIANGLE_WITH_CIRCLE_TEXT), SEGMENT_TEXT, CHAIN_OF_FOUR_TEXT, POINT_TEXT,
+    TRIANGLE_WITH_CIRCLE_TEXT, POINT_PAIR_TEXT, POINT_TEXT, POINT_PAIR_TEXT,
+)
+
+
+def _store_of_copies(data) -> Repository:
+    repo = Repository(data)
+    for i, code in enumerate(COPIES):
+        repo.insert(ProblemEntry(name=f"Copy {i}", code=code), force=True)
+    return repo
+
+
+def _stored_sides_searched(repo: Repository, monkeypatch) -> list[int]:
+    """Counts the repository's searches from now on: the list it returns
+    gets the id of the stored side (the target forward, the query backward)
+    of each."""
+    stored = {id(record.side) for record in repo._records}
+    searched = []
+
+    def counting(query, target, *args, **kwargs):
+        searched.append(id(target) if id(target) in stored else id(query))
+        return embed_closed(query, target, *args, **kwargs)
+
+    monkeypatch.setattr("geokb.repository.embed_closed", counting)
+    return searched
+
+
+def _sides(repo: Repository, *numbers: int) -> list[int]:
+    """The ids of the sides of GEO0001, GEO0002, ... by number."""
+    return [id(_record(repo, f"GEO{n:04d}").side) for n in numbers]
+
+
+def test_a_store_and_its_reload_hold_one_side_per_distinct_figure(tmp_path):
+    repo = _store_of_copies(tmp_path / "data")
+    for store in (repo, Repository(repo.data_dir)):
+        by_code: dict = {}
+        for record in store._records:
+            assert by_code.setdefault(record.entry.code, record.side) is record.side
+        assert len({id(side) for side in by_code.values()}) == len(set(COPIES)) == 6
+        assert store.check_cache_coherence() == []
+
+
+def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatch):
+    repo, rules = _store_of_copies(tmp_path / "data"), default_rules()
+    size = len(repo._shared)
+    searched = _stored_sides_searched(repo, monkeypatch)
+    hits = repo.geometric_query(bare_triangle())
+    # the candidates are the four triangles and the two chains, in
+    # identifier order; each side is searched at its first identifier
+    assert searched == _sides(repo, 1, 3, 6)
+    oracle = [i for i in repo.list_all() if _embeds(bare_triangle(), repo.construction_of(i), rules)]
+    assert [identifier for identifier, _ in hits] == oracle == ["GEO0001", "GEO0005", "GEO0006", "GEO0010"]
+    # each identifier gets a witness into its own entry's figure
+    for identifier, embedding in hits:
+        assert embedding.facts <= _record(repo, identifier).side.facts
+    assert len(repo._shared) == size
+
+
+def _oracle_report(repo: Repository, draft: Construction) -> DuplicateReport:
+    rules = repo.ruleset
+    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    forward = [i for i, entry in stored.items() if _embeds(draft, entry, rules)]
+    backward = [i for i, entry in stored.items() if _embeds(entry, draft, rules)]
+    return DuplicateReport(
+        tuple(i for i in forward if i in backward),
+        tuple(i for i in forward if i not in backward),
+        tuple(i for i in backward if i not in forward),
+    )
+
+
+def test_the_duplicate_gate_searches_each_distinct_side_once(tmp_path, monkeypatch, caplog):
+    repo = _store_of_copies(tmp_path / "data")
+    searched = _stored_sides_searched(repo, monkeypatch)
+    # find_duplicates: the triangles and chains forward, the parts backward
+    report = repo.find_duplicates(bare_triangle())
+    assert searched == _sides(repo, 1, 3, 6, 2, 4, 11)
+    assert report == _oracle_report(repo, bare_triangle())
+    assert report.contained_entries == ("GEO0002", "GEO0004", "GEO0007", "GEO0009", "GEO0011", "GEO0012", "GEO0013")
+    # a blocked insert: the triangle with a circle is an exact duplicate of
+    # four entries, under two sides, and contains the parts
+    searched.clear()
+    blocked = repo.insert(replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT))
+    assert searched == _sides(repo, 1, 6, 2, 4, 11)
+    assert blocked == _oracle_report(repo, triangle_with_circle())
+    assert blocked.exact_duplicates == ("GEO0001", "GEO0005", "GEO0006", "GEO0010")
+    # an insert that goes through: a triangle with a fourth line extends the
+    # parts, and its backward searches stop at the fifth identifier
+    searched.clear()
+    draft = replace(TRIANGLE_DRAFT, code=BARE_TRIANGLE_TEXT + "line m\n")
+    oracle = _oracle_report(repo, parse_construction(draft.code))
+    with caplog.at_level("WARNING", logger="geokb.repository"):
+        assert repo.insert(draft) == "GEO0014"
+    assert searched == _sides(repo, 3, 2, 4, 11)
+    assert oracle.exact_duplicates == oracle.containing_entries == ()
+    assert [record.getMessage() for record in caplog.records] == [
+        f"insert GEO0014 extends stored entries {', '.join(oracle.contained_entries[:5])};"
+        " backward candidates left unsearched: 2"
+    ]
+
+
+def test_a_budget_run_out_on_one_side_warns_about_and_drops_each_identifier_holding_it(
+    tmp_path, caplog, monkeypatch
+):
+    repo = Repository(tmp_path / "data")
+    for name in ("Segment", "Same segment"):
+        repo.insert(ProblemEntry(name=name, code=SEGMENT_TEXT), force=True)
+    monkeypatch.setattr("geokb.repository.DEFAULT_BUDGET", 0)
+    searched = _stored_sides_searched(repo, monkeypatch)
+    segment = parse_construction(SEGMENT_TEXT)
+    with caplog.at_level("WARNING", logger="geokb.repository"):
+        assert repo.geometric_query(segment) == []
+        assert repo.find_duplicates(segment) == DuplicateReport()
+        assert repo.find_duplicates(bare_triangle()) == DuplicateReport()
+    assert searched == _sides(repo, 1, 1, 1)  # once per request
+    assert [record.getMessage() for record in caplog.records] == [
+        f"match budget exhausted while checking {checked}; treating as no match"
+        for checked in (
+            "query against GEO0001", "query against GEO0002", "draft against GEO0001",
+            "draft against GEO0002", "GEO0001 against draft", "GEO0002 against draft",
+        )
+    ]
 
 
 # -- queries -----------------------------------------------------------------------
@@ -926,7 +1056,7 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
     # the whole store, which every fact naming it holds
     names: dict[str, str] = {}
     for record in warm._records:
-        assert all(names.setdefault(n, n) is n for own, _ in record.side.by_kind.values() for n in own)
+        assert all(names.setdefault(n, n) is n for own, _ in record.side.by_kind for n in own)
     assert all(arg is names[arg] for record in warm._records for _, args in record.side.facts for arg in args)
     assert all(key is sys.intern(key) for key in warm._index._postings)
     hits = warm.geometric_query(bare_triangle())
@@ -944,7 +1074,7 @@ def _assert_shared(repo: Repository) -> None:
         return seen.setdefault(value, value) is value and repo._shared.get(value) is value
 
     for record in repo._records:
-        for names, vectors in record.side.by_kind.values():
+        for names, vectors in record.side.by_kind:
             assert all(map(one, names)) and all(map(one, vectors))
         for fact in record.side.facts:
             assert one(fact) and one(fact[1]) and all(map(one, fact[1]))
