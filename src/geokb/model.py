@@ -161,9 +161,6 @@ class Construction:
         """Object name -> kind (later duplicates of an invalid value win)."""
         return {o.name: o.kind for o in sorted(self.objects)}
 
-    def names_of_kind(self, kind: str) -> list[str]:
-        return sorted(o.name for o in self.objects if o.kind == kind)
-
 
 EMPTY_CONSTRUCTION = Construction(frozenset(), frozenset())
 

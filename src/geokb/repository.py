@@ -52,13 +52,15 @@ and a blocked, refused or colliding draft leaves nothing in the table: the
 gate searches with the draft's own side, and only the stored record gets
 the shared one.
 
-A request searches each distinct stored side once.  A confirmed query,
-and each direction of the gate, keep a dict from stored side to what its
-search found, for that request only, and reuse it for every slot that
-holds the side, in identifier order.  Records never change, the table
-only grows and a search's outcome depends only on its two sides, its limit
-and its budget, so each slot gets the answer a search of its own would
-give; a side whose search ran out of match budget is warned about once per
+One generator, :meth:`Repository._embeddings`, runs every embedding
+search of the store: a confirmed query's, and the gate's in both
+directions.  It searches each distinct stored side once: it keeps a dict
+from stored side to what its search found, for its own run only, and
+reuses it for every slot that holds the side, in identifier order.
+Records never change, the table only grows and a search's outcome depends
+only on its two sides, its limit and its budget, so each slot gets the
+answer a search of its own would give.  A search that runs out of match
+budget counts as no match, and its side is warned about once per
 identifier that holds it.
 
 Queries come in two families.  Text queries search the records' names or
@@ -73,22 +75,23 @@ Inserts pass through a duplicate gate: unless forced, a draft that is
 structurally equal to a stored entry, or embeds into one, is rejected with
 a report naming the offenders.  A draft that merely extends stored entries
 (they embed into it) is inserted with a warning, since a richer
-construction legitimately refines a poorer one.  The index gives the gate
-its candidates in both directions: the entries whose fingerprint dominates
-the draft's, and those whose fingerprint the draft's dominates.  Each
-distinct side among them is searched at most once for one embedding, and
-no witness is read.  Those that dominate are searched first, forward (the
-draft into each), and alone decide whether the draft is blocked; one is an
-exact duplicate if its fingerprint also equals the draft's: equal object
-and fact counts make the embedding a bijection, whose inverse embeds it
-back.  The others are searched backward, into the draft, so those searches
-share the draft's names that fit each need.  A blocked report, like
-:meth:`Repository.find_duplicates`, names every entry found either way.  An
-insert that goes through answers with no report, and its warning names
-only the first five entries it extends, so its backward searches stop at
-the fifth embedding, which may take fewer searches when entries share a
-side.  A search that runs out of match budget counts as no match, with a
-warning, in the gate as in a confirmed query.
+construction legitimately refines a poorer one.  :meth:`Repository.insert`
+and :meth:`Repository.find_duplicates` share one gate,
+:meth:`Repository._gate`.  The index gives it its candidates in both
+directions: the entries whose fingerprint dominates the draft's, and those
+whose fingerprint the draft's dominates.  Each is searched once, by
+:meth:`Repository._embeddings`, for one embedding, and no witness is read.
+Those that dominate are searched first, forward (the draft into each), and
+alone decide whether the draft is blocked; one is an exact duplicate if
+its fingerprint also equals the draft's: equal object and fact counts make
+the embedding a bijection, whose inverse embeds it back.  The others are
+searched backward, into the draft, so those searches share the draft's
+names that fit each need, and only as their identifiers are read.  A
+blocked report, like :meth:`Repository.find_duplicates`, names every entry
+found either way.  An insert that goes through answers with no report, and
+its warning names only the first five entries it extends, so its backward
+searches stop at the fifth embedding, which may take fewer searches when
+entries share a side.
 """
 
 from __future__ import annotations
@@ -196,13 +199,6 @@ def hit_member(identifier: str, name: str, description: str, code: str) -> bytes
         f'{encode_basestring(identifier)}: {{"Name": {encode_basestring(name)}, '
         f'"Description": {encode_basestring(description)}, "Code": {encode_basestring(code)}}}'
     ).encode("utf-8", "backslashreplace")
-
-
-def _new_record(entry: ProblemEntry, side: MatchSide) -> _Record:
-    """The record of an entry and its matching side; the text terms and the
-    hit member are derived here."""
-    hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
-    return _Record(entry, side, textindex.terms(entry), hit)
 
 
 @dataclass(frozen=True)
@@ -359,34 +355,8 @@ def _read_closure(
     return facts
 
 
-#: what ``searched`` holds for a search that ran out of match budget
+#: what ``_embeddings`` keeps for a search that ran out of match budget
 _EXHAUSTED = object()
-
-
-def _first_embedding(
-    query: MatchSide, target: MatchSide, stored: MatchSide, checked: str, searched: dict,
-    fitting: dict[tuple, list[str]] | None = None,
-) -> tuple[str, ...] | None:
-    """The first embedding of the query into the target the search finds,
-    or None; a search that runs out of match budget counts as no match,
-    with a warning naming what was ``checked``.  ``searched`` maps the id of
-    each ``stored`` side (the target or the query) that the caller's
-    searches, which share their other side, have met to what its search
-    found; such a side is not searched again, but is warned about again.
-    A stored side is one object per distinct side, kept for the life of the
-    store, so its id names it without hashing its contents."""
-    key = id(stored)
-    found = searched.get(key)
-    if found is None:
-        try:
-            found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
-        except SearchBudgetExceeded:
-            found = _EXHAUSTED
-        searched[key] = found
-    if found is _EXHAUSTED:
-        log.warning("match budget exhausted while checking %s; treating as no match", checked)
-        return None
-    return found[0] if found else None
 
 
 class Repository:
@@ -444,10 +414,6 @@ class Repository:
     def __len__(self) -> int:
         return self._index.size
 
-    def _published(self) -> list[_Record]:
-        """The records of the published index's slots."""
-        return self._records[: self._index.size]
-
     # -- loading and persistence -----------------------------------------
 
     def _load(self) -> None:
@@ -470,9 +436,7 @@ class Repository:
                     self._store(entry, side, fingerprint)
                 except StorageError as exc:
                     log.error("entry file %s left stale, served from its code: %s", path.name, exc)
-            self._slots[entry.identifier] = len(self._records)
-            self._records.append(_new_record(entry, share(side, self._shared)))
-            self._identifiers.append(entry.identifier)
+            self._append(entry, side)
             fingerprints.append(fingerprint)
         self._index = GtdIndex.build(fingerprints)
 
@@ -536,6 +500,16 @@ class Repository:
         except OSError as exc:
             raise StorageError(f"cannot persist {entry.identifier}: {exc}") from exc
 
+    def _append(self, entry: ProblemEntry, side: MatchSide) -> None:
+        """Keep an analysed entry in the next slot: its record, holding the
+        store's shared copy of its side, then its identifier, then its slot.
+        A reader that finds the identifier finds its record; an insert
+        publishes the slot in the index after this."""
+        hit = hit_member(entry.identifier, entry.name, entry.description, entry.code)
+        self._records.append(_Record(entry, share(side, self._shared), textindex.terms(entry), hit))
+        self._identifiers.append(entry.identifier)
+        self._slots[entry.identifier] = len(self._records) - 1
+
     def _next_identifier(self) -> str:
         while True:
             candidate = f"GEO{self._next_number:04d}"
@@ -543,53 +517,71 @@ class Repository:
                 return candidate
             self._next_number += 1
 
-    # -- duplicate gate ----------------------------------------------------
+    # -- embedding searches and the duplicate gate ---------------------------
+
+    def _embeddings(
+        self, side: MatchSide, slots: Iterable[int], checked: str, backward: bool = False
+    ) -> Iterator[tuple[int, str, tuple[str, ...]]]:
+        """Each slot, its identifier and the first embedding found, for the
+        ``slots`` whose entries the search finds one for: of ``side`` into
+        the stored side, or ``backward``, of the stored side into ``side``.
+        A slot is searched only when the one before it is yielded or found
+        not to embed.  A search that runs out of match budget counts as no
+        match, with a warning naming ``checked % identifier``.
+
+        Each stored side met is searched once: it is one object per
+        distinct side, kept for the life of the store, so its id keys what
+        its search found; a side held by several slots is warned about
+        again for each.  Backward, the searches share one dict of the names
+        of ``side`` that fit each need, since it is the target of each."""
+        records, identifiers = self._records, self._identifiers
+        fitting: dict[tuple, list[str]] | None = {} if backward else None
+        searched: dict[int, object] = {}
+        for slot in slots:
+            stored = records[slot].side
+            found = searched.get(id(stored))
+            if found is None:
+                query, target = (stored, side) if backward else (side, stored)
+                try:
+                    found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
+                except SearchBudgetExceeded:
+                    found = _EXHAUSTED
+                searched[id(stored)] = found
+            if found is _EXHAUSTED:
+                log.warning(
+                    "match budget exhausted while checking %s; treating as no match",
+                    checked % identifiers[slot],
+                )
+            elif found:
+                yield slot, identifiers[slot], found[0]
+
+    def _gate(
+        self, side: MatchSide, fingerprint: Gtd
+    ) -> tuple[tuple[str, ...], tuple[str, ...], Iterator[str], Iterator[int]]:
+        """The stored entries the draft embeds into, as exact duplicates and
+        containing entries, which alone decide whether an unforced insert is
+        blocked; the identifiers of the entries that embed into the draft,
+        each searched only when read; and the iterator of the slots those
+        searches have not reached.  All in identifier order."""
+        index, identifiers = self._index, self._identifiers
+        dominating = sorted(index.dominating(fingerprint), key=identifiers.__getitem__)
+        dominated = set(index.dominated(fingerprint))
+        exact: list[str] = []
+        containing: list[str] = []
+        for slot, identifier, _ in self._embeddings(side, dominating, "draft against %s"):
+            # equal fingerprints mean equal object and fact counts, so an
+            # injective embedding either way is a bijection whose inverse embeds back
+            (exact if slot in dominated else containing).append(identifier)
+        unsearched = iter(sorted(dominated.difference(dominating), key=identifiers.__getitem__))
+        searches = self._embeddings(side, unsearched, "%s against draft", backward=True)
+        return tuple(exact), tuple(containing), (identifier for _, identifier, _ in searches), unsearched
 
     def find_duplicates(self, construction: Construction) -> DuplicateReport:
         """Compare a draft construction against the stored entries; only
         those the fingerprint index pairs with it in either direction are
         matched, and every one of them is."""
-        side, fingerprint = self._analyze(construction)
-        exact, containing, backward = self._search_forward(side, fingerprint)
-        return DuplicateReport(exact, containing, tuple(self._search_backward(side, backward)))
-
-    def _search_forward(
-        self, side: MatchSide, fingerprint: Gtd
-    ) -> tuple[tuple[str, ...], tuple[str, ...], list[int]]:
-        """The stored entries the draft embeds into, as exact duplicates and
-        containing entries, which alone decide whether an unforced insert is
-        blocked; and the slots left for the backward searches.  All in
-        identifier order."""
-        index, records, identifiers = self._index, self._records, self._identifiers
-        dominating = index.dominating(fingerprint)
-        dominated = set(index.dominated(fingerprint))
-        exact: list[str] = []
-        containing: list[str] = []
-        searched: dict[int, object] = {}  # id of a stored side -> what the draft's search into it found
-        for slot in sorted(dominating, key=identifiers.__getitem__):
-            identifier = identifiers[slot]
-            stored = records[slot].side
-            # equal fingerprints mean equal object and fact counts, so an
-            # injective embedding either way is a bijection whose inverse embeds back
-            if _first_embedding(side, stored, stored, f"draft against {identifier}", searched) is not None:
-                (exact if slot in dominated else containing).append(identifier)
-        backward = sorted(dominated.difference(dominating), key=identifiers.__getitem__)
-        return tuple(exact), tuple(containing), backward
-
-    def _search_backward(self, side: MatchSide, slots: Iterable[int]) -> Iterator[str]:
-        """The identifiers of the stored entries in ``slots`` that embed into
-        the draft, each searched only when the one before it is yielded or
-        found not to embed."""
-        records, identifiers = self._records, self._identifiers
-        # need -> the draft's names that fit it, shared by the searches: the
-        # draft is the target of each
-        fitting: dict[tuple, list[str]] = {}
-        searched: dict[int, object] = {}  # id of a stored side -> what its search into the draft found
-        for slot in slots:
-            identifier = identifiers[slot]
-            stored = records[slot].side
-            if _first_embedding(stored, side, stored, f"{identifier} against draft", searched, fitting) is not None:
-                yield identifier
+        exact, containing, contained, _ = self._gate(*self._analyze(construction))
+        return DuplicateReport(exact, containing, tuple(contained))
 
     # -- inserts -----------------------------------------------------------
 
@@ -614,9 +606,7 @@ class Repository:
             else:
                 identifier = self._next_identifier()
             if not force:
-                exact, containing, backward = self._search_forward(side, fingerprint)
-                unsearched = iter(backward)
-                contained = self._search_backward(side, unsearched)
+                exact, containing, contained, unsearched = self._gate(side, fingerprint)
                 if exact or containing:
                     return DuplicateReport(exact, containing, tuple(contained))
                 # an inserted answer names no stored entry, so only this line
@@ -632,12 +622,10 @@ class Repository:
             entry = replace(draft, identifier=identifier)
             self._store(entry, side, fingerprint)
             index = self._index.with_slot(fingerprint)
-            # record, then slot, then index: a reader that finds an
-            # identifier or a slot of the index always finds its record.  The
-            # gate searched with the draft's own side; only the record shares
-            self._records.append(_new_record(entry, share(side, self._shared)))
-            self._identifiers.append(identifier)
-            self._slots[identifier] = index.size - 1
+            # the gate searched with the draft's own side; only the record
+            # shares.  The index goes last: a reader that finds a slot of it
+            # always finds its record
+            self._append(entry, side)
             self._index = index
             return identifier
 
@@ -656,20 +644,12 @@ class Repository:
         records, slots = self._records, self._slots
         return [records[slots[identifier]].hit for identifier in identifiers]
 
-    def list_all(self) -> list[str]:
-        """Every identifier, in string order (``GEO10000`` before ``GEO1001``)."""
-        return sorted(self._identifiers[: self._index.size])
-
-    def construction_of(self, identifier: str) -> Construction:
-        """The entry's construction, parsed again from its code."""
-        return parse_construction(self.get(identifier).code)
-
     def text_query(
         self, text: str, mode: str = "simple", filters: FilterSet = EMPTY_FILTERS
     ) -> list[str]:
         """Identifiers matching a text query, filtered; simple mode is
         ordered by identifier, extended mode by score."""
-        records = self._published()
+        records = self._records[: self._index.size]
         if mode == "simple":
             identifiers = textindex.simple_search(text, records)
         elif mode == "extended":
@@ -702,15 +682,10 @@ class Repository:
         if not confirm or not candidates:
             return [(identifiers[slot], None) for slot in candidates]
         side = prepare(query.kinds, closed)
-        results: list[tuple[str, Embedding | None]] = []
-        searched: dict[int, object] = {}  # id of a stored side -> what the query's search into it found
-        for slot in candidates:
-            identifier = identifiers[slot]
-            stored = records[slot].side
-            found = _first_embedding(side, stored, stored, f"query against {identifier}", searched)
-            if found is not None:
-                results.append((identifier, Embedding(side, found)))
-        return results
+        return [
+            (identifier, Embedding(side, found))
+            for _, identifier, found in self._embeddings(side, candidates, "query against %s")
+        ]
 
     def check_cache_coherence(self) -> list[str]:
         """Identifiers whose record (objects, degrees and closed facts) or

@@ -9,6 +9,7 @@ from itertools import combinations, permutations, product
 
 from geokb.model import Construction, FactPair, FactSet, KINDS, PREDICATES, normalize_fact
 from geokb.protocol import QueryResponse, response_to_document
+from geokb.repository import ProblemEntry, Repository
 from geokb.rules import RuleSet, closure
 
 
@@ -32,6 +33,10 @@ def orbit(f: FactPair) -> set[FactPair]:
     return {(p, a)}
 
 
+def names_of_kind(construction: Construction, kind: str) -> list[str]:
+    return sorted(o.name for o in construction.objects if o.kind == kind)
+
+
 def brute_canonical(f: FactPair) -> FactPair:
     """Lexicographic minimum over the symmetry orbit."""
     return min(orbit(f), key=lambda g: g[1])
@@ -41,7 +46,7 @@ def naive_closure(construction: Construction, ruleset: RuleSet) -> FactSet:
     """Apply every rule to every kind-respecting variable assignment until
     nothing changes.  No deltas, no join order, no variant matching: body
     atoms are instantiated and checked by canonical membership."""
-    names_by_kind = {kind: construction.names_of_kind(kind) for kind in KINDS}
+    names_by_kind = {kind: names_of_kind(construction, kind) for kind in KINDS}
     facts = {normalize_fact(f) for f in construction.facts}
 
     rule_variables = []
@@ -126,8 +131,8 @@ def brute_force_mappings(
     closed_t = closure(target, ruleset)
     per_kind: list[tuple[list[str], list[tuple[str, ...]]]] = []
     for kind in KINDS:
-        q_names = query.names_of_kind(kind)
-        t_names = target.names_of_kind(kind)
+        q_names = names_of_kind(query, kind)
+        t_names = names_of_kind(target, kind)
         if len(t_names) < len(q_names):
             return []
         per_kind.append((q_names, list(permutations(t_names, len(q_names)))))
@@ -149,6 +154,14 @@ def brute_force_mappings(
 
 def brute_force_embeds(query: Construction, target: Construction, ruleset: RuleSet) -> bool:
     return bool(brute_force_mappings(query, target, ruleset, first_only=True))
+
+
+def stored_entries(repo: Repository) -> dict[str, ProblemEntry]:
+    """Identifier -> entry of every record in a slot of the published index,
+    in string order of identifiers (``GEO10000`` before ``GEO1001``), read
+    from the records themselves and not through the search or text code the
+    tests check."""
+    return dict(sorted((record.entry.identifier, record.entry) for record in repo._records[: len(repo)]))
 
 
 def standard_encoding(response: QueryResponse) -> bytes:

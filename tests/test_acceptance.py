@@ -43,7 +43,7 @@ from generators import (
     random_construction,
     triangle_with_circle,
 )
-from oracles import brute_force_embeds, naive_closure
+from oracles import brute_force_embeds, naive_closure, stored_entries
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,8 +73,8 @@ def triangle_based_identifiers(repo: Repository) -> set[str]:
     query = bare_triangle()
     return {
         identifier
-        for identifier in repo.list_all()
-        if brute_force_embeds(query, repo.construction_of(identifier), repo.ruleset)
+        for identifier, entry in stored_entries(repo).items()
+        if brute_force_embeds(query, parse_construction(entry.code), repo.ruleset)
     }
 
 
@@ -82,15 +82,15 @@ def circle_bearing_triangle_identifiers(repo: Repository) -> set[str]:
     query = triangle_with_circle()
     return {
         identifier
-        for identifier in repo.list_all()
-        if brute_force_embeds(query, repo.construction_of(identifier), repo.ruleset)
+        for identifier, entry in stored_entries(repo).items()
+        if brute_force_embeds(query, parse_construction(entry.code), repo.ruleset)
     }
 
 
 def test_criterion_1_seeded_corpus_and_text_search(seeded_repo):
     with criterion(1, "seeded corpus, simple text search"):
         assert len(seeded_repo) >= MIN_CORPUS_SIZE
-        identifiers = set(seeded_repo.list_all())
+        identifiers = set(stored_entries(seeded_repo))
         assert {"GEO_CEVA", "GEO0281", "GEO0328"} <= identifiers
         assert seeded_repo.get("GEO0281").name == "Incircle of a Triangle"
         assert seeded_repo.get("GEO0328").name == "Circumcircle of a Triangle"
@@ -110,7 +110,7 @@ def test_criterion_2_bare_triangle_over_match(seeded_repo):
         expected = triangle_based_identifiers(seeded_repo)
         assert candidates == expected
         assert expected  # the corpus is triangle-heavy by design
-        assert expected < set(seeded_repo.list_all())  # but not everything
+        assert expected < set(stored_entries(seeded_repo))  # but not everything
 
 
 def test_criterion_3_triangle_plus_circle_selectivity(seeded_repo):
@@ -261,7 +261,7 @@ def test_criterion_8_duplicate_gate(fresh_seeded_repo):
         assert len(fresh_seeded_repo) == len(ENTRIES)
         identifier = fresh_seeded_repo.insert(twin, force=True)
         assert isinstance(identifier, str)
-        assert identifier in fresh_seeded_repo.list_all()
+        assert identifier in stored_entries(fresh_seeded_repo)
         assert fresh_seeded_repo.check_cache_coherence() == []
 
 

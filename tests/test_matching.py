@@ -30,7 +30,7 @@ from generators import (
     random_line_figure,
     triangle_with_circle,
 )
-from oracles import brute_canonical, brute_force_embeds, brute_force_mappings
+from oracles import brute_canonical, brute_force_embeds, brute_force_mappings, names_of_kind
 
 
 def mappings_of(embeddings: list[Embedding]) -> list[dict[str, str]]:
@@ -289,7 +289,7 @@ def test_repeated_arguments_agree_with_brute_force(rules):
         _assert_brute_force_agreement(query, target, rules)
     for code in _CORPUS_CODE.values():
         target = parse_construction(code)
-        if len(target.names_of_kind("point")) <= 6:
+        if len(names_of_kind(target, "point")) <= 6:
             hits += _assert_brute_force_agreement(isosceles, target, rules) > 0
     assert hits > 5
 

@@ -47,7 +47,7 @@ from generators import (
     triangle_with_circle,
     write_kinds,
 )
-from oracles import brute_force_embeds, ranked_text_hits
+from oracles import brute_force_embeds, ranked_text_hits, stored_entries
 
 TRIANGLE_DRAFT = ProblemEntry(
     name="Plain Triangle",
@@ -92,7 +92,7 @@ def test_format_filter_accepted_but_selective(seeded_repo):
     assert parse_filters("format=ggb")  # accepted
     assert seeded_repo.text_query(".*", filters=parse_filters("format=ggb")) == []
     everything = seeded_repo.text_query(".*", filters=parse_filters("format=predicate"))
-    assert everything == seeded_repo.list_all()
+    assert everything == list(stored_entries(seeded_repo))
 
 
 def test_keyword_filter_is_case_insensitive(seeded_repo):
@@ -111,7 +111,7 @@ def test_language_filter(seeded_repo):
 
 def test_corpus_seeds_cleanly(seeded_repo):
     assert len(seeded_repo) == len(ENTRIES) >= 20
-    assert {"GEO_CEVA", "GEO0281", "GEO0328"} <= set(seeded_repo.list_all())
+    assert {"GEO_CEVA", "GEO0281", "GEO0328"} <= set(stored_entries(seeded_repo))
 
 
 def _entry_document(repo: Repository, identifier: str) -> dict:
@@ -129,7 +129,7 @@ def test_get_returns_equal_entry(fresh_seeded_repo):
 
 def test_cache_coherence_on_seeded_corpus(seeded_repo):
     assert seeded_repo.check_cache_coherence() == []
-    for identifier in seeded_repo.list_all():
+    for identifier in stored_entries(seeded_repo):
         entry = seeded_repo.get(identifier)
         recomputed = construction_gtd(parse_construction(entry.code), seeded_repo.ruleset)
         assert serialize_gtd(recomputed) == _entry_document(seeded_repo, identifier)["GTD"]
@@ -167,12 +167,12 @@ def test_identifiers_continue_past_geo9999_across_a_reload(tmp_path):
     assert repo.insert(circle, force=True) == "GEO10001"
     reloaded = Repository(repo.data_dir)
     in_string_order = ["GEO10000", "GEO10001", "GEO10002", "GEO9998", "GEO9999"]
-    assert reloaded.list_all() == in_string_order
+    assert list(stored_entries(reloaded)) == in_string_order
     assert [i for i, _ in reloaded.geometric_query(parse_construction("circle k"))] == in_string_order
     assert reloaded.get("GEO10001") == repo.get("GEO10001")
     reloaded._next_number = 9998  # the lowest unused number at or above it
     assert reloaded.insert(circle, force=True) == "GEO10003"
-    assert Repository(repo.data_dir).list_all() == sorted(in_string_order + ["GEO10003"])
+    assert list(stored_entries(Repository(repo.data_dir))) == sorted(in_string_order + ["GEO10003"])
 
 
 def test_insert_into_seeded_corpus_skips_taken_numbers(fresh_seeded_repo):
@@ -244,7 +244,7 @@ def test_an_entry_whose_code_is_edited_in_its_file_is_analysed_again(fresh_seede
     duplicate gate see the new construction."""
     repo = fresh_seeded_repo
     hits = {i for i, _ in repo.geometric_query(bare_triangle())}
-    gained = next(i for i in repo.list_all() if i not in hits)
+    gained = next(i for i in stored_entries(repo) if i not in hits)
     assert "GEO0281" in hits
     for identifier, code in (("GEO0281", "circle k\n"), (gained, BARE_TRIANGLE_TEXT)):
         _edit_entry(repo.data_dir, identifier, lambda doc, code=code: {**doc, "Code": code})
@@ -270,22 +270,21 @@ def test_an_entry_whose_code_is_edited_in_its_file_is_analysed_again(fresh_seede
 
 def test_reloaded_witnesses_equal_direct_matching(fresh_seeded_repo):
     reloaded = Repository(fresh_seeded_repo.data_dir)
+    entries = stored_entries(reloaded)
     for query in (bare_triangle(), triangle_with_circle(), concurrent_lines()):
         confirmed = dict(reloaded.geometric_query(query, confirm=True))
         for identifier, _ in reloaded.geometric_query(query, confirm=False):
-            direct = find_embeddings(
-                query, reloaded.construction_of(identifier), reloaded.ruleset, 1
-            )
+            direct = find_embeddings(query, parse_construction(entries[identifier].code), reloaded.ruleset, 1)
             assert confirmed.get(identifier) == (direct[0] if direct else None)
 
 
-def test_construction_of_round_trips(seeded_repo):
+def test_stored_constructions_round_trip(seeded_repo):
     for e in ENTRIES:
-        construction = seeded_repo.construction_of(e.identifier)
+        construction = parse_construction(stored_entries(seeded_repo)[e.identifier].code)
         assert construction == parse_construction(e.code)
         assert parse_construction(serialize_construction(construction)) == construction
     with pytest.raises(NotFoundError):
-        seeded_repo.construction_of("GEO9999")
+        seeded_repo.get("GEO9999")
 
 
 # -- duplicate gate ---------------------------------------------------------------
@@ -469,7 +468,7 @@ GATE_DRAFTS = {
 
 def test_find_duplicates_mirror_report(fresh_seeded_repo):
     repo, rules = fresh_seeded_repo, fresh_seeded_repo.ruleset
-    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    stored = {identifier: parse_construction(entry.code) for identifier, entry in stored_entries(repo).items()}
     for draft, (code, containing, contained) in GATE_DRAFTS.items():
         construction = parse_construction(code)
         report = repo.find_duplicates(construction)
@@ -491,7 +490,7 @@ def test_find_duplicates_classifies_seeded_drafts_as_brute_force_does(fresh_seed
     figures = [small_figure() for _ in range(100)]
     for i, figure in enumerate(figures):
         repo.insert(ProblemEntry(name=f"Random {i}", code=serialize_construction(figure)), force=True)
-    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    stored = {identifier: parse_construction(entry.code) for identifier, entry in stored_entries(repo).items()}
     drafts = [small_figure() for _ in range(40)]
     drafts += [parse_construction(_renamed(serialize_construction(f))) for f in rng.sample(figures, 15)]
     drafts += [stored[identifier] for identifier in ("GEO0003", "GEO0281")]
@@ -504,7 +503,12 @@ def test_find_duplicates_classifies_seeded_drafts_as_brute_force_does(fresh_seed
         lists = [report.exact_duplicates, report.containing_entries, report.contained_entries]
         assert [list(found) for found in lists] == oracle
         seen.update(k for k, found in enumerate(lists) if found)
+        # a confirmed query and a blocked insert answer from the same oracle
+        assert [i for i, _ in repo.geometric_query(draft)] == sorted(forward)
+        if forward:
+            assert repo.insert(ProblemEntry(name="Draft", code=serialize_construction(draft))) == report
     assert seen == {0, 1, 2}  # each list is met
+    assert len(repo) == len(stored)  # no blocked draft was stored
 
 
 def test_a_draft_equal_to_a_stored_entry_costs_it_one_search(fresh_seeded_repo, monkeypatch):
@@ -581,7 +585,7 @@ def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatc
     # the candidates are the four triangles and the two chains, in
     # identifier order; each side is searched at its first identifier
     assert searched == _sides(repo, 1, 3, 6)
-    oracle = [i for i in repo.list_all() if _embeds(bare_triangle(), repo.construction_of(i), rules)]
+    oracle = [i for i, e in stored_entries(repo).items() if _embeds(bare_triangle(), parse_construction(e.code), rules)]
     assert [identifier for identifier, _ in hits] == oracle == ["GEO0001", "GEO0005", "GEO0006", "GEO0010"]
     # each identifier gets a witness into its own entry's figure
     for identifier, embedding in hits:
@@ -591,7 +595,7 @@ def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatc
 
 def _oracle_report(repo: Repository, draft: Construction) -> DuplicateReport:
     rules = repo.ruleset
-    stored = {identifier: repo.construction_of(identifier) for identifier in repo.list_all()}
+    stored = {identifier: parse_construction(entry.code) for identifier, entry in stored_entries(repo).items()}
     forward = [i for i, entry in stored.items() if _embeds(draft, entry, rules)]
     backward = [i for i, entry in stored.items() if _embeds(entry, draft, rules)]
     return DuplicateReport(
@@ -703,7 +707,7 @@ def test_geometric_query_empty_returns_everything(seeded_repo):
     from geokb.model import EMPTY_CONSTRUCTION
 
     hits = seeded_repo.geometric_query(EMPTY_CONSTRUCTION, confirm=True)
-    assert [identifier for identifier, _ in hits] == seeded_repo.list_all()
+    assert [identifier for identifier, _ in hits] == list(stored_entries(seeded_repo))
     hits = seeded_repo.geometric_query(
         EMPTY_CONSTRUCTION, filters=parse_filters("kind=construction"), confirm=False
     )
@@ -744,8 +748,8 @@ def test_no_false_negatives_end_to_end(seeded_repo):
 
     query = bare_triangle()
     confirmed = {i for i, _ in seeded_repo.geometric_query(query, confirm=True)}
-    for identifier in seeded_repo.list_all():
-        target = seeded_repo.construction_of(identifier)
+    for identifier, entry in stored_entries(seeded_repo).items():
+        target = parse_construction(entry.code)
         if is_subconstruction(query, target, seeded_repo.ruleset) is not None:
             assert identifier in confirmed
 
@@ -771,7 +775,7 @@ def test_budget_warning_names_the_entry_in_each_direction(tmp_path, caplog, monk
         repo.geometric_query(bare_triangle(), confirm=True)
         # an entry's own figure is searched forward only, since its
         # fingerprint equals the draft's; a smaller figure is searched backward
-        assert repo.find_duplicates(repo.construction_of("GEO0281")) == DuplicateReport()
+        assert repo.find_duplicates(parse_construction(stored_entries(repo)["GEO0281"].code)) == DuplicateReport()
     messages = {record.getMessage() for record in caplog.records}
     for checked in ("query against GEO0281", "draft against GEO0281", f"{smaller} against draft"):
         assert f"match budget exhausted while checking {checked}; treating as no match" in messages
@@ -784,8 +788,8 @@ def test_budget_warning_names_the_entry_in_each_direction(tmp_path, caplog, monk
 
 def test_reload_recovers_identical_state(fresh_seeded_repo, tmp_path):
     reloaded = Repository(fresh_seeded_repo.data_dir)
-    assert reloaded.list_all() == fresh_seeded_repo.list_all()
-    for identifier in reloaded.list_all():
+    assert list(stored_entries(reloaded)) == list(stored_entries(fresh_seeded_repo))
+    for identifier in stored_entries(reloaded):
         assert reloaded.get(identifier) == fresh_seeded_repo.get(identifier)
 
 
@@ -794,8 +798,8 @@ def test_interrupted_insert_leaves_no_trace(fresh_seeded_repo):
     stray = fresh_seeded_repo.data_dir / "entries" / ".GEO9998.json.tmp"
     stray.write_text("{not even json", encoding="utf-8")
     reloaded = Repository(fresh_seeded_repo.data_dir)
-    assert "GEO9998" not in reloaded.list_all()
-    assert reloaded.text_query(".*") == reloaded.list_all()
+    assert "GEO9998" not in stored_entries(reloaded)
+    assert reloaded.text_query(".*") == list(stored_entries(reloaded))
 
 
 def test_failed_write_removes_its_temp_file(fresh_seeded_repo, monkeypatch):
@@ -808,7 +812,7 @@ def test_failed_write_removes_its_temp_file(fresh_seeded_repo, monkeypatch):
         fresh_seeded_repo.insert(draft, force=True)
     entries = fresh_seeded_repo.data_dir / "entries"
     assert [p.name for p in entries.iterdir() if not p.name.endswith(".json")] == []
-    assert "GEO0023" not in fresh_seeded_repo.list_all()
+    assert "GEO0023" not in stored_entries(fresh_seeded_repo)
     monkeypatch.undo()
     assert fresh_seeded_repo.insert(draft, force=True) == "GEO0023"
 
@@ -844,9 +848,9 @@ def test_a_stale_entry_that_cannot_be_rewritten_is_served_from_its_code(
         repo = Repository(fresh_seeded_repo.data_dir)
     [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert "GEO0001.json" in error and "read-only store" in error
-    assert repo.list_all() == fresh_seeded_repo.list_all()
+    assert list(stored_entries(repo)) == list(stored_entries(fresh_seeded_repo))
     assert (entries / "GEO0001.json").read_bytes() == edited
-    assert sorted(p.name for p in entries.iterdir()) == [f"{i}.json" for i in repo.list_all()]
+    assert sorted(p.name for p in entries.iterdir()) == [f"{i}.json" for i in stored_entries(repo)]
     assert repo.get("GEO0001").code == BARE_TRIANGLE_TEXT and repo.check_cache_coherence() == []
     assert dict(repo.geometric_query(bare_triangle()))["GEO0001"].as_dict() == {
         n: n for n in bare_triangle().kinds
@@ -859,7 +863,7 @@ def test_corrupt_entry_file_is_quarantined(fresh_seeded_repo, caplog):
     path.write_text("{", encoding="utf-8")
     with caplog.at_level("ERROR"):
         reloaded = Repository(fresh_seeded_repo.data_dir)
-    assert reloaded.list_all() == [i for i in fresh_seeded_repo.list_all() if i != "GEO0281"]
+    assert list(stored_entries(reloaded)) == [i for i in stored_entries(fresh_seeded_repo) if i != "GEO0281"]
     [error] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert "GEO0281.json" in error.getMessage() and "not JSON" in error.getMessage()
     with pytest.raises(IdentifierCollisionError):
@@ -873,7 +877,7 @@ def test_mismatched_filename_is_quarantined(fresh_seeded_repo, caplog):
     (entries / "GEO0999.json").write_text(text, encoding="utf-8")
     with caplog.at_level("ERROR"):
         reloaded = Repository(fresh_seeded_repo.data_dir)
-    assert reloaded.list_all() == fresh_seeded_repo.list_all()
+    assert list(stored_entries(reloaded)) == list(stored_entries(fresh_seeded_repo))
     assert "GEO0999.json" in caplog.text and "holds identifier 'GEO0281'" in caplog.text
     with pytest.raises(IdentifierCollisionError):
         reloaded.insert(replace(TRIANGLE_DRAFT, identifier="GEO0999"), force=True)
@@ -888,7 +892,7 @@ def test_illegal_identifier_file_is_quarantined(fresh_seeded_repo, caplog):
     (entries / "bad name.json").write_text(text, encoding="utf-8")
     with caplog.at_level("ERROR"):
         reloaded = Repository(fresh_seeded_repo.data_dir)
-    assert reloaded.list_all() == fresh_seeded_repo.list_all()
+    assert list(stored_entries(reloaded)) == list(stored_entries(fresh_seeded_repo))
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "bad name.json" in errors[0] and "invalid identifier" in errors[0]
     assert reloaded._quarantined == {"bad name"}
@@ -938,7 +942,7 @@ def test_bad_entry_file_is_skipped_and_its_identifier_kept(tmp_path, caplog, cas
     path.write_bytes(bad)
     with caplog.at_level("ERROR"):
         reloaded = Repository(repo.data_dir)
-    assert reloaded.list_all() == ["GEO0002"]
+    assert list(stored_entries(reloaded)) == ["GEO0002"]
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "GEO0001.json" in errors[0]
     assert reloaded.insert(circle, force=True) == "GEO0003"
@@ -1013,8 +1017,8 @@ def _index_holds(repo: Repository, identifier: str, fingerprint: dict[str, int])
 
 
 def _assert_same_records(loaded: Repository, computed: Repository) -> None:
-    assert loaded.list_all() == computed.list_all()
-    for identifier in loaded.list_all():
+    assert list(stored_entries(loaded)) == list(stored_entries(computed))
+    for identifier in stored_entries(loaded):
         a, b = _record(loaded, identifier), _record(computed, identifier)
         assert a.entry == b.entry
         assert (a.side.by_kind, a.side.facts) == (b.side.by_kind, b.side.facts)
@@ -1283,7 +1287,7 @@ def test_new_rules_refresh_every_entry(fresh_seeded_repo, tmp_path, caplog):
     assert any(  # the new rules change what is stored
         _record(after, i).side.facts != _record(before, i).side.facts
         or not _index_holds(after, i, _code_fingerprint(before, i))
-        for i in after.list_all()
+        for i in stored_entries(after)
     )
     caplog.clear()
     with caplog.at_level("WARNING"):
@@ -1386,7 +1390,7 @@ def test_readers_beside_a_writer_see_a_prefix_of_the_inserts(tmp_path, rules):
         "filtered": lambda: repo.text_query("synthetic", mode="extended", filters=level2),
         "candidates": lambda: [i for i, _ in repo.geometric_query(triangle, confirm=False)],
         "confirmed": lambda: repo.geometric_query(triangle),
-        "list_all": repo.list_all,
+        "identifiers": lambda: list(stored_entries(repo)),
     }
     answers: list[list[tuple[str, object]]] = [[] for _ in range(3)]
     errors: list[Exception] = []
@@ -1398,7 +1402,7 @@ def test_readers_beside_a_writer_see_a_prefix_of_the_inserts(tmp_path, rules):
                 last = done.is_set()  # one more round once the writer is done
                 round_ = {name: call() for name, call in calls.items()}
                 seen.extend(round_.items())
-                listed, text = round_["list_all"], round_["simple"]
+                listed, text = round_["identifiers"], round_["simple"]
                 if listed:
                     identifier = listed[len(seen) % len(listed)]
                     seen.append(("get", (identifier, repo.get(identifier))))
@@ -1447,10 +1451,10 @@ def test_readers_beside_a_writer_see_a_prefix_of_the_inserts(tmp_path, rules):
         )
         expected["candidates"].append([i for i in ids if i in dominating])
         expected["confirmed"].append([(i, embedding[i]) for i in ids if i in embedding])
-        expected["list_all"].append(ids)
+        expected["identifiers"].append(ids)
     sizes = set()
     for seen in answers:
-        listed_sizes = [len(answer) for name, answer in seen if name == "list_all"]
+        listed_sizes = [len(answer) for name, answer in seen if name == "identifiers"]
         assert listed_sizes == sorted(listed_sizes)
         sizes.update(listed_sizes)
         for name, answer in seen:
@@ -1547,7 +1551,7 @@ def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules
     for step in range(45):
         code = serialize_construction(random_construction(rng))
         if stored and step % 3 == 2:
-            code = repo.get(rng.choice(repo.list_all())).code
+            code = rng.choice(list(stored_entries(repo).values())).code
         draft = ProblemEntry(identifier=next(names, ""), name=f"Entry {step}", code=code,
                              level=rng.randint(1, 5))
         identifier = repo.insert(draft, force=True)
@@ -1561,7 +1565,7 @@ def test_fingerprint_index_agrees_with_a_scan_as_the_store_grows(tmp_path, rules
         halved = {k: (n + 1) // 2 for k, n in picked.items()}
         _assert_index_agrees_with_a_scan(repo, [*probes, above, picked, halved])
     assert seen == WRITE_KINDS
-    assert any(i.startswith("AAA") for i in repo.list_all()) and "GEO0001" in repo.list_all()
+    assert any(i.startswith("AAA") for i in stored_entries(repo)) and "GEO0001" in stored_entries(repo)
     reloaded = Repository(repo.data_dir)
     queries = [*probes, *stored]
     _assert_index_agrees_with_a_scan(reloaded, queries)
@@ -1615,7 +1619,7 @@ def _returns_in_time(call):
 READERS = {
     "text_query": lambda repo: repo.text_query("triangle", mode="extended"),
     "get": lambda repo: repo.get("GEO0281"),
-    "list_all": lambda repo: repo.list_all(),
+    "identifiers": lambda repo: list(stored_entries(repo)),
     "find_duplicates": lambda repo: repo.find_duplicates(bare_triangle()),
     "geometric_query": lambda repo: repo.geometric_query(triangle_with_circle()),
 }
@@ -1667,4 +1671,4 @@ def test_identical_unforced_inserts_at_once_store_one_entry(tmp_path, monkeypatc
     assert not any(worker.is_alive() for worker in workers)
     assert len(outcomes) == 3
     assert [o for o in outcomes if not isinstance(o, DuplicateReport)] == ["GEO0002"]
-    assert repo.list_all() == ["GEO0001", "GEO0002"]
+    assert list(stored_entries(repo)) == ["GEO0001", "GEO0002"]

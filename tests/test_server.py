@@ -31,7 +31,7 @@ from geokb.repository import DuplicateReport, ProblemEntry, Repository
 from geokb.server import IDLE_THREADS, LISTEN_BACKLOG, MAX_REQUEST_BYTES, GeoServer, handle_request
 
 from generators import BARE_TRIANGLE_TEXT, TRIANGLE_WITH_CIRCLE_TEXT, awkward_text
-from oracles import standard_encoding
+from oracles import standard_encoding, stored_entries
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -735,7 +735,7 @@ def test_save_codes_writes_every_entry(tmp_path, fresh_seeded_repo, server):
     response = client_query(server.host, server.port, QueryRequest(query=".*"))
     assert isinstance(response, QueryResult)
     written = save_codes(response, tmp_path / "codes")
-    assert len(written) == len(fresh_seeded_repo.list_all())
+    assert len(written) == len(stored_entries(fresh_seeded_repo))
     for path in written:
         assert parse_construction(path.read_text(encoding="utf-8")) is not None
 

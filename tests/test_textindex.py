@@ -216,4 +216,6 @@ def test_index_state_equals_rebuild_from_scratch(tmp_path):
     for query in ("name", "words 3", "kw1 name", "again", "^name [0-2]$"):
         for mode in ("simple", "extended"):
             assert repo.text_query(query, mode=mode) == reloaded.text_query(query, mode=mode)
-        assert extended_search(query, repo._published()) == extended_search(query, reloaded._published())
+        assert extended_search(query, repo._records[: len(repo)]) == extended_search(
+            query, reloaded._records[: len(reloaded)]
+        )
