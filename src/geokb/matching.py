@@ -2,31 +2,33 @@
 
 Both sides are closed first, so matching compares semantic descriptions
 and is invariant to logically equivalent inputs.  :func:`prepare` turns a
-closed side into a :class:`MatchSide` once: closed facts as the
-``(predicate, args)`` pairs :func:`~geokb.rules.closure` returns, and per
-kind, in :data:`~geokb.model.KINDS` order, two parallel tuples: its object
-names in name order and their degree vectors (per predicate, in
-:data:`~geokb.model.PREDICATES` order, the closed facts naming the
-object).  A closure and a stored entry's closure read back from its file
-both arrive as pairs, the one form of a fact.  Sides are equal when their
-facts and per-kind tuples are.  Sides passed through one hash-cons table
-by :func:`share` are one object per distinct side, and hold one object per
-distinct name, argument tuple, fact pair, degree vector and per-kind tuple.
+closed side into a :class:`MatchSide` once: per predicate, in
+:data:`~geokb.model.PREDICATES` order, the argument tuples of its closed
+facts as one frozenset; and per kind, in :data:`~geokb.model.KINDS`
+order, two parallel tuples: its object names in name order and their
+degree vectors (per predicate, the closed facts naming the object).  A
+closure and a stored entry's closure read back from its file both arrive
+as ``(predicate, args)`` pairs, the one form of a fact outside a side.
+Sides are equal when their facts and per-kind tuples are.  Sides passed
+through one hash-cons table by :func:`share` are one object per distinct
+side, and hold one object per distinct name, argument tuple, fact set,
+degree vector and per-kind tuple.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
-step the facts whose last argument gets mapped there, each with a getter
-over the steps of its arguments; and the distinct needs (a kind's index
-and the ``(position, count)`` pairs of the nonzero entries of a degree
-vector), since look-alike objects share one.  Per target only two things
+step the facts whose last argument gets mapped there, each with its
+predicate's index and a getter over the steps of its arguments; the
+distinct needs (a kind's index and the ``(position, count)`` pairs of the
+nonzero entries of a degree vector), since look-alike objects share one;
+and the kinds and predicates the query uses.  Per target only two things
 remain.  First the need filter, :func:`candidate_lists`: one pass over the
 target's objects of each needed kind, read by its index, keeping those
 whose vector reaches every needed count at its position.  Then
 backtracking over them, checking each scheduled fact by canonical
-membership in the target's closed facts.  The search keeps the target
-names it assigns in a list indexed by step, so a check reads its arguments
-by position.  Relation nodes need no mapping: a fact is determined by its
-arguments.
+membership in the target's fact set of its predicate.  The search keeps
+the target names it assigns in a list indexed by step, so a check reads
+its arguments by position.  Relation nodes need no mapping: a fact is
+determined by its arguments.
 
 One loop, :func:`embed_closed`, serves confirmed geometric queries,
 :func:`find_embeddings` and the duplicate gate, in either direction.  It
@@ -35,9 +37,11 @@ target names its plan steps took, in step order, with no witness built.
 An :class:`Embedding` reads its mapping and witness from those names only
 when asked, since the gate's report and a query's answer name entries
 alone.  Callers may share the filtered names of each need between searches
-into one target.  A search's outcome depends only on its two sides, its
-limit and its budget, so a caller that meets one stored side in several
-places may search it once and reuse what it found.
+into one target.  A search reads of its target only the :func:`view` its
+query has of it: the names of the query's kinds and the fact sets of the
+query's predicates.  So its outcome depends only on its query, that view,
+its limit and its budget, and a caller that meets one view in several
+targets may search it once and reuse what it found.
 
 Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -47,18 +51,39 @@ cannot wait treat that as "no match" with a warning.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import SearchBudgetExceeded
 from .model import CANONICAL_ARGS, KINDS, PREDICATES, Construction, FactSet
 from .rules import RuleSet, closure
 
 DEFAULT_BUDGET = 1_000_000
+
+
+#: the argument tuples of a side's closed facts, one frozenset per
+#: predicate in :data:`~geokb.model.PREDICATES` order
+Facts = tuple[frozenset[tuple[str, ...]], ...]
+
+#: predicate index -> its name
+_PREDICATE_NAMES = tuple(PREDICATES)
+#: predicate -> its index in :attr:`MatchSide.facts` and in a degree vector
+_POSITION = {predicate: i for i, predicate in enumerate(PREDICATES)}
+#: predicate index -> the function putting its arguments in canonical order, or None
+_CANONICAL = tuple(CANONICAL_ARGS.get(predicate) for predicate in PREDICATES)
+#: predicate index -> its argument places whose kind an earlier place takes
+#: too, so that one object may fill both: even where the parser refuses
+#: that repeat, a rule may derive it
+_LATER_PLACES = tuple(
+    tuple(place for place, kind in enumerate(kinds) if kind in kinds[:place]) for kinds in PREDICATES.values()
+)
+#: the fact set of a predicate a side has no facts of
+_NO_ARGS: frozenset[tuple[str, ...]] = frozenset()
+#: kind -> its index in :attr:`MatchSide.by_kind`
+_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -69,7 +94,9 @@ class MatchSide:
     sides are equal when their facts and ``by_kind`` are, so a hash-cons
     table keys a side by the two objects it holds (see :func:`share`)."""
 
-    facts: FactSet
+    #: per predicate, in :data:`~geokb.model.PREDICATES` order, the argument
+    #: tuples of its closed facts, in canonical order
+    facts: Facts
     #: per kind, in :data:`~geokb.model.KINDS` order: its object names
     #: sorted and each name's degree vector, two parallel tuples.  A degree
     #: vector holds, per predicate in :data:`~geokb.model.PREDICATES` order,
@@ -84,13 +111,16 @@ class MatchSide:
         return hash((self.facts, *[names for names, _ in self.by_kind]))
 
     @cached_property
-    def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...]]:
+    def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...], tuple, Callable]:
         """The side as a query: object order (highest degree first, then by
-        name); per step the facts to check as (predicate, getter of their
-        arguments' positions, canonicaliser); the distinct needs (a kind's
-        index in ``by_kind``, the ``(position, count)`` pairs of its degree
-        vector's nonzero counts), since look-alike objects share one filter;
-        and per step the index of its need."""
+        name); per step the facts to check as (predicate index, getter of
+        their arguments' positions, canonicaliser); the distinct needs (a
+        kind's index in ``by_kind``, the ``(position, count)`` pairs of its
+        degree vector's nonzero counts), since look-alike objects share one
+        filter; per step the index of its need; the indices of the kinds it
+        has objects of; and a getter of a target's fact sets of the
+        predicates it has facts of, by their indices.  Those kinds and fact
+        sets are all of a target that a search reads (see :func:`view`)."""
         ranked = sorted(
             (-sum(degrees), name, k, tuple(compress(enumerate(degrees), degrees)))
             for k, (names, vectors) in enumerate(self.by_kind) for name, degrees in zip(names, vectors)
@@ -98,38 +128,69 @@ class MatchSide:
         order = tuple(name for _, name, _, _ in ranked)
         position = {name: i for i, name in enumerate(order)}
         schedule: list[list] = [[] for _ in order]
-        for predicate, args in self.facts:
-            # every predicate takes two or more arguments, so the getter gives a tuple
-            schedule[max(position[a] for a in args)].append(
-                (predicate, itemgetter(*(position[a] for a in args)), CANONICAL_ARGS.get(predicate))
-            )
+        for i, group in enumerate(self.facts):
+            for args in group:
+                # every predicate takes two or more arguments, so the getter gives a tuple
+                schedule[max(position[a] for a in args)].append(
+                    (i, itemgetter(*(position[a] for a in args)), _CANONICAL[i])
+                )
         needs: dict[tuple, int] = {}  # (kind index, needed counts) -> its index
         need_of = tuple(needs.setdefault((k, needed), len(needs)) for _, _, k, needed in ranked)
-        return order, tuple(map(tuple, schedule)), tuple(needs), need_of
+        kinds = tuple(k for k, (names, _) in enumerate(self.by_kind) if names)
+        predicates = [i for i, group in enumerate(self.facts) if group]
+        facts_of = itemgetter(*predicates) if predicates else _no_facts
+        return order, tuple(map(tuple, schedule)), tuple(needs), need_of, kinds, facts_of
 
 
-#: predicate -> the position of its count in a degree vector
-_POSITION = {predicate: i for i, predicate in enumerate(PREDICATES)}
-#: kind -> its index in :attr:`MatchSide.by_kind`
-_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
+def _no_facts(facts: Facts) -> tuple:
+    return ()
+
+
+def view(query: MatchSide, target: MatchSide) -> tuple:
+    """All that a search of the query reads of the target: its names of
+    each kind the query has objects of, then its fact sets of the
+    predicates the query has facts of (one set, or a tuple of them, as the
+    plan's getter gives them).  The need filter reads a degree vector only
+    at the query's predicates, where those fact sets settle it, and the
+    checks read only those sets.  So targets with equal views give a search
+    of the query equal candidate lists, equal steps and an equal result,
+    the target names it assigns.  Of a shared side, the view holds the
+    hash-cons table's objects, so equal views compare by identity."""
+    _, _, _, _, kinds, facts_of = query.plan
+    by_kind = target.by_kind
+    return (*[by_kind[k][0] for k in kinds], facts_of(target.facts))
 
 
 def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:
     """The matching record of a construction's kinds and closed facts, the
     facts given as ``(predicate, args)`` pairs."""
-    facts = frozenset((sys.intern(predicate), args) for predicate, args in closed)
-    counts = {name: [0] * len(_POSITION) for name in kinds}
-    for predicate, args in facts:
+    groups: dict[int, set[tuple[str, ...]]] = {}  # predicate index -> its argument tuples
+    for predicate, args in closed:
         i = _POSITION[predicate]
-        # a fact counts once per object it names: only a repeat needs the set
-        for name in args if len(args) == 2 and args[0] != args[1] else set(args):
-            counts[name][i] += 1
-    by_kind: tuple[tuple[list[str], list[tuple[int, ...]]], ...] = tuple(([], []) for _ in KINDS)
-    for name in sorted(kinds):
-        names, vectors = by_kind[_KIND_INDEX[kinds[name]]]
+        group = groups.get(i)
+        if group is None:
+            groups[i] = {args}
+        else:
+            group.add(args)
+    facts = [_NO_ARGS] * len(_POSITION)
+    counts = {name: [0] * len(_POSITION) for name in kinds}
+    for i, group in groups.items():
+        facts[i] = frozenset(group)
+        for args in group:
+            for name in args:
+                counts[name][i] += 1
+        # a fact counts once per object it names: take back each repeat
+        for place in _LATER_PLACES[i]:
+            for args in group:
+                name = args[place]
+                if args.index(name) != place:
+                    counts[name][i] -= 1
+    by_kind: list[tuple[list[str], list[tuple[int, ...]]]] = [([], []) for _ in KINDS]
+    for name, kind in sorted(kinds.items()):
+        names, vectors = by_kind[_KIND_INDEX[kind]]
         names.append(name)
         vectors.append(tuple(counts[name]))
-    return MatchSide(facts, tuple((tuple(names), tuple(vectors)) for names, vectors in by_kind))
+    return MatchSide(tuple(facts), tuple([(tuple(names), tuple(vectors)) for names, vectors in by_kind]))
 
 
 def _kept(table: dict, value: tuple | frozenset):
@@ -165,10 +226,12 @@ def _kept(table: dict, value: tuple | frozenset):
 def share(side: MatchSide, table: dict) -> MatchSide:
     """The table's side equal to this one, which a hash-cons table maps each
     value to; a side the table lacks is rebuilt from the table's objects and
-    added.  So its fact set, each fact pair and argument tuple, and each
-    kind's pair of :attr:`MatchSide.by_kind` and the names and degree
-    vectors in it are the table's objects, and the sides shared through one
-    table are one object per distinct side, with one :attr:`MatchSide.plan`.
+    added.  So its tuple of fact sets, each fact set and argument tuple,
+    and each kind's pair of :attr:`MatchSide.by_kind` and the names and
+    degree vectors in it are the table's objects, and the sides shared
+    through one table are one object per distinct side, with one
+    :attr:`MatchSide.plan`, and hold one object per distinct :func:`view`
+    member.
     ``by_kind`` itself is its side's alone: distinct sides nearly always
     differ in it."""
     found = table.get(side)
@@ -194,8 +257,7 @@ class Embedding:
     by query name.  ``facts`` is the witness: the target's closed facts
     covered by the mapped query facts (the part of the target to
     highlight), as the canonical ``(predicate, args)`` pairs the search
-    checked, in the shape of :attr:`MatchSide.facts`.  Both are derived on
-    each read.  Two embeddings are equal when their mappings and witnesses
+    checked.  Both are derived on each read.  Two embeddings are equal when their mappings and witnesses
     are.
     """
 
@@ -210,9 +272,9 @@ class Embedding:
     def facts(self) -> FactSet:
         targets = self.targets
         return frozenset(
-            (predicate, mapped if canonical is None else canonical(mapped))
+            (_PREDICATE_NAMES[i], mapped if canonical is None else canonical(mapped))
             for checks in self.query.plan[1]
-            for predicate, get_args, canonical in checks
+            for i, get_args, canonical in checks
             for mapped in (get_args(targets),)
         )
 
@@ -237,7 +299,7 @@ def candidate_lists(
     maps each need already filtered over this target to its names; it is
     filled in as needs are met, so searches that share it for one target
     filter each need once."""
-    _, _, needs, need_of = query.plan
+    _, _, needs, need_of, _, _ = query.plan
     if fitting is None:
         fitting = {}
     options: list[list[str]] = []
@@ -281,7 +343,7 @@ def embed_closed(
     candidates = candidate_lists(query, target, fitting)
     if candidates is None:
         return []
-    order, schedule, _, _ = query.plan
+    order, schedule, *_ = query.plan
     target_facts = target.facts
     depth = len(order)
     found: list[tuple[str, ...]] = []
@@ -302,9 +364,9 @@ def embed_closed(
                 raise _budget_exceeded(budget)
             steps -= 1
             assigned[i] = tname
-            for predicate, get_args, canonical in checks:
+            for p, get_args, canonical in checks:
                 mapped = get_args(assigned)
-                if (predicate, mapped if canonical is None else canonical(mapped)) not in target_facts:
+                if (mapped if canonical is None else canonical(mapped)) not in target_facts[p]:
                     break
             else:
                 used.add(tname)

@@ -13,7 +13,9 @@ with names matching ``[A-Za-z][A-Za-z0-9_]*``; they may appear anywhere in
 the file.  Fact lines apply a predicate to declared names, one statement
 per line, with optional spaces after commas.  Lines end with ``\\n``.
 
-A fact is a ``(predicate, args)`` pair from parse to answer.  Parsing is
+A fact is a ``(predicate, args)`` pair from parse to answer; only a side
+prepared for matching keeps its facts grouped by predicate (see
+:class:`~geokb.matching.MatchSide`).  Parsing is
 the one check of a construction, and it normalizes facts so that logically
 equivalent statements compare equal: ``parallel(b, a)`` is stored as
 ``parallel(a, b)``.  Distinct names are assumed to denote distinct

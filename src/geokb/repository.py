@@ -26,7 +26,8 @@ every record and index slot with an analysis of its entry's code.
 
 In memory each entry has one immutable record, built the same way by
 loading and inserting: the entry, its closed construction prepared for
-matching (:func:`~geokb.matching.prepare`), its weighted text terms
+matching (:func:`~geokb.matching.prepare`: its closed facts grouped by
+predicate, its objects by kind), its weighted text terms
 (:func:`~geokb.textindex.terms`) and its member of a query answer, already
 encoded (:func:`hit_member`).  Its fingerprint is kept only in its slot of
 a :class:`~geokb.fingerprint.GtdIndex`, the next slot when it is inserted.
@@ -54,14 +55,19 @@ the shared one.
 
 One generator, :meth:`Repository._embeddings`, runs every embedding
 search of the store: a confirmed query's, and the gate's in both
-directions.  It searches each distinct stored side once: it keeps a dict
-from stored side to what its search found, for its own run only, and
-reuses it for every slot that holds the side, in identifier order.
-Records never change, the table only grows and a search's outcome depends
-only on its two sides, its limit and its budget, so each slot gets the
-answer a search of its own would give.  A search that runs out of match
-budget counts as no match, and its side is warned about once per
-identifier that holds it.
+directions.  Forward, a query or a draft into the stored sides, it
+searches each distinct view the query has of them once: a stored side's
+names of the query's kinds and its fact sets of the query's predicates
+(:func:`~geokb.matching.view`), all of them objects of the table, and all
+that such a search reads.  Backward, a stored side into the draft, it
+searches each distinct stored side once.  It keeps a dict from view or
+side to what its search found, for its own run only, and reuses it for
+every slot with that view or side, in identifier order.  Records never
+change, the table only grows and a search's outcome depends only on its
+query, its view of the target, its limit and its budget, so each slot
+gets the answer a search of its own would give.  A search that runs out
+of match budget counts as no match, and is warned about once per
+identifier it is reused for.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -79,19 +85,21 @@ construction legitimately refines a poorer one.  :meth:`Repository.insert`
 and :meth:`Repository.find_duplicates` share one gate,
 :meth:`Repository._gate`.  The index gives it its candidates in both
 directions: the entries whose fingerprint dominates the draft's, and those
-whose fingerprint the draft's dominates.  Each is searched once, by
-:meth:`Repository._embeddings`, for one embedding, and no witness is read.
-Those that dominate are searched first, forward (the draft into each), and
-alone decide whether the draft is blocked; one is an exact duplicate if
-its fingerprint also equals the draft's: equal object and fact counts make
-the embedding a bijection, whose inverse embeds it back.  The others are
-searched backward, into the draft, so those searches share the draft's
-names that fit each need, and only as their identifiers are read.  A
-blocked report, like :meth:`Repository.find_duplicates`, names every entry
-found either way.  An insert that goes through answers with no report, and
-its warning names only the first five entries it extends, so its backward
-searches stop at the fifth embedding, which may take fewer searches when
-entries share a side.
+whose fingerprint the draft's dominates.  Each is searched at most once,
+by :meth:`Repository._embeddings`, for one embedding, and no witness is
+read.  Those that dominate are searched first, forward (the draft into
+each), and alone decide whether the draft is blocked; one is an exact
+duplicate if its fingerprint also equals the draft's: equal object and
+fact counts make the embedding a bijection, whose inverse embeds it back.
+Forward searches go once per view, so entries that differ only outside
+what the draft reads share one.  The others are searched backward, into
+the draft, so those searches share the draft's names that fit each need,
+and only as their identifiers are read.  A blocked report, like
+:meth:`Repository.find_duplicates`, names every entry found either way.
+An insert that goes through answers with no report, and its warning names
+only the first five entries it extends, so its backward searches stop at
+the fifth embedding, which may take fewer searches when entries share a
+side.
 """
 
 from __future__ import annotations
@@ -118,7 +126,7 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare, share
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare, share, view
 from .model import KINDS, PREDICATES, Construction, FactPair, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
 from . import textindex
@@ -319,7 +327,9 @@ def record_to_document(entry: ProblemEntry, side: MatchSide, fingerprint: Gtd, r
         "GTD": serialize_gtd(fingerprint),
         # each kind lists its names sorted; the member sorts them across kinds
         "Objects": dict(sorted((n, kind) for kind, (names, _) in zip(KINDS, side.by_kind) for n in names)),
-        "Closure": sorted(fact_text(predicate, args) for predicate, args in side.facts),
+        "Closure": sorted(
+            fact_text(predicate, args) for predicate, group in zip(PREDICATES, side.facts) for args in group
+        ),
         "Digest": "",  # set below; the placeholder keeps the member order
         "Version": FORMAT_VERSION,
     }
@@ -529,24 +539,30 @@ class Repository:
         not to embed.  A search that runs out of match budget counts as no
         match, with a warning naming ``checked % identifier``.
 
-        Each stored side met is searched once: it is one object per
-        distinct side, kept for the life of the store, so its id keys what
-        its search found; a side held by several slots is warned about
-        again for each.  Backward, the searches share one dict of the names
-        of ``side`` that fit each need, since it is the target of each."""
+        Forward, each distinct :func:`~geokb.matching.view` that ``side``
+        has of the stored sides met is searched once, since a search reads
+        nothing else of its target; the view of a shared side holds shared
+        objects, so equal views compare member by member at the cost of an
+        identity test.  Backward, each stored side met is searched once: it
+        is one object per distinct side, kept for the life of the store, so
+        its id keys what its search found.  Either way a search that ran
+        out of budget is warned about again for each slot its outcome is
+        reused for.  Backward, the searches share one dict of the names of
+        ``side`` that fit each need, since it is the target of each."""
         records, identifiers = self._records, self._identifiers
         fitting: dict[tuple, list[str]] | None = {} if backward else None
-        searched: dict[int, object] = {}
+        searched: dict[object, object] = {}
         for slot in slots:
             stored = records[slot].side
-            found = searched.get(id(stored))
+            key = id(stored) if backward else view(side, stored)
+            found = searched.get(key)
             if found is None:
                 query, target = (stored, side) if backward else (side, stored)
                 try:
                     found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
                 except SearchBudgetExceeded:
                     found = _EXHAUSTED
-                searched[id(stored)] = found
+                searched[key] = found
             if found is _EXHAUSTED:
                 log.warning(
                     "match budget exhausted while checking %s; treating as no match",

@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from itertools import combinations, permutations, product
 
+from geokb.matching import MatchSide
 from geokb.model import Construction, FactPair, FactSet, KINDS, PREDICATES, normalize_fact
 from geokb.protocol import QueryResponse, response_to_document
 from geokb.repository import ProblemEntry, Repository
@@ -154,6 +155,12 @@ def brute_force_mappings(
 
 def brute_force_embeds(query: Construction, target: Construction, ruleset: RuleSet) -> bool:
     return bool(brute_force_mappings(query, target, ruleset, first_only=True))
+
+
+def fact_pairs(side: MatchSide) -> FactSet:
+    """A matching side's closed facts as ``(predicate, args)`` pairs, the
+    shape a closure returns, read from its fact set of each predicate."""
+    return frozenset((predicate, args) for predicate, group in zip(PREDICATES, side.facts) for args in group)
 
 
 def stored_entries(repo: Repository) -> dict[str, ProblemEntry]:

@@ -1,6 +1,7 @@
 """A pytest-free smoke check of the duplicate gate, the store's shared
-objects, one search per distinct stored side and the response encoder,
-for interpreters that have no pytest installed.  Run it from the repository root, for instance under each
+objects, one search per distinct view a confirmed query has of the stored
+sides and the response encoder, for interpreters that have no pytest
+installed.  Run it from the repository root, for instance under each
 supported CPython with warnings as errors:
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
@@ -32,6 +33,7 @@ from geokb.protocol import (
 )
 from geokb.repository import DuplicateReport, ProblemEntry, Repository
 from geokb.server import handle_request
+from oracles import fact_pairs
 
 TRIANGLE = (
     "point A\npoint B\npoint C\nline a\nline b\nline c\n"
@@ -98,8 +100,9 @@ def main() -> None:
         repo = Repository(data)
         first, second = (repo._records[repo._slots[identifier]].side for identifier in ("GEO0001", "GEO0004"))
         names = [{name for names, _ in side.by_kind for name in names} for side in (first, second)]
-        held = {value: value for value in (*names[0], *first.facts)}
-        common = [*(names[0] & names[1]), *(first.facts & second.facts)]
+        args = [{args for _, args in fact_pairs(side)} for side in (first, second)]
+        held = {value: value for value in (*names[0], *args[0], *first.facts)}
+        common = [*(names[0] & names[1]), *(args[0] & args[1]), *set(first.facts).intersection(second.facts)]
         check("equal names and facts of two loaded entries are one object",
               {"Ma", "Mb", "Mc"} <= names[0] & names[1] and len(common) > 20
               and all(held[value] is value for value in common))
@@ -114,7 +117,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as data:
         repo = Repository(data)
         renamed = TRIANGLE.replace("A", "Ra").replace("B", "Rb").replace("C", "Rc")
-        copies = (TRIANGLE, CHAIN, TRIANGLE, CHAIN, renamed, TRIANGLE)
+        # a distinct side, which the triangle, with no circle and no
+        # on_circle fact, sees as it sees its own copies
+        circled = TRIANGLE + "circle k\non_circle(A, k)\n"
+        copies = (TRIANGLE, CHAIN, TRIANGLE, CHAIN, renamed, TRIANGLE, circled)
         for i, code in enumerate(copies):
             repo.insert(ProblemEntry(name=f"Copy {i}", code=code), force=True)
         repo = Repository(data)
@@ -122,7 +128,7 @@ def main() -> None:
         for record in repo._records:
             sides.setdefault(record.entry.code, set()).add(id(record.side))
         check("a loaded store holds one side per distinct figure",
-              len(sides) == 3 and all(len(held) == 1 for held in sides.values()))
+              len(sides) == 4 and all(len(held) == 1 for held in sides.values()))
         searched = []
 
         def counting(query, target, *args, **kwargs):
@@ -134,10 +140,11 @@ def main() -> None:
             hits = repo.geometric_query(parse_construction(TRIANGLE))
         finally:
             repository.embed_closed = embed_closed
-        # the triangle's copies and the renamed one hold it, the chains do not
-        check("a confirmed query searches each distinct side once",
-              sorted(searched) == sorted(held for held, in sides.values())
-              and [identifier for identifier, _ in hits] == ["GEO0001", "GEO0003", "GEO0005", "GEO0006"])
+        # the triangle's copies, the renamed one and the circled one hold
+        # it, the chains do not; the circled one is not searched
+        check("a confirmed query searches each distinct view once",
+              sorted(searched) == sorted(held for code, (held,) in sides.items() if code != circled)
+              and [identifier for identifier, _ in hits] == ["GEO0001", "GEO0003", "GEO0005", "GEO0006", "GEO0007"])
 
     with tempfile.TemporaryDirectory() as data:
         repo = Repository(data)

@@ -219,6 +219,26 @@ def test_index_agrees_with_a_scan_as_slots_are_written(rules):
     assert seen == WRITE_KINDS
 
 
+def test_one_high_slot_reads_back_from_a_sparse_mask():
+    """A key only the last slot holds, so that its one mask holds one set
+    bit, in the store's last 64-bit word; a key every other slot holds in
+    one of three counts; and a key of the last slot and of one in the
+    middle, in two counts.  Each slot reads back its own fingerprint, from
+    an index built at once or grown one slot at a time, for stores that
+    end a slot before, at and after a word's edge, and for 1,000 slots."""
+    for size in (63, 64, 65, 1000):
+        fingerprints = [{"kind:point": 1 + slot % 3} for slot in range(size - 1)]
+        fingerprints.append({"kind:circle": 2, "rel:center": 5})
+        fingerprints[size // 2]["kind:circle"] = 1
+        grown = GtdIndex()
+        for fingerprint in fingerprints:
+            grown = grown.with_slot(fingerprint)
+        for index in (GtdIndex.build(fingerprints), grown):
+            counts, masks = index._postings["rel:center"]
+            assert counts == [5] and masks == [1 << (size - 1)]
+            assert index.fingerprints() == fingerprints
+
+
 def test_a_slot_write_copies_only_its_own_keys(rules):
     """The cost of a write grows with the entry, not with the store: the
     derived index shares the parent's postings of every key the new

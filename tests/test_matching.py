@@ -30,7 +30,7 @@ from generators import (
     random_line_figure,
     triangle_with_circle,
 )
-from oracles import brute_canonical, brute_force_embeds, brute_force_mappings, names_of_kind
+from oracles import brute_canonical, brute_force_embeds, brute_force_mappings, fact_pairs, names_of_kind
 
 
 def mappings_of(embeddings: list[Embedding]) -> list[dict[str, str]]:
@@ -153,7 +153,7 @@ def test_search_and_duplicate_gate_build_no_fact(fresh_seeded_repo, rules):
     closed = closure(ceva, rules)
     assert closed and all(type(f) is tuple for f in closed)
     assert gtd(ceva, closed) == construction_gtd(ceva, rules)
-    assert prepare(ceva.kinds, closed).facts == closed
+    assert fact_pairs(prepare(ceva.kinds, closed)) == closed
     hits = fresh_seeded_repo.geometric_query(triangle, confirm=True)
     assert len(hits) > 1 and all(type(f) is tuple for _, embedding in hits for f in embedding.facts)
     report = fresh_seeded_repo.find_duplicates(ceva)

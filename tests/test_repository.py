@@ -5,12 +5,15 @@ import json
 import random
 import re
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geokb.errors import (
     ConstructionError,
@@ -22,7 +25,7 @@ from geokb.errors import (
 )
 from geokb.fingerprint import construction_gtd, gtd, gtd_subsumes, serialize_gtd
 from geokb.matching import embed_closed, find_embeddings
-from geokb.model import Construction, ObjectDecl, fact_text, parse_construction, serialize_construction
+from geokb.model import KINDS, Construction, ObjectDecl, fact_text, parse_construction, serialize_construction
 from geokb.corpus import ENTRIES, seed_repository
 from geokb.protocol import InsertResult, QueryRequest, decode_response, encode_request
 from geokb.repository import (
@@ -43,11 +46,13 @@ from generators import (
     WRITE_KINDS,
     bare_triangle,
     concurrent_lines,
+    induced_subconstruction,
     random_construction,
+    random_fact,
     triangle_with_circle,
     write_kinds,
 )
-from oracles import brute_force_embeds, ranked_text_hits, stored_entries
+from oracles import brute_force_embeds, fact_pairs, ranked_text_hits, stored_entries
 
 TRIANGLE_DRAFT = ProblemEntry(
     name="Plain Triangle",
@@ -530,13 +535,17 @@ def test_a_draft_equal_to_a_stored_entry_costs_it_one_search(fresh_seeded_repo, 
 
 #: the parts of the triangle a store of copies holds
 SEGMENT_TEXT, POINT_TEXT, POINT_PAIR_TEXT = TRIANGLE_PARTS[4], TRIANGLE_PARTS[0], TRIANGLE_PARTS[5]
-#: GEO0001 to GEO0013, six distinct sides: the triangle with a circle under
+#: the triangle with a circle through one corner: a distinct side, which a
+#: query with no ``on_circle`` fact sees as it sees the triangle with a circle
+TRIANGLE_WITH_CIRCLE_THROUGH_A_TEXT = TRIANGLE_WITH_CIRCLE_TEXT + "on_circle(A, k)\n"
+#: GEO0001 to GEO0014, seven distinct sides: the triangle with a circle under
 #: three identifiers and, once, renamed, which makes it a distinct side;
-#: the chain twice; three parts of the triangle two or three times each
+#: the chain twice; three parts of the triangle two or three times each; and
+#: last, the triangle with its circle through a corner
 COPIES = (
     TRIANGLE_WITH_CIRCLE_TEXT, SEGMENT_TEXT, CHAIN_OF_FOUR_TEXT, POINT_TEXT, TRIANGLE_WITH_CIRCLE_TEXT,
     _renamed(TRIANGLE_WITH_CIRCLE_TEXT), SEGMENT_TEXT, CHAIN_OF_FOUR_TEXT, POINT_TEXT,
-    TRIANGLE_WITH_CIRCLE_TEXT, POINT_PAIR_TEXT, POINT_TEXT, POINT_PAIR_TEXT,
+    TRIANGLE_WITH_CIRCLE_TEXT, POINT_PAIR_TEXT, POINT_TEXT, POINT_PAIR_TEXT, TRIANGLE_WITH_CIRCLE_THROUGH_A_TEXT,
 )
 
 
@@ -573,7 +582,7 @@ def test_a_store_and_its_reload_hold_one_side_per_distinct_figure(tmp_path):
         by_code: dict = {}
         for record in store._records:
             assert by_code.setdefault(record.entry.code, record.side) is record.side
-        assert len({id(side) for side in by_code.values()}) == len(set(COPIES)) == 6
+        assert len({id(side) for side in by_code.values()}) == len(set(COPIES)) == 7
         assert store.check_cache_coherence() == []
 
 
@@ -582,14 +591,16 @@ def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatc
     size = len(repo._shared)
     searched = _stored_sides_searched(repo, monkeypatch)
     hits = repo.geometric_query(bare_triangle())
-    # the candidates are the four triangles and the two chains, in
-    # identifier order; each side is searched at its first identifier
+    # the candidates are the five triangles and the two chains, in
+    # identifier order; each view is searched at its first identifier, so
+    # GEO0014's side, distinct but seen as GEO0001's, is not searched
     assert searched == _sides(repo, 1, 3, 6)
+    assert _sides(repo, 14) != _sides(repo, 1)
     oracle = [i for i, e in stored_entries(repo).items() if _embeds(bare_triangle(), parse_construction(e.code), rules)]
-    assert [identifier for identifier, _ in hits] == oracle == ["GEO0001", "GEO0005", "GEO0006", "GEO0010"]
+    assert [identifier for identifier, _ in hits] == oracle == ["GEO0001", "GEO0005", "GEO0006", "GEO0010", "GEO0014"]
     # each identifier gets a witness into its own entry's figure
     for identifier, embedding in hits:
-        assert embedding.facts <= _record(repo, identifier).side.facts
+        assert embedding.facts <= fact_pairs(_record(repo, identifier).side)
     assert len(repo._shared) == size
 
 
@@ -608,31 +619,130 @@ def _oracle_report(repo: Repository, draft: Construction) -> DuplicateReport:
 def test_the_duplicate_gate_searches_each_distinct_side_once(tmp_path, monkeypatch, caplog):
     repo = _store_of_copies(tmp_path / "data")
     searched = _stored_sides_searched(repo, monkeypatch)
-    # find_duplicates: the triangles and chains forward, the parts backward
+    # find_duplicates: the triangles and chains forward, once per view, so
+    # not GEO0014's side; the parts backward, once per side
     report = repo.find_duplicates(bare_triangle())
     assert searched == _sides(repo, 1, 3, 6, 2, 4, 11)
     assert report == _oracle_report(repo, bare_triangle())
+    assert report.containing_entries == ("GEO0001", "GEO0005", "GEO0006", "GEO0010", "GEO0014")
     assert report.contained_entries == ("GEO0002", "GEO0004", "GEO0007", "GEO0009", "GEO0011", "GEO0012", "GEO0013")
     # a blocked insert: the triangle with a circle is an exact duplicate of
-    # four entries, under two sides, and contains the parts
+    # four entries, under two sides, is contained in GEO0014, whose view it
+    # shares with GEO0001's, and contains the parts
     searched.clear()
     blocked = repo.insert(replace(TRIANGLE_DRAFT, code=TRIANGLE_WITH_CIRCLE_TEXT))
     assert searched == _sides(repo, 1, 6, 2, 4, 11)
     assert blocked == _oracle_report(repo, triangle_with_circle())
     assert blocked.exact_duplicates == ("GEO0001", "GEO0005", "GEO0006", "GEO0010")
+    assert blocked.containing_entries == ("GEO0014",)
     # an insert that goes through: a triangle with a fourth line extends the
     # parts, and its backward searches stop at the fifth identifier
     searched.clear()
     draft = replace(TRIANGLE_DRAFT, code=BARE_TRIANGLE_TEXT + "line m\n")
     oracle = _oracle_report(repo, parse_construction(draft.code))
     with caplog.at_level("WARNING", logger="geokb.repository"):
-        assert repo.insert(draft) == "GEO0014"
+        assert repo.insert(draft) == "GEO0015"
     assert searched == _sides(repo, 3, 2, 4, 11)
     assert oracle.exact_duplicates == oracle.containing_entries == ()
     assert [record.getMessage() for record in caplog.records] == [
-        f"insert GEO0014 extends stored entries {', '.join(oracle.contained_entries[:5])};"
+        f"insert GEO0015 extends stored entries {', '.join(oracle.contained_entries[:5])};"
         " backward candidates left unsearched: 2"
     ]
+
+
+def _figures_around(rng: random.Random) -> tuple[Construction, list[Construction]]:
+    """A query of points and one other kind, and figures to store made from
+    it.  Some share the query's view but differ outside it: the query with
+    isolated objects of the kinds it lacks, or with facts of predicates its
+    closure lacks, over its objects and new ones.  Some are near misses: an
+    isolated object more of a kind the query has, or a fact more of a
+    predicate it has.  Some it contains: a part of it, or it less a fact.
+    The query itself, a figure unrelated to it, and repeats of some of these
+    are stored too, in random order."""
+    other = rng.choice(("line", "circle"))
+    pool = {"point": [f"P{i}" for i in range(rng.randint(2, 4))], "line": [], "circle": []}
+    pool[other] = [f"{other[0]}{i}" for i in range(rng.randint(1, 3))]
+    objects = {ObjectDecl(name, kind) for kind, names in pool.items() for name in names}
+    query = Construction(frozenset(objects), frozenset(
+        f for f in (random_fact(rng, pool) for _ in range(rng.randint(1, 4))) if f is not None
+    ))
+    closed = closure(query, default_rules())
+    predicates = {predicate for predicate, _ in closed}
+
+    def grown(extra_objects=(), extra_facts=()) -> Construction:
+        return Construction(query.objects | set(extra_objects), query.facts | set(extra_facts))
+
+    lacking = [kind for kind in KINDS if not pool[kind]]
+    isolated = [ObjectDecl(f"X{kind[0]}{i}", kind) for kind in lacking for i in range(rng.randint(1, 2))]
+    wider = {**pool, **{kind: [o.name for o in isolated if o.kind == kind] for kind in lacking}}
+    drawn = [random_fact(rng, wider) for _ in range(12)]
+    unasked = [f for f in drawn if f is not None and f[0] not in predicates][:2]
+    asked = [f for f in (random_fact(rng, pool) for _ in range(12)) if f is not None and f[0] in predicates]
+    more = [f for f in asked if f not in closed][:1]
+    figures = [
+        query,
+        grown(isolated),
+        grown(isolated, unasked),
+        grown([ObjectDecl("Z9", rng.choice(("point", other)))]),
+        grown((), more),
+        induced_subconstruction(rng, query),
+        Construction(query.objects, query.facts - {rng.choice(sorted(query.facts))}) if query.facts else query,
+        random_construction(rng, max_points=4, max_lines=2, max_circles=1, max_facts=4),
+    ]
+    figures += rng.choices(figures, k=3)
+    rng.shuffle(figures)
+    return query, figures
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_searches_go_once_per_view_forward_and_once_per_side_backward(seed):
+    """Forward, a confirmed query and the gate search each distinct view
+    the query has of the candidates, the names of its kinds and the closed
+    facts of its predicates, computed here from each stored figure's code;
+    backward, the gate searches each distinct stored side.  Answers and
+    reports equal brute force."""
+    rng = random.Random(seed)
+    query, figures = _figures_around(rng)
+    rules = default_rules()
+    with tempfile.TemporaryDirectory() as data:
+        repo = Repository(data)
+        for i, figure in enumerate(figures):
+            repo.insert(ProblemEntry(name=f"Figure {i}", code=serialize_construction(figure)), force=True)
+        stored = {identifier: parse_construction(entry.code) for identifier, entry in stored_entries(repo).items()}
+        kinds, predicates = set(query.kinds.values()), {p for p, _ in closure(query, rules)}
+
+        def seen(figure: Construction) -> tuple:
+            return (
+                frozenset((name, kind) for name, kind in figure.kinds.items() if kind in kinds),
+                frozenset(f for f in closure(figure, rules) if f[0] in predicates),
+            )
+
+        fingerprint = construction_gtd(query, rules)
+        fingerprints = {i: construction_gtd(figure, rules) for i, figure in stored.items()}
+        dominating = [i for i in stored if gtd_subsumes(fingerprints[i], fingerprint)]
+        dominated = [i for i in stored if gtd_subsumes(fingerprint, fingerprints[i]) and i not in dominating]
+        sides = {i: _record(repo, i).side for i in stored}
+        view_of = {id(sides[i]): seen(stored[i]) for i in stored}
+        views = list(dict.fromkeys(seen(stored[i]) for i in dominating))
+        # the query with isolated objects of a kind it lacks shares its view
+        assert len({id(sides[i]) for i in dominating}) > len(views)
+        searched = []
+
+        def counting(query_side, target_side, *args, **kwargs):
+            searched.append((query_side, target_side))
+            return embed_closed(query_side, target_side, *args, **kwargs)
+
+        with mock.patch("geokb.repository.embed_closed", counting):
+            hits = repo.geometric_query(query)
+            forward = [view_of[id(target)] for _, target in searched]
+            searched.clear()
+            report = repo.find_duplicates(query)
+        assert forward == views
+        assert [i for i, _ in hits] == [i for i in stored if _embeds(query, stored[i], rules)]
+        assert [view_of[id(target)] for _, target in searched[: len(views)]] == views
+        assert [id(side) for side, _ in searched[len(views):]] == list(dict.fromkeys(id(sides[i]) for i in dominated))
+        assert report == _oracle_report(repo, query)
 
 
 def test_a_budget_run_out_on_one_side_warns_about_and_drops_each_identifier_holding_it(
@@ -1061,7 +1171,7 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
     names: dict[str, str] = {}
     for record in warm._records:
         assert all(names.setdefault(n, n) is n for own, _ in record.side.by_kind for n in own)
-    assert all(arg is names[arg] for record in warm._records for _, args in record.side.facts for arg in args)
+    assert all(arg is names[arg] for record in warm._records for _, args in fact_pairs(record.side) for arg in args)
     assert all(key is sys.intern(key) for key in warm._index._postings)
     hits = warm.geometric_query(bare_triangle())
     assert len(hits) >= 150  # every even entry holds a planted triangle
@@ -1069,9 +1179,10 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
 
 
 def _assert_shared(repo: Repository) -> None:
-    """Every object name, argument tuple, fact pair and degree vector that
-    is equal by value across the store's records is one object, and it is
-    the one the store's hash-cons table holds for its value."""
+    """Every object name, argument tuple, fact set, tuple of fact sets and
+    degree vector that is equal by value across the store's records is one
+    object, and it is the one the store's hash-cons table holds for its
+    value."""
     seen: dict = {}
 
     def one(value) -> bool:
@@ -1080,8 +1191,9 @@ def _assert_shared(repo: Repository) -> None:
     for record in repo._records:
         for names, vectors in record.side.by_kind:
             assert all(map(one, names)) and all(map(one, vectors))
-        for fact in record.side.facts:
-            assert one(fact) and one(fact[1]) and all(map(one, fact[1]))
+        assert one(record.side.facts) and all(map(one, record.side.facts))
+        for _, args in fact_pairs(record.side):
+            assert one(args) and all(map(one, args))
 
 
 #: a figure that no corpus entry contains, so an unforced insert of it goes
@@ -1095,7 +1207,7 @@ CONCENTRIC_TEXT = (
 def test_stored_sides_share_one_object_per_value(fresh_seeded_repo, caplog):
     """Sides loaded from a trusted cache, analysed again on a load, and
     stored by forced and unforced inserts all take their names, argument
-    tuples, fact pairs and degree vectors from the one table of the store."""
+    tuples, fact sets and degree vectors from the one table of the store."""
     data = fresh_seeded_repo.data_dir
     _assert_shared(fresh_seeded_repo)
     _edit_entry(data, "GEO0281", CACHE_EDITS["Digest"])
@@ -1110,7 +1222,8 @@ def test_stored_sides_share_one_object_per_value(fresh_seeded_repo, caplog):
     # the sharing is real: the copy of Ceva holds the original's objects
     copy = repo._records[-2].side
     assert copy.facts == _record(repo, "GEO_CEVA").side.facts
-    assert all(fact is repo._shared[fact] for fact in copy.facts)
+    assert copy.facts is repo._shared[copy.facts] and all(group is repo._shared[group] for group in copy.facts)
+    assert all(args is repo._shared[args] for _, args in fact_pairs(copy))
 
 
 def test_only_loading_and_stored_inserts_write_the_hash_cons_table(fresh_seeded_repo):
@@ -1208,7 +1321,7 @@ def test_coherence_check_finds_a_wrong_closure_under_a_forged_digest(fresh_seede
     with caplog.at_level("WARNING"):
         trusting = Repository(repo.data_dir)
     assert not caplog.records  # the digest matches, so the load trusts the file
-    assert len(_record(trusting, "GEO0281").side.facts) == len(_record(repo, "GEO0281").side.facts) - 1
+    assert len(fact_pairs(_record(trusting, "GEO0281").side)) == len(fact_pairs(_record(repo, "GEO0281").side)) - 1
     assert trusting.check_cache_coherence() == ["GEO0281"]
 
 
