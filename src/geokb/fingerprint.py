@@ -24,7 +24,6 @@ comparison, in both directions, for a whole store at once.
 
 from __future__ import annotations
 
-import struct
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
@@ -73,8 +72,9 @@ def gtd(construction: Construction, closed: FactSet) -> Gtd:
                 pairs = n1 * (n1 - 1) // 2 if p1 == p2 else n1 * n2
                 paths[p1, kind, p2] = paths.get((p1, kind, p2), 0) + sign * pairs
     counts.update({f"path:{p1}-{k}-{p2}": n for (p1, k, p2), n in paths.items() if n})
-    # sorted keys put the selective path counts early for gtd_subsumes; interned,
-    # a store's thousands of fingerprints share a few dozen key strings
+    # keys sorted, the order GtdIndex.dominating reads them in and the one a
+    # cached fingerprint parses back in; interned, a store's thousands of
+    # fingerprints share a few dozen key strings
     return {sys.intern(key): n for key, n in sorted(counts.items())}
 
 
@@ -188,23 +188,13 @@ class GtdIndex:
     def fingerprints(self) -> list[Gtd]:
         """The fingerprint held in each slot, by slot.  A mask holds every
         slot of the masks after it, so the slots whose count for a key is
-        exactly a count are its mask less the next one's.  Those are read
-        from its set bits alone: cut into 64-bit words, the zero words
-        skipped without a step of Python, each other word gives up its set
-        bits lowest first.  So each slot is read once per key it has, and a
-        sparse mask costs little however many slots the store has."""
+        exactly a count are its mask less the next one's, read with the
+        reader :meth:`dominating` and :meth:`dominated` use."""
         held: list[Gtd] = [{} for _ in range(self.size)]
         for key, (counts, masks) in self._postings.items():
             for n, mask, above in zip(counts, masks, [*masks[1:], 0]):
-                exact = mask & ~above
-                size = -(-exact.bit_length() // 64)
-                words = struct.unpack(f"<{size}Q", exact.to_bytes(8 * size, "little"))
-                for w in compress(range(size), words):
-                    word = words[w]
-                    while word:
-                        low = word & -word  # the lowest set bit
-                        held[64 * w + low.bit_length() - 1][key] = n
-                        word ^= low
+                for slot in _slots(mask & ~above):
+                    held[slot][key] = n
         return held
 
 

@@ -21,9 +21,9 @@ predicate's index and a getter over the steps of its arguments; the
 distinct needs (a kind's index and the ``(position, count)`` pairs of the
 nonzero entries of a degree vector), since look-alike objects share one;
 and the kinds and predicates the query uses.  Per target only two things
-remain.  First the need filter, :func:`candidate_lists`: one pass over the
-target's objects of each needed kind, read by its index, keeping those
-whose vector reaches every needed count at its position.  Then
+remain, both in :func:`embed_closed`.  First the need filter: one pass
+over the target's objects of each needed kind, read by its index, keeping
+those whose vector reaches every needed count at its position.  Then
 backtracking over them, checking each scheduled fact by canonical
 membership in the target's fact set of its predicate.  The search keeps
 the target names it assigns in a list indexed by step, so a check reads
@@ -74,12 +74,6 @@ _PREDICATE_NAMES = tuple(PREDICATES)
 _POSITION = {predicate: i for i, predicate in enumerate(PREDICATES)}
 #: predicate index -> the function putting its arguments in canonical order, or None
 _CANONICAL = tuple(CANONICAL_ARGS.get(predicate) for predicate in PREDICATES)
-#: predicate index -> its argument places whose kind an earlier place takes
-#: too, so that one object may fill both: even where the parser refuses
-#: that repeat, a rule may derive it
-_LATER_PLACES = tuple(
-    tuple(place for place, kind in enumerate(kinds) if kind in kinds[:place]) for kinds in PREDICATES.values()
-)
 #: the fact set of a predicate a side has no facts of
 _NO_ARGS: frozenset[tuple[str, ...]] = frozenset()
 #: kind -> its index in :attr:`MatchSide.by_kind`
@@ -90,9 +84,10 @@ _KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
 class MatchSide:
     """One closed construction made ready for matching (see :func:`prepare`).
     A stored entry keeps its side for life; a query side builds its
-    :attr:`plan` once, on first use, and reuses it for every target.  Two
-    sides are equal when their facts and ``by_kind`` are, so a hash-cons
-    table keys a side by the two objects it holds (see :func:`share`)."""
+    :attr:`plan` once, on first use, and reuses it for every target.  Its
+    equality and hash are the dataclass's own, over its facts and
+    ``by_kind``, so a hash-cons table keys a side by the two objects it
+    holds (see :func:`share`)."""
 
     #: per predicate, in :data:`~geokb.model.PREDICATES` order, the argument
     #: tuples of its closed facts, in canonical order
@@ -103,12 +98,6 @@ class MatchSide:
     #: the closed facts naming the object; an isolated object's vector is
     #: all zeros
     by_kind: tuple[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], ...]
-
-    def __hash__(self) -> int:
-        # the facts and each kind's names settle the degree vectors, which
-        # would cost more to hash than the rest; the facts alone would not
-        # do, since sides that differ only in isolated objects are common
-        return hash((self.facts, *[names for names, _ in self.by_kind]))
 
     @cached_property
     def plan(self) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...], tuple[int, ...], tuple, Callable]:
@@ -177,14 +166,9 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     for i, group in groups.items():
         facts[i] = frozenset(group)
         for args in group:
-            for name in args:
+            # a fact counts once per object it names, even one it repeats
+            for name in set(args):
                 counts[name][i] += 1
-        # a fact counts once per object it names: take back each repeat
-        for place in _LATER_PLACES[i]:
-            for args in group:
-                name = args[place]
-                if args.index(name) != place:
-                    counts[name][i] -= 1
     by_kind: list[tuple[list[str], list[tuple[int, ...]]]] = [([], []) for _ in KINDS]
     for name, kind in sorted(kinds.items()):
         names, vectors = by_kind[_KIND_INDEX[kind]]
@@ -290,16 +274,31 @@ class Embedding:
         return hash(self.mapping)
 
 
-def candidate_lists(
-    query: MatchSide, target: MatchSide, fitting: dict[tuple, list[str]] | None = None
-) -> list[list[str]] | None:
-    """Per step of the query's plan, the target names it may take: those of
-    its need's kind whose degree vector reaches each needed count at its
-    position, in sorted order; None when some need fits no name.  ``fitting``
-    maps each need already filtered over this target to its names; it is
-    filled in as needs are met, so searches that share it for one target
-    filter each need once."""
-    _, _, needs, need_of, _, _ = query.plan
+def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
+
+
+def embed_closed(
+    query: MatchSide,
+    target: MatchSide,
+    limit: int,
+    fitting: dict[tuple, list[str]] | None = None,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> list[tuple[str, ...]]:
+    """Up to ``limit`` embeddings of the query into the target, in search
+    order, each as the target names the query's plan steps take (wrap one
+    in an :class:`Embedding` to read it); empty iff none exist.  A step
+    may take the target names of its need's kind whose degree vector
+    reaches each needed count at its position, in sorted order.
+    ``fitting`` maps each need already filtered over this target to those
+    names and is filled in as needs are met, so searches into one target
+    that share it filter each need once; it must not be shared between
+    targets."""
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit!r}")
+
+    order, schedule, needs, need_of, _, _ = query.plan
     if fitting is None:
         fitting = {}
     options: list[list[str]] = []
@@ -315,35 +314,9 @@ def candidate_lists(
                 else:
                     names.append(tname)
         if not names:
-            return None
+            return []
         options.append(names)
-    return [options[k] for k in need_of]
-
-
-def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
-    return SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
-
-
-def embed_closed(
-    query: MatchSide,
-    target: MatchSide,
-    limit: int,
-    fitting: dict[tuple, list[str]] | None = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[str, ...]]:
-    """Up to ``limit`` embeddings of the query into the target, in search
-    order, each as the target names the query's plan steps take (wrap one
-    in an :class:`Embedding` to read it); empty iff none exist.
-    ``fitting`` holds the candidate lists shared by searches into this
-    target; see :func:`candidate_lists`."""
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit!r}")
-
-    candidates = candidate_lists(query, target, fitting)
-    if candidates is None:
-        return []
-    order, schedule, *_ = query.plan
+    candidates = [options[k] for k in need_of]
     target_facts = target.facts
     depth = len(order)
     found: list[tuple[str, ...]] = []

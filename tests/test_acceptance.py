@@ -206,7 +206,9 @@ def test_criterion_7_protocol_conformance(fresh_seeded_repo):
         assert list(members) == ["Query"]
 
         server = GeoServer(fresh_seeded_repo, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         try:
             host, port = server.host, server.port

@@ -1179,17 +1179,20 @@ def test_warm_load_equals_recomputation_on_synthetic_entries(tmp_path, caplog):
 
 
 def _assert_shared(repo: Repository) -> None:
-    """Every object name, argument tuple, fact set, tuple of fact sets and
-    degree vector that is equal by value across the store's records is one
-    object, and it is the one the store's hash-cons table holds for its
-    value."""
+    """Every object name, argument tuple, fact set, tuple of fact sets,
+    degree vector, kind's ``(names, vectors)`` pair and the names and
+    vectors tuples in it that is equal by value across the store's records
+    is one object, and it is the one the store's hash-cons table holds for
+    its value."""
     seen: dict = {}
 
     def one(value) -> bool:
         return seen.setdefault(value, value) is value and repo._shared.get(value) is value
 
     for record in repo._records:
-        for names, vectors in record.side.by_kind:
+        for pair in record.side.by_kind:
+            names, vectors = pair
+            assert one(pair) and one(names) and one(vectors)
             assert all(map(one, names)) and all(map(one, vectors))
         assert one(record.side.facts) and all(map(one, record.side.facts))
         for _, args in fact_pairs(record.side):

@@ -39,7 +39,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @contextlib.contextmanager
 def serving(repository: Repository):
     srv = GeoServer(repository, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return at once, not after up to 0.5 s
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield srv
