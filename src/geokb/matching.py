@@ -41,7 +41,12 @@ into one target.  A search reads of its target only the :func:`view` its
 query has of it: the names of the query's kinds and the fact sets of the
 query's predicates.  So its outcome depends only on its query, that view,
 its limit and its budget, and a caller that meets one view in several
-targets may search it once and reuse what it found.
+targets may settle it once and reuse the outcome.  Checking given target
+names is linear where finding them is the exponential part, so
+:func:`holds` tells whether names an embedding took elsewhere embed the
+query in a target too; it reads only the view as well, and a caller that
+carries the last embedding it found checks a new view with it before it
+searches.
 
 Worst-case cost is exponential, so each search carries a step budget,
 counted once per tried assignment of a target object, and raises
@@ -148,6 +153,26 @@ def view(query: MatchSide, target: MatchSide) -> tuple:
     _, _, _, _, kinds, facts_of = query.plan
     by_kind = target.by_kind
     return (*[by_kind[k][0] for k in kinds], facts_of(target.facts))
+
+
+def holds(query: MatchSide, target: MatchSide, targets: tuple[str, ...]) -> bool:
+    """Whether the target names ``targets``, one per step of the query's
+    plan as an embedding of it gives them, embed the query in the target:
+    each is an object of its step's kind in the target, and each scheduled
+    fact's image, in canonical order, is in the target's fact set of its
+    predicate.  Names taken from an embedding are distinct, so the map is
+    injective.  It reads only the query's :func:`view` of the target, so
+    targets with equal views give equal outcomes."""
+    _, schedule, needs, need_of, _, _ = query.plan
+    by_kind, target_facts = target.by_kind, target.facts
+    for tname, need, checks in zip(targets, need_of, schedule):
+        if tname not in by_kind[needs[need][0]][0]:
+            return False
+        for p, get_args, canonical in checks:
+            mapped = get_args(targets)
+            if (mapped if canonical is None else canonical(mapped)) not in target_facts[p]:
+                return False
+    return True
 
 
 def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...]]]) -> MatchSide:

@@ -55,19 +55,27 @@ the shared one.
 
 One generator, :meth:`Repository._embeddings`, runs every embedding
 search of the store: a confirmed query's, and the gate's in both
-directions.  Forward, a query or a draft into the stored sides, it
-searches each distinct view the query has of them once: a stored side's
-names of the query's kinds and its fact sets of the query's predicates
+directions.  Forward, a query or a draft into the stored sides, it settles
+each distinct view the query has of them once: a stored side's names of
+the query's kinds and its fact sets of the query's predicates
 (:func:`~geokb.matching.view`), all of them objects of the table, and all
-that such a search reads.  Backward, a stored side into the draft, it
-searches each distinct stored side once.  It keeps a dict from view or
-side to what its search found, for its own run only, and reuses it for
-every slot with that view or side, in identifier order.  Records never
-change, the table only grows and a search's outcome depends only on its
-query, its view of the target, its limit and its budget, so each slot
-gets the answer a search of its own would give.  A search that runs out
-of match budget counts as no match, and is warned about once per
-identifier it is reused for.
+that such a search reads.  Figures name their parts by convention, so
+consecutive hits nearly always admit one embedding: a view met for the
+first time is first checked against the target names of the last hit
+yielded (:func:`~geokb.matching.holds`, linear in the query), and searched
+only if they do not fit it.  Backward, a stored side into the draft, it
+searches each distinct stored side once, with no names carried, since
+each is a different query.  It keeps a dict from view or side to its
+outcome, for its own run only, and reuses it for every slot with that
+view or side, in identifier order.  Records never change, the table only
+grows, and both a search's outcome and the check of carried names depend
+only on the query, its view of the target and the search's limit and
+budget, so each slot gets the answer a search of its own would give, with
+the carried names or the search's first embedding as its witness.  The
+budget is the one exception: a search that runs out of match budget counts
+as no match, and is warned about once per identifier it is reused for,
+while a view the carried names fit is a hit with no search, so carried
+names can gain a hit but never lose one.
 
 Queries come in two families.  Text queries search the records' names or
 terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
@@ -91,8 +99,9 @@ read.  Those that dominate are searched first, forward (the draft into
 each), and alone decide whether the draft is blocked; one is an exact
 duplicate if its fingerprint also equals the draft's: equal object and
 fact counts make the embedding a bijection, whose inverse embeds it back.
-Forward searches go once per view, so entries that differ only outside
-what the draft reads share one.  The others are searched backward, into
+Forward searches go at most once per view, so entries that differ only
+outside what the draft reads share one, and a view that the last hit's
+names fit needs none.  The others are searched backward, into
 the draft, so those searches share the draft's names that fit each need,
 and only as their identifiers are read.  A blocked report, like
 :meth:`Repository.find_duplicates`, names every entry found either way.
@@ -126,7 +135,7 @@ from .errors import (
     StorageError,
 )
 from .fingerprint import Gtd, GtdIndex, gtd, parse_gtd, serialize_gtd
-from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, prepare, share, view
+from .matching import DEFAULT_BUDGET, Embedding, MatchSide, embed_closed, holds, prepare, share, view
 from .model import KINDS, PREDICATES, Construction, FactPair, fact_text, parse_construction
 from .rules import RuleSet, closure, default_rules, sha256
 from . import textindex
@@ -532,36 +541,48 @@ class Repository:
     def _embeddings(
         self, side: MatchSide, slots: Iterable[int], checked: str, backward: bool = False
     ) -> Iterator[tuple[int, str, tuple[str, ...]]]:
-        """Each slot, its identifier and the first embedding found, for the
-        ``slots`` whose entries the search finds one for: of ``side`` into
-        the stored side, or ``backward``, of the stored side into ``side``.
-        A slot is searched only when the one before it is yielded or found
-        not to embed.  A search that runs out of match budget counts as no
-        match, with a warning naming ``checked % identifier``.
+        """Each slot, its identifier and an embedding, for the ``slots``
+        whose entries the search finds one for: of ``side`` into the stored
+        side, or ``backward``, of the stored side into ``side``.  A slot is
+        settled only when the one before it is yielded or found not to
+        embed.  A search that runs out of match budget counts as no match,
+        with a warning naming ``checked % identifier``.
 
         Forward, each distinct :func:`~geokb.matching.view` that ``side``
-        has of the stored sides met is searched once, since a search reads
+        has of the stored sides met is settled once, since a search reads
         nothing else of its target; the view of a shared side holds shared
         objects, so equal views compare member by member at the cost of an
-        identity test.  Backward, each stored side met is searched once: it
-        is one object per distinct side, kept for the life of the store, so
-        its id keys what its search found.  Either way a search that ran
-        out of budget is warned about again for each slot its outcome is
-        reused for.  Backward, the searches share one dict of the names of
-        ``side`` that fit each need, since it is the target of each."""
+        identity test.  A view met for the first time is first checked
+        against the target names of the last hit yielded
+        (:func:`~geokb.matching.holds`), which then are its embedding, and
+        is searched only if they do not fit it.  So a hit's embedding is
+        the names carried to its view or the first its view's search found,
+        and a view those names fit is a hit even where a search would run
+        out of budget; with no hit yet, nothing is carried.  Backward, each
+        stored side met is searched once, with no names carried, since each
+        is a different query: it is one object per distinct side, kept for
+        the life of the store, so its id keys what its search found.
+        Either way a search that ran out of budget is warned about again
+        for each slot its outcome is reused for.  Backward, the searches
+        share one dict of the names of ``side`` that fit each need, since
+        it is the target of each."""
         records, identifiers = self._records, self._identifiers
         fitting: dict[tuple, list[str]] | None = {} if backward else None
         searched: dict[object, object] = {}
+        witness: tuple[str, ...] | None = None  # forward, the target names of the last hit yielded
         for slot in slots:
             stored = records[slot].side
             key = id(stored) if backward else view(side, stored)
             found = searched.get(key)
             if found is None:
-                query, target = (stored, side) if backward else (side, stored)
-                try:
-                    found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
-                except SearchBudgetExceeded:
-                    found = _EXHAUSTED
+                if witness is not None and holds(side, stored, witness):
+                    found = [witness]
+                else:
+                    query, target = (stored, side) if backward else (side, stored)
+                    try:
+                        found = embed_closed(query, target, 1, fitting, budget=DEFAULT_BUDGET)
+                    except SearchBudgetExceeded:
+                        found = _EXHAUSTED
                 searched[key] = found
             if found is _EXHAUSTED:
                 log.warning(
@@ -569,6 +590,8 @@ class Repository:
                     checked % identifiers[slot],
                 )
             elif found:
+                if not backward:
+                    witness = found[0]
                 yield slot, identifiers[slot], found[0]
 
     def _gate(
@@ -688,7 +711,9 @@ class Repository:
 
         With ``confirm`` the candidates are checked by exact embedding and
         non-matches dropped; candidates whose check exhausts the match
-        budget are dropped with a logged warning.
+        budget are dropped with a logged warning.  Each hit comes with an
+        embedding into its entry: an earlier hit's, where it fits, else the
+        first a search of the entry's view finds (see :meth:`_embeddings`).
         """
         closed = closure(query, self._rules)
         records, identifiers = self._records, self._identifiers

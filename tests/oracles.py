@@ -157,6 +157,23 @@ def brute_force_embeds(query: Construction, target: Construction, ruleset: RuleS
     return bool(brute_force_mappings(query, target, ruleset, first_only=True))
 
 
+def is_embedding(query: Construction, target: Construction, mapping: dict[str, str], ruleset: RuleSet) -> bool:
+    """Whether ``mapping`` (query name -> target name) embeds the query in
+    the target by definition: it maps each query object, injectively, to a
+    target object of the same kind, and each fact of the query's naive
+    closure to a fact of the target's naive closure in some argument order
+    that the fact's symmetries allow."""
+    if set(mapping) != set(query.kinds) or len(set(mapping.values())) != len(mapping):
+        return False
+    if any(target.kinds.get(image) != query.kinds[name] for name, image in mapping.items()):
+        return False
+    closed = naive_closure(target, ruleset)
+    return all(
+        orbit((predicate, tuple(mapping[a] for a in args))) & closed
+        for predicate, args in naive_closure(query, ruleset)
+    )
+
+
 def fact_pairs(side: MatchSide) -> FactSet:
     """A matching side's closed facts as ``(predicate, args)`` pairs, the
     shape a closure returns, read from its fact set of each predicate."""

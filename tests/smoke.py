@@ -1,8 +1,9 @@
 """A pytest-free smoke check of the duplicate gate, the store's shared
-objects, one search per distinct view a confirmed query has of the stored
-sides and the response encoder, for interpreters that have no pytest
-installed.  Run it from the repository root, for instance under each
-supported CPython with warnings as errors:
+objects, a confirmed query's searches (at most one per distinct view it has
+of the stored sides, none where the last hit's names fit the view) and the
+response encoder, for interpreters that have no pytest installed.  Run it
+from the repository root, for instance under each supported CPython with
+warnings as errors:
 
     PYTHONPATH=src python -X dev -W error tests/smoke.py
 
@@ -141,10 +142,28 @@ def main() -> None:
         finally:
             repository.embed_closed = embed_closed
         # the triangle's copies, the renamed one and the circled one hold
-        # it, the chains do not; the circled one is not searched
-        check("a confirmed query searches each distinct view once",
-              sorted(searched) == sorted(held for code, (held,) in sides.items() if code != circled)
+        # it, the chains do not.  A view is searched at most once, where it
+        # is first met, and only if the last hit's names do not fit it: the
+        # triangle, the chain and the renamed one; the circled one shares the
+        # triangle's view and is not searched
+        check("a confirmed query searches a view once, unless the last hit's names fit it",
+              searched == [held for code in (TRIANGLE, CHAIN, renamed) for held in sides[code]]
               and [identifier for identifier, _ in hits] == ["GEO0001", "GEO0003", "GEO0005", "GEO0006", "GEO0007"])
+
+    with tempfile.TemporaryDirectory() as data:
+        # the triangle, then with a point or a line more: distinct views of
+        # it, which the first hit's names fit, so they need no search
+        repo = Repository(data)
+        for code in (TRIANGLE, TRIANGLE + "point D\n", TRIANGLE + "line d\n", TRIANGLE + "point D\nline d\n"):
+            repo.insert(ProblemEntry(name="Triangle", code=code), force=True)
+        searched.clear()
+        repository.embed_closed = counting
+        try:
+            hits = repo.geometric_query(parse_construction(TRIANGLE))
+        finally:
+            repository.embed_closed = embed_closed
+        check("a confirmed triangle runs one forward search over copies that keep its names",
+              len(searched) == 1 and len(hits) == 4)
 
     with tempfile.TemporaryDirectory() as data:
         repo = Repository(data)

@@ -14,6 +14,7 @@ from geokb.matching import (
     Embedding,
     embed_closed,
     find_embeddings,
+    holds,
     is_subconstruction,
     prepare,
 )
@@ -30,7 +31,14 @@ from generators import (
     random_line_figure,
     triangle_with_circle,
 )
-from oracles import brute_canonical, brute_force_embeds, brute_force_mappings, fact_pairs, names_of_kind
+from oracles import (
+    brute_canonical,
+    brute_force_embeds,
+    brute_force_mappings,
+    fact_pairs,
+    is_embedding,
+    names_of_kind,
+)
 
 
 def mappings_of(embeddings: list[Embedding]) -> list[dict[str, str]]:
@@ -214,6 +222,50 @@ def test_shared_candidate_lists_run_out_of_budget_where_own_lists_do(rules, seed
     filled: dict = {}
     embed_closed(query, target, 1, filled)
     assert _least_budget(lambda budget: embed_closed(query, target, 1, filled, budget=budget)) == least
+
+
+# -- a carried witness ------------------------------------------------------------
+
+
+def _carried_names(rng: random.Random, query, target, rules, order) -> tuple[str, ...]:
+    """Distinct names, one per step of ``order``, as a search may carry them
+    to this target: an embedding of the query into the target or into
+    another figure, by brute force; the target's names of each step's kind,
+    shuffled, and foreign ones once a kind runs out; or names drawn from the
+    target's and from others, of any kind."""
+    source = rng.choice(("target", "other", "kinds kept", "drawn"))
+    if source in ("target", "other"):
+        figure = target if source == "target" else random_construction(rng)
+        found = brute_force_mappings(query, figure, rules, first_only=True)
+        if found:
+            return tuple(found[0][name] for name in order)
+    if source == "kinds kept":
+        left = {kind: names_of_kind(target, kind) for kind in KINDS}
+        for names in left.values():
+            rng.shuffle(names)
+        return tuple(
+            left[query.kinds[name]].pop() if left[query.kinds[name]] else f"X{i}" for i, name in enumerate(order)
+        )
+    pool = sorted(target.kinds) + ["P9", "l9", "k9", "X"]
+    return tuple(rng.sample(pool, len(order))) if len(order) <= len(pool) else ()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_a_carried_witness_holds_exactly_when_it_embeds_by_definition(rules, seed):
+    """``holds`` against the oracle: the names are injective, kind-preserving
+    and fact-preserving over the naive closures."""
+    rng = random.Random(seed)
+    target = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+    query = induced_subconstruction(rng, target) if rng.random() < 0.5 else random_construction(
+        rng, max_points=3, max_lines=2, max_circles=1, max_facts=5
+    )
+    query_side, target_side = _side(query, rules), _side(target, rules)
+    order = query_side.plan[0]
+    names = _carried_names(rng, query, target, rules, order)
+    if len(names) == len(order):
+        mapping = dict(zip(order, names))
+        assert holds(query_side, target_side, names) == is_embedding(query, target, mapping, rules)
 
 
 # -- oracle agreement --------------------------------------------------------------

@@ -52,7 +52,7 @@ from generators import (
     triangle_with_circle,
     write_kinds,
 )
-from oracles import brute_force_embeds, fact_pairs, ranked_text_hits, stored_entries
+from oracles import brute_force_embeds, fact_pairs, is_embedding, ranked_text_hits, stored_entries
 
 TRIANGLE_DRAFT = ProblemEntry(
     name="Plain Triangle",
@@ -592,8 +592,10 @@ def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatc
     searched = _stored_sides_searched(repo, monkeypatch)
     hits = repo.geometric_query(bare_triangle())
     # the candidates are the five triangles and the two chains, in
-    # identifier order; each view is searched at its first identifier, so
-    # GEO0014's side, distinct but seen as GEO0001's, is not searched
+    # identifier order; a view is searched at its first identifier unless
+    # the last hit's names fit it, which the chain's and the renamed
+    # triangle's do not, and GEO0014's side, distinct but seen as GEO0001's,
+    # is not searched
     assert searched == _sides(repo, 1, 3, 6)
     assert _sides(repo, 14) != _sides(repo, 1)
     oracle = [i for i, e in stored_entries(repo).items() if _embeds(bare_triangle(), parse_construction(e.code), rules)]
@@ -602,6 +604,26 @@ def test_a_confirmed_query_searches_each_distinct_side_once(tmp_path, monkeypatc
     for identifier, embedding in hits:
         assert embedding.facts <= fact_pairs(_record(repo, identifier).side)
     assert len(repo._shared) == size
+
+
+def test_a_new_view_the_last_hits_names_fit_is_confirmed_without_a_search(tmp_path, monkeypatch):
+    """Five triangles, each a distinct view of the bare triangle: itself,
+    with a point more, renamed, renamed with a point more, and with a line
+    more.  A view is searched only where the last hit's names do not fit
+    it: the first, the first renamed one and the one after the renamed
+    ones.  Every witness is an embedding into its own figure."""
+    renamed = _renamed(BARE_TRIANGLE_TEXT)
+    figures = (BARE_TRIANGLE_TEXT, BARE_TRIANGLE_TEXT + "point D\n", renamed, renamed + "point D\n",
+               BARE_TRIANGLE_TEXT + "line d\n")
+    repo = Repository(tmp_path / "data")
+    for i, code in enumerate(figures):
+        repo.insert(ProblemEntry(name=f"Triangle {i}", code=code), force=True)
+    searched = _stored_sides_searched(repo, monkeypatch)
+    hits = repo.geometric_query(bare_triangle())
+    assert searched == _sides(repo, 1, 3, 5)
+    assert [identifier for identifier, _ in hits] == [f"GEO{n:04d}" for n in range(1, 6)]
+    for (_, found), code in zip(hits, figures):
+        assert is_embedding(bare_triangle(), parse_construction(code), found.as_dict(), repo.ruleset)
 
 
 def _oracle_report(repo: Repository, draft: Construction) -> DuplicateReport:
@@ -620,7 +642,9 @@ def test_the_duplicate_gate_searches_each_distinct_side_once(tmp_path, monkeypat
     repo = _store_of_copies(tmp_path / "data")
     searched = _stored_sides_searched(repo, monkeypatch)
     # find_duplicates: the triangles and chains forward, once per view, so
-    # not GEO0014's side; the parts backward, once per side
+    # not GEO0014's side, and each searched, since the last hit's names fit
+    # neither the chain nor the renamed triangle; the parts backward, once
+    # per side
     report = repo.find_duplicates(bare_triangle())
     assert searched == _sides(repo, 1, 3, 6, 2, 4, 11)
     assert report == _oracle_report(repo, bare_triangle())
@@ -696,12 +720,14 @@ def _figures_around(rng: random.Random) -> tuple[Construction, list[Construction
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 2**32))
-def test_searches_go_once_per_view_forward_and_once_per_side_backward(seed):
-    """Forward, a confirmed query and the gate search each distinct view
-    the query has of the candidates, the names of its kinds and the closed
-    facts of its predicates, computed here from each stored figure's code;
-    backward, the gate searches each distinct stored side.  Answers and
-    reports equal brute force."""
+def test_searches_go_at_most_once_per_view_forward_and_once_per_side_backward(seed):
+    """Forward, a confirmed query and the gate search a view, the names of
+    the query's kinds and the closed facts of its predicates, computed here
+    from each stored figure's code, at most once, where they first meet it;
+    a view they do not search holds a hit, and each hit's witness is an
+    embedding by the definition over the naive closure.  Backward, the gate
+    searches each distinct stored side.  Answers and reports equal brute
+    force."""
     rng = random.Random(seed)
     query, figures = _figures_around(rng)
     rules = default_rules()
@@ -738,10 +764,14 @@ def test_searches_go_once_per_view_forward_and_once_per_side_backward(seed):
             forward = [view_of[id(target)] for _, target in searched]
             searched.clear()
             report = repo.find_duplicates(query)
-        assert forward == views
+        assert len(set(forward)) == len(forward) and forward == [v for v in views if v in forward]
         assert [i for i, _ in hits] == [i for i in stored if _embeds(query, stored[i], rules)]
-        assert [view_of[id(target)] for _, target in searched[: len(views)]] == views
-        assert [id(side) for side, _ in searched[len(views):]] == list(dict.fromkeys(id(sides[i]) for i in dominated))
+        witnesses = dict(hits)
+        assert all(i in witnesses for i in dominating if seen(stored[i]) not in forward)
+        assert all(is_embedding(query, stored[i], found.as_dict(), rules) for i, found in hits)
+        # the gate's forward searches come first and meet the views as the query does
+        assert [view_of[id(target)] for _, target in searched[: len(forward)]] == forward
+        assert [id(side) for side, _ in searched[len(forward):]] == list(dict.fromkeys(id(sides[i]) for i in dominated))
         assert report == _oracle_report(repo, query)
 
 
