@@ -12,7 +12,7 @@ as ``(predicate, args)`` pairs, the one form of a fact outside a side.
 Sides are equal when their facts and per-kind tuples are.  Sides passed
 through one hash-cons table by :func:`share` are one object per distinct
 side, and hold one object per distinct name, argument tuple, fact set,
-degree vector and per-kind tuple.
+degree vector, per-kind tuple and per-kind pair.
 
 A query side builds its plan once, on first use, and keeps it for every
 target: the object order, most-constrained (highest degree) first; per
@@ -202,56 +202,26 @@ def prepare(kinds: Mapping[str, str], closed: Iterable[tuple[str, tuple[str, ...
     return MatchSide(tuple(facts), tuple([(tuple(names), tuple(vectors)) for names, vectors in by_kind]))
 
 
-def _kept(table: dict, value: tuple | frozenset):
-    """The table's object for a tuple or frozenset; a value the table lacks
-    is added, and so is, at any depth, each member of a tuple or frozenset
-    it lacks, members first.  A loop over a stack of the lacking containers,
-    so a member costs one lookup and no call."""
+def _kept(table: dict, value):
+    """The table's object equal to the value; a value it lacks is added, a
+    tuple or frozenset once rebuilt from its members' objects, kept first."""
     found = table.get(value)
-    if found is not None:
-        return found
-    # per lacking container: it, an iterator over its members, and the
-    # table's objects for the members taken so far
-    stack = [(value, iter(value), [])]
-    while True:
-        container, members, held = stack[-1]
-        for member in members:
-            found = table.get(member)
-            if found is None:
-                if isinstance(member, (tuple, frozenset)):
-                    stack.append((member, iter(member), []))
-                    break
-                found = table.setdefault(member, member)
-            held.append(found)
-        else:
-            stack.pop()
-            built = type(container)(held)
-            built = table.setdefault(built, built)
-            if not stack:
-                return built
-            stack[-1][2].append(built)
+    if found is None:
+        if isinstance(value, (tuple, frozenset)):
+            value = type(value)([_kept(table, member) for member in value])
+        found = table[value] = value
+    return found
 
 
 def share(side: MatchSide, table: dict) -> MatchSide:
-    """The table's side equal to this one, which a hash-cons table maps each
-    value to; a side the table lacks is rebuilt from the table's objects and
-    added.  So its tuple of fact sets, each fact set and argument tuple,
-    and each kind's pair of :attr:`MatchSide.by_kind` and the names and
-    degree vectors in it are the table's objects, and the sides shared
-    through one table are one object per distinct side, with one
-    :attr:`MatchSide.plan`, and hold one object per distinct :func:`view`
-    member.
-    ``by_kind`` itself is its side's alone: distinct sides nearly always
-    differ in it."""
+    """The table's side equal to this one; a side it lacks is rebuilt from
+    its facts and per-kind pairs as :func:`_kept` returns them, and added.
+    So sides shared through one table are one object per distinct side,
+    with one :attr:`MatchSide.plan`, and hold one object per distinct value.
+    ``by_kind`` itself stays out: distinct sides nearly always differ in it."""
     found = table.get(side)
     if found is None:
-        # a new side's per-kind pairs are most likely new too, so they are
-        # built from their members' objects rather than looked up first
-        pairs = []
-        for names, vectors in side.by_kind:
-            pair = (_kept(table, names), _kept(table, vectors))
-            pairs.append(table.setdefault(pair, pair))
-        found = MatchSide(_kept(table, side.facts), tuple(pairs))
+        found = MatchSide(_kept(table, side.facts), tuple([_kept(table, pair) for pair in side.by_kind]))
         table[found] = found
     return found
 

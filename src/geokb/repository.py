@@ -440,7 +440,7 @@ class Repository:
         parsed: dict[str, FactPair] = {}  # fact text -> its pair, for every Closure member read
         for path in sorted(self._entries_dir.glob("*.json"), key=lambda path: path.name):
             if path.name.startswith("."):
-                continue  # leftover temp files from interrupted writes
+                continue  # hidden names, such as an editor's lock link .#GEO0001.json
             try:
                 entry, doc = self._read(path)
                 cached = self._cached_analysis(doc, parsed)

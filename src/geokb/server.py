@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HOST = "0.0.0.0"
 DEFAULT_PORT = 7890
+#: the longest request line decoded, its newline counted
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 CONNECTION_TIMEOUT = 30.0
 #: pending connections queued by the kernel; socketserver's 5 made bursts wait out SYN retries
@@ -193,11 +194,12 @@ def serve(
     signalled.  Binding failures propagate as ``OSError``."""
     ruleset = load_rules(Path(rules_path).read_text(encoding="utf-8")) if rules_path else None
     repository = Repository(data_dir, ruleset=ruleset)
-    # the loaded records live as long as the process: keep them out of the
-    # collector's full passes, which would otherwise walk them inside a request
-    gc.freeze()
     log.info("serving %d entries from %s", len(repository), repository.data_dir)
     server = GeoServer(repository, host, port)
+    # the loaded records live as long as the process: keep them out of the
+    # collector's full passes, which would otherwise walk them inside a
+    # request; only once bound, so that a failed bind freezes nothing
+    gc.freeze()
     log.info("listening on %s:%d", server.host, server.port)
     server.serve_forever()
     raise AssertionError("serve_forever returned")  # pragma: no cover

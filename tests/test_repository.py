@@ -1091,6 +1091,38 @@ def test_bad_entry_file_is_skipped_and_its_identifier_kept(tmp_path, caplog, cas
     assert path.read_bytes() == bad
 
 
+def test_hidden_entry_files_are_not_loaded(tmp_path, caplog):
+    repo = Repository(tmp_path / "data")
+    assert repo.insert(TRIANGLE_DRAFT) == "GEO0001"
+    assert repo.insert(ProblemEntry(name="Circle", code="circle k\n", level=1)) == "GEO0002"
+    entries = repo.data_dir / "entries"
+    (entries / ".GEO0001.json").write_bytes((entries / "GEO0001.json").read_bytes())
+    (entries / ".#GEO0002.json").symlink_to(entries / "no-such-file")
+    (entries / ".GEO0003.json.tmp").write_text("{", encoding="utf-8")
+    with caplog.at_level("DEBUG"):
+        reloaded = Repository(repo.data_dir)
+    assert not [r for r in caplog.records if r.levelname in ("ERROR", "CRITICAL")]
+    assert reloaded._quarantined == set()
+    assert stored_entries(reloaded) == stored_entries(repo)
+    assert reloaded.insert(ProblemEntry(name="Point", code="point P\n", level=1), force=True) == "GEO0003"
+
+
+def test_unreadable_entry_file_is_skipped_and_its_identifier_kept(tmp_path, caplog):
+    repo = Repository(tmp_path / "data")
+    circle = ProblemEntry(name="Circle", code="circle k\n", kind="construction", level=1)
+    assert [repo.insert(circle, force=True) for _ in range(4)] == ["GEO0001", "GEO0002", "GEO0003", "GEO0004"]
+    # file modes do not stop root from reading, so a directory stands for an unreadable file
+    (repo.data_dir / "entries" / "GEO0005.json").mkdir()
+    with caplog.at_level("ERROR"):
+        reloaded = Repository(repo.data_dir)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "GEO0005.json" in errors[0] and "unreadable" in errors[0]
+    assert list(stored_entries(reloaded)) == ["GEO0001", "GEO0002", "GEO0003", "GEO0004"]
+    assert reloaded.insert(circle, force=True) == "GEO0006"
+    with pytest.raises(IdentifierCollisionError):
+        reloaded.insert(replace(circle, identifier="GEO0005"), force=True)
+
+
 def test_entry_files_have_documented_shape(fresh_seeded_repo):
     path = fresh_seeded_repo.data_dir / "entries" / "GEO_CEVA.json"
     doc = json.loads(path.read_text(encoding="utf-8"))

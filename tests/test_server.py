@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
+import logging
 import random
 import socket
 import sys
@@ -94,6 +96,21 @@ def test_handle_request_text_query(fresh_seeded_repo):
     info = response.entries[0][1]
     assert info.name == "Ceva's Theorem"
     assert parse_construction(info.code)
+
+
+class _FailingRepository:
+    def text_query(self, query, mode, filters):
+        raise RuntimeError("boom")
+
+
+def test_handle_request_answers_an_unexpected_failure_and_logs_it(caplog):
+    with caplog.at_level(logging.ERROR, logger="geokb.server"):
+        answer = handle_request(_FailingRepository(), b'{"Query": "ceva"}\n')
+    assert json.loads(answer) == {"Error": "internal error: boom"}
+    [record] = caplog.records
+    assert record.getMessage() == "unexpected failure while handling a request"
+    assert record.exc_info is not None and str(record.exc_info[1]) == "boom"
+    assert "RuntimeError: boom" in caplog.text
 
 
 def test_handle_request_unknown_filter_key(fresh_seeded_repo):
@@ -368,6 +385,17 @@ def test_oversized_request_gets_its_error_and_the_server_goes_on(server, size):
     assert response == ErrorResponse("request too large")
     ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
     assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
+
+
+@pytest.mark.parametrize(
+    ("length", "error"),
+    [(MAX_REQUEST_BYTES - 1, "malformed JSON in request"), (MAX_REQUEST_BYTES, "request too large")],
+)
+def test_a_request_line_is_refused_once_it_and_its_newline_pass_the_limit(server, length, error):
+    # MAX_REQUEST_BYTES counts the newline: a line of that many bytes in all is
+    # decoded, and one byte more is refused
+    response = decode_response(raw_exchange(server, b"x" * length + b"\n"))
+    assert isinstance(response, ErrorResponse) and response.error.startswith(error)
 
 
 def test_sequential_requests_each_get_a_response(server):
@@ -712,6 +740,7 @@ def test_geoserver_bind_failure_exit_1(tmp_path, capsys):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
     port = blocker.getsockname()[1]
+    frozen = gc.get_freeze_count()
     try:
         code = server_main(
             ["--host", "127.0.0.1", "--port", str(port), "--data", str(tmp_path / "d")]
@@ -720,6 +749,8 @@ def test_geoserver_bind_failure_exit_1(tmp_path, capsys):
         blocker.close()
     assert code == 1
     assert "geoserver:" in capsys.readouterr().err
+    # a server that never bound froze none of the caller's heap
+    assert gc.get_freeze_count() == frozen
 
 
 def test_geoserver_bad_rules_file_exit_1(tmp_path, capsys):
