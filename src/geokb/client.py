@@ -37,7 +37,10 @@ def client_query(
             raise TransportError(f"cannot query {host}:{port}: {exc}") from exc
     if not buffer:
         raise TransportError("server closed the connection without a response")
-    return decode_response(bytes(buffer).split(b"\n", 1)[0])
+    end = buffer.find(b"\n")
+    if end >= 0:
+        del buffer[end:]  # so the line alone is copied, once: an answer may be 350 KB
+    return decode_response(bytes(buffer))
 
 
 def save_codes(result: QueryResult, directory: str | Path) -> list[Path]:

@@ -20,7 +20,10 @@ Responses are one of three shapes: a mapping from entry identifiers to
 ``{"Name", "Description", "Code"}`` objects for queries (``{}`` when
 nothing matched), an object with ``Status``/``Identifier``/``Duplicates``
 for inserts (``Identifier`` is null only for a duplicate), and
-``{"Error": "..."}`` for failures.
+``{"Error": "..."}`` for failures.  A decoded query answer is a
+:class:`QueryResult` of ``(identifier, EntryInfo)`` pairs in the server's
+order; :class:`EntryInfo` is a named tuple, since a client may build a
+thousand of them for one answer.
 
 A query answer is its hits' members joined (:func:`encode_hits`).  Each
 member is the text :func:`~geokb.repository.hit_member` writes, and the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EntryError, ProtocolError
 from .repository import (
@@ -67,8 +71,10 @@ class QueryRequest:
     force: bool = False
 
 
-@dataclass(frozen=True)
-class EntryInfo:
+class EntryInfo(NamedTuple):
+    """A hit's members, immutable; a named tuple builds in about half the
+    time a frozen dataclass takes."""
+
     name: str
     description: str
     code: str
@@ -268,10 +274,11 @@ def decode_response(data: bytes | str) -> QueryResponse:
         return _decode_insert_result(obj)
     entries = []
     for identifier, info in obj.items():
-        # three string members are exactly Name, Description and Code
-        if isinstance(info, dict) and len(info) == 3:
+        # three string members are exactly Name, Description and Code; json
+        # makes exact dicts and strs, so a type test stands for isinstance
+        if type(info) is dict and len(info) == 3:
             name, description, code = info.get("Name"), info.get("Description"), info.get("Code")
-            if isinstance(name, str) and isinstance(description, str) and isinstance(code, str):
+            if type(name) is str and type(description) is str and type(code) is str:
                 entries.append((identifier, EntryInfo(name, description, code)))
                 continue
         raise _hit_error(identifier, info)

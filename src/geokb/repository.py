@@ -714,6 +714,9 @@ class Repository:
         budget are dropped with a logged warning.  Each hit comes with an
         embedding into its entry: an earlier hit's, where it fits, else the
         first a search of the entry's view finds (see :meth:`_embeddings`).
+        Consecutive hits with one witness share one :class:`Embedding`, which
+        is frozen, so a 1,000-hit answer whose hits all share the last hit's
+        names builds one.
         """
         closed = closure(query, self._rules)
         records, identifiers = self._records, self._identifiers
@@ -723,10 +726,13 @@ class Repository:
         if not confirm or not candidates:
             return [(identifiers[slot], None) for slot in candidates]
         side = prepare(query.kinds, closed)
-        return [
-            (identifier, Embedding(side, found))
-            for _, identifier, found in self._embeddings(side, candidates, "query against %s")
-        ]
+        hits = []
+        last = embedding = None
+        for _, identifier, found in self._embeddings(side, candidates, "query against %s"):
+            if found is not last:
+                last, embedding = found, Embedding(side, found)
+            hits.append((identifier, embedding))
+        return hits
 
     def check_cache_coherence(self) -> list[str]:
         """Identifiers whose record (objects, degrees and closed facts) or

@@ -1,7 +1,8 @@
 """A pytest-free smoke check of the duplicate gate, the store's shared
 objects, a confirmed query's searches (at most one per distinct view it has
-of the stored sides, none where the last hit's names fit the view) and the
-response encoder, for interpreters that have no pytest installed.  Run it
+of the stored sides, none where the last hit's names fit the view), the
+response encoder and the decoding of a 1,000-hit answer, for interpreters
+that have no pytest installed.  Run it
 from the repository root, for instance under each supported CPython with
 warnings as errors:
 
@@ -28,6 +29,7 @@ from geokb.protocol import (
     QueryRequest,
     QueryResult,
     decode_response,
+    encode_hits,
     encode_request,
     encode_response,
     response_to_document,
@@ -210,6 +212,16 @@ def main() -> None:
         check(f"{type(response).__name__} encodes as json.dumps and round-trips",
               encoded == (text + "\n").encode("utf-8", "backslashreplace")
               and decode_response(encoded) == response)
+
+    # as many hits as a bare triangle gets on a 2,000-entry store, with
+    # non-ASCII text and a lone surrogate
+    expected = [(f"GEO{i:04d}", EntryInfo(f"Figura {i} \u00e2ngulo", "Reflex\u00e3o \ud800" * (i % 3),
+                                          f"point A{i}\n"))
+                for i in range(1000)]
+    answer = decode_response(encode_hits([repository.hit_member(i, *info) for i, info in expected]))
+    check("a 1,000-hit answer decodes to its entries in order",
+          isinstance(answer, QueryResult) and answer.entries == tuple(expected)
+          and all(type(info) is EntryInfo for _, info in answer.entries))
 
 
 if __name__ == "__main__":

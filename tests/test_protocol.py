@@ -115,6 +115,17 @@ def test_response_round_trips():
         assert decode_response(encode_response(response)) == response
 
 
+def test_entry_info_is_an_immutable_named_tuple():
+    info = EntryInfo(name="Ceva", description="Cevians.", code="point A\n")
+    assert info == EntryInfo("Ceva", "Cevians.", "point A\n")
+    assert EntryInfo._fields == ("name", "description", "code")
+    assert (info.name, info.description, info.code) == ("Ceva", "Cevians.", "point A\n")
+    assert hash(info) == hash(EntryInfo("Ceva", "Cevians.", "point A\n"))
+    assert len({info, EntryInfo("Ceva", "Cevians.", "point A\n"), EntryInfo("Ceva", "", "")}) == 2
+    with pytest.raises(AttributeError):
+        info.name = "Menelaus"
+
+
 def test_zero_hit_response_is_empty_object():
     assert encode_response(QueryResult(())) == b"{}\n"
     assert decode_response(b"{}\n") == QueryResult(())

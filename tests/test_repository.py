@@ -9,7 +9,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import pytest
@@ -624,6 +624,45 @@ def test_a_new_view_the_last_hits_names_fit_is_confirmed_without_a_search(tmp_pa
     assert [identifier for identifier, _ in hits] == [f"GEO{n:04d}" for n in range(1, 6)]
     for (_, found), code in zip(hits, figures):
         assert is_embedding(bare_triangle(), parse_construction(code), found.as_dict(), repo.ruleset)
+
+
+def test_consecutive_hits_with_one_witness_share_one_frozen_embedding(tmp_path):
+    """The triangle, with a point more, renamed, renamed with a point more,
+    and with a line more: the first two hits take the first hit's names,
+    the next two the renamed one's, so each pair holds one embedding."""
+    renamed = _renamed(BARE_TRIANGLE_TEXT)
+    repo = Repository(tmp_path / "data")
+    for i, code in enumerate((BARE_TRIANGLE_TEXT, BARE_TRIANGLE_TEXT + "point D\n", renamed,
+                              renamed + "point D\n", BARE_TRIANGLE_TEXT + "line d\n")):
+        repo.insert(ProblemEntry(name=f"Triangle {i}", code=code), force=True)
+    found = [embedding for _, embedding in repo.geometric_query(bare_triangle())]
+    assert found[0] is found[1] and found[2] is found[3]
+    assert found[1] != found[2] and found[3] != found[4]
+    with pytest.raises(FrozenInstanceError):
+        found[0].targets = found[2].targets
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_every_hit_of_a_seeded_confirmed_query_embeds_by_definition(tmp_path, seed):
+    """Random figures, every other one holding the triangle, under the
+    query's names in the first and last ten and renamed in the middle ten:
+    every hit's embedding, shared or not, embeds the triangle in its own
+    entry's figure, and equals one of a fresh search's."""
+    rng, triangle = random.Random(seed), bare_triangle()
+    renamed = parse_construction(_renamed(BARE_TRIANGLE_TEXT))
+    repo = Repository(tmp_path / "data")
+    for i in range(30):
+        figure = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+        if i % 2 == 0:
+            planted = renamed if 10 <= i < 20 else triangle
+            figure = Construction(figure.objects | planted.objects, figure.facts | planted.facts)
+        repo.insert(ProblemEntry(name=f"Figure {i}", code=serialize_construction(figure)), force=True)
+    hits = repo.geometric_query(triangle)
+    assert len(hits) >= 15 and len({id(found) for _, found in hits}) < len(hits)
+    for identifier, found in hits:
+        target = parse_construction(repo.get(identifier).code)
+        assert is_embedding(triangle, target, found.as_dict(), repo.ruleset)
+        assert found in find_embeddings(triangle, target, repo.ruleset, 1000)
 
 
 def _oracle_report(repo: Repository, draft: Construction) -> DuplicateReport:

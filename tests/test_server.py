@@ -563,8 +563,12 @@ def test_connection_refused_raises_transport_error():
         [b'{"Error": "answer in ', b"pieces", b'"}\n'],
         [b'{"Error": "answer in pieces"}', b"\n", b"ignored after the line"],
         [b'{"Error": "answer in pieces"}'],
+        [b'{"Error": "answer', b' in pieces"}\n{"Error": "trailing"}\n'],
+        # longer than one read of the client, with the newline a read later
+        [b'{"Error": "answer in pieces"' + b" " * 70000, b"}", b"\n"],
     ],
-    ids=["newline-in-last-piece", "newline-alone", "closed-without-newline"],
+    ids=["newline-in-last-piece", "newline-alone", "closed-without-newline",
+         "newline-and-trailing-bytes-in-one-piece", "line-longer-than-a-read"],
 )
 def test_client_reads_an_answer_sent_in_pieces(pieces):
     # the client looks for the end of the line in each new piece only
