@@ -7,20 +7,21 @@ class GeoKbError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ConstructionError(GeoKbError):
+class _LineError(GeoKbError):
+    """An error in a text read line by line; a known ``line`` prefixes the
+    message as ``line N:``."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class ConstructionError(_LineError):
     """Malformed construction text or an invalid construction value."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
-
-class RuleError(GeoKbError):
+class RuleError(_LineError):
     """Malformed rule text or a rule violating the rule invariants."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 class PatternError(GeoKbError):

@@ -226,7 +226,7 @@ def share(side: MatchSide, table: dict) -> MatchSide:
     return found
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """An injective, kind-preserving map taking the query into a target,
     kept as the search found it: the query side and, per step of its plan,
@@ -236,8 +236,12 @@ class Embedding:
     by query name.  ``facts`` is the witness: the target's closed facts
     covered by the mapped query facts (the part of the target to
     highlight), as the canonical ``(predicate, args)`` pairs the search
-    checked.  Both are derived on each read.  Two embeddings are equal when their mappings and witnesses
-    are.
+    checked.  Both are derived on each read.  Equality and hash are the
+    dataclass's own, over the query side and ``targets``.  Embeddings of
+    one query are equal exactly when their mappings are, and then so are
+    their witnesses.  Embeddings of two queries are equal only if the
+    query sides are: ``point A`` and ``line A``, each in no fact, mapped to
+    ``X`` give equal mappings and witnesses but differ.
     """
 
     query: MatchSide = field(repr=False)
@@ -259,18 +263,6 @@ class Embedding:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return self.mapping == other.mapping and self.facts == other.facts
-
-    def __hash__(self) -> int:
-        return hash(self.mapping)
-
-
-def _budget_exceeded(budget: int) -> SearchBudgetExceeded:
-    return SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
 
 
 def embed_closed(
@@ -329,7 +321,7 @@ def embed_closed(
             if tname in used:
                 continue
             if steps <= 0:
-                raise _budget_exceeded(budget)
+                raise SearchBudgetExceeded(f"embedding search exceeded its budget of {budget} steps")
             steps -= 1
             assigned[i] = tname
             for p, get_args, canonical in checks:

@@ -53,62 +53,16 @@ and a blocked, refused or colliding draft leaves nothing in the table: the
 gate searches with the draft's own side, and only the stored record gets
 the shared one.
 
-One generator, :meth:`Repository._embeddings`, runs every embedding
-search of the store: a confirmed query's, and the gate's in both
-directions.  Forward, a query or a draft into the stored sides, it settles
-each distinct view the query has of them once: a stored side's names of
-the query's kinds and its fact sets of the query's predicates
-(:func:`~geokb.matching.view`), all of them objects of the table, and all
-that such a search reads.  Figures name their parts by convention, so
-consecutive hits nearly always admit one embedding: a view met for the
-first time is first checked against the target names of the last hit
-yielded (:func:`~geokb.matching.holds`, linear in the query), and searched
-only if they do not fit it.  Backward, a stored side into the draft, it
-searches each distinct stored side once, with no names carried, since
-each is a different query.  It keeps a dict from view or side to its
-outcome, for its own run only, and reuses it for every slot with that
-view or side, in identifier order.  Records never change, the table only
-grows, and both a search's outcome and the check of carried names depend
-only on the query, its view of the target and the search's limit and
-budget, so each slot gets the answer a search of its own would give, with
-the carried names or the search's first embedding as its witness.  The
-budget is the one exception: a search that runs out of match budget counts
-as no match, and is warned about once per identifier it is reused for,
-while a view the carried names fit is a hit with no search, so carried
-names can gain a hit but never lose one.
-
 Queries come in two families.  Text queries search the records' names or
-terms (:mod:`~geokb.textindex`) and then apply filters.  Geometric queries
-close and fingerprint the query construction, read the entries whose
-cached fingerprint dominates it from the index, apply filters to those
-alone, and optionally confirm each candidate by exact embedding search,
-attaching the embedding it finds; the query is prepared for matching only
-once a candidate passes the filter.
-
-Inserts pass through a duplicate gate: unless forced, a draft that is
-structurally equal to a stored entry, or embeds into one, is rejected with
-a report naming the offenders.  A draft that merely extends stored entries
-(they embed into it) is inserted with a warning, since a richer
-construction legitimately refines a poorer one.  :meth:`Repository.insert`
-and :meth:`Repository.find_duplicates` share one gate,
-:meth:`Repository._gate`.  The index gives it its candidates in both
-directions: the entries whose fingerprint dominates the draft's, and those
-whose fingerprint the draft's dominates.  Each is searched at most once,
-by :meth:`Repository._embeddings`, for one embedding, and no witness is
-read.  Those that dominate are searched first, forward (the draft into
-each), and alone decide whether the draft is blocked; one is an exact
-duplicate if its fingerprint also equals the draft's: equal object and
-fact counts make the embedding a bijection, whose inverse embeds it back.
-Forward searches go at most once per view, so entries that differ only
-outside what the draft reads share one, and a view that the last hit's
-names fit needs none.  The others are searched backward, into
-the draft, so those searches share the draft's names that fit each need,
-and only as their identifiers are read.  A blocked report, like
-:meth:`Repository.find_duplicates`, names every entry found either way.
-An insert that goes through answers with no report, and its warning names
-only the first five entries it extends, so its backward searches stop at
-the fifth embedding, which may take fewer searches when entries share a
-side.
+terms (:mod:`~geokb.textindex`) and then apply filters; geometric queries
+are :meth:`Repository.geometric_query`.  Inserts pass through a duplicate
+gate, :meth:`Repository._gate`, which :meth:`Repository.find_duplicates`
+shares: unless forced, a draft that is equal to a stored entry, or embeds
+into one, is refused with a report, and a draft that stored entries embed
+into is inserted with a warning.  Every embedding search of the store runs
+in :meth:`Repository._embeddings`.  Those three docstrings state which
+entries are searched, in which direction, how one search's outcome serves
+several entries, and what a search that runs out of match budget gives.
 """
 
 from __future__ import annotations
@@ -597,11 +551,22 @@ class Repository:
     def _gate(
         self, side: MatchSide, fingerprint: Gtd
     ) -> tuple[tuple[str, ...], tuple[str, ...], Iterator[str], Iterator[int]]:
-        """The stored entries the draft embeds into, as exact duplicates and
-        containing entries, which alone decide whether an unforced insert is
-        blocked; the identifiers of the entries that embed into the draft,
-        each searched only when read; and the iterator of the slots those
-        searches have not reached.  All in identifier order."""
+        """The duplicate gate of a draft's side and fingerprint.  The index
+        gives its candidates in both directions: the entries whose
+        fingerprint dominates the draft's, and those whose fingerprint the
+        draft's dominates.  Each is searched at most once, by
+        :meth:`_embeddings`, for one embedding, and no witness is read.
+        Those that dominate are searched first, forward (the draft into
+        each), so at most once per view, and alone decide whether an
+        unforced insert is blocked; one is an exact duplicate if its
+        fingerprint also equals the draft's.  The others are searched
+        backward, into the draft, sharing the draft's names that fit each
+        need, and only as their identifiers are read.
+
+        Returns the exact duplicates and the containing entries; the
+        identifiers of the entries that embed into the draft, each searched
+        only when read; and the iterator of the slots those searches have
+        not reached.  All in identifier order."""
         index, identifiers = self._index, self._identifiers
         dominating = sorted(index.dominating(fingerprint), key=identifiers.__getitem__)
         dominated = set(index.dominated(fingerprint))
@@ -707,7 +672,8 @@ class Repository:
     ) -> list[tuple[str, Embedding | None]]:
         """Entries whose cached fingerprint dominates the query's, in
         ascending string order of identifiers (``GEO10000`` sorts between
-        ``GEO1000`` and ``GEO1001``).
+        ``GEO1000`` and ``GEO1001``), read from the index and filtered; the
+        query is prepared for matching only if a candidate is left.
 
         With ``confirm`` the candidates are checked by exact embedding and
         non-matches dropped; candidates whose check exhausts the match

@@ -59,6 +59,11 @@ except ImportError:  # renamed _sha2 in CPython 3.12
 
 _VAR_RE = re.compile(r"\?([A-Za-z][A-Za-z0-9_]*)\Z")
 _SIDE_RE = re.compile(r"(\?[A-Za-z][A-Za-z0-9_]*)\s*!=\s*(\?[A-Za-z][A-Za-z0-9_]*)\Z")
+#: a parenthesised group with no parenthesis inside
+_GROUP_RE = re.compile(r"\([^()]*\)")
+#: a comma outside every group of a body whose groups are not nested: the
+#: next parenthesis after it, if any, opens a group
+_TOP_COMMA_RE = re.compile(r",(?=[^()]*(?:\(|\Z))")
 
 
 @dataclass(frozen=True)
@@ -113,29 +118,6 @@ class RuleSet:
             for r in self.rules if _transitive_predicate(r) is None
             for i, a in enumerate(r.body)
         )
-
-
-def _split_top_level(text: str, lineno: int) -> list[str]:
-    """Split on commas that are not inside parentheses."""
-    parts: list[str] = []
-    nesting = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            nesting += 1
-        elif ch == ")":
-            nesting -= 1
-            if nesting < 0:
-                raise RuleError("unbalanced parentheses", line=lineno)
-        if ch == "," and nesting == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if nesting != 0:
-        raise RuleError("unbalanced parentheses", line=lineno)
-    parts.append("".join(current))
-    return [p.strip() for p in parts]
 
 
 def _parse_atom(text: str, lineno: int, var_kinds: dict[str, str]) -> Atom:
@@ -195,9 +177,11 @@ def load_rules(text: str) -> RuleSet:
             raise RuleError("rule body must contain at least one atom", line=lineno)
         var_kinds: dict[str, str] = {}
         head = _parse_atom(head_text.strip(), lineno, var_kinds)
+        if any(ch in "()" for ch in _GROUP_RE.sub("", body_text)):
+            raise RuleError("unbalanced parentheses", line=lineno)
         body: list[Atom] = []
         distinct: list[tuple[str, str]] = []
-        for part in _split_top_level(body_text.strip(), lineno):
+        for part in map(str.strip, _TOP_COMMA_RE.split(body_text)):
             sm = _SIDE_RE.match(part)
             if sm is not None:
                 distinct.append((sm.group(1)[1:], sm.group(2)[1:]))

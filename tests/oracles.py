@@ -157,6 +157,29 @@ def brute_force_embeds(query: Construction, target: Construction, ruleset: RuleS
     return bool(brute_force_mappings(query, target, ruleset, first_only=True))
 
 
+def embeds_by_definition(
+    query: Construction, query_closed: FactSet, target: Construction, target_closed: FactSet
+) -> bool:
+    """Whether some injective, kind-preserving map carries each fact of the
+    query's closure into the target's closure, in an argument order its
+    symmetries allow, by trying every such map.  The closures are given,
+    as :func:`naive_closure` makes them, so a caller can keep them."""
+    stated = {variant for f in target_closed for variant in orbit(f)}
+    per_kind = []
+    for kind in KINDS:
+        q_names, t_names = names_of_kind(query, kind), names_of_kind(target, kind)
+        if len(t_names) < len(q_names):
+            return False
+        per_kind.append((q_names, list(permutations(t_names, len(q_names)))))
+    for choice in product(*(options for _, options in per_kind)):
+        mapping = {
+            name: image for (q_names, _), chosen in zip(per_kind, choice) for name, image in zip(q_names, chosen)
+        }
+        if all((predicate, tuple(mapping[a] for a in args)) in stated for predicate, args in query_closed):
+            return True
+    return False
+
+
 def is_embedding(query: Construction, target: Construction, mapping: dict[str, str], ruleset: RuleSet) -> bool:
     """Whether ``mapping`` (query name -> target name) embeds the query in
     the target by definition: it maps each query object, injectively, to a

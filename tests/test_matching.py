@@ -268,6 +268,39 @@ def test_a_carried_witness_holds_exactly_when_it_embeds_by_definition(rules, see
         assert holds(query_side, target_side, names) == is_embedding(query, target, mapping, rules)
 
 
+# -- embedding equality ------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_embeddings_of_one_query_are_equal_exactly_when_mappings_and_witnesses_are(rules, seed):
+    """Over the embeddings of one query into two targets, each found by two
+    calls, so that equal query sides are distinct objects."""
+    rng = random.Random(seed)
+    target = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+    other = random_construction(rng, max_points=4, max_lines=3, max_circles=2, max_facts=8)
+    query = induced_subconstruction(rng, target) if rng.random() < 0.5 else random_construction(
+        rng, max_points=3, max_lines=2, max_circles=1, max_facts=5
+    )
+    found = [
+        embedding
+        for figure in (target, other, target)
+        for embedding in find_embeddings(query, figure, rules, limit=20)
+    ]
+    for a in found:
+        for b in found:
+            assert (a == b) == ((a.mapping, a.facts) == (b.mapping, b.facts))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_embeddings_of_queries_that_differ_only_in_an_isolated_objects_kind_differ(rules):
+    [as_point] = find_embeddings(parse_construction("point A"), parse_construction("point X"), rules, limit=1)
+    [as_line] = find_embeddings(parse_construction("line A"), parse_construction("line X"), rules, limit=1)
+    assert (as_point.mapping, as_point.facts) == (as_line.mapping, as_line.facts) == ((("A", "X"),), frozenset())
+    assert as_point != as_line
+
+
 # -- oracle agreement --------------------------------------------------------------
 
 

@@ -93,6 +93,22 @@ def test_load_rules_errors(text, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["incident((?p), ?l)", "incident(?p, ?l), (incident(?p, ?l))", "incident(?p, (?l), ?q)"],
+)
+def test_nested_parentheses_in_a_rule_body_are_unbalanced(body):
+    with pytest.raises(RuleError, match=r"^line 1: unbalanced parentheses$"):
+        load_rules(f"R1: incident(?p, ?l) :- {body}.")
+
+
+def test_body_commas_inside_an_atom_do_not_split_it():
+    spaced = load_rules("R1: incident(?p,?l) :-line_through( ?l , ?p,?q ) ,  ?p!=?q  .")
+    assert spaced == load_rules("R1: incident(?p, ?l) :- line_through(?l, ?p, ?q), ?p != ?q.")
+    assert spaced.rules[0].body[0].args == ("l", "p", "q")
+    assert spaced.rules[0].distinct == (("p", "q"),)
+
+
 # -- closure -----------------------------------------------------------------
 
 

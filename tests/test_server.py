@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ import pytest
 
 from geokb.client import client_query, save_codes
 from geokb.cli import client_main, server_main
+from geokb import corpus
 from geokb.corpus import ENTRIES, seed_repository
 from geokb.errors import ProtocolError, TransportError
 from geokb.matching import Embedding
@@ -375,6 +377,44 @@ def test_connection_closed_without_a_byte_gets_no_answer_and_the_server_goes_on(
     assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
 
 
+def close_with_reset(sock: socket.socket) -> None:
+    """Close the test's own socket with a reset instead of a FIN: SO_LINGER
+    on with a zero timeout drops what is unsent and unread."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_a_client_that_resets_while_its_answer_is_written_is_logged_once_and_the_server_goes_on(
+    server, monkeypatch, caplog
+):
+    # far more than the two ends' socket buffers hold, so the write is still
+    # under way when the reset arrives
+    huge = b'{"Error": "' + b"x" * (16 * 1024 * 1024) + b'"}\n'
+    monkeypatch.setattr("geokb.server.handle_request", lambda repository, data: huge)
+    with caplog.at_level(logging.WARNING, logger="geokb.server"):
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        try:
+            sock.sendall(b'{"Query": "ceva"}\n')
+            assert sock.recv(1) == b"{"
+        finally:
+            close_with_reset(sock)
+        deadline = time.monotonic() + 10
+        while not caplog.records and time.monotonic() < deadline:
+            time.sleep(0.01)
+        monkeypatch.undo()
+        ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
+        assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
+    assert [record.getMessage() for record in caplog.records] == [
+        "client went away before the response was written"
+    ]
+
+
+def test_a_client_that_resets_before_sending_leaves_the_server_answering(server):
+    close_with_reset(socket.create_connection((server.host, server.port), timeout=5))
+    ok = client_query(server.host, server.port, QueryRequest(query="ceva"))
+    assert [identifier for identifier, _ in ok.entries] == ["GEO_CEVA"]
+
+
 @pytest.mark.parametrize("size", [MAX_REQUEST_BYTES + 10, 2 * MAX_REQUEST_BYTES])
 def test_oversized_request_gets_its_error_and_the_server_goes_on(server, size):
     # the server stops reading at the limit; it must still deliver its answer
@@ -717,6 +757,38 @@ def test_geoclient_transport_error_exit_1(capsys):
     assert "geoclient:" in capsys.readouterr().err
 
 
+def test_geoclient_malformed_error_member_exit_1(capsys):
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b'{"Error": 5}\n')
+
+        sender = threading.Thread(target=answer, daemon=True)
+        sender.start()
+        code = client_main(["127.0.0.1", str(listener.getsockname()[1]), "x", "--timeout", "5"])
+        sender.join(timeout=5)
+        assert not sender.is_alive()
+    assert code == 1
+    assert capsys.readouterr().err == "geoclient: malformed response: Error must be a string\n"
+
+
+def test_geoclient_missing_geometric_file_exit_1_without_connecting(tmp_path, capsys, monkeypatch):
+    def connect(*args, **kwargs):
+        raise AssertionError("the client connected")
+
+    monkeypatch.setattr("geokb.cli.client_query", connect)
+    missing = tmp_path / "missing.cons"
+    code = client_main(["127.0.0.1", "1", "--geometric", str(missing)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("geoclient: ") and str(missing) in err and err.count("\n") == 1
+
+
 def test_geoclient_usage_errors(tmp_path):
     figure = tmp_path / "figure.cons"
     figure.write_text(BARE_TRIANGLE_TEXT, encoding="utf-8")
@@ -765,6 +837,17 @@ def test_geoserver_bad_rules_file_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "geoserver: line 1: rule must end with '.'\n"
+
+
+def test_corpus_entry_point_seeds_a_store_that_loads_clean(tmp_path, capsys, caplog):
+    data = tmp_path / "data"
+    assert corpus.main([str(data)]) == 0
+    assert capsys.readouterr().out == f"seeded {len(ENTRIES)} entries into {data}\n"
+    with caplog.at_level(logging.WARNING):
+        repository = Repository(data)
+    assert len(repository) == len(ENTRIES) == 25
+    assert caplog.records == []
+    assert repository.check_cache_coherence() == []
 
 
 def test_save_codes_writes_every_entry(tmp_path, fresh_seeded_repo, server):
